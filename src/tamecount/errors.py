@@ -18,7 +18,7 @@ class ContractViolationError(TamecountError):
 
 
 class ResourceCapError(TamecountError):
-    """A configured resource cap (element count) was exceeded."""
+    """A configured resource cap (group element count, LP pivot count) was exceeded."""
 
 
 class UnsupportedHypothesisError(TamecountError):

@@ -1,10 +1,13 @@
 """Exact rational linear programming and convex hulls of region unions.
 
 The solver is a two-phase tableau simplex over fractions.Fraction with
-Bland's anti-cycling rule: slow, exact, and deterministic.  Membership
-in the convex hull of a union of regions with a common recession cone
-uses the Balas extended formulation; open regions are certified through
-closed regions shrunk by a dyadic margin.
+Bland's anti-cycling rule: exact and deterministic.  A pivot touches only
+the nonzero columns of the pivot row and builds each updated entry from
+integers with one normalisation; lp_solve stops with ResourceCapError
+after DEFAULT_PIVOT_CAP pivots.  Membership in the convex hull of a union
+of regions with a common recession cone uses the Balas extended
+formulation; open regions are certified through closed regions shrunk by
+a dyadic margin.
 """
 from __future__ import annotations
 
@@ -12,11 +15,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import ResourceCapError, ValidationError
 from .ramtypes import min_weight
 from .regions import subconvexity_matrix
 
-Rational = Fraction
+DEFAULT_PIVOT_CAP = 100_000
 
 OPEN_EPSILONS = tuple(Fraction(1, 2 ** k) for k in range(1, 21))
 
@@ -68,10 +71,14 @@ class LPResult:
     status: str  # optimal | infeasible | unbounded
     value: Fraction | None = None
     assignment: dict | None = None
+    pivots: int = 0  # simplex pivots in both phases, artificial drive-out included
 
 
 def lp_solve(problem: LPProblem) -> LPResult:
-    """Exact two-phase simplex with Bland's rule."""
+    """Exact two-phase simplex with Bland's rule.
+
+    Raises ResourceCapError after DEFAULT_PIVOT_CAP pivots.
+    """
     n = len(problem.variables)
     # column layout: for each variable either one column (nonneg) or a +/- pair
     col_of_var = []  # (plus_col, minus_col | None)
@@ -118,13 +125,15 @@ def lp_solve(problem: LPProblem) -> LPResult:
     cost1 = [Fraction(0)] * (total + 1)
     for j in range(art0, art0 + m):
         cost1[j] = Fraction(1)
+    shape = f"({m} rows x {n} variables)"
     _reduce_cost_row(cost1, tableau, basis)
-    status = _pivot_until_optimal(tableau, cost1, basis, total)
+    status, pivots = _pivot_until_optimal(tableau, cost1, basis, total, 0,
+                                          f"LP phase 1 {shape}")
     if status == "unbounded":  # impossible in phase 1 (costs bounded below by 0)
         raise AssertionError("phase 1 cannot be unbounded")
     if -cost1[-1] > 0:
-        return LPResult(status="infeasible")
-    _drive_out_artificials(tableau, basis, art0)
+        return LPResult(status="infeasible", pivots=pivots)
+    pivots += _drive_out_artificials(tableau, basis, art0)
     keep = []
     for i, b in enumerate(basis):
         if b >= art0:
@@ -148,9 +157,10 @@ def lp_solve(problem: LPProblem) -> LPResult:
             cost2[minus] -= coef
     forbidden = set(range(art0, art0 + m))
     _reduce_cost_row(cost2, tableau, basis)
-    status = _pivot_until_optimal(tableau, cost2, basis, total, forbidden=forbidden)
+    status, pivots = _pivot_until_optimal(tableau, cost2, basis, total, pivots,
+                                          f"LP phase 2 {shape}", forbidden=forbidden)
     if status == "unbounded":
-        return LPResult(status="unbounded")
+        return LPResult(status="unbounded", pivots=pivots)
     values = [Fraction(0)] * total
     for i, b in enumerate(basis):
         values[b] = tableau[i][-1]
@@ -160,29 +170,41 @@ def lp_solve(problem: LPProblem) -> LPResult:
         assignment[var] = values[plus] - (values[minus] if minus is not None else 0)
     value = sum((objective[i] * assignment[v] for i, v in enumerate(problem.variables)),
                 Fraction(0)) if problem.objective is not None else Fraction(0)
-    return LPResult(status="optimal", value=value, assignment=assignment)
+    return LPResult(status="optimal", value=value, assignment=assignment, pivots=pivots)
+
+
+def _eliminate(target, coef, nonzeros):
+    """target -= coef * row in place, where nonzeros lists the row's nonzero
+    entries as (column, numerator, denominator).
+
+    Columns where the row is zero cannot change, so they are skipped; each
+    updated entry is built from integers with a single normalisation.
+    """
+    cn, cd = coef.numerator, coef.denominator
+    for k, rn, rd in nonzeros:
+        v = target[k]
+        d = cd * rd
+        target[k] = Fraction(v.numerator * d - cn * rn * v.denominator, v.denominator * d)
 
 
 def _reduce_cost_row(cost, tableau, basis):
     for i, b in enumerate(basis):
-        coef = cost[b]
-        if coef:
-            row = tableau[i]
-            for j in range(len(cost)):
-                cost[j] -= coef * row[j]
+        if cost[b]:
+            nonzeros = [(k, v.numerator, v.denominator) for k, v in enumerate(tableau[i]) if v]
+            _eliminate(cost, cost[b], nonzeros)
 
 
-def _pivot_until_optimal(tableau, cost, basis, total, forbidden=frozenset()):
+def _pivot_until_optimal(tableau, cost, basis, total, pivots, stage, forbidden=frozenset()):
+    """Pivot by Bland's rule; returns the status and the running pivot count."""
     while True:
         entering = None
+        skip = forbidden.union(basis)
         for j in range(total):
-            if j in forbidden or j in basis:
-                continue
-            if cost[j] < 0:
+            if j not in skip and cost[j] < 0:
                 entering = j
                 break
         if entering is None:
-            return "optimal"
+            return "optimal", pivots
         leaving = None
         best = None
         for i, row in enumerate(tableau):
@@ -193,27 +215,34 @@ def _pivot_until_optimal(tableau, cost, basis, total, forbidden=frozenset()):
                     best = ratio
                     leaving = i
         if leaving is None:
-            return "unbounded"
+            return "unbounded", pivots
+        if pivots >= DEFAULT_PIVOT_CAP:
+            raise ResourceCapError(
+                f"{stage} exceeds the pivot cap of {DEFAULT_PIVOT_CAP}")
         _pivot(tableau, cost, basis, leaving, entering)
+        pivots += 1
 
 
 def _pivot(tableau, cost, basis, i, j):
+    """Pivot on entry (i, j), in place, touching only row i's nonzero columns."""
     row = tableau[i]
-    piv = row[j]
-    tableau[i] = [v / piv for v in row]
-    row = tableau[i]
+    pn, pd = row[j].numerator, row[j].denominator
+    nonzeros = []
+    for k, v in enumerate(row):
+        if v:
+            row[k] = r = Fraction(v.numerator * pd, v.denominator * pn)
+            nonzeros.append((k, r.numerator, r.denominator))
     for k, other in enumerate(tableau):
         if k != i and other[j]:
-            coef = other[j]
-            tableau[k] = [ov - coef * rv for ov, rv in zip(other, row)]
+            _eliminate(other, other[j], nonzeros)
     if cost[j]:
-        coef = cost[j]
-        for idx in range(len(cost)):
-            cost[idx] -= coef * row[idx]
+        _eliminate(cost, cost[j], nonzeros)
     basis[i] = j
 
 
 def _drive_out_artificials(tableau, basis, art0):
+    """Pivot artificials out of the basis where a row allows; returns the pivot count."""
+    pivots = 0
     for i, b in enumerate(basis):
         if b < art0:
             continue
@@ -225,6 +254,8 @@ def _drive_out_artificials(tableau, basis, art0):
                 break
         if pivot_col is not None:
             _pivot(tableau, [Fraction(0)] * len(row), basis, i, pivot_col)
+            pivots += 1
+    return pivots
 
 
 def verify_lp_assignment(problem: LPProblem, assignment: dict) -> bool:

@@ -8,6 +8,7 @@ nonnegative orthant; the hull machinery relies on that.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -158,20 +159,14 @@ class LinearConstraint:
         denoms = [c.denominator for _, c in self.coefficients] + [self.bound.denominator]
         lcm = 1
         for d in denoms:
-            lcm = lcm * d // _gcd(lcm, d)
+            lcm = lcm * d // math.gcd(lcm, d)
         nums = [int(c * lcm) for _, c in self.coefficients] + [int(self.bound * lcm)]
         g = 0
         for v in nums:
-            g = _gcd(g, abs(v))
+            g = math.gcd(g, abs(v))
         g = g or 1
         return (tuple((lab, int(c * lcm) // g) for lab, c in self.coefficients),
                 int(self.bound * lcm) // g)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def constraint(coeffs: dict, bound) -> LinearConstraint:

@@ -8,7 +8,9 @@ import pytest
 from tamecount import (LPProblem, conditional_hull_point_check, hull_membership,
                        line_threshold, lp_solve, make_profile, shortcut_2d,
                        verify_certificate, weight_conductor_d4, weight_discriminant)
-from tamecount.errors import ValidationError
+import tamecount.hull_lp as hull_lp
+from tamecount.cli import main as cli_main, run_analysis_request
+from tamecount.errors import ResourceCapError, ValidationError
 from tamecount.hull_lp import (certificate_roundtrip, rational_str, parse_rational,
                                verify_lp_assignment)
 from tamecount.perm import subgroup_generated
@@ -74,6 +76,40 @@ class TestLpSolve:
                       nonneg=(True, True, True, True))
         r = lp_solve(p)
         assert r.status in ("optimal", "unbounded")
+
+    def test_pivot_cap_counts_every_pivot(self, monkeypatch):
+        # min x + y  s.t. x + 2y >= 3 and 2x + y >= 3, x, y >= 0
+        p = LPProblem(variables=("x", "y"),
+                      constraints=[((Fraction(1), Fraction(2)), ">=", Fraction(3)),
+                                   ((Fraction(2), Fraction(1)), ">=", Fraction(3))],
+                      objective=(Fraction(1), Fraction(1)), nonneg=(True, True))
+        pivots = lp_solve(p).pivots
+        assert pivots > 1
+        monkeypatch.setattr(hull_lp, "DEFAULT_PIVOT_CAP", pivots)
+        assert lp_solve(p).value == 2
+        monkeypatch.setattr(hull_lp, "DEFAULT_PIVOT_CAP", pivots - 1)
+        with pytest.raises(ResourceCapError, match=r"LP phase \d \(2 rows x 2 variables\) exceeds the pivot cap of"):
+            lp_solve(p)
+
+    def test_pivot_cap_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(hull_lp, "DEFAULT_PIVOT_CAP", 3)
+        assert cli_main(["analyze", "4T3", "--weight", "disc"]) == 3
+        assert "LP phase 1 (" in capsys.readouterr().err
+
+    def test_16t11_pivot_counts(self, monkeypatch):
+        # the threshold LP, then the open-mode margin search from 1/2 to 1/32;
+        # any change of pivot rule or tie-break moves these counts
+        results = []
+
+        def recording_solve(problem):
+            results.append(solve(problem))
+            return results[-1]
+
+        solve = hull_lp.lp_solve
+        monkeypatch.setattr(hull_lp, "lp_solve", recording_solve)
+        run_analysis_request("16T11", "disc", "paper-16t11", "Q")
+        assert [r.pivots for r in results] == [169, 192, 128, 138, 136, 123]
+        assert [r.status for r in results] == ["optimal"] + ["infeasible"] * 4 + ["optimal"]
 
 
 # ---------------------------------------------------------------------------
@@ -304,3 +340,202 @@ def test_closed_member_certificates_always_verify(d4_regions, coords):
         assert verify_certificate(cert, regions, point)
     else:
         assert cert is None
+
+
+# ---------------------------------------------------------------------------
+# dense reference solver: the original simplex, which updates every tableau
+# entry on each pivot.  The sparse pivot must take the same pivots.
+# ---------------------------------------------------------------------------
+
+_dense_pivots = []
+
+
+def _pivot(tableau, cost, basis, i, j):
+    _dense_pivots.append((i, j))
+    _dense_pivot(tableau, cost, basis, i, j)
+
+
+def _dense_lp_solve(problem):
+    """The dense lp_solve; returns (status, value, assignment) and records
+    each pivot in _dense_pivots."""
+    n = len(problem.variables)
+    # column layout: for each variable either one column (nonneg) or a +/- pair
+    col_of_var = []  # (plus_col, minus_col | None)
+    ncols = 0
+    for flag in problem.nonneg:
+        if flag:
+            col_of_var.append((ncols, None))
+            ncols += 1
+        else:
+            col_of_var.append((ncols, ncols + 1))
+            ncols += 2
+    rows = []
+    rhs = []
+    for row, rel, bound in problem.constraints:
+        expanded = [Fraction(0)] * ncols
+        for i, coef in enumerate(row):
+            plus, minus = col_of_var[i]
+            expanded[plus] += coef
+            if minus is not None:
+                expanded[minus] -= coef
+        if rel == ">=":
+            expanded.append(Fraction(-1))  # surplus
+            for r in rows:
+                r.append(Fraction(0))
+            ncols += 1
+        rows.append(expanded)
+        rhs.append(Fraction(bound))
+    for r in rows:  # pad rows added before later surplus columns
+        while len(r) < ncols:
+            r.append(Fraction(0))
+    m = len(rows)
+    for i in range(m):  # make rhs nonnegative
+        if rhs[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            rhs[i] = -rhs[i]
+    # phase 1: artificials
+    art0 = ncols
+    for i in range(m):
+        for j in range(m):
+            rows[i].append(Fraction(1) if i == j else Fraction(0))
+    total = ncols + m
+    basis = list(range(art0, art0 + m))
+    tableau = [rows[i] + [rhs[i]] for i in range(m)]
+    cost1 = [Fraction(0)] * (total + 1)
+    for j in range(art0, art0 + m):
+        cost1[j] = Fraction(1)
+    _reduce_cost_row(cost1, tableau, basis)
+    status = _pivot_until_optimal(tableau, cost1, basis, total)
+    if status == "unbounded":  # impossible in phase 1 (costs bounded below by 0)
+        raise AssertionError("phase 1 cannot be unbounded")
+    if -cost1[-1] > 0:
+        return "infeasible", None, None
+    _drive_out_artificials(tableau, basis, art0)
+    keep = []
+    for i, b in enumerate(basis):
+        if b >= art0:
+            # redundant row: all structural coefficients zero
+            if any(tableau[i][j] != 0 for j in range(art0)):
+                raise AssertionError("artificial not driven out of a non-redundant row")
+            continue
+        keep.append(i)
+    tableau = [tableau[i] for i in keep]
+    basis = [basis[i] for i in keep]
+    # phase 2
+    if problem.objective is None:
+        objective = [Fraction(0)] * n
+    else:
+        objective = [Fraction(c) for c in problem.objective]
+    cost2 = [Fraction(0)] * (total + 1)
+    for i, coef in enumerate(objective):
+        plus, minus = col_of_var[i]
+        cost2[plus] += coef
+        if minus is not None:
+            cost2[minus] -= coef
+    forbidden = set(range(art0, art0 + m))
+    _reduce_cost_row(cost2, tableau, basis)
+    status = _pivot_until_optimal(tableau, cost2, basis, total, forbidden=forbidden)
+    if status == "unbounded":
+        return "unbounded", None, None
+    values = [Fraction(0)] * total
+    for i, b in enumerate(basis):
+        values[b] = tableau[i][-1]
+    assignment = {}
+    for i, var in enumerate(problem.variables):
+        plus, minus = col_of_var[i]
+        assignment[var] = values[plus] - (values[minus] if minus is not None else 0)
+    value = sum((objective[i] * assignment[v] for i, v in enumerate(problem.variables)),
+                Fraction(0)) if problem.objective is not None else Fraction(0)
+    return "optimal", value, assignment
+
+
+def _reduce_cost_row(cost, tableau, basis):
+    for i, b in enumerate(basis):
+        coef = cost[b]
+        if coef:
+            row = tableau[i]
+            for j in range(len(cost)):
+                cost[j] -= coef * row[j]
+
+
+def _pivot_until_optimal(tableau, cost, basis, total, forbidden=frozenset()):
+    while True:
+        entering = None
+        for j in range(total):
+            if j in forbidden or j in basis:
+                continue
+            if cost[j] < 0:
+                entering = j
+                break
+        if entering is None:
+            return "optimal"
+        leaving = None
+        best = None
+        for i, row in enumerate(tableau):
+            a = row[entering]
+            if a > 0:
+                ratio = row[-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        if leaving is None:
+            return "unbounded"
+        _pivot(tableau, cost, basis, leaving, entering)
+
+
+def _dense_pivot(tableau, cost, basis, i, j):
+    row = tableau[i]
+    piv = row[j]
+    tableau[i] = [v / piv for v in row]
+    row = tableau[i]
+    for k, other in enumerate(tableau):
+        if k != i and other[j]:
+            coef = other[j]
+            tableau[k] = [ov - coef * rv for ov, rv in zip(other, row)]
+    if cost[j]:
+        coef = cost[j]
+        for idx in range(len(cost)):
+            cost[idx] -= coef * row[idx]
+    basis[i] = j
+
+
+def _drive_out_artificials(tableau, basis, art0):
+    for i, b in enumerate(basis):
+        if b < art0:
+            continue
+        row = tableau[i]
+        pivot_col = None
+        for j in range(art0):
+            if row[j] != 0:
+                pivot_col = j
+                break
+        if pivot_col is not None:
+            _pivot(tableau, [Fraction(0)] * len(row), basis, i, pivot_col)
+
+
+small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def small_lps(draw):
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(
+        st.tuples(st.tuples(*[small_fraction] * n), st.sampled_from([">=", "=="]),
+                  small_fraction),
+        min_size=1, max_size=6))
+    objective = draw(st.none() | st.tuples(*[small_fraction] * n))
+    nonneg = draw(st.tuples(*[st.booleans()] * n))
+    return LPProblem(variables=tuple(f"x{i}" for i in range(n)), constraints=rows,
+                     objective=objective, nonneg=nonneg)
+
+
+@settings(deadline=None, max_examples=300)
+@given(problem=small_lps())
+def test_sparse_pivot_matches_dense_reference(problem):
+    _dense_pivots.clear()
+    status, value, assignment = _dense_lp_solve(problem)
+    result = lp_solve(problem)
+    assert (result.status, result.value, result.assignment) == (status, value, assignment)
+    assert result.pivots == len(_dense_pivots)
+    if result.status == "optimal":
+        assert verify_lp_assignment(problem, result.assignment)
