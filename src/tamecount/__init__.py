@@ -9,7 +9,7 @@ from .perm import (Permutation, PermutationGroup, parse_permutation, index_of,
                    upper_central_series, is_nilpotent, fitting_subgroup,
                    pointwise_class_centralizer, parse_group_file, export_group_file)
 from .ramtypes import (CyclotomicProfile, TameType, WeightFunction, tame_types,
-                       zeta_degree, min_weight, pushforward_type, pole_order_bound,
+                       min_weight, pushforward_type, pole_order_bound,
                        weight_discriminant, weight_conductor_d4,
                        weight_product_ramified, weight_inv_gamma, weight_custom)
 from .concentration import (ConcentrationVerdict, abelian_normal_subgroups, classify,

@@ -160,10 +160,7 @@ def analyze(G: PermutationGroup, types, wt, witnesses, profile: SubconvexityProf
     threshold = line_threshold(lambda v: wt_map[v], regions)
     delta = sigma_a - threshold
     pole_point = {t.label: wt(t) / a_inv for t in types}
-    member, cert = hull_membership(pole_point, regions, mode="open")
-    if delta > 0 and not member:
-        # margin below the dyadic floor: fall back to the closed certificate
-        member, cert = hull_membership(pole_point, regions, mode="closed")
+    _, cert = hull_membership(pole_point, regions, mode="open")
     pole_orders = {t.label: pole_order_bound(t, G, cyc) for t in types}
     b_low, b_high = b_bounds(wt, types, witness_sets, pole_orders)
     xi = None

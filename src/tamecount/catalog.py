@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import ValidationError
 from .perm import (PermutationGroup, parse_group_file, parse_permutation,
                    product_representation, regular_embedding, wreath_product)
-from .ramtypes import (CyclotomicProfile, WeightFunction, parse_profile_file,
+from .hull_lp import parse_rational
+from .ramtypes import (CyclotomicProfile, WeightFunction, parse_cyclotomic_file,
                        parse_weight_file, tame_types, weight_conductor_d4,
                        weight_discriminant, weight_inv_gamma, weight_product_ramified)
 
@@ -177,7 +177,7 @@ def resolve_weight(spec: str, entry: CatalogEntry, types) -> WeightFunction:
     if spec.startswith("inv-gamma:"):
         if not entry.gamma_family:
             raise ValidationError("inv-gamma weights are defined for the quartic D4 entry only")
-        gamma = Fraction(spec.split(":", 1)[1])
+        gamma = parse_rational(spec.split(":", 1)[1])
         wt = weight_inv_gamma(types, gamma)
         return WeightFunction(name=spec, weights=wt.weights)
     path = Path(spec)
@@ -192,5 +192,5 @@ def resolve_cyclotomic(spec: str) -> CyclotomicProfile:
         return CyclotomicProfile.full_q()
     path = Path(spec)
     if path.exists():
-        return parse_profile_file(path.read_text(encoding="utf-8"), name=path.name)
+        return parse_cyclotomic_file(path.read_text(encoding="utf-8"), name=path.name)
     raise ValidationError(f"unknown cyclotomic profile spec {spec!r}")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -16,9 +17,10 @@ from .asymptotics import analyze
 from .catalog import resolve_cyclotomic, resolve_entry, resolve_weight
 from .concentration import analysis_witnesses, classify
 from .errors import ParseError, ResourceCapError, TamecountError, ValidationError
+from .hull_lp import parse_rational
 from .perm import index_of, parse_permutation, subgroup_generated
 from .ramtypes import weight_conductor_d4
-from .regions import make_profile, parse_profile_file as parse_subconvexity_file
+from .regions import make_profile, parse_subconvexity_file
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -31,15 +33,11 @@ def canonical_json(data) -> str:
 
 
 def _resolve_profile(spec: str, types, cyc):
-    if spec.startswith("lindelof"):
-        gamma = None
-        if ":" in spec:
-            gamma = spec.split(":", 1)[1]
-        elif "(" in spec:
-            gamma = spec[spec.index("(") + 1:spec.rindex(")")]
-        from fractions import Fraction
-        g = Fraction(gamma) if gamma else None
-        return make_profile("lindelof", types, cyc, gamma=g)
+    lindelof = re.fullmatch(r"lindelof(?::(.*)|\((.*)\))?", spec)
+    if lindelof:
+        literal = lindelof.group(1) or lindelof.group(2)
+        gamma = parse_rational(literal) if literal else None
+        return make_profile("lindelof", types, cyc, gamma=gamma)
     if spec in ("burgess-yang", "convexity", "paper-d4", "paper-16t11"):
         return make_profile(spec, types, cyc)
     path = Path(spec)
@@ -191,12 +189,14 @@ def _parse_manifest(path: Path):
 
 
 def _run_request_worker(item):
+    """(line, exit code, report dict or error text) for one manifest line."""
     lineno, parts = item
     try:
         report = run_analysis_request(*parts)
-        return (lineno, "ok", report.to_json_dict())
+        return (lineno, EXIT_OK, report.to_json_dict())
     except TamecountError as exc:
-        return (lineno, "error", f"{type(exc).__name__}: {exc}")
+        code = EXIT_RESOURCE if isinstance(exc, ResourceCapError) else EXIT_CONTRACT
+        return (lineno, code, f"{type(exc).__name__}: {exc}")
 
 
 def cmd_batch(args) -> int:
@@ -215,9 +215,8 @@ def cmd_batch(args) -> int:
         results = [_run_request_worker(item) for item in requests]
     results.sort(key=lambda r: r[0])
     summary = []
-    failed = False
-    for lineno, status, payload in results:
-        if status == "ok":
+    for lineno, code, payload in results:
+        if code == EXIT_OK:
             name = f"report_{lineno:04d}.json"
             text = canonical_json(payload)
             if outdir:
@@ -227,7 +226,6 @@ def cmd_batch(args) -> int:
             summary.append({"line": lineno, "status": "ok", "report": name,
                             "verdict": payload["verdict"]})
         else:
-            failed = True
             summary.append({"line": lineno, "status": "error", "detail": payload})
             print(f"line {lineno}: {payload}", file=sys.stderr)
     summary_text = canonical_json({"requests": summary})
@@ -235,7 +233,7 @@ def cmd_batch(args) -> int:
         (outdir / "summary.json").write_text(summary_text, encoding="utf-8")
     else:
         sys.stdout.write(summary_text)
-    return EXIT_CONTRACT if failed else EXIT_OK
+    return max((code for _, code, _ in results), default=EXIT_OK)
 
 
 def build_parser() -> argparse.ArgumentParser:

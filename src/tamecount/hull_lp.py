@@ -6,8 +6,9 @@ the nonzero columns of the pivot row and builds each updated entry from
 integers with one normalisation; lp_solve stops with ResourceCapError
 after DEFAULT_PIVOT_CAP pivots.  Membership in the convex hull of a union
 of regions with a common recession cone uses the Balas extended
-formulation; open regions are certified through closed regions shrunk by
-a dyadic margin.
+formulation: one LP maximises the margin t with point - t*1 in the closed
+hull.  The open hull is the interior of the closed one, so the point is a
+closed member iff t >= 0 and an open member iff t > 0.
 """
 from __future__ import annotations
 
@@ -20,8 +21,6 @@ from .ramtypes import min_weight
 from .regions import subconvexity_matrix
 
 DEFAULT_PIVOT_CAP = 100_000
-
-OPEN_EPSILONS = tuple(Fraction(1, 2 ** k) for k in range(1, 21))
 
 
 def rational_str(x: Fraction) -> str:
@@ -283,7 +282,7 @@ class HullCertificate:
     region points, each satisfying its region with slack >= epsilon."""
     lambdas: tuple           # one Fraction per region
     points: tuple            # dict per active region, None for inactive
-    epsilon: Fraction        # certified shrink margin (0 in closed mode)
+    epsilon: Fraction        # least slack of an active point (> 0 for an open member)
 
     def to_json_dict(self, variables):
         return {
@@ -329,7 +328,11 @@ def _as_point(point, variables) -> dict:
 
 
 def _balas_problem(regions, variables, *, point=None, wt=None):
-    """Variables: lam_j, y_{j,v}, and s when a weight line is given."""
+    """Variables: lam_j, y_{j,v}, then one scalar.
+
+    With a weight line: minimise s subject to sum_j y_j = s * wt.  With a
+    point: maximise the margin t subject to sum_j y_j + t * 1 = point.
+    """
     # y >= 0 is valid only while the regions sit in the nonnegative
     # orthant (every pure bound >= 0); otherwise the y block must be free
     y_nonneg = all(r.pure_lower_bound(v) >= 0 for r in regions for v in variables)
@@ -338,9 +341,9 @@ def _balas_problem(regions, variables, *, point=None, wt=None):
     for j in range(len(regions)):
         names.extend(f"y{j}.{v}" for v in variables)
         nonneg.extend([y_nonneg] * len(variables))
-    if wt is not None:
-        names.append("s")
-        nonneg.append(False)
+    scalar = "s" if wt is not None else "t"
+    names.append(scalar)
+    nonneg.append(False)
     index = {nm: i for i, nm in enumerate(names)}
     ncols = len(names)
 
@@ -367,17 +370,15 @@ def _balas_problem(regions, variables, *, point=None, wt=None):
             r[index["s"]] = -Fraction(wt[v])
             constraints.append((tuple(r), "==", Fraction(0)))
         else:
-            constraints.append((tuple(r), "==", Fraction(point[v])))
-    objective = None
-    if wt is not None:
-        obj = row()
-        obj[index["s"]] = Fraction(1)
-        objective = tuple(obj)
+            r[index["t"]] = Fraction(1)
+            constraints.append((tuple(r), "==", point[v]))
+    objective = row()
+    objective[index[scalar]] = Fraction(1) if wt is not None else Fraction(-1)
     return LPProblem(variables=tuple(names), constraints=constraints,
-                     objective=objective, nonneg=tuple(nonneg))
+                     objective=tuple(objective), nonneg=tuple(nonneg))
 
 
-def _certificate_from_assignment(assignment, regions, variables, epsilon) -> HullCertificate:
+def _certificate_from_assignment(assignment, regions, variables) -> HullCertificate:
     lambdas = tuple(assignment[f"lam{j}"] for j in range(len(regions)))
     # inactive regions may carry recession-ray mass (A y >= 0 with lam = 0);
     # fold it into an active point, which stays feasible because the
@@ -387,17 +388,23 @@ def _certificate_from_assignment(assignment, regions, variables, epsilon) -> Hul
         if lam == 0:
             for v in variables:
                 stray[v] += assignment[f"y{j}.{v}"]
+    # shifting every active point by t * 1 moves the combination from
+    # point - t * 1 onto the point itself, since the lambdas sum to 1
+    t = assignment["t"]
     points = []
     absorbed = False
     for j, lam in enumerate(lambdas):
         if lam == 0:
             points.append(None)
             continue
-        point = {v: assignment[f"y{j}.{v}"] / lam for v in variables}
+        point = {v: assignment[f"y{j}.{v}"] / lam + t for v in variables}
         if not absorbed and any(stray[v] for v in variables):
             point = {v: point[v] + stray[v] / lam for v in variables}
             absorbed = True
         points.append(point)
+    epsilon = min(c.evaluate(p) - c.bound
+                  for p, region in zip(points, regions) if p is not None
+                  for c in region.constraints)
     return HullCertificate(lambdas=lambdas, points=tuple(points), epsilon=epsilon)
 
 
@@ -415,10 +422,11 @@ def _assert_orthant_recession(regions):
 def hull_membership(point, regions, mode="open"):
     """Membership of `point` in the hull of the union of the regions.
 
-    Returns (True, HullCertificate) or (False, None).  Closed mode solves
-    the Balas feasibility problem for the closures; open mode searches the
-    dyadic shrink margins 2^-1..2^-20 and certifies through the largest
-    margin that works.
+    Returns (True, HullCertificate) or (False, None).  One LP maximises the
+    margin t such that point - t*1 lies in the closed Balas hull: the point
+    is a closed member iff t >= 0 and an open member iff t > 0.  In open
+    mode every certificate point has slack >= t * (coefficient sum) > 0 on
+    each constraint of its region.
     """
     if mode not in ("open", "closed"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -427,21 +435,15 @@ def hull_membership(point, regions, mode="open"):
     variables = _common_variables(regions)
     _assert_orthant_recession(regions)
     pt = _as_point(point, variables)
-    if mode == "closed":
-        problem = _balas_problem(regions, variables, point=pt)
-        result = lp_solve(problem)
-        if result.status != "optimal":
-            return False, None
-        cert = _certificate_from_assignment(result.assignment, regions, variables, Fraction(0))
-        return True, cert
-    for eps in OPEN_EPSILONS:
-        shrunk = [r.shrunk(eps) for r in regions]
-        problem = _balas_problem(shrunk, variables, point=pt)
-        result = lp_solve(problem)
-        if result.status == "optimal":
-            cert = _certificate_from_assignment(result.assignment, regions, variables, eps)
-            return True, cert
-    return False, None
+    # always feasible (the all-large point lies in every region) and bounded
+    # (every variable has a pure lower bound)
+    result = lp_solve(_balas_problem(regions, variables, point=pt))
+    if result.status != "optimal":
+        raise ValidationError(f"membership LP is {result.status}; regions are malformed")
+    margin = result.assignment["t"]
+    if margin < 0 or (mode == "open" and margin == 0):
+        return False, None
+    return True, _certificate_from_assignment(result.assignment, regions, variables)
 
 
 def verify_certificate(cert: HullCertificate, regions, point) -> bool:

@@ -126,7 +126,6 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     stripped = text.replace(" ", "")
     if stripped in ("()", ""):
         return Permutation.identity(degree)
-    body = "".join(_CYCLE_RE.findall(stripped))
     if _CYCLE_RE.sub("", stripped):
         raise ParseError(f"malformed cycle notation near {_CYCLE_RE.sub('', stripped)!r} in {text!r}")
     images = list(range(1, degree + 1))
@@ -148,7 +147,6 @@ def parse_permutation(text: str, degree: int) -> Permutation:
             raise ParseError(f"empty cycle in {text!r}")
         for i, p in enumerate(pts):
             images[p - 1] = pts[(i + 1) % len(pts)]
-    del body
     return Permutation(images)
 
 

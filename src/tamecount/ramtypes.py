@@ -79,7 +79,7 @@ class CyclotomicProfile:
         return f"CyclotomicProfile({self.name})"
 
 
-def parse_profile_file(text: str, name=None) -> CyclotomicProfile:
+def parse_cyclotomic_file(text: str, name=None) -> CyclotomicProfile:
     """Lines `e u1,u2,...` listing generators of U_e as residues."""
     restrictions = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -94,6 +94,8 @@ def parse_profile_file(text: str, name=None) -> CyclotomicProfile:
             gens = [int(tok) for tok in parts[1].split(",")]
         except ValueError:
             raise ParseError(f"line {lineno}: bad integer in {line!r}") from None
+        if e <= 0:
+            raise ParseError(f"line {lineno}: modulus {e} is not positive")
         units = {1 % e if 1 % e else e}
         frontier = list(units)
         gens = [g % e if g % e else e for g in gens]
@@ -221,11 +223,6 @@ def tame_types(G: PermutationGroup, profile: CyclotomicProfile, label_pins=None)
     return types
 
 
-def zeta_degree(tau: TameType, profile: CyclotomicProfile) -> int:
-    """Conjugation orbits merged into tau by the powering action."""
-    return tau.zeta_degree
-
-
 def type_of(types, g: Permutation) -> TameType:
     for t in types:
         if g in t.members:
@@ -327,6 +324,8 @@ def parse_weight_file(text: str, types, name="custom") -> WeightFunction:
 def min_weight(wt: WeightFunction, types):
     """(a_inv, tuple of attaining types in canonical order)."""
     wt.validate_total(types)
+    if not types:
+        raise ValidationError("no tame types: the trivial group has no nontrivial tame type")
     a = min(wt(t) for t in types)
     argmin = tuple(t for t in types if wt(t) == a)
     return a, argmin

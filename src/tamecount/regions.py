@@ -90,7 +90,7 @@ def make_profile(preset: str, types, cyc: CyclotomicProfile, *,
     raise ValidationError(f"unknown profile preset {preset!r}")
 
 
-def parse_profile_file(text: str, types, name="custom") -> SubconvexityProfile:
+def parse_subconvexity_file(text: str, types, name="custom") -> SubconvexityProfile:
     """`gamma <q>`, then `alpha <label|*> <q>` / `beta <label|*> <q>` lines."""
     gamma = Fraction(1, 2)
     alpha, beta = {}, {}
@@ -216,14 +216,6 @@ class TubularRegion:
 
     def mixed_constraints(self):
         return tuple(c for c in self.constraints if not c.is_pure())
-
-    def shrunk(self, eps: Fraction) -> "TubularRegion":
-        """Move every bound inward by eps (certifying open membership)."""
-        return TubularRegion(
-            self.variables,
-            [LinearConstraint(c.coefficients, c.bound + eps, c.strict) for c in self.constraints],
-            name=self.name,
-        )
 
     def contains_strict(self, point: dict) -> bool:
         return all(c.evaluate(point) > c.bound for c in self.constraints)

@@ -6,9 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from tamecount import export_group_file, parse_group_file, resolve_entry
+import tamecount.hull_lp as hull_lp
+from tamecount import (build_region, export_group_file, make_profile, parse_group_file,
+                       resolve_entry, verify_certificate)
 from tamecount.catalog import resolve_cyclotomic, resolve_weight
-from tamecount.cli import main as cli_main
+from tamecount.cli import _parse_manifest, main as cli_main
+from tamecount.concentration import analysis_witnesses
 from tamecount.errors import ValidationError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -176,6 +179,21 @@ class TestCliAnalyze:
         res = run_cli("analyze", "nope", "--weight", "disc")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("args", [
+        ("4T3", "--weight", "disc", "--cyc", "{zero_modulus}"),
+        ("C1", "--weight", "disc"),
+        ("4T3", "--weight", "disc", "--profile", "lindelof:abc"),
+        ("4T3", "--weight", "disc", "--profile", "lindelof(abc)"),
+        ("4T3", "--weight", "inv-gamma:abc"),
+        ("4T3", "--weight", "inv-gamma:1/0"),
+    ])
+    def test_bad_input_exits_2_without_traceback(self, tmp_path, args):
+        zero_modulus = tmp_path / "zero.cyc"
+        zero_modulus.write_text("0 1\n", encoding="utf-8")
+        res = run_cli("analyze", *(a.format(zero_modulus=zero_modulus) for a in args))
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+
 
 class TestBatch:
     def test_golden_files_byte_identical(self, tmp_path):
@@ -223,6 +241,29 @@ class TestBatch:
         summary = json.loads((out / "summary.json").read_text())
         statuses = {r["line"]: r["status"] for r in summary["requests"]}
         assert statuses[1] == "ok" and statuses[2] == "error"
+
+    def test_bad_literal_line_spares_the_good_line(self, tmp_path):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("4T3 disc paper-d4 Q\n4T3 inv-gamma:1/0 paper-d4 Q\n",
+                            encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_main(["batch", str(manifest), "--out", str(out)]) == 2
+        assert (out / "report_0001.json").exists()
+        assert not (out / "report_0002.json").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        errors = [r for r in summary["requests"] if r["status"] == "error"]
+        assert [r["line"] for r in errors] == [2]
+        assert errors[0]["detail"].startswith("ValidationError: ")
+
+    def test_resource_cap_line_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hull_lp, "DEFAULT_PIVOT_CAP", 3)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("4T3 disc paper-d4 Q\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_main(["batch", str(manifest), "--out", str(out)]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["requests"][0]["status"] == "error"
+        assert summary["requests"][0]["detail"].startswith("ResourceCapError: ")
 
     def test_hull_too_small_is_not_an_error(self, tmp_path):
         wits = tmp_path / "wits.txt"
@@ -276,6 +317,23 @@ class TestCustomInputFiles:
         res = run_cli("classes", str(big))
         assert res.returncode == 3
         assert "cap" in res.stderr
+
+
+def test_golden_certificates_verify_with_positive_margin(cyc_q):
+    for lineno, parts in _parse_manifest(GOLDEN / "golden_manifest.txt"):
+        label, weight, profile, cyc, witnesses = parts
+        assert (cyc, witnesses) == ("Q", "auto")
+        report = json.loads((GOLDEN / f"report_{lineno:04d}.json").read_text())
+        entry = resolve_entry(label)
+        types = entry.types(cyc_q)
+        wt = resolve_weight(weight, entry, types)
+        prof = make_profile(profile, types, cyc_q)
+        regions = [build_region(entry.group, T, types, prof, cyc_q)
+                   for T in analysis_witnesses(entry.group, types, wt)]
+        cert = hull_lp.certificate_from_json(report["certificate"])
+        point = {v: hull_lp.parse_rational(s) for v, s in report["pole_point"].items()}
+        assert cert.epsilon > 0, lineno
+        assert verify_certificate(cert, regions, point), lineno
 
 
 def test_report_schema_rationals_roundtrip():

@@ -17,6 +17,20 @@ from tamecount.perm import subgroup_generated
 from tamecount.regions import TubularRegion, build_region, constraint
 
 
+@pytest.fixture
+def recorded_lps(monkeypatch):
+    """The LPResult of every lp_solve call made through hull_lp."""
+    results = []
+    solve = hull_lp.lp_solve
+
+    def recording_solve(problem):
+        results.append(solve(problem))
+        return results[-1]
+
+    monkeypatch.setattr(hull_lp, "lp_solve", recording_solve)
+    return results
+
+
 # ---------------------------------------------------------------------------
 # plain LP
 # ---------------------------------------------------------------------------
@@ -96,20 +110,12 @@ class TestLpSolve:
         assert cli_main(["analyze", "4T3", "--weight", "disc"]) == 3
         assert "LP phase 1 (" in capsys.readouterr().err
 
-    def test_16t11_pivot_counts(self, monkeypatch):
-        # the threshold LP, then the open-mode margin search from 1/2 to 1/32;
-        # any change of pivot rule or tie-break moves these counts
-        results = []
-
-        def recording_solve(problem):
-            results.append(solve(problem))
-            return results[-1]
-
-        solve = hull_lp.lp_solve
-        monkeypatch.setattr(hull_lp, "lp_solve", recording_solve)
+    def test_16t11_pivot_counts(self, recorded_lps):
+        # the threshold LP, then the max-margin membership LP of the pole
+        # point; any change of pivot rule or tie-break moves these counts
         run_analysis_request("16T11", "disc", "paper-16t11", "Q")
-        assert [r.pivots for r in results] == [169, 192, 128, 138, 136, 123]
-        assert [r.status for r in results] == ["optimal"] + ["infeasible"] * 4 + ["optimal"]
+        assert [r.pivots for r in recorded_lps] == [169, 158]
+        assert [r.status for r in recorded_lps] == ["optimal", "optimal"]
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +148,7 @@ class TestHullMembership:
         point = d4_point(2, 1, 1, 2)
         member, cert = hull_membership(point, list(d4_regions), mode="open")
         assert member
-        assert cert.epsilon >= Fraction(1, 2 ** 20)
+        assert cert.epsilon > 0
         assert verify_certificate(cert, list(d4_regions), point)
 
     def test_quartic_point_below_threshold(self, d4_regions):
@@ -183,12 +189,47 @@ class TestHullMembership:
         with pytest.raises(ValidationError, match="mixed"):
             hull_membership({"x": Fraction(2)}, [d4_regions[0], other])
 
+    @pytest.mark.parametrize("mode", ["open", "closed"])
+    def test_one_lp_per_query(self, d4_regions, recorded_lps, mode):
+        regions = list(d4_regions)
+        inside = d4_point(2, 1, 1, 2)
+        outside = d4_point(1, 1, Fraction(1, 2), Fraction(3, 2))
+        for point, expected in ((inside, True), (outside, False)):
+            recorded_lps.clear()
+            member, _ = hull_membership(point, regions, mode=mode)
+            assert member is expected
+            assert [r.status for r in recorded_lps] == ["optimal"]
+
     def test_certificate_roundtrip_bit_exact(self, d4_regions):
         point = d4_point(2, 1, 1, 2)
         _, cert = hull_membership(point, list(d4_regions), mode="open")
         again = certificate_roundtrip(cert, d4_regions[0].variables)
         assert again == cert
         assert verify_certificate(again, list(d4_regions), point)
+
+
+class TestMarginWithoutFloor:
+    """The region x > 1: membership is exact at any margin, however small."""
+
+    regions = [TubularRegion(("x",), [constraint({"x": 1}, 1)])]
+
+    def test_tiny_positive_margin_is_open_member(self):
+        point = {"x": 1 + Fraction(1, 2 ** 22)}
+        member, cert = hull_membership(point, self.regions, mode="open")
+        assert member and cert.epsilon == Fraction(1, 2 ** 22)
+        assert verify_certificate(cert, self.regions, point)
+
+    def test_boundary_is_closed_member_only(self):
+        point = {"x": Fraction(1)}
+        assert hull_membership(point, self.regions, mode="open") == (False, None)
+        member, cert = hull_membership(point, self.regions, mode="closed")
+        assert member and cert.epsilon == 0
+        assert verify_certificate(cert, self.regions, point)
+
+    @pytest.mark.parametrize("mode", ["open", "closed"])
+    def test_tiny_negative_margin_is_outside(self, mode):
+        point = {"x": 1 - Fraction(1, 2 ** 22)}
+        assert hull_membership(point, self.regions, mode=mode) == (False, None)
 
 
 class TestLineThreshold:
@@ -203,7 +244,10 @@ class TestLineThreshold:
     def test_monotone_in_region_growth(self, d4_regions, d4_types):
         wt = weight_discriminant(d4_types, 4)
         base = line_threshold(lambda v: wt.weights[v], list(d4_regions))
-        grown = [r.shrunk(Fraction(-1, 8)) for r in d4_regions]  # relaxed bounds
+        grown = [TubularRegion(r.variables,  # every bound relaxed by 1/8
+                               [constraint(dict(c.coefficients), c.bound - Fraction(1, 8))
+                                for c in r.constraints])
+                 for r in d4_regions]
         assert line_threshold(lambda v: wt.weights[v], grown) <= base
 
     def test_weight_scaling(self, d4_regions, d4_types):
@@ -337,6 +381,21 @@ def test_closed_member_certificates_always_verify(d4_regions, coords):
     point = dict(zip(regions[0].variables, coords))
     member, cert = hull_membership(point, regions, mode="closed")
     if member:
+        assert verify_certificate(cert, regions, point)
+    else:
+        assert cert is None
+
+
+@settings(deadline=None, max_examples=30)
+@given(coords=st.tuples(positive_fraction, positive_fraction,
+                        positive_fraction, positive_fraction))
+def test_open_member_certificates_have_positive_margin(d4_regions, coords):
+    regions = list(d4_regions)
+    point = dict(zip(regions[0].variables, coords))
+    member, cert = hull_membership(point, regions, mode="open")
+    if member:
+        assert hull_membership(point, regions, mode="closed")[0]
+        assert cert.epsilon > 0
         assert verify_certificate(cert, regions, point)
     else:
         assert cert is None

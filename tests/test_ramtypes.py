@@ -10,7 +10,7 @@ from tamecount import (CyclotomicProfile, index_of, min_weight, pole_order_bound
                        weight_product_ramified, wreath_product)
 from tamecount.errors import ValidationError
 from tamecount.perm import PermutationGroup, subgroup_generated
-from tamecount.ramtypes import parse_profile_file, parse_weight_file, type_of
+from tamecount.ramtypes import parse_cyclotomic_file, parse_weight_file, type_of
 
 
 @pytest.fixture(scope="module")
@@ -120,12 +120,12 @@ class TestProfiles:
             prof.validate_for_exponent(8)
 
     def test_profile_file(self):
-        prof = parse_profile_file("4 1\n")
+        prof = parse_cyclotomic_file("4 1\n")
         assert prof.units_for(4) == frozenset({1})
         assert prof.units_for(2) == frozenset({1})
 
     def test_profile_file_generates_subgroup(self):
-        prof = parse_profile_file("8 3\n")
+        prof = parse_cyclotomic_file("8 3\n")
         assert prof.units_for(8) == frozenset({1, 3})
 
 
