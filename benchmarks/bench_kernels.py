@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Benchmark the pure vs compiled permutation kernels.
 
-The hot loops of the toolkit are element closure and conjugacy-class
-partitioning; this script times both backends on the same inputs.
+The hot loop of the toolkit is element closure; this script times both
+backends on the same inputs.
 
     python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -76,20 +76,6 @@ def main():
         else:
             row += f" {'n/a':>10} {'':>7}"
         print(row)
-
-        if len(elems) <= 6000:
-            ordered = sorted(elems)
-            t_pure, classes = timed(pure.conjugacy_partition, ordered,
-                                    repeat=args.repeat)
-            row = f"{name:<28} {'conjugacy_partition':<22} {t_pure * 1e3:9.1f}ms"
-            if speed is not None:
-                t_fast, classes_fast = timed(speed.conjugacy_partition, ordered,
-                                             repeat=args.repeat)
-                assert classes == classes_fast
-                row += f" {t_fast * 1e3:9.1f}ms {t_pure / t_fast:6.1f}x"
-            else:
-                row += f" {'n/a':>10} {'':>7}"
-            print(row)
     if speed is None:
         print("\ncompiled kernel not built; showing pure timings only")
 

@@ -1,7 +1,7 @@
 """Build script: compiles the optional permutation kernel extension.
 
 The package is pure Python; the Cython extension only accelerates the
-hot closure/conjugacy loops.  If the toolchain is missing the build
+hot closure loop.  If the toolchain is missing the build
 falls back to the pure kernels silently.
 """
 import os

@@ -22,4 +22,3 @@ inverse = impl.inverse
 conjugate = impl.conjugate
 cycle_count = impl.cycle_count
 closure = impl.closure
-conjugacy_partition = impl.conjugacy_partition

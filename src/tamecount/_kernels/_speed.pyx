@@ -154,39 +154,3 @@ cdef tuple _iota(Py_ssize_t n):
         PyTuple_SET_ITEM(out, i, v)
     return out
 
-
-def conjugacy_partition(elements):
-    """Partition a group element list into conjugacy classes."""
-    cdef list elems = sorted(elements)
-    cdef Py_ssize_t m = len(elems)
-    if m == 0:
-        return []
-    cdef Py_ssize_t n = len(<tuple> elems[0])
-    cdef int* buf = <int*> malloc((m + 2) * n * sizeof(int))
-    if buf == NULL:
-        raise MemoryError()
-    cdef int* gb = buf + m * n
-    cdef int* work = buf + (m + 1) * n
-    cdef set left = set(elems)
-    cdef list classes = []
-    cdef set cls
-    cdef tuple g, w
-    cdef Py_ssize_t i, k
-    try:
-        for k in range(m):
-            _fill(buf + k * n, <tuple> elems[k], n)
-        for g in elems:
-            if g not in left:
-                continue
-            _fill(gb, g, n)
-            cls = set()
-            for k in range(m):
-                for i in range(n):
-                    work[buf[k * n + i] - 1] = buf[k * n + gb[i] - 1]
-                w = _emit(work, n)
-                cls.add(w)
-            classes.append(sorted(cls))
-            left -= cls
-        return classes
-    finally:
-        free(buf)

@@ -2,8 +2,8 @@
 
 Permutations are tuples of 1-based images: p maps point i to p[i-1].
 These functions are the hot inner loops of element enumeration and
-class computation; `tamecount._kernels._speed` is the compiled twin
-with identical behavior.
+conjugation; `tamecount._kernels._speed` is the compiled twin with
+identical behavior.
 """
 
 BACKEND = "pure"
@@ -71,19 +71,3 @@ def closure(generators, cap):
         frontier = new
     return elements
 
-
-def conjugacy_partition(elements):
-    """Partition a group element list into conjugacy classes.
-
-    Returns a list of sorted element lists; identity class included.
-    """
-    elems = sorted(elements)
-    left = set(elems)
-    classes = []
-    for g in elems:
-        if g not in left:
-            continue
-        cls = {conjugate(h, g) for h in elems}
-        classes.append(sorted(cls))
-        left -= cls
-    return classes

@@ -10,7 +10,6 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .asymptotics import analyze
@@ -173,15 +172,15 @@ def cmd_analyze(args) -> int:
 
 
 def _parse_manifest(path: Path):
+    """[(line number, fields)] per request line, `auto` appended to a
+    four-field line.  A line with another field count is kept as read; it
+    fails on its own when it runs."""
     requests = []
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) not in (4, 5):
-            raise ParseError(
-                f"manifest line {lineno}: expected 'label weight profile cyc [witnesses]'")
         if len(parts) == 4:
             parts.append("auto")
         requests.append((lineno, tuple(parts)))
@@ -192,6 +191,9 @@ def _run_request_worker(item):
     """(line, exit code, report dict or error text) for one manifest line."""
     lineno, parts = item
     try:
+        if len(parts) != 5:
+            raise ParseError(
+                f"manifest line {lineno}: expected 'label weight profile cyc [witnesses]'")
         report = run_analysis_request(*parts)
         return (lineno, EXIT_OK, report.to_json_dict())
     except TamecountError as exc:
@@ -209,6 +211,9 @@ def cmd_batch(args) -> int:
     if outdir:
         outdir.mkdir(parents=True, exist_ok=True)
     if args.jobs > 1 and requests:
+        # imported here, not at module level: the process-pool machinery
+        # (multiprocessing) adds ~1.6 MB to the start of every other command
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_request_worker, requests))
     else:

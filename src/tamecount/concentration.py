@@ -7,8 +7,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import ContractViolationError, UnsupportedHypothesisError, ValidationError
-from .perm import (PermutationGroup, fitting_subgroup, index_of, is_abelian_set,
-                   is_nilpotent, is_normal, normal_subgroups, quotient,
+from .perm import (PermutationGroup, fitting_subgroup, index_of, is_abelian_normal,
+                   is_abelian_set, is_normal, normal_closure, normal_subgroups, quotient,
                    subgroup_as_group, subgroup_generated, upper_central_series)
 from .ramtypes import WeightFunction, min_weight
 
@@ -34,7 +34,7 @@ def abelian_normal_subgroups(G: PermutationGroup):
     """Proper nontrivial normal subgroups with abelian carrier."""
     out = []
     for N in normal_subgroups(G):
-        if 1 < len(N) < G.order and is_abelian_set(N):
+        if 1 < len(N) < G.order and is_abelian_normal(G, N):
             out.append(N)
     return out
 
@@ -79,10 +79,8 @@ def classify(G: PermutationGroup, wt: WeightFunction, types) -> ConcentrationVer
     min_elements = set()
     for t in argmin:
         min_elements |= t.members
-    generated = subgroup_generated(G, min_elements)
-    concentrated = len(generated) < G.order
-    semiconcentrated = all(
-        len(subgroup_generated(G, t.members)) < G.order for t in argmin)
+    concentrated = len(normal_closure(G, min_elements)) < G.order
+    semiconcentrated = all(len(normal_closure(G, t.members)) < G.order for t in argmin)
     if concentrated:
         status = STATUS_CONCENTRATED
     elif semiconcentrated:
@@ -90,11 +88,11 @@ def classify(G: PermutationGroup, wt: WeightFunction, types) -> ConcentrationVer
     else:
         status = STATUS_NOT
     cover = minimal_abelian_cover(G, min_elements) if status != STATUS_NOT else None
-    if is_nilpotent(G):
+    fitting = fitting_subgroup(G)
+    if len(fitting) == G.order:
         fitting_status = FITTING_NILPOTENT
     else:
-        fitting_status = (FITTING_CONCENTRATED
-                          if min_elements <= fitting_subgroup(G) else FITTING_NEITHER)
+        fitting_status = FITTING_CONCENTRATED if min_elements <= fitting else FITTING_NEITHER
     return ConcentrationVerdict(status=status,
                                 witnesses=tuple(cover or ()),
                                 fitting_status=fitting_status,
@@ -115,8 +113,8 @@ def analysis_witnesses(G: PermutationGroup, types, wt: WeightFunction):
     seen = set()
     out = []
     for t in types:
-        S = subgroup_generated(G, t.members)
-        if 1 < len(S) < G.order and is_abelian_set(S) and S not in seen:
+        S = normal_closure(G, t.members)
+        if 1 < len(S) < G.order and is_abelian_normal(G, S) and S not in seen:
             seen.add(S)
             out.append(S)
     min_elements = set()

@@ -3,7 +3,11 @@
 Everything is computed by explicit enumeration: element sets are
 materialized by breadth-first closure over the generators (no
 Schreier--Sims), which keeps every downstream result certifiable at
-desk scale (orders up to ~10^5).
+desk scale (orders up to ~10^5).  Each group caches its conjugacy
+classes, an element -> class index and a class-product table; normal
+subgroups, normal closures and the Fitting subgroup are unions of
+classes, found as bitmask fixpoints of that table (the class-structure
+methods of Hulpke, "Computing normal subgroups", ISSAC 1998).
 
 Points are labeled 1..degree.  The canonical ordering used by every
 "deterministic" contract is lexicographic on the image tuple.
@@ -175,6 +179,8 @@ class PermutationGroup:
         self.element_cap = element_cap
         self._elements = None
         self._classes = None
+        self._class_index = None
+        self._class_products = None
 
     @classmethod
     def trivial(cls, degree=1):
@@ -219,29 +225,77 @@ class PermutationGroup:
         return len(orbit) == self.degree
 
     def exponent(self) -> int:
-        return math.lcm(*(g.order() for g in self.elements))
+        return math.lcm(*(c.representative.order() for c in self.conjugacy_classes()))
 
     def conjugacy_classes(self):
-        """Classes in deterministic order: (element order, size, minimal member)."""
+        """Classes in deterministic order: (element order, size, minimal member).
+
+        One conjugation-orbit BFS over the generators per class, O(|G|*gens)
+        conjugations in all; the identity class comes first.
+        """
         if self._classes is None:
-            parts = K.conjugacy_partition([g.images for g in self.elements])
+            gens = [h.images for h in self.generators]
+            by_images = {g.images: g for g in self.elements}
+            seen = set()
+            parts = []
+            for g in self.elements:  # canonical order: each orbit starts at its minimum
+                if g.images in seen:
+                    continue
+                orbit = [g.images]
+                seen.add(g.images)
+                for x in orbit:
+                    for h in gens:
+                        y = K.conjugate(h, x)
+                        if y not in seen:
+                            seen.add(y)
+                            orbit.append(y)
+                members = [by_images[t] for t in orbit]
+                parts.append((g.order(), len(members), g.images, members))
+            parts.sort(key=lambda part: part[:3])
+            index = {}
             classes = []
-            for part in parts:
-                members = tuple(Permutation(t) for t in part)
-                rep = members[0]
-                classes.append(ConjugacyClass(representative=rep,
-                                              members=frozenset(members),
-                                              size=len(members)))
-            classes.sort(key=lambda c: (c.representative.order(), c.size,
-                                        c.representative.images))
+            for i, (_, size, _, members) in enumerate(parts):
+                for x in members:
+                    index[x.images] = i
+                classes.append(ConjugacyClass(representative=members[0],
+                                              members=frozenset(members), size=size))
+            self._class_index = index
             self._classes = tuple(classes)
         return self._classes
 
+    def class_index(self, g: Permutation) -> int:
+        """Position of g's class in `conjugacy_classes()`."""
+        self.conjugacy_classes()
+        try:
+            return self._class_index[g.images]
+        except KeyError:
+            raise ValidationError(f"{g!r} is not an element of the group") from None
+
     def class_of(self, g: Permutation):
-        for cls in self.conjugacy_classes():
-            if g in cls.members:
-                return cls
-        raise ValidationError(f"{g!r} is not an element of the group")
+        return self.conjugacy_classes()[self.class_index(g)]
+
+    def class_products(self):
+        """prod[i][j]: bitmask of the classes met by rep_i * C_j.
+
+        It is also the set of classes met by C_i * C_j, which equals
+        C_j * C_i, so the table is symmetric; k*|G|/2 compositions.
+        """
+        if self._class_products is None:
+            classes = self.conjugacy_classes()
+            index = self._class_index
+            k = len(classes)
+            prod = [[0] * k for _ in range(k)]
+            for i, ci in enumerate(classes):
+                rep = ci.representative.images
+                row = prod[i]
+                for j in range(i, k):
+                    mask = 0
+                    for x in classes[j].members:
+                        mask |= 1 << index[K.compose(rep, x.images)]
+                    row[j] = mask
+                    prod[j][i] = mask
+            self._class_products = prod
+        return self._class_products
 
     def center(self):
         return frozenset(g for g in self.elements
@@ -324,40 +378,6 @@ def pointwise_class_centralizer(G: PermutationGroup, c) -> frozenset:
                      if all(K.conjugate(g.images, x.images) == x.images for x in c))
 
 
-def normal_closure(G: PermutationGroup, elems) -> frozenset:
-    """Smallest normal subgroup of G containing `elems`."""
-    conjugates = set()
-    for x in elems:
-        for h in G.elements:
-            conjugates.add(Permutation(K.conjugate(h.images, x.images)))
-    return subgroup_generated(G, conjugates)
-
-
-def normal_subgroups(G: PermutationGroup):
-    """All normal subgroups, via join-closure of class normal closures.
-
-    Every normal subgroup is a union of conjugacy classes and equals the
-    join of the normal closures of the classes it contains, so the
-    join-closure of the class closures is exhaustive.
-    """
-    trivial = frozenset({G.identity})
-    seeds = {trivial}
-    for cls in G.conjugacy_classes():
-        seeds.add(subgroup_generated(G, cls.members))
-    known = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        new = []
-        for A in frontier:
-            for B in list(known):
-                join = subgroup_generated(G, A | B)
-                if join not in known:
-                    known.add(join)
-                    new.append(join)
-        frontier = new
-    return sorted(known, key=lambda s: (len(s), sorted(g.images for g in s)))
-
-
 def all_subgroups(G: PermutationGroup):
     """Every subgroup of G by brute-force closure growth (test oracle)."""
     trivial = frozenset({G.identity})
@@ -375,6 +395,98 @@ def all_subgroups(G: PermutationGroup):
                     new.append(grown)
         frontier = new
     return sorted(known, key=lambda s: (len(s), sorted(g.images for g in s)))
+
+
+# ---------------------------------------------------------------------------
+# normal subgroups from class data: a normal subgroup is a union of classes,
+# held as a bitmask over `conjugacy_classes()`
+# ---------------------------------------------------------------------------
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _close(prod, start: int, gens) -> int:
+    """Smallest class union containing `start` and closed under right
+    multiplication by the classes `gens`.
+
+    From the identity class this is the subgroup generated by those
+    classes, i.e. their normal closure; from a normal subgroup N it is the
+    join of N with that closure.
+    """
+    result = frontier = start
+    while frontier:
+        new = 0
+        for i in _bits(frontier):
+            row = prod[i]
+            for j in gens:
+                new |= row[j]
+        frontier = new & ~result
+        result |= frontier
+    return result
+
+
+def _class_union(G: PermutationGroup, mask: int) -> frozenset:
+    classes = G.conjugacy_classes()
+    out = set()
+    for i in _bits(mask):
+        out |= classes[i].members
+    return frozenset(out)
+
+
+def normal_closure(G: PermutationGroup, elems) -> frozenset:
+    """Smallest normal subgroup of G containing `elems`."""
+    gens = sorted({G.class_index(g) for g in elems})
+    return _class_union(G, _close(G.class_products(), 1, gens))
+
+
+def is_abelian_normal(G: PermutationGroup, N) -> bool:
+    """Whether the normal subgroup N of G is abelian.
+
+    Checks only the classes that generate N, each taken when the classes
+    before it do not yet generate it: a group generated by pairwise
+    commuting elements is abelian.
+    """
+    prod = G.class_products()
+    classes = G.conjugacy_classes()
+    span = 1
+    gens = []
+    for i in sorted({G.class_index(g) for g in N}):
+        if not span >> i & 1:
+            span = _close(prod, span, (i,))
+            gens.extend(x.images for x in classes[i].members)
+    return all(K.compose(a, b) == K.compose(b, a)
+               for i, a in enumerate(gens) for b in gens[i + 1:])
+
+
+def normal_subgroups(G: PermutationGroup):
+    """All normal subgroups, found as class-union bitmasks closed under class products.
+
+    Every normal subgroup is a union of conjugacy classes and the join of
+    the normal closures of the classes it contains, so growing the trivial
+    subgroup one class closure at a time reaches every one of them.
+    """
+    prod = G.class_products()
+    seeds = {}  # normal closure of a class -> one class generating it
+    for c in range(1, len(prod)):
+        seeds.setdefault(_close(prod, 1, (c,)), c)
+    known = {1}
+    frontier = [1]
+    while frontier:
+        new = []
+        for N in frontier:
+            for seed, c in seeds.items():
+                if seed & ~N:
+                    join = _close(prod, N, (c,))
+                    if join not in known:
+                        known.add(join)
+                        new.append(join)
+        frontier = new
+    subgroups = [_class_union(G, mask) for mask in known]
+    return sorted(subgroups, key=lambda s: (len(s), sorted(g.images for g in s)))
 
 
 def quotient(G: PermutationGroup, N) -> QuotientGroup:
@@ -442,13 +554,23 @@ def subgroup_as_group(G: PermutationGroup, subset, name=None) -> PermutationGrou
     return PermutationGroup(G.degree, sorted(subset), name=name, element_cap=G.element_cap)
 
 
+def _is_prime_power(n: int) -> bool:
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
 def fitting_subgroup(G: PermutationGroup) -> frozenset:
-    """Join of all nilpotent normal subgroups."""
-    fit = frozenset({G.identity})
+    """Join of the normal subgroups of prime-power order.
+
+    That is the product of the O_p(G), the largest nilpotent normal subgroup.
+    """
+    gens = set()
     for N in normal_subgroups(G):
-        if is_nilpotent(subgroup_as_group(G, N)):
-            fit = subgroup_generated(G, fit | N)
-    return fit
+        if len(N) > 1 and _is_prime_power(len(N)):
+            gens |= N
+    return normal_closure(G, gens)
 
 
 # ---------------------------------------------------------------------------

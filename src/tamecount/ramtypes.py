@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import _kernels as K
 from .errors import ParseError, ValidationError
 from .perm import Permutation, PermutationGroup, QuotientGroup, index_of, is_nilpotent
 
@@ -127,38 +126,6 @@ class TameType:
         return f"TameType({self.label}, order={self.order}, size={self.size})"
 
 
-def _conjugation_orbit(G: PermutationGroup, g: Permutation):
-    orbit = {g.images}
-    frontier = [g.images]
-    gens = [h.images for h in G.generators]
-    while frontier:
-        x = frontier.pop()
-        for h in gens:
-            y = K.conjugate(h, x)
-            if y not in orbit:
-                orbit.add(y)
-                frontier.append(y)
-    return orbit
-
-
-def _type_orbit(G: PermutationGroup, g: Permutation, profile: CyclotomicProfile):
-    e = g.order()
-    units = profile.units_for(e)
-    orbit = {g.images}
-    frontier = [g.images]
-    gens = [h.images for h in G.generators]
-    while frontier:
-        x = frontier.pop()
-        new = [K.conjugate(h, x) for h in gens]
-        xp = Permutation(x)
-        new.extend((xp ** u).images for u in units)
-        for y in new:
-            if y not in orbit:
-                orbit.add(y)
-                frontier.append(y)
-    return orbit
-
-
 def _merged_label(labels):
     prefix = labels[0]
     for lab in labels[1:]:
@@ -178,21 +145,19 @@ def tame_types(G: PermutationGroup, profile: CyclotomicProfile, label_pins=None)
     if not G.is_transitive():
         raise ValidationError("tame types are defined for transitive groups only")
     profile.validate_for_exponent(G.exponent())
-    remaining = {g.images for g in G.elements if not g.is_identity()}
+    classes = G.conjugacy_classes()
     raw = []
-    while remaining:
-        g = Permutation(min(remaining))
-        orbit = _type_orbit(G, g, profile)
-        if not orbit <= remaining:
-            raise AssertionError("type orbits must partition the nonidentity elements")
-        remaining -= orbit
-        members = frozenset(Permutation(t) for t in orbit)
-        rep = min(members)
-        conj = len(_conjugation_orbit(G, rep))
-        size = len(members)
-        if size % conj:
-            raise AssertionError("conjugation orbits inside a type have equal size")
-        raw.append((rep.order(), size, rep, members, conj))
+    placed = {0}  # the identity class
+    for i, cls in enumerate(classes):
+        if i in placed:
+            continue
+        rep = cls.representative
+        # conjugation commutes with powering, so the type is the union of
+        # the classes of rep^u over the units u of the profile
+        merged = {G.class_index(rep ** u) for u in profile.units_for(rep.order())}
+        placed.update(merged)
+        members = frozenset().union(*(classes[j].members for j in merged))
+        raw.append((rep.order(), len(members), rep, members, cls.size))
     raw.sort(key=lambda r: (r[0], r[1], r[2].images))
 
     pins = label_pins or {}

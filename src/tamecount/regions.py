@@ -234,20 +234,6 @@ class TubularRegion:
 # the subconvexity matrix M and the region recipe
 # ---------------------------------------------------------------------------
 
-def _conjugation_orbit_sorted(G, rep):
-    orbit = {rep.images}
-    frontier = [rep.images]
-    gens = [h.images for h in G.generators]
-    while frontier:
-        x = frontier.pop()
-        for h in gens:
-            y = K.conjugate(h, x)
-            if y not in orbit:
-                orbit.add(y)
-                frontier.append(y)
-    return sorted(orbit)
-
-
 def subconvexity_matrix(G: PermutationGroup, types, profile: SubconvexityProfile,
                         cyc: CyclotomicProfile):
     """M[(tau, kappa)] = alpha_kappa * zeta_deg(kappa) * ind of tau acting on one
@@ -258,9 +244,8 @@ def subconvexity_matrix(G: PermutationGroup, types, profile: SubconvexityProfile
     by the representative-sweep test).
     """
     matrix = {}
-    orbits = {t.label: _conjugation_orbit_sorted(G, t.representative) for t in types}
     for kappa in types:
-        orbit = orbits[kappa.label]
+        orbit = sorted(x.images for x in G.class_of(kappa.representative).members)
         pos = {x: i for i, x in enumerate(orbit)}
         alpha = profile.alpha_of(kappa.label)
         for tau in types:

@@ -255,6 +255,18 @@ class TestBatch:
         assert [r["line"] for r in errors] == [2]
         assert errors[0]["detail"].startswith("ValidationError: ")
 
+    def test_malformed_line_spares_the_good_line(self, tmp_path):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("4T3 disc paper-d4 Q\n4T3 disc\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_main(["batch", str(manifest), "--out", str(out)]) == 2
+        assert (out / "report_0001.json").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        errors = [r for r in summary["requests"] if r["status"] == "error"]
+        assert [r["line"] for r in errors] == [2]
+        assert errors[0]["detail"].startswith("ParseError: manifest line 2: ")
+        assert len(summary["requests"]) == 2
+
     def test_resource_cap_line_exits_3(self, tmp_path, monkeypatch):
         monkeypatch.setattr(hull_lp, "DEFAULT_PIVOT_CAP", 3)
         manifest = tmp_path / "m.txt"

@@ -1,0 +1,243 @@
+"""The class-lattice group engine against the element-set code it replaced.
+
+The `ref_*` functions are the previous implementations, kept verbatim
+apart from their names: the quadratic conjugacy partition, the pairwise
+join-closure of normal subgroups, the Fitting subgroup as the join of the
+nilpotent normal subgroups, and tame types as per-element
+conjugation-plus-powering orbits.  Every catalog and ladder group up to
+order 128 must give the same classes, normal subgroups, Fitting subgroup
+and tame types under both.
+"""
+import functools
+
+import pytest
+
+from tamecount._kernels.pure import conjugate
+from tamecount import _kernels as K
+from tamecount.catalog import resolve_entry
+from tamecount.perm import (ConjugacyClass, Permutation, PermutationGroup, fitting_subgroup,
+                            is_abelian_normal, is_abelian_set, is_nilpotent, normal_closure,
+                            normal_subgroups, subgroup_as_group, subgroup_generated)
+from tamecount.ramtypes import (CyclotomicProfile, TameType, _merged_label, tame_types)
+from tamecount.errors import ValidationError
+
+SPECS = ["C1", "C5", "C12", "S3", "4T3", "8T4", "8T11", "16T11",
+         "product(4T3,C3)", "product(4T3,S3)", "wreath(C2,C4)", "wreath(4T3,C2)"]
+
+PROFILES = {
+    "Q": CyclotomicProfile.full_q(),
+    # splits the order-4 types; compatible with every exponent above
+    "restricted": CyclotomicProfile({4: {1}, 8: {1, 5}, 12: {1, 5}}, name="restricted"),
+}
+
+
+@functools.cache
+def entry(spec):
+    return resolve_entry(spec)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations (the previous element-set code)
+# ---------------------------------------------------------------------------
+
+def ref_conjugacy_partition(elements):
+    """Partition a group element list into conjugacy classes.
+
+    Returns a list of sorted element lists; identity class included.
+    """
+    elems = sorted(elements)
+    left = set(elems)
+    classes = []
+    for g in elems:
+        if g not in left:
+            continue
+        cls = {conjugate(h, g) for h in elems}
+        classes.append(sorted(cls))
+        left -= cls
+    return classes
+
+
+def ref_conjugacy_classes(G):
+    parts = ref_conjugacy_partition([g.images for g in G.elements])
+    classes = []
+    for part in parts:
+        members = tuple(Permutation(t) for t in part)
+        rep = members[0]
+        classes.append(ConjugacyClass(representative=rep,
+                                      members=frozenset(members),
+                                      size=len(members)))
+    classes.sort(key=lambda c: (c.representative.order(), c.size,
+                                c.representative.images))
+    return tuple(classes)
+
+
+@functools.cache  # shared by the Fitting reference; the list is never mutated
+def ref_normal_subgroups(G: PermutationGroup):
+    """All normal subgroups, via join-closure of class normal closures.
+
+    Every normal subgroup is a union of conjugacy classes and equals the
+    join of the normal closures of the classes it contains, so the
+    join-closure of the class closures is exhaustive.
+    """
+    trivial = frozenset({G.identity})
+    seeds = {trivial}
+    for cls in G.conjugacy_classes():
+        seeds.add(subgroup_generated(G, cls.members))
+    known = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        new = []
+        for A in frontier:
+            for B in list(known):
+                join = subgroup_generated(G, A | B)
+                if join not in known:
+                    known.add(join)
+                    new.append(join)
+        frontier = new
+    return sorted(known, key=lambda s: (len(s), sorted(g.images for g in s)))
+
+
+def ref_fitting_subgroup(G: PermutationGroup) -> frozenset:
+    """Join of all nilpotent normal subgroups."""
+    fit = frozenset({G.identity})
+    for N in ref_normal_subgroups(G):
+        if is_nilpotent(subgroup_as_group(G, N)):
+            fit = subgroup_generated(G, fit | N)
+    return fit
+
+
+def ref_conjugation_orbit(G: PermutationGroup, g: Permutation):
+    orbit = {g.images}
+    frontier = [g.images]
+    gens = [h.images for h in G.generators]
+    while frontier:
+        x = frontier.pop()
+        for h in gens:
+            y = K.conjugate(h, x)
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
+def ref_type_orbit(G: PermutationGroup, g: Permutation, profile: CyclotomicProfile):
+    e = g.order()
+    units = profile.units_for(e)
+    orbit = {g.images}
+    frontier = [g.images]
+    gens = [h.images for h in G.generators]
+    while frontier:
+        x = frontier.pop()
+        new = [K.conjugate(h, x) for h in gens]
+        xp = Permutation(x)
+        new.extend((xp ** u).images for u in units)
+        for y in new:
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
+def ref_tame_types(G: PermutationGroup, profile: CyclotomicProfile, label_pins=None):
+    """All nontrivial tame types of G under the given cyclotomic profile.
+
+    Deterministic labels: within each element order, letters A, B, ... in
+    canonical order (size, then minimal member).  `label_pins` maps chosen
+    representative permutations to published labels; pins landing in one
+    merged type collapse to their common stem (4A1, 4A-1 -> 4A).
+    """
+    if not G.is_transitive():
+        raise ValidationError("tame types are defined for transitive groups only")
+    profile.validate_for_exponent(G.exponent())
+    remaining = {g.images for g in G.elements if not g.is_identity()}
+    raw = []
+    while remaining:
+        g = Permutation(min(remaining))
+        orbit = ref_type_orbit(G, g, profile)
+        if not orbit <= remaining:
+            raise AssertionError("type orbits must partition the nonidentity elements")
+        remaining -= orbit
+        members = frozenset(Permutation(t) for t in orbit)
+        rep = min(members)
+        conj = len(ref_conjugation_orbit(G, rep))
+        size = len(members)
+        if size % conj:
+            raise AssertionError("conjugation orbits inside a type have equal size")
+        raw.append((rep.order(), size, rep, members, conj))
+    raw.sort(key=lambda r: (r[0], r[1], r[2].images))
+
+    pins = label_pins or {}
+    types = []
+    counters = {}
+    for order, size, rep, members, conj in raw:
+        pinned = sorted({pins[p] for p in members if p in pins})
+        if len(pinned) == 1:
+            label = pinned[0]
+        elif len(pinned) > 1:
+            label = _merged_label(pinned)
+        else:
+            idx = counters.get(order, 0)
+            counters[order] = idx + 1
+            letters = ""
+            i = idx
+            while True:
+                letters = chr(ord("A") + i % 26) + letters
+                i = i // 26 - 1
+                if i < 0:
+                    break
+            label = f"{order}{letters}"
+        types.append(TameType(label=label, members=members, order=order, size=size,
+                              conj_orbit_size=conj, zeta_degree=size // conj,
+                              representative=rep))
+    if len({t.label for t in types}) != len(types):
+        raise AssertionError("type labels must be unique")
+    return types
+
+
+# ---------------------------------------------------------------------------
+# engine vs reference
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_classes_and_class_index(spec):
+    G = entry(spec).group
+    assert G.order <= 128
+    classes = G.conjugacy_classes()
+    assert classes == ref_conjugacy_classes(G)
+    for i, cls in enumerate(classes):
+        assert all(G.class_index(x) == i and G.class_of(x) is cls for x in cls.members)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_normal_subgroups_and_fitting(spec):
+    G = entry(spec).group
+    normals = normal_subgroups(G)
+    assert normals == ref_normal_subgroups(G)
+    assert fitting_subgroup(G) == ref_fitting_subgroup(G)
+    for N in normals:
+        assert is_abelian_normal(G, N) == is_abelian_set(N)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_tame_types(spec, profile):
+    e = entry(spec)
+    cyc = PROFILES[profile]
+    got = tame_types(e.group, cyc, label_pins=e.label_pins)
+    want = ref_tame_types(e.group, cyc, label_pins=e.label_pins)
+    assert got == want  # label, members, order, size, conj_orbit_size, zeta_degree
+    assert [t.representative for t in got] == [t.representative for t in want]
+    for t in got:  # the call sites that used to close type members element by element
+        assert normal_closure(e.group, t.members) == subgroup_generated(e.group, t.members)
+
+
+def test_restricted_profile_splits_types():
+    e = entry("16T11")
+    assert len(tame_types(e.group, PROFILES["Q"])) == 8
+    assert len(tame_types(e.group, PROFILES["restricted"])) == 9
+
+
+def test_class_index_rejects_non_members():
+    G = entry("4T3").group
+    with pytest.raises(ValidationError):
+        G.class_index(Permutation((2, 1, 3, 4)))

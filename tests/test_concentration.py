@@ -12,7 +12,8 @@ from tamecount.concentration import (FITTING_CONCENTRATED, FITTING_NILPOTENT,
                                      abelian_invariants, analysis_witnesses)
 from tamecount.errors import (ContractViolationError, UnsupportedHypothesisError,
                               ValidationError)
-from tamecount.perm import PermutationGroup, subgroup_generated
+from tamecount.catalog import resolve_entry
+from tamecount.perm import Permutation, PermutationGroup, is_nilpotent, subgroup_generated
 from tamecount.ramtypes import tame_types
 
 
@@ -120,7 +121,42 @@ class TestClassify:
             assert classify(G, wt, types).status != STATUS_NOT
 
 
+def _compose(a, b):
+    """x -> a(b(x)) on 1-based image tuples."""
+    return tuple(a[i - 1] for i in b)
+
+
 class TestAnalysisWitnesses:
+    def test_wreath_4t3_c3_order_1536(self, cyc_q):
+        # checked element by element, on image tuples, without the class data
+        entry = resolve_entry("wreath(4T3,C3)")
+        G = entry.group
+        types = entry.types(cyc_q)
+        wt = weight_discriminant(types, G.degree)
+        verdict = classify(G, wt, types)
+        chosen = analysis_witnesses(G, types, wt)
+        gens = [g.images for g in G.generators]
+        inverses = [tuple(sorted(range(1, G.degree + 1), key=lambda i: h[i - 1]))
+                    for h in gens]
+        minimal = {g.images for t in types if t.label in verdict.min_type_labels
+                   for g in t.members}
+        for family in (verdict.witnesses, chosen):
+            covered = set()
+            for W in family:
+                elems = {g.images for g in W}
+                assert 1 < len(elems) < G.order == 1536
+                for a in elems:
+                    for b in elems:
+                        ab = _compose(a, b)
+                        assert ab == _compose(b, a) and ab in elems
+                for h, h_inv in zip(gens, inverses):
+                    assert all(_compose(h, _compose(x, h_inv)) in elems for x in elems)
+                covered |= elems
+            assert minimal <= covered
+        assert verdict.status == STATUS_CONCENTRATED
+        assert len(subgroup_generated(G, [Permutation(x) for x in minimal])) < G.order
+        assert verdict.fitting_status == FITTING_CONCENTRATED and not is_nilpotent(G)
+
     def test_d4_gets_all_four(self, d4_quartic, d4_types):
         wt = weight_discriminant(d4_types, 4)
         wits = analysis_witnesses(d4_quartic.group, d4_types, wt)

@@ -53,13 +53,6 @@ def test_closure_cap_agrees():
     assert len(speed.closure(gens, 120)) == 120
 
 
-@needs_speed
-def test_conjugacy_partition_agrees():
-    gens = [(2, 3, 4, 1), (3, 2, 1, 4)]
-    elements = sorted(pure.closure(gens, 1000))
-    assert pure.conjugacy_partition(elements) == speed.conjugacy_partition(elements)
-
-
 def test_backend_selection_env(monkeypatch):
     import importlib
     import tamecount._kernels as kernels

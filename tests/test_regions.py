@@ -51,13 +51,12 @@ class TestSubconvexityMatrix:
 
     def test_representative_sweep_invariance(self, q8c2_deg8, cyc_q):
         # the matrix entry must not depend on which member of tau acts
-        from tamecount.regions import _conjugation_orbit_sorted
         G = q8c2_deg8.group
         types = q8c2_deg8.types(cyc_q)
         prof = make_profile("burgess-yang", types, cyc_q)
         M = subconvexity_matrix(G, types, prof, cyc_q)
         for kappa in types:
-            orbit = _conjugation_orbit_sorted(G, kappa.representative)
+            orbit = sorted(x.images for x in G.class_of(kappa.representative).members)
             pos = {x: i for i, x in enumerate(orbit)}
             for tau in types:
                 for rep in tau.members:
