@@ -2,7 +2,6 @@
 tubular meromorphicity regions, convex-hull certificates, and
 power-saving exponents of number-field counting asymptotics."""
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .perm import (Permutation, PermutationGroup, parse_permutation, index_of,
                    direct_product, product_representation, wreath_product,
                    regular_representation, quotient, normal_subgroups,

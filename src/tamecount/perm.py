@@ -10,7 +10,9 @@ classes, found as bitmask fixpoints of that table (the class-structure
 methods of Hulpke, "Computing normal subgroups", ISSAC 1998).
 
 Points are labeled 1..degree.  The canonical ordering used by every
-"deterministic" contract is lexicographic on the image tuple.
+"deterministic" contract is lexicographic on the image tuple.  The
+module-level kernels below work on bare image tuples (p maps point i to
+p[i-1]); they are the hot inner loops of closure and conjugation.
 """
 from __future__ import annotations
 
@@ -18,12 +20,74 @@ import math
 import re
 from dataclasses import dataclass
 
-from . import _kernels as K
 from .errors import ContractViolationError, ParseError, ResourceCapError, ValidationError
 
 DEFAULT_ELEMENT_CAP = 100_000
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+
+
+def compose(p, q):
+    """(p*q)(x) = p(q(x))."""
+    return tuple(p[q[i] - 1] for i in range(len(p)))
+
+
+def inverse(p):
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v - 1] = i + 1
+    return tuple(inv)
+
+
+def conjugate(h, g):
+    """h g h^-1 as image tuples."""
+    n = len(g)
+    out = [0] * n
+    for i in range(n):
+        out[h[i] - 1] = h[g[i] - 1]
+    return tuple(out)
+
+
+def cycle_count(p):
+    """Number of cycles of p, fixed points included."""
+    n = len(p)
+    seen = [False] * n
+    count = 0
+    for i in range(n):
+        if not seen[i]:
+            count += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = p[j] - 1
+    return count
+
+
+def closure(generators, cap):
+    """BFS closure of `generators` under composition.
+
+    Returns the full element set, or None if it would exceed `cap`.
+    Inverses come for free: powers of each generator reach them.
+    """
+    if not generators:
+        return None
+    n = len(generators[0])
+    identity = tuple(range(1, n + 1))
+    elements = {identity}
+    frontier = [identity]
+    gens = list(dict.fromkeys(generators))
+    while frontier:
+        new = []
+        for g in frontier:
+            for h in gens:
+                w = tuple(g[h[i] - 1] for i in range(n))
+                if w not in elements:
+                    elements.add(w)
+                    new.append(w)
+            if len(elements) > cap:
+                return None
+        frontier = new
+    return elements
 
 
 class Permutation:
@@ -55,14 +119,14 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # (self*other)(x) = self(other(x))
-        return Permutation(K.compose(self.images, other.images))
+        return Permutation(compose(self.images, other.images))
 
     def inverse(self) -> "Permutation":
-        return Permutation(K.inverse(self.images))
+        return Permutation(inverse(self.images))
 
     def conjugate_by(self, h: "Permutation") -> "Permutation":
         """h * self * h^-1."""
-        return Permutation(K.conjugate(h.images, self.images))
+        return Permutation(conjugate(h.images, self.images))
 
     def __pow__(self, e: int) -> "Permutation":
         n = self.degree
@@ -81,7 +145,7 @@ class Permutation:
         return all(v == i + 1 for i, v in enumerate(self.images))
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return math.lcm(*(len(c) for c in self.cycles()))
 
     def cycles(self):
         """Nontrivial cycles, each starting at its minimal point."""
@@ -194,7 +258,7 @@ class PermutationGroup:
     def elements(self):
         """The full element set, canonically sorted."""
         if self._elements is None:
-            raw = K.closure([g.images for g in self.generators] or [self.identity.images],
+            raw = closure([g.images for g in self.generators] or [self.identity.images],
                             self.element_cap)
             if raw is None:
                 raise ResourceCapError(
@@ -245,7 +309,7 @@ class PermutationGroup:
                 seen.add(g.images)
                 for x in orbit:
                     for h in gens:
-                        y = K.conjugate(h, x)
+                        y = conjugate(h, x)
                         if y not in seen:
                             seen.add(y)
                             orbit.append(y)
@@ -291,15 +355,11 @@ class PermutationGroup:
                 for j in range(i, k):
                     mask = 0
                     for x in classes[j].members:
-                        mask |= 1 << index[K.compose(rep, x.images)]
+                        mask |= 1 << index[compose(rep, x.images)]
                     row[j] = mask
                     prod[j][i] = mask
             self._class_products = prod
         return self._class_products
-
-    def center(self):
-        return frozenset(g for g in self.elements
-                         if all(g * h == h * g for h in self.generators))
 
     def __repr__(self):
         label = self.name or "?"
@@ -331,7 +391,7 @@ def index_of(g: Permutation, n: int | None = None) -> int:
     """ind_n(g) = n - #{orbits of g on 1..n}, fixed points counted."""
     if n is not None and n != g.degree:
         raise ValidationError(f"degree mismatch: permutation has degree {g.degree}, asked for {n}")
-    return g.degree - K.cycle_count(g.images)
+    return g.degree - cycle_count(g.images)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +403,7 @@ def subgroup_generated(G: PermutationGroup, elems) -> frozenset:
     gens = [g.images for g in elems]
     if not gens:
         return frozenset({G.identity})
-    raw = K.closure(gens, G.element_cap)
+    raw = closure(gens, G.element_cap)
     if raw is None:
         raise ResourceCapError(f"subgroup closure exceeds the cap of {G.element_cap}")
     return frozenset(Permutation(t) for t in raw)
@@ -354,18 +414,18 @@ def is_subgroup(G: PermutationGroup, subset) -> bool:
     if G.identity not in subset:
         return False
     imgs = {g.images for g in subset}
-    return all(K.compose(a.images, b.images) in imgs for a in subset for b in subset)
+    return all(compose(a.images, b.images) in imgs for a in subset for b in subset)
 
 
 def is_normal(G: PermutationGroup, subset) -> bool:
     imgs = {g.images for g in subset}
-    return all(K.conjugate(h.images, g.images) in imgs
+    return all(conjugate(h.images, g.images) in imgs
                for h in G.generators for g in subset)
 
 
 def is_abelian_set(subset) -> bool:
     elems = sorted(subset)
-    return all(K.compose(a.images, b.images) == K.compose(b.images, a.images)
+    return all(compose(a.images, b.images) == compose(b.images, a.images)
                for i, a in enumerate(elems) for b in elems[i + 1:])
 
 
@@ -375,7 +435,7 @@ def pointwise_class_centralizer(G: PermutationGroup, c) -> frozenset:
     if not c:
         raise ValidationError("centralizer of an empty set is not defined here")
     return frozenset(g for g in G.elements
-                     if all(K.conjugate(g.images, x.images) == x.images for x in c))
+                     if all(conjugate(g.images, x.images) == x.images for x in c))
 
 
 def all_subgroups(G: PermutationGroup):
@@ -458,7 +518,7 @@ def is_abelian_normal(G: PermutationGroup, N) -> bool:
         if not span >> i & 1:
             span = _close(prod, span, (i,))
             gens.extend(x.images for x in classes[i].members)
-    return all(K.compose(a, b) == K.compose(b, a)
+    return all(compose(a, b) == compose(b, a)
                for i, a in enumerate(gens) for b in gens[i + 1:])
 
 
@@ -542,12 +602,9 @@ def upper_central_series(G: PermutationGroup):
     return series
 
 
-def hypercenter(G: PermutationGroup) -> frozenset:
-    return upper_central_series(G)[-1]
-
-
 def is_nilpotent(G: PermutationGroup) -> bool:
-    return len(hypercenter(G)) == G.order
+    """A finite group is nilpotent iff it is its own Fitting subgroup."""
+    return len(fitting_subgroup(G)) == G.order
 
 
 def subgroup_as_group(G: PermutationGroup, subset, name=None) -> PermutationGroup:

@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _kernels as K
 from .errors import ContractViolationError, ParseError, ValidationError
-from .perm import PermutationGroup, is_abelian_set, is_normal
+from .perm import PermutationGroup, conjugate, cycle_count, is_abelian_set, is_normal
 from .ramtypes import CyclotomicProfile
 
 WEYL_T_EXPONENT = Fraction(1, 3)
@@ -250,8 +249,8 @@ def subconvexity_matrix(G: PermutationGroup, types, profile: SubconvexityProfile
         alpha = profile.alpha_of(kappa.label)
         for tau in types:
             g = tau.representative.images
-            action = tuple(pos[K.conjugate(g, x)] + 1 for x in orbit)
-            ind = len(orbit) - K.cycle_count(action)
+            action = tuple(pos[conjugate(g, x)] + 1 for x in orbit)
+            ind = len(orbit) - cycle_count(action)
             matrix[(tau.label, kappa.label)] = alpha * kappa.zeta_degree * ind
     return matrix
 

@@ -12,12 +12,11 @@ import functools
 
 import pytest
 
-from tamecount._kernels.pure import conjugate
-from tamecount import _kernels as K
 from tamecount.catalog import resolve_entry
-from tamecount.perm import (ConjugacyClass, Permutation, PermutationGroup, fitting_subgroup,
-                            is_abelian_normal, is_abelian_set, is_nilpotent, normal_closure,
-                            normal_subgroups, subgroup_as_group, subgroup_generated)
+from tamecount.perm import (ConjugacyClass, Permutation, PermutationGroup, conjugate,
+                            fitting_subgroup, is_abelian_normal, is_abelian_set, is_nilpotent,
+                            normal_closure, normal_subgroups, subgroup_as_group,
+                            subgroup_generated, upper_central_series)
 from tamecount.ramtypes import (CyclotomicProfile, TameType, _merged_label, tame_types)
 from tamecount.errors import ValidationError
 
@@ -101,7 +100,8 @@ def ref_fitting_subgroup(G: PermutationGroup) -> frozenset:
     """Join of all nilpotent normal subgroups."""
     fit = frozenset({G.identity})
     for N in ref_normal_subgroups(G):
-        if is_nilpotent(subgroup_as_group(G, N)):
+        H = subgroup_as_group(G, N)
+        if len(upper_central_series(H)[-1]) == H.order:
             fit = subgroup_generated(G, fit | N)
     return fit
 
@@ -113,7 +113,7 @@ def ref_conjugation_orbit(G: PermutationGroup, g: Permutation):
     while frontier:
         x = frontier.pop()
         for h in gens:
-            y = K.conjugate(h, x)
+            y = conjugate(h, x)
             if y not in orbit:
                 orbit.add(y)
                 frontier.append(y)
@@ -128,7 +128,7 @@ def ref_type_orbit(G: PermutationGroup, g: Permutation, profile: CyclotomicProfi
     gens = [h.images for h in G.generators]
     while frontier:
         x = frontier.pop()
-        new = [K.conjugate(h, x) for h in gens]
+        new = [conjugate(h, x) for h in gens]
         xp = Permutation(x)
         new.extend((xp ** u).images for u in units)
         for y in new:
@@ -216,6 +216,12 @@ def test_normal_subgroups_and_fitting(spec):
     assert fitting_subgroup(G) == ref_fitting_subgroup(G)
     for N in normals:
         assert is_abelian_normal(G, N) == is_abelian_set(N)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_is_nilpotent_matches_upper_central_series(spec):
+    G = entry(spec).group
+    assert is_nilpotent(G) == (len(upper_central_series(G)[-1]) == G.order)
 
 
 @pytest.mark.parametrize("spec", SPECS)

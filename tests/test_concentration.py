@@ -13,7 +13,8 @@ from tamecount.concentration import (FITTING_CONCENTRATED, FITTING_NILPOTENT,
 from tamecount.errors import (ContractViolationError, UnsupportedHypothesisError,
                               ValidationError)
 from tamecount.catalog import resolve_entry
-from tamecount.perm import Permutation, PermutationGroup, is_nilpotent, subgroup_generated
+from tamecount.perm import (Permutation, PermutationGroup, subgroup_generated,
+                            upper_central_series)
 from tamecount.ramtypes import tame_types
 
 
@@ -155,7 +156,8 @@ class TestAnalysisWitnesses:
             assert minimal <= covered
         assert verdict.status == STATUS_CONCENTRATED
         assert len(subgroup_generated(G, [Permutation(x) for x in minimal])) < G.order
-        assert verdict.fitting_status == FITTING_CONCENTRATED and not is_nilpotent(G)
+        assert verdict.fitting_status == FITTING_CONCENTRATED
+        assert len(upper_central_series(G)[-1]) < G.order  # not nilpotent
 
     def test_d4_gets_all_four(self, d4_quartic, d4_types):
         wt = weight_discriminant(d4_types, 4)

@@ -9,8 +9,8 @@ from tamecount import (PermutationGroup, direct_product, export_group_file,
 from tamecount.catalog import Q8XC2_CLASS_REPS
 from tamecount.errors import (ContractViolationError, ParseError, ResourceCapError,
                               ValidationError)
-from tamecount.perm import (Permutation, all_subgroups, is_abelian_set, is_normal,
-                            is_subgroup, subgroup_generated)
+from tamecount.perm import (Permutation, all_subgroups, compose, cycle_count, inverse,
+                            is_abelian_set, is_normal, is_subgroup, subgroup_generated)
 
 
 def s4():
@@ -19,6 +19,14 @@ def s4():
 
 def cyclic(n):
     return PermutationGroup(n, [tuple(range(2, n + 1)) + (1,)], name=f"C{n}")
+
+
+def test_kernel_identity_and_composition():
+    ident = (1, 2, 3)
+    p = (2, 3, 1)
+    assert compose(ident, p) == p
+    assert compose(p, inverse(p)) == ident
+    assert cycle_count(ident) == 3
 
 
 class TestParsePermutation:
@@ -68,6 +76,8 @@ class TestEnumeration:
         G = PermutationGroup(5, ["(1,2,3,4,5)", "(1,2)"], element_cap=50)
         with pytest.raises(ResourceCapError, match="50"):
             _ = G.elements
+        # a cap equal to the order is not exceeded
+        assert PermutationGroup(5, ["(1,2,3,4,5)", "(1,2)"], element_cap=120).order == 120
 
     def test_generator_order_irrelevant(self):
         a = PermutationGroup(4, ["(1,2,3,4)", "(1,3)"]).element_set()

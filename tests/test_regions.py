@@ -7,10 +7,9 @@ import pytest
 from tamecount import (absolute_convergence_orthant, build_region, make_profile,
                        subconvexity_matrix)
 from tamecount.errors import ContractViolationError, ValidationError
-from tamecount.perm import subgroup_generated
+from tamecount.perm import conjugate, cycle_count, subgroup_generated
 from tamecount.regions import SubconvexityProfile, constraint, default_beta
 from tamecount.hull_lp import hull_membership
-from tamecount import _kernels as K
 
 
 def canon(expr_pairs):
@@ -60,8 +59,8 @@ class TestSubconvexityMatrix:
             pos = {x: i for i, x in enumerate(orbit)}
             for tau in types:
                 for rep in tau.members:
-                    action = tuple(pos[K.conjugate(rep.images, x)] + 1 for x in orbit)
-                    ind = len(orbit) - K.cycle_count(action)
+                    action = tuple(pos[conjugate(rep.images, x)] + 1 for x in orbit)
+                    ind = len(orbit) - cycle_count(action)
                     entry = prof.alpha_of(kappa.label) * kappa.zeta_degree * ind
                     assert entry == M[(tau.label, kappa.label)]
 
