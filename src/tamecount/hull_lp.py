@@ -1,14 +1,21 @@
 """Exact rational linear programming and convex hulls of region unions.
 
 The solver is a two-phase tableau simplex over fractions.Fraction with
-Bland's anti-cycling rule: exact and deterministic.  A pivot touches only
-the nonzero columns of the pivot row and builds each updated entry from
-integers with one normalisation; lp_solve stops with ResourceCapError
-after DEFAULT_PIVOT_CAP pivots.  Membership in the convex hull of a union
-of regions with a common recession cone uses the Balas extended
-formulation: one LP maximises the margin t with point - t*1 in the closed
-hull.  The open hull is the interior of the closed one, so the point is a
-closed member iff t >= 0 and an open member iff t > 0.
+Bland's anti-cycling rule: exact and deterministic.  Phase 1 starts from
+the slack basis: a ">=" row with bound <= 0 is negated so that its
+surplus starts basic, and only the other rows get artificials.  A pivot
+touches only the nonzero columns of the pivot row and builds each updated
+entry from integers with one normalisation; lp_solve stops with
+ResourceCapError after DEFAULT_PIVOT_CAP pivots.
+
+Membership in the convex hull of a union of regions with a common
+recession cone uses the Balas extended formulation: one LP maximises the
+margin t with point - t*1 in the closed hull.  The open hull is the
+interior of the closed one, so the point is a closed member iff t >= 0
+and an open member iff t > 0.  The LP shifts out each region's pure lower
+bounds (y = lb*lam + z with z >= 0, the textbook lower-bound shift), so
+it keeps only the mixed rows, all with bound 0, and the 1 + |variables|
+equality rows, which alone need artificials.
 """
 from __future__ import annotations
 
@@ -76,10 +83,15 @@ class LPResult:
 def lp_solve(problem: LPProblem) -> LPResult:
     """Exact two-phase simplex with Bland's rule.
 
+    Phase 1 starts from the slack basis where it can: a ">=" row with
+    bound <= 0 is negated, so its surplus has coefficient +1 and starts
+    basic at -bound >= 0.  Only the other rows get artificials.
     Raises ResourceCapError after DEFAULT_PIVOT_CAP pivots.
     """
     n = len(problem.variables)
-    # column layout: for each variable either one column (nonneg) or a +/- pair
+    # column layout: for each variable either one column (nonneg) or a +/- pair,
+    # then one surplus per ">=" row, then one artificial per row without a
+    # starting surplus
     col_of_var = []  # (plus_col, minus_col | None)
     ncols = 0
     for flag in problem.nonneg:
@@ -89,40 +101,45 @@ def lp_solve(problem: LPProblem) -> LPResult:
         else:
             col_of_var.append((ncols, ncols + 1))
             ncols += 2
+    art0 = ncols + sum(1 for _, rel, _ in problem.constraints if rel == ">=")
+    surplus = ncols
     rows = []
     rhs = []
+    basis = []
     for row, rel, bound in problem.constraints:
-        expanded = [Fraction(0)] * ncols
+        expanded = [Fraction(0)] * art0
         for i, coef in enumerate(row):
             plus, minus = col_of_var[i]
             expanded[plus] += coef
             if minus is not None:
                 expanded[minus] -= coef
+        bound = Fraction(bound)
+        start = None
         if rel == ">=":
-            expanded.append(Fraction(-1))  # surplus
-            for r in rows:
-                r.append(Fraction(0))
-            ncols += 1
+            expanded[surplus] = Fraction(-1)
+            if bound <= 0:
+                start = surplus
+            surplus += 1
+        if bound < 0 or start is not None:  # rhs >= 0, a starting surplus at +1
+            expanded = [-v for v in expanded]
+            bound = -bound
         rows.append(expanded)
-        rhs.append(Fraction(bound))
-    for r in rows:  # pad rows added before later surplus columns
-        while len(r) < ncols:
-            r.append(Fraction(0))
+        rhs.append(bound)
+        basis.append(start)
     m = len(rows)
-    for i in range(m):  # make rhs nonnegative
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-    # phase 1: artificials
-    art0 = ncols
-    for i in range(m):
-        for j in range(m):
-            rows[i].append(Fraction(1) if i == j else Fraction(0))
-    total = ncols + m
-    basis = list(range(art0, art0 + m))
-    tableau = [rows[i] + [rhs[i]] for i in range(m)]
+    # phase 1: an artificial for each row without a starting surplus
+    total = art0 + basis.count(None)
+    art = art0
+    for i, row in enumerate(rows):
+        row.extend([Fraction(0)] * (total - art0))
+        if basis[i] is None:
+            row[art] = Fraction(1)
+            basis[i] = art
+            art += 1
+        row.append(rhs[i])
+    tableau = rows
     cost1 = [Fraction(0)] * (total + 1)
-    for j in range(art0, art0 + m):
+    for j in range(art0, total):
         cost1[j] = Fraction(1)
     shape = f"({m} rows x {n} variables)"
     _reduce_cost_row(cost1, tableau, basis)
@@ -154,7 +171,7 @@ def lp_solve(problem: LPProblem) -> LPResult:
         cost2[plus] += coef
         if minus is not None:
             cost2[minus] -= coef
-    forbidden = set(range(art0, art0 + m))
+    forbidden = set(range(art0, total))
     _reduce_cost_row(cost2, tableau, basis)
     status, pivots = _pivot_until_optimal(tableau, cost2, basis, total, pivots,
                                           f"LP phase 2 {shape}", forbidden=forbidden)
@@ -328,22 +345,25 @@ def _as_point(point, variables) -> dict:
 
 
 def _balas_problem(regions, variables, *, point=None, wt=None):
-    """Variables: lam_j, y_{j,v}, then one scalar.
+    """Variables: lam_j, z_{j,v}, then one scalar.
 
-    With a weight line: minimise s subject to sum_j y_j = s * wt.  With a
-    point: maximise the margin t subject to sum_j y_j + t * 1 = point.
+    Region j's scaled point is y_j = lb_j * lam_j + z_j with z_j >= 0, where
+    lb_j holds the region's pure lower bounds.  Each pure row c*y >= b*lam
+    has b/c <= lb, so z >= 0 and lam >= 0 imply it and it is dropped; a
+    mixed row sum coef*y >= bound*lam becomes
+    sum coef*z + (sum coef*lb - bound) * lam >= 0.  With a weight line:
+    minimise s subject to sum_j y_j = s * wt.  With a point: maximise the
+    margin t subject to sum_j y_j + t * 1 = point.  Every region row has
+    bound 0, so lp_solve starts it from its surplus and only the
+    1 + len(variables) equality rows need artificials.
     """
-    # y >= 0 is valid only while the regions sit in the nonnegative
-    # orthant (every pure bound >= 0); otherwise the y block must be free
-    y_nonneg = all(r.pure_lower_bound(v) >= 0 for r in regions for v in variables)
+    lower = [{v: region.pure_lower_bound(v) for v in variables} for region in regions]
     names = [f"lam{j}" for j in range(len(regions))]
-    nonneg = [True] * len(names)
     for j in range(len(regions)):
-        names.extend(f"y{j}.{v}" for v in variables)
-        nonneg.extend([y_nonneg] * len(variables))
+        names.extend(f"z{j}.{v}" for v in variables)
     scalar = "s" if wt is not None else "t"
     names.append(scalar)
-    nonneg.append(False)
+    nonneg = [True] * (len(names) - 1) + [False]
     index = {nm: i for i, nm in enumerate(names)}
     ncols = len(names)
 
@@ -356,16 +376,18 @@ def _balas_problem(regions, variables, *, point=None, wt=None):
         r[index[f"lam{j}"]] = Fraction(1)
     constraints.append((tuple(r), "==", Fraction(1)))
     for j, region in enumerate(regions):
-        for c in region.constraints:
+        for c in region.mixed_constraints():
             r = row()
             for lab, coef in c.coefficients:
-                r[index[f"y{j}.{lab}"]] = coef
-            r[index[f"lam{j}"]] = -c.bound
+                r[index[f"z{j}.{lab}"]] = coef
+            r[index[f"lam{j}"]] = sum((coef * lower[j][lab] for lab, coef in c.coefficients),
+                                      -c.bound)
             constraints.append((tuple(r), ">=", Fraction(0)))
     for v in variables:
         r = row()
         for j in range(len(regions)):
-            r[index[f"y{j}.{v}"]] = Fraction(1)
+            r[index[f"lam{j}"]] = lower[j][v]
+            r[index[f"z{j}.{v}"]] = Fraction(1)
         if wt is not None:
             r[index["s"]] = -Fraction(wt[v])
             constraints.append((tuple(r), "==", Fraction(0)))
@@ -380,6 +402,9 @@ def _balas_problem(regions, variables, *, point=None, wt=None):
 
 def _certificate_from_assignment(assignment, regions, variables) -> HullCertificate:
     lambdas = tuple(assignment[f"lam{j}"] for j in range(len(regions)))
+    # undo the lower-bound shift: y_{j,v} = lb_{j,v} * lam_j + z_{j,v}
+    y = [{v: region.pure_lower_bound(v) * lam + assignment[f"z{j}.{v}"] for v in variables}
+         for j, (region, lam) in enumerate(zip(regions, lambdas))]
     # inactive regions may carry recession-ray mass (A y >= 0 with lam = 0);
     # fold it into an active point, which stays feasible because the
     # recession cone is the nonnegative orthant
@@ -387,7 +412,7 @@ def _certificate_from_assignment(assignment, regions, variables) -> HullCertific
     for j, lam in enumerate(lambdas):
         if lam == 0:
             for v in variables:
-                stray[v] += assignment[f"y{j}.{v}"]
+                stray[v] += y[j][v]
     # shifting every active point by t * 1 moves the combination from
     # point - t * 1 onto the point itself, since the lambdas sum to 1
     t = assignment["t"]
@@ -397,7 +422,7 @@ def _certificate_from_assignment(assignment, regions, variables) -> HullCertific
         if lam == 0:
             points.append(None)
             continue
-        point = {v: assignment[f"y{j}.{v}"] / lam + t for v in variables}
+        point = {v: y[j][v] / lam + t for v in variables}
         if not absorbed and any(stray[v] for v in variables):
             point = {v: point[v] + stray[v] / lam for v in variables}
             absorbed = True

@@ -7,7 +7,8 @@ desk scale (orders up to ~10^5).  Each group caches its conjugacy
 classes, an element -> class index and a class-product table; normal
 subgroups, normal closures and the Fitting subgroup are unions of
 classes, found as bitmask fixpoints of that table (the class-structure
-methods of Hulpke, "Computing normal subgroups", ISSAC 1998).
+methods of Hulpke, "Computing normal subgroups", ISSAC 1998).  The
+normal-subgroup lattice and the Fitting subgroup are cached as well.
 
 Points are labeled 1..degree.  The canonical ordering used by every
 "deterministic" contract is lexicographic on the image tuple.  The
@@ -23,6 +24,8 @@ from dataclasses import dataclass
 from .errors import ContractViolationError, ParseError, ResourceCapError, ValidationError
 
 DEFAULT_ELEMENT_CAP = 100_000
+# a closure stores elements x degree points; C5000 stores 25 M of them
+DEFAULT_POINT_CAP = 2 ** 25
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -66,12 +69,16 @@ def cycle_count(p):
 def closure(generators, cap):
     """BFS closure of `generators` under composition.
 
-    Returns the full element set, or None if it would exceed `cap`.
-    Inverses come for free: powers of each generator reach them.
+    Returns the full element set, or None if it would exceed `cap`
+    elements.  Raises ResourceCapError once the elements would hold more
+    than DEFAULT_POINT_CAP points (elements x degree), which bounds the
+    work of a high-degree closure.  Inverses come for free: powers of each
+    generator reach them.
     """
     if not generators:
         return None
     n = len(generators[0])
+    limit = min(cap, DEFAULT_POINT_CAP // n)
     identity = tuple(range(1, n + 1))
     elements = {identity}
     frontier = [identity]
@@ -84,8 +91,12 @@ def closure(generators, cap):
                 if w not in elements:
                     elements.add(w)
                     new.append(w)
-            if len(elements) > cap:
-                return None
+            if len(elements) > limit:
+                if len(elements) > cap:
+                    return None
+                raise ResourceCapError(
+                    f"group closure exceeds the point cap of {DEFAULT_POINT_CAP}: "
+                    f"{len(elements)} elements x degree {n} = {len(elements) * n} points")
         frontier = new
     return elements
 
@@ -245,6 +256,8 @@ class PermutationGroup:
         self._classes = None
         self._class_index = None
         self._class_products = None
+        self._normal_subgroups = None
+        self._fitting = None
 
     @classmethod
     def trivial(cls, degree=1):
@@ -523,7 +536,17 @@ def is_abelian_normal(G: PermutationGroup, N) -> bool:
 
 
 def normal_subgroups(G: PermutationGroup):
-    """All normal subgroups, found as class-union bitmasks closed under class products.
+    """All normal subgroups, sorted by (order, sorted images); a fresh list.
+
+    The lattice is built once per group and cached on it.
+    """
+    if G._normal_subgroups is None:
+        G._normal_subgroups = _normal_subgroup_lattice(G)
+    return list(G._normal_subgroups)
+
+
+def _normal_subgroup_lattice(G: PermutationGroup):
+    """Normal subgroups as class-union bitmasks closed under class products.
 
     Every normal subgroup is a union of conjugacy classes and the join of
     the normal closures of the classes it contains, so growing the trivial
@@ -546,7 +569,7 @@ def normal_subgroups(G: PermutationGroup):
                         new.append(join)
         frontier = new
     subgroups = [_class_union(G, mask) for mask in known]
-    return sorted(subgroups, key=lambda s: (len(s), sorted(g.images for g in s)))
+    return tuple(sorted(subgroups, key=lambda s: (len(s), sorted(g.images for g in s))))
 
 
 def quotient(G: PermutationGroup, N) -> QuotientGroup:
@@ -621,13 +644,16 @@ def _is_prime_power(n: int) -> bool:
 def fitting_subgroup(G: PermutationGroup) -> frozenset:
     """Join of the normal subgroups of prime-power order.
 
-    That is the product of the O_p(G), the largest nilpotent normal subgroup.
+    That is the product of the O_p(G), the largest nilpotent normal
+    subgroup; cached on the group.
     """
-    gens = set()
-    for N in normal_subgroups(G):
-        if len(N) > 1 and _is_prime_power(len(N)):
-            gens |= N
-    return normal_closure(G, gens)
+    if G._fitting is None:
+        gens = set()
+        for N in normal_subgroups(G):
+            if len(N) > 1 and _is_prime_power(len(N)):
+                gens |= N
+        G._fitting = normal_closure(G, gens)
+    return G._fitting
 
 
 # ---------------------------------------------------------------------------

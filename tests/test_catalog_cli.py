@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import tamecount.hull_lp as hull_lp
+import tamecount.perm as perm
 from tamecount import (build_region, export_group_file, make_profile, parse_group_file,
                        resolve_entry, verify_certificate)
 from tamecount.catalog import resolve_cyclotomic, resolve_weight
@@ -329,6 +330,15 @@ class TestCustomInputFiles:
         res = run_cli("classes", str(big))
         assert res.returncode == 3
         assert "cap" in res.stderr
+
+
+    def test_point_cap_exit_code(self, monkeypatch, capsys):
+        # C40 stores 40 x 40 = 1600 points, far below the element cap
+        monkeypatch.setattr(perm, "DEFAULT_POINT_CAP", 1000)
+        assert cli_main(["classes", "C40"]) == 3
+        err = capsys.readouterr().err
+        assert "point cap of 1000: 26 elements x degree 40 = 1040 points" in err
+        assert "Traceback" not in err
 
 
 def test_golden_certificates_verify_with_positive_margin(cyc_q):

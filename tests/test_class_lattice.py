@@ -12,7 +12,9 @@ import functools
 
 import pytest
 
+import tamecount.perm as perm
 from tamecount.catalog import resolve_entry
+from tamecount.cli import run_analysis_request
 from tamecount.perm import (ConjugacyClass, Permutation, PermutationGroup, conjugate,
                             fitting_subgroup, is_abelian_normal, is_abelian_set, is_nilpotent,
                             normal_closure, normal_subgroups, subgroup_as_group,
@@ -247,3 +249,27 @@ def test_class_index_rejects_non_members():
     G = entry("4T3").group
     with pytest.raises(ValidationError):
         G.class_index(Permutation((2, 1, 3, 4)))
+
+
+def test_lattice_built_once_per_group_during_analyze(monkeypatch):
+    # concentration reads the lattice and the Fitting subgroup, and the
+    # pole-order bound asks is_nilpotent once per tame type: without the
+    # cache, product(4T3,S3) (14 types) builds its lattice 15 times
+    built = []
+    build = perm._normal_subgroup_lattice
+
+    def counting_build(G):
+        built.append(G)
+        return build(G)
+
+    monkeypatch.setattr(perm, "_normal_subgroup_lattice", counting_build)
+    run_analysis_request("product(4T3,S3)", "disc", "burgess-yang", "Q")
+    assert built and len({id(G) for G in built}) == len(built)
+
+
+def test_cached_lattice_is_not_shared_with_callers():
+    G = resolve_entry("4T3").group
+    normals = normal_subgroups(G)
+    normals.clear()
+    assert normal_subgroups(G) == ref_normal_subgroups(G)
+    assert fitting_subgroup(G) is fitting_subgroup(G)

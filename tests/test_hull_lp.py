@@ -19,13 +19,13 @@ from tamecount.regions import TubularRegion, build_region, constraint
 
 @pytest.fixture
 def recorded_lps(monkeypatch):
-    """The LPResult of every lp_solve call made through hull_lp."""
+    """The (LPProblem, LPResult) of every lp_solve call made through hull_lp."""
     results = []
     solve = hull_lp.lp_solve
 
     def recording_solve(problem):
-        results.append(solve(problem))
-        return results[-1]
+        results.append((problem, solve(problem)))
+        return results[-1][1]
 
     monkeypatch.setattr(hull_lp, "lp_solve", recording_solve)
     return results
@@ -112,10 +112,18 @@ class TestLpSolve:
 
     def test_16t11_pivot_counts(self, recorded_lps):
         # the threshold LP, then the max-margin membership LP of the pole
-        # point; any change of pivot rule or tie-break moves these counts
+        # point; any change of pivot rule, tie-break or starting basis
+        # moves these counts
         run_analysis_request("16T11", "disc", "paper-16t11", "Q")
-        assert [r.pivots for r in recorded_lps] == [169, 158]
-        assert [r.status for r in recorded_lps] == ["optimal", "optimal"]
+        assert [r.pivots for _, r in recorded_lps] == [26, 25]
+        assert [r.status for _, r in recorded_lps] == ["optimal", "optimal"]
+
+    def test_16t11_balas_shape(self, recorded_lps):
+        # 8 regions over 8 variables: the 64 pure rows are shifted out,
+        # leaving sum(lam) = 1, 24 mixed rows and 8 coupling rows
+        run_analysis_request("16T11", "disc", "paper-16t11", "Q")
+        shapes = [(len(p.constraints), len(p.variables)) for p, _ in recorded_lps]
+        assert shapes == [(33, 73), (33, 73)]
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +206,7 @@ class TestHullMembership:
             recorded_lps.clear()
             member, _ = hull_membership(point, regions, mode=mode)
             assert member is expected
-            assert [r.status for r in recorded_lps] == ["optimal"]
+            assert [r.status for _, r in recorded_lps] == ["optimal"]
 
     def test_certificate_roundtrip_bit_exact(self, d4_regions):
         point = d4_point(2, 1, 1, 2)
@@ -339,6 +347,46 @@ def test_balas_agrees_with_caratheodory_oracle(dimension, region_count, max_mixe
     assert ran == instances and disagreements == 0
 
 
+# Regions the random oracle never draws (it uses unit pure coefficients
+# with bounds in [0, 2]): each exercises one case of the lower-bound shift
+# y = lb * lam + z, with lb the largest b/c over a variable's pure rows.
+SHIFT_REGIONS = {
+    "negative pure bound": TubularRegion(
+        ("x", "y"), [constraint({"x": 1}, -1), constraint({"y": 1}, Fraction(1, 2)),
+                     constraint({"x": 1, "y": 2}, 2)]),
+    "two pure rows on one variable": TubularRegion(
+        ("x", "y"), [constraint({"x": 1}, Fraction(1, 4)), constraint({"x": 3}, 2),
+                     constraint({"y": 1}, 0), constraint({"x": 2, "y": 1}, 3)]),
+    "non-unit pure coefficient": TubularRegion(
+        ("x", "y"), [constraint({"x": 2}, 1), constraint({"y": 3}, 1),
+                     constraint({"x": 1, "y": 1}, Fraction(3, 2))]),
+}
+SHIFT_GRID = [Fraction(k, 2) for k in range(-3, 7)]
+SHIFT_STEP = Fraction(1, 1024)  # below every positive margin of a grid point here
+
+
+@pytest.mark.parametrize("names", [(name,) for name in SHIFT_REGIONS] + [tuple(SHIFT_REGIONS)],
+                         ids=lambda names: " + ".join(names))
+def test_lower_bound_shift_cases_agree_with_caratheodory(names):
+    regions = [SHIFT_REGIONS[name] for name in names]
+    members = {"open": 0, "closed": 0}
+    for x in SHIFT_GRID:
+        for y in SHIFT_GRID:
+            point = {"x": x, "y": y}
+            lowered = {"x": x - SHIFT_STEP, "y": y - SHIFT_STEP}
+            closed = _suites.caratheodory_member(point, regions)
+            expected = {"closed": closed,
+                        "open": closed and _suites.caratheodory_member(lowered, regions)}
+            for mode in ("open", "closed"):
+                member, cert = hull_membership(point, regions, mode=mode)
+                assert member is expected[mode], (mode, point)
+                if member:
+                    members[mode] += 1
+                    assert verify_certificate(cert, regions, point), (mode, point)
+                    assert cert.epsilon > 0 if mode == "open" else cert.epsilon >= 0
+    assert 0 < members["open"] < members["closed"] < len(SHIFT_GRID) ** 2
+
+
 def test_conditional_hull_implies_balas_member():
     ran, failures = _suites.run_conditional_hull_draws(60, seed=77)
     assert ran == 60 and failures == 0
@@ -428,40 +476,45 @@ def _dense_lp_solve(problem):
         else:
             col_of_var.append((ncols, ncols + 1))
             ncols += 2
+    # surplus columns follow the structural ones; a ">=" row with bound <= 0
+    # is negated so that its surplus (+1) starts basic, and only the other
+    # rows get an artificial
+    art0 = ncols + sum(1 for _, rel, _ in problem.constraints if rel == ">=")
+    surplus = ncols
     rows = []
     rhs = []
+    basis = []
     for row, rel, bound in problem.constraints:
-        expanded = [Fraction(0)] * ncols
+        expanded = [Fraction(0)] * art0
         for i, coef in enumerate(row):
             plus, minus = col_of_var[i]
             expanded[plus] += coef
             if minus is not None:
                 expanded[minus] -= coef
+        bound = Fraction(bound)
+        start = None
         if rel == ">=":
-            expanded.append(Fraction(-1))  # surplus
-            for r in rows:
-                r.append(Fraction(0))
-            ncols += 1
+            expanded[surplus] = Fraction(-1)
+            if bound <= 0:
+                start = surplus
+            surplus += 1
+        if bound < 0 or start is not None:
+            expanded = [-v for v in expanded]
+            bound = -bound
         rows.append(expanded)
-        rhs.append(Fraction(bound))
-    for r in rows:  # pad rows added before later surplus columns
-        while len(r) < ncols:
-            r.append(Fraction(0))
+        rhs.append(bound)
+        basis.append(start)
     m = len(rows)
-    for i in range(m):  # make rhs nonnegative
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-    # phase 1: artificials
-    art0 = ncols
+    artificial_rows = [i for i in range(m) if basis[i] is None]
+    total = art0 + len(artificial_rows)
     for i in range(m):
-        for j in range(m):
-            rows[i].append(Fraction(1) if i == j else Fraction(0))
-    total = ncols + m
-    basis = list(range(art0, art0 + m))
+        rows[i].extend(Fraction(0) for _ in artificial_rows)
+    for k, i in enumerate(artificial_rows):
+        rows[i][art0 + k] = Fraction(1)
+        basis[i] = art0 + k
     tableau = [rows[i] + [rhs[i]] for i in range(m)]
     cost1 = [Fraction(0)] * (total + 1)
-    for j in range(art0, art0 + m):
+    for j in range(art0, total):
         cost1[j] = Fraction(1)
     _reduce_cost_row(cost1, tableau, basis)
     status = _pivot_until_optimal(tableau, cost1, basis, total)
@@ -491,7 +544,7 @@ def _dense_lp_solve(problem):
         cost2[plus] += coef
         if minus is not None:
             cost2[minus] -= coef
-    forbidden = set(range(art0, art0 + m))
+    forbidden = set(range(art0, total))
     _reduce_cost_row(cost2, tableau, basis)
     status = _pivot_until_optimal(tableau, cost2, basis, total, forbidden=forbidden)
     if status == "unbounded":

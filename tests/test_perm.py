@@ -6,6 +6,7 @@ from tamecount import (PermutationGroup, direct_product, export_group_file,
                        parse_group_file, parse_permutation, pointwise_class_centralizer,
                        product_representation, quotient, regular_representation,
                        upper_central_series, wreath_product)
+import tamecount.perm as perm
 from tamecount.catalog import Q8XC2_CLASS_REPS
 from tamecount.errors import (ContractViolationError, ParseError, ResourceCapError,
                               ValidationError)
@@ -78,6 +79,19 @@ class TestEnumeration:
             _ = G.elements
         # a cap equal to the order is not exceeded
         assert PermutationGroup(5, ["(1,2,3,4,5)", "(1,2)"], element_cap=120).order == 120
+
+    def test_point_cap_exceeded(self, monkeypatch):
+        # S5 on 5 points stores 120 x 5 = 600 points
+        monkeypatch.setattr(perm, "DEFAULT_POINT_CAP", 599)
+        G = PermutationGroup(5, ["(1,2,3,4,5)", "(1,2)"])
+        with pytest.raises(ResourceCapError,
+                           match=r"point cap of 599: 120 elements x degree 5 = 600 points"):
+            _ = G.elements
+        monkeypatch.setattr(perm, "DEFAULT_POINT_CAP", 600)
+        assert PermutationGroup(5, ["(1,2,3,4,5)", "(1,2)"]).order == 120
+
+    def test_default_point_cap_admits_c5000(self):
+        assert perm.DEFAULT_POINT_CAP >= 5000 * 5000
 
     def test_generator_order_irrelevant(self):
         a = PermutationGroup(4, ["(1,2,3,4)", "(1,3)"]).element_set()
