@@ -92,6 +92,9 @@ def cmd_classes(args) -> int:
         else:
             sibling_types[deg] = {t.label: t for t in types}
     conductor = weight_conductor_d4(types).weights if entry.conductor_family else None
+    cols = ["label", "size", "order"] + [f"index{deg}" for deg in sibling_degrees]
+    if conductor is not None:
+        cols.append("conductor_weight")
     rows = []
     for t in sorted(types, key=lambda t: (t.order, t.label)):
         row = {"label": t.label, "size": t.size, "order": t.order}
@@ -104,7 +107,6 @@ def cmd_classes(args) -> int:
         _emit(canonical_json({"group": entry.label, "degree": entry.group.degree,
                               "classes": rows}), args.out)
     else:
-        cols = list(rows[0].keys())
         lines = ["\t".join(cols)]
         lines.extend("\t".join(str(r[c]) for c in cols) for r in rows)
         _emit("\n".join(lines) + "\n", args.out)

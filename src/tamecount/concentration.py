@@ -39,31 +39,21 @@ def abelian_normal_subgroups(G: PermutationGroup):
     return out
 
 
-def _sort_key(subset):
-    return (len(subset), sorted(g.images for g in subset))
-
-
 def minimal_abelian_cover(G: PermutationGroup, min_elements):
     """Smallest family of abelian normal subgroups covering `min_elements`.
 
-    Exhaustive subset search in deterministic order; ties broken by total
-    subgroup order then canonical element order.  None when no cover exists.
+    Exhaustive subset search, smallest families first; among families of
+    one size the least is taken, comparing the members' `subgroup_key`s
+    lexicographically.  The candidates come in key order (that of
+    `normal_subgroups`), so that is the first cover `combinations` yields.
+    None when no cover exists.
     """
-    candidates = sorted(abelian_normal_subgroups(G), key=_sort_key)
-    useful = [c for c in candidates if any(x in c for x in min_elements)]
+    useful = [c for c in abelian_normal_subgroups(G) if any(x in c for x in min_elements)]
     targets = set(min_elements)
     for size in range(1, len(useful) + 1):
-        best = None
         for combo in combinations(useful, size):
-            covered = set()
-            for c in combo:
-                covered |= c
-            if targets <= covered:
-                key = tuple(_sort_key(c) for c in combo)
-                if best is None or key < best[0]:
-                    best = (key, combo)
-        if best is not None:
-            return list(best[1])
+            if targets <= set().union(*combo):
+                return list(combo)
     return None
 
 

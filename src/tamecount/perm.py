@@ -10,10 +10,15 @@ classes, found as bitmask fixpoints of that table (the class-structure
 methods of Hulpke, "Computing normal subgroups", ISSAC 1998).  The
 normal-subgroup lattice and the Fitting subgroup are cached as well.
 
+Every breadth-first search here is one `orbit`: the element closure,
+the conjugation orbits that make the classes, the point orbit behind
+`is_transitive` and the join search of the normal-subgroup lattice.
+
 Points are labeled 1..degree.  The canonical ordering used by every
-"deterministic" contract is lexicographic on the image tuple.  The
-module-level kernels below work on bare image tuples (p maps point i to
-p[i-1]); they are the hot inner loops of closure and conjugation.
+"deterministic" contract is lexicographic on the image tuple, and
+subgroups are ordered by `subgroup_key`.  The module-level kernels below
+work on bare image tuples (p maps point i to p[i-1]); they are the hot
+inner loops of closure and conjugation.
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 def compose(p, q):
     """(p*q)(x) = p(q(x))."""
-    return tuple(p[q[i] - 1] for i in range(len(p)))
+    return tuple([p[j - 1] for j in q])
 
 
 def inverse(p):
@@ -66,38 +71,47 @@ def cycle_count(p):
     return count
 
 
-def closure(generators, cap):
-    """BFS closure of `generators` under composition.
+def orbit(start, step, limit=math.inf):
+    """Breadth-first orbit of `start` under `step`, in discovery order.
 
-    Returns the full element set, or None if it would exceed `cap`
-    elements.  Raises ResourceCapError once the elements would hold more
-    than DEFAULT_POINT_CAP points (elements x degree), which bounds the
-    work of a high-degree closure.  Inverses come for free: powers of each
-    generator reach them.
+    `step(x)` returns the neighbours of x; `start` comes first.  Once more
+    than `limit` values are found, checked after each value's neighbours,
+    the search stops and returns what it has (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005, ch. 4).
+    """
+    found = [start]
+    seen = {start}
+    for x in found:
+        for y in step(x):
+            if y not in seen:
+                seen.add(y)
+                found.append(y)
+        if len(found) > limit:
+            break
+    return found
+
+
+def closure(generators, cap):
+    """Orbit closure of `generators` under composition.
+
+    Returns the full element list in discovery order, or None if it would
+    exceed `cap` elements.  Raises ResourceCapError once the elements would
+    hold more than DEFAULT_POINT_CAP points (elements x degree), which
+    bounds the work of a high-degree closure.  Inverses come for free:
+    powers of each generator reach them.
     """
     if not generators:
         return None
     n = len(generators[0])
     limit = min(cap, DEFAULT_POINT_CAP // n)
-    identity = tuple(range(1, n + 1))
-    elements = {identity}
-    frontier = [identity]
     gens = list(dict.fromkeys(generators))
-    while frontier:
-        new = []
-        for g in frontier:
-            for h in gens:
-                w = tuple(g[h[i] - 1] for i in range(n))
-                if w not in elements:
-                    elements.add(w)
-                    new.append(w)
-            if len(elements) > limit:
-                if len(elements) > cap:
-                    return None
-                raise ResourceCapError(
-                    f"group closure exceeds the point cap of {DEFAULT_POINT_CAP}: "
-                    f"{len(elements)} elements x degree {n} = {len(elements) * n} points")
-        frontier = new
+    elements = orbit(tuple(range(1, n + 1)), lambda g: [compose(g, h) for h in gens], limit)
+    if len(elements) > limit:
+        if len(elements) > cap:
+            return None
+        raise ResourceCapError(
+            f"group closure exceeds the point cap of {DEFAULT_POINT_CAP}: "
+            f"{len(elements)} elements x degree {n} = {len(elements) * n} points")
     return elements
 
 
@@ -290,16 +304,7 @@ class PermutationGroup:
         return frozenset(self.elements)
 
     def is_transitive(self) -> bool:
-        orbit = {1}
-        frontier = [1]
-        while frontier:
-            x = frontier.pop()
-            for g in self.generators:
-                y = g(x)
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        return len(orbit) == self.degree
+        return len(orbit(1, lambda x: [g(x) for g in self.generators])) == self.degree
 
     def exponent(self) -> int:
         return math.lcm(*(c.representative.order() for c in self.conjugacy_classes()))
@@ -318,15 +323,9 @@ class PermutationGroup:
             for g in self.elements:  # canonical order: each orbit starts at its minimum
                 if g.images in seen:
                     continue
-                orbit = [g.images]
-                seen.add(g.images)
-                for x in orbit:
-                    for h in gens:
-                        y = conjugate(h, x)
-                        if y not in seen:
-                            seen.add(y)
-                            orbit.append(y)
-                members = [by_images[t] for t in orbit]
+                found = orbit(g.images, lambda x: [conjugate(h, x) for h in gens])
+                seen.update(found)
+                members = [by_images[t] for t in found]
                 parts.append((g.order(), len(members), g.images, members))
             parts.sort(key=lambda part: part[:3])
             index = {}
@@ -451,6 +450,11 @@ def pointwise_class_centralizer(G: PermutationGroup, c) -> frozenset:
                      if all(conjugate(g.images, x.images) == x.images for x in c))
 
 
+def subgroup_key(subset):
+    """The canonical subgroup order: (order, sorted image tuples)."""
+    return (len(subset), sorted(g.images for g in subset))
+
+
 def all_subgroups(G: PermutationGroup):
     """Every subgroup of G by brute-force closure growth (test oracle)."""
     trivial = frozenset({G.identity})
@@ -467,7 +471,7 @@ def all_subgroups(G: PermutationGroup):
                     known.add(grown)
                     new.append(grown)
         frontier = new
-    return sorted(known, key=lambda s: (len(s), sorted(g.images for g in s)))
+    return sorted(known, key=subgroup_key)
 
 
 # ---------------------------------------------------------------------------
@@ -556,20 +560,8 @@ def _normal_subgroup_lattice(G: PermutationGroup):
     seeds = {}  # normal closure of a class -> one class generating it
     for c in range(1, len(prod)):
         seeds.setdefault(_close(prod, 1, (c,)), c)
-    known = {1}
-    frontier = [1]
-    while frontier:
-        new = []
-        for N in frontier:
-            for seed, c in seeds.items():
-                if seed & ~N:
-                    join = _close(prod, N, (c,))
-                    if join not in known:
-                        known.add(join)
-                        new.append(join)
-        frontier = new
-    subgroups = [_class_union(G, mask) for mask in known]
-    return tuple(sorted(subgroups, key=lambda s: (len(s), sorted(g.images for g in s))))
+    known = orbit(1, lambda N: [_close(prod, N, (c,)) for seed, c in seeds.items() if seed & ~N])
+    return tuple(sorted((_class_union(G, mask) for mask in known), key=subgroup_key))
 
 
 def quotient(G: PermutationGroup, N) -> QuotientGroup:
@@ -634,13 +626,6 @@ def subgroup_as_group(G: PermutationGroup, subset, name=None) -> PermutationGrou
     return PermutationGroup(G.degree, sorted(subset), name=name, element_cap=G.element_cap)
 
 
-def _is_prime_power(n: int) -> bool:
-    p = next(d for d in range(2, n + 1) if n % d == 0)
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def fitting_subgroup(G: PermutationGroup) -> frozenset:
     """Join of the normal subgroups of prime-power order.
 
@@ -650,7 +635,7 @@ def fitting_subgroup(G: PermutationGroup) -> frozenset:
     if G._fitting is None:
         gens = set()
         for N in normal_subgroups(G):
-            if len(N) > 1 and _is_prime_power(len(N)):
+            if len(prime_factors(len(N))) == 1:
                 gens |= N
         G._fitting = normal_closure(G, gens)
     return G._fitting
@@ -790,17 +775,20 @@ def export_group_file(G: PermutationGroup) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sylow_orders(G: PermutationGroup):
-    """Prime factorization of |G| as {p: p^k}."""
-    n = G.order
+def prime_factors(n: int) -> dict:
+    """{p: k} with n the product of the p^k, by trial division; {} below 2."""
     out = {}
     p = 2
     while p * p <= n:
         while n % p == 0:
-            out[p] = out.get(p, 1) * p
+            out[p] = out.get(p, 0) + 1
             n //= p
         p += 1
     if n > 1:
-        out[n] = out.get(n, 1) * n
+        out[n] = 1
     return out
 
+
+def sylow_orders(G: PermutationGroup):
+    """Prime factorization of |G| as {p: p^k}."""
+    return {p: p ** k for p, k in prime_factors(G.order).items()}

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError
-from .perm import Permutation, PermutationGroup, QuotientGroup, index_of, is_nilpotent
+from .perm import (Permutation, PermutationGroup, QuotientGroup, index_of, is_nilpotent, orbit,
+                   prime_factors)
 
 
 def _units(e: int):
@@ -32,9 +33,9 @@ class CyclotomicProfile:
     def __init__(self, restrictions=None, name=None):
         self.restrictions = {}
         for e, units in (restrictions or {}).items():
-            units = frozenset(int(u) % e if int(u) % e else e for u in units)
             if e < 1:
                 raise ValidationError("moduli must be positive")
+            units = frozenset(int(u) % e if int(u) % e else e for u in units)
             if not units or any(math.gcd(u, e) != 1 for u in units):
                 raise ValidationError(f"U_{e} must consist of units mod {e}")
             if 1 not in units and e > 1:
@@ -95,19 +96,10 @@ def parse_cyclotomic_file(text: str, name=None) -> CyclotomicProfile:
             raise ParseError(f"line {lineno}: bad integer in {line!r}") from None
         if e <= 0:
             raise ParseError(f"line {lineno}: modulus {e} is not positive")
-        units = {1 % e if 1 % e else e}
-        frontier = list(units)
         gens = [g % e if g % e else e for g in gens]
         if any(math.gcd(g, e) != 1 for g in gens):
             raise ParseError(f"line {lineno}: non-unit residue for modulus {e}")
-        while frontier:
-            u = frontier.pop()
-            for g in gens:
-                v = (u * g) % e or e
-                if v not in units:
-                    units.add(v)
-                    frontier.append(v)
-        restrictions[e] = units
+        restrictions[e] = orbit(1 % e or e, lambda u: [(u * g) % e or e for g in gens])
     return CyclotomicProfile(restrictions, name=name)
 
 
@@ -316,17 +308,6 @@ def pole_order_bound(tau: TameType, G: PermutationGroup, profile: CyclotomicProf
     Prime-order types of nilpotent groups never split under twisting, so
     the bound is 1 there; otherwise the modeled [k(zeta_tau):k] applies.
     """
-    if is_nilpotent(G) and _is_prime(tau.order):
+    if is_nilpotent(G) and prime_factors(tau.order) == {tau.order: 1}:
         return 1
     return profile.field_degree(tau.order)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True

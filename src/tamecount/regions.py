@@ -183,7 +183,7 @@ class TubularRegion:
         self.constraints = tuple(constraints)
         self.name = name
         index = {v: i for i, v in enumerate(self.variables)}
-        covered = set()
+        self._pure_lower = {}  # label -> largest b/c over pure constraints c*sigma > b
         for c in self.constraints:
             for lab, coef in c.coefficients:
                 if lab not in index:
@@ -191,8 +191,10 @@ class TubularRegion:
                 if coef < 0:
                     raise ValidationError("region coefficients must be nonnegative")
             if c.is_pure():
-                covered.add(c.coefficients[0][0])
-        missing = [v for v in self.variables if v not in covered]
+                (lab, coef), = c.coefficients
+                val = c.bound / coef
+                self._pure_lower[lab] = max(self._pure_lower.get(lab, val), val)
+        missing = [v for v in self.variables if v not in self._pure_lower]
         if missing:
             raise ValidationError(f"variables without a pure lower bound: {missing}")
         # nonemptiness: the all-coordinates-large point satisfies everything
@@ -204,14 +206,10 @@ class TubularRegion:
 
     def pure_lower_bound(self, label) -> Fraction:
         """Largest b/c over pure constraints c*sigma > b on `label`."""
-        best = None
-        for c in self.constraints:
-            if c.is_pure() and c.coefficients[0][0] == label:
-                val = c.bound / c.coefficients[0][1]
-                best = val if best is None else max(best, val)
-        if best is None:
-            raise ValidationError(f"no pure lower bound on {label}")
-        return best
+        try:
+            return self._pure_lower[label]
+        except KeyError:
+            raise ValidationError(f"no pure lower bound on {label}") from None
 
     def mixed_constraints(self):
         return tuple(c for c in self.constraints if not c.is_pure())

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tamecount.hull_lp as hull_lp
 import tamecount.perm as perm
@@ -114,6 +116,15 @@ class TestCliClasses:
         res = run_cli("classes", "C2", "--format", "json")
         data = json.loads(res.stdout)
         assert len(data["classes"]) == 1
+
+    def test_empty_table_tsv_is_the_header_alone(self):
+        res = run_cli("classes", "C1", "--format", "tsv")
+        assert (res.returncode, res.stdout, res.stderr) == (0, "label\tsize\torder\tindex1\n", "")
+
+    def test_tsv_columns_match_json_keys(self):
+        res = run_cli("classes", "4T3", "--format", "tsv")
+        header = res.stdout.splitlines()[0].split("\t")
+        assert header == ["label", "size", "order", "index4", "index8", "conductor_weight"]
 
 
 class TestCliClassify:
@@ -369,3 +380,25 @@ def test_report_schema_rationals_roundtrip():
         assert str(Fraction(int(num), int(den))) in (value, num)
     cert = report["certificate"]
     assert sum(Fraction(x) for x in cert["lambdas"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzz at the input boundary: `classes` over random cyclotomic files
+# ---------------------------------------------------------------------------
+
+_cyc_line = st.builds(
+    lambda e, units: f"{e} {','.join(map(str, units))}",
+    st.integers(-3, 48), st.lists(st.integers(-20, 100), min_size=1, max_size=3))
+_cyc_text = st.one_of(
+    st.lists(_cyc_line, max_size=4).map("\n".join),
+    st.text(alphabet="0123456789, -#x\n", max_size=30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=st.sampled_from(["4T3", "8T11", "C6", "S3", "C1"]), text=_cyc_text,
+       fmt=st.sampled_from(["json", "tsv"]))
+def test_classes_fuzz_exits_cleanly(tmp_path_factory, spec, text, fmt):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cyc"
+    path.write_text(text, encoding="utf-8")
+    code = cli_main(["classes", spec, "--cyc", str(path), "--format", fmt])
+    assert code in (0, 2, 3)

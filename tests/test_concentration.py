@@ -1,5 +1,6 @@
 """Concentration verdicts, the h^1_ur ledger, and threshold arithmetic."""
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,11 +10,12 @@ from tamecount import (abelian_normal_subgroups, classify, direct_product_condit
                        wreath_theta_bound, wreath_theta_from_params)
 from tamecount.concentration import (FITTING_CONCENTRATED, FITTING_NILPOTENT,
                                      STATUS_CONCENTRATED, STATUS_NOT, STATUS_PROPER,
-                                     abelian_invariants, analysis_witnesses)
+                                     abelian_invariants, analysis_witnesses,
+                                     minimal_abelian_cover)
 from tamecount.errors import (ContractViolationError, UnsupportedHypothesisError,
                               ValidationError)
 from tamecount.catalog import resolve_entry
-from tamecount.perm import (Permutation, PermutationGroup, subgroup_generated,
+from tamecount.perm import (Permutation, PermutationGroup, subgroup_generated, subgroup_key,
                             upper_central_series)
 from tamecount.ramtypes import tame_types
 
@@ -38,6 +40,30 @@ class TestAbelianNormalSubgroups:
 
     def test_cp_has_none(self):
         assert abelian_normal_subgroups(cyclic(5)) == []
+
+
+class TestMinimalAbelianCover:
+    @staticmethod
+    def least_cover(G, targets):
+        """Reference: the least cover by (size, members' keys), compared in full."""
+        candidates = abelian_normal_subgroups(G)
+        for size in range(1, len(candidates) + 1):
+            covers = [sorted(combo, key=subgroup_key)
+                      for combo in combinations(candidates, size)
+                      if targets <= set().union(*combo)]
+            if covers:
+                return min(covers, key=lambda c: [subgroup_key(W) for W in c])
+        return None
+
+    @pytest.mark.parametrize("spec", ["4T3", "8T11", "16T11", "product(4T3,C3)",
+                                      "wreath(C2,C3)", "S3"])
+    def test_first_cover_is_the_least(self, spec, cyc_q):
+        entry = resolve_entry(spec)
+        G = entry.group
+        types = entry.types(cyc_q)
+        for targets in [set(t.members) for t in types] + [set().union(*(t.members
+                                                                      for t in types))]:
+            assert minimal_abelian_cover(G, targets) == self.least_cover(G, targets)
 
 
 class TestClassify:

@@ -11,7 +11,8 @@ from tamecount.catalog import Q8XC2_CLASS_REPS
 from tamecount.errors import (ContractViolationError, ParseError, ResourceCapError,
                               ValidationError)
 from tamecount.perm import (Permutation, all_subgroups, compose, cycle_count, inverse,
-                            is_abelian_set, is_normal, is_subgroup, subgroup_generated)
+                            is_abelian_set, is_normal, is_subgroup, orbit, prime_factors,
+                            subgroup_generated, subgroup_key, sylow_orders)
 
 
 def s4():
@@ -28,6 +29,50 @@ def test_kernel_identity_and_composition():
     assert compose(ident, p) == p
     assert compose(p, inverse(p)) == ident
     assert cycle_count(ident) == 3
+
+
+class TestOrbit:
+    def test_breadth_first_discovery_order(self):
+        graph = {1: [2, 3], 2: [4], 3: [5], 4: [1], 5: [3]}
+        assert orbit(1, graph.__getitem__) == [1, 2, 3, 4, 5]  # depth first: 1, 3, 5, 2, 4
+
+    def test_start_comes_first_and_once(self):
+        assert orbit(7, lambda x: []) == [7]
+        assert orbit(0, lambda x: [(x + 1) % 3]) == [0, 1, 2]
+
+    def test_stops_once_past_limit(self):
+        # the check comes after each value's neighbours, so an infinite
+        # orbit stops with every neighbour of the last value expanded
+        assert orbit(0, lambda x: [x + 1, x + 2], limit=3) == [0, 1, 2, 3]
+        assert orbit(0, lambda x: [x + 1, x + 2, x + 3], limit=1) == [0, 1, 2, 3]
+        assert orbit(0, lambda x: [(x + 1) % 4], limit=4) == [0, 1, 2, 3]
+
+    def test_closure_is_the_orbit_of_the_identity(self):
+        gens = [(2, 3, 4, 1), (2, 1, 3, 4)]
+        elements = perm.closure(gens, 100)
+        assert elements[0] == (1, 2, 3, 4)
+        assert elements[1:3] == gens
+        assert len(elements) == len(set(elements)) == 24
+
+
+class TestPrimeFactors:
+    def test_small_values(self):
+        assert prime_factors(1) == {}
+        assert prime_factors(97) == {97: 1}
+        assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
+
+    def test_matches_brute_force(self):
+        for n in range(1, 400):
+            expected = {}
+            m = n
+            for p in range(2, n + 1):
+                while m % p == 0:
+                    expected[p] = expected.get(p, 0) + 1
+                    m //= p
+            assert prime_factors(n) == expected
+
+    def test_sylow_orders(self):
+        assert sylow_orders(s4()) == {2: 8, 3: 3}
 
 
 class TestParsePermutation:
@@ -178,6 +223,10 @@ class TestNormalSubgroups:
         G = builder()
         expected = {H for H in map(frozenset, all_subgroups(G)) if is_normal(G, H)}
         assert set(map(frozenset, normal_subgroups(G))) == expected
+
+    def test_canonical_order(self, q8c2_deg8):
+        keys = [subgroup_key(N) for N in normal_subgroups(q8c2_deg8.group)]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 class TestQuotient:

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamecount import (CyclotomicProfile, index_of, min_weight, pole_order_bound,
                        pushforward_type, quotient, tame_types, weight_conductor_d4,
@@ -127,6 +129,28 @@ class TestProfiles:
     def test_profile_file_generates_subgroup(self):
         prof = parse_cyclotomic_file("8 3\n")
         assert prof.units_for(8) == frozenset({1, 3})
+
+    @pytest.mark.parametrize("e", [0, -4])
+    def test_nonpositive_modulus_rejected(self, e):
+        with pytest.raises(ValidationError, match="moduli must be positive"):
+            CyclotomicProfile({e: {1}})
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_profile_file_units_are_the_generated_subgroup(self, data):
+        e = data.draw(st.integers(1, 60), label="e")
+        units = [u for u in range(1, e + 1) if math.gcd(u, e) == 1]
+        gens = data.draw(st.lists(st.sampled_from(units), min_size=1, max_size=3), label="gens")
+        shifts = data.draw(st.lists(st.integers(-2, 2), min_size=len(gens),
+                                    max_size=len(gens)), label="shifts")
+        literals = [g + k * e for g, k in zip(gens, shifts)]
+        prof = parse_cyclotomic_file(f"{e} {','.join(map(str, literals))}\n")
+        # (Z/e)^* is abelian: the subgroup is the product of the cyclic ones
+        expected = {1 % e}
+        for g in gens:
+            powers = {pow(g, k, e) for k in range(e)}
+            expected = {h * x % e for h in expected for x in powers}
+        assert prof.units_for(e) == frozenset(x or e for x in expected)
 
 
 class TestWeights:

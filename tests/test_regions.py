@@ -194,6 +194,16 @@ class TestRegionInvariants:
         with pytest.raises(ValidationError, match="nonnegative"):
             TubularRegion(("x",), [LinearConstraint((("x", Fraction(-1)),), Fraction(0))])
 
+    def test_pure_lower_bound_is_the_largest(self):
+        from tamecount.regions import TubularRegion
+        region = TubularRegion(("x", "y"), [
+            constraint({"x": 2}, 1), constraint({"x": 3}, 2), constraint({"x": 1}, -1),
+            constraint({"y": 1}, 0), constraint({"x": 1, "y": 1}, 5)])
+        assert region.pure_lower_bound("x") == Fraction(2, 3)
+        assert region.pure_lower_bound("y") == 0
+        with pytest.raises(ValidationError, match="no pure lower bound on z"):
+            region.pure_lower_bound("z")
+
     def test_beta_defaults(self, d4_types, cyc_q):
         alpha = {t.label: Fraction(3, 8) for t in d4_types}
         beta = default_beta(d4_types, alpha, cyc_q)
