@@ -18,13 +18,19 @@ Points are labeled 1..degree.  The canonical ordering used by every
 "deterministic" contract is lexicographic on the image tuple, and
 subgroups are ordered by `subgroup_key`.  The module-level kernels below
 work on bare image tuples (p maps point i to p[i-1]); they are the hot
-inner loops of closure and conjugation.
+inner loops of closure and conjugation.  Composition and conjugation
+are `operator.itemgetter` calls, so their per-point loop runs in C:
+p*q is `itemgetter(*q)((0,) + p)`, and a loop with one fixed factor
+builds its getter once (`right_multiplier`, `conjugation_step`).  Permutations
+the kernel builds from valid ones are wrapped without the bijection
+check (`Permutation._of`); user data is always checked.
 """
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import ContractViolationError, ParseError, ResourceCapError, ValidationError
 
@@ -35,9 +41,23 @@ DEFAULT_POINT_CAP = 2 ** 25
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
+def _padded_multiplier(q):
+    """The map (0,) + p -> p*q: q's 1-based images index the padded tuple."""
+    if len(q) == 1:  # itemgetter with one index returns a bare value
+        return lambda padded: padded[1:]
+    return itemgetter(*q)
+
+
 def compose(p, q):
     """(p*q)(x) = p(q(x))."""
-    return tuple([p[j - 1] for j in q])
+    return _padded_multiplier(q)((0,) + p)
+
+
+def right_multiplier(q):
+    """The map p -> p*q on image tuples, its getter built once for a fixed q."""
+    if len(q) == 1:
+        return tuple
+    return itemgetter(*[j - 1 for j in q])
 
 
 def inverse(p):
@@ -47,28 +67,45 @@ def inverse(p):
     return tuple(inv)
 
 
+def conjugation_step(generators):
+    """The map x -> [h x h^-1 for h in generators] on image tuples.
+
+    h*x picks x's images out of h, with one getter for x serving every h;
+    multiplying by h^-1 on the right is a fixed reordering, built once
+    per h.
+    """
+    pairs = [((0,) + h, right_multiplier(inverse(h))) for h in generators]
+
+    def step(x):
+        times_x = _padded_multiplier(x)
+        return [times_inverse(times_x(padded)) for padded, times_inverse in pairs]
+    return step
+
+
 def conjugate(h, g):
     """h g h^-1 as image tuples."""
-    n = len(g)
-    out = [0] * n
-    for i in range(n):
-        out[h[i] - 1] = h[g[i] - 1]
-    return tuple(out)
+    return conjugation_step([h])(g)[0]
+
+
+def _cycle_lengths(p):
+    """Cycle lengths of p, fixed points included; one walk per cycle."""
+    seen = bytearray(len(p))
+    lengths = []
+    i = seen.find(0)
+    while i >= 0:
+        length = 0
+        while not seen[i]:
+            seen[i] = 1
+            i = p[i] - 1
+            length += 1
+        lengths.append(length)
+        i = seen.find(0, i)
+    return lengths
 
 
 def cycle_count(p):
     """Number of cycles of p, fixed points included."""
-    n = len(p)
-    seen = [False] * n
-    count = 0
-    for i in range(n):
-        if not seen[i]:
-            count += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = p[j] - 1
-    return count
+    return len(_cycle_lengths(p))
 
 
 def orbit(start, step, limit=math.inf):
@@ -104,8 +141,8 @@ def closure(generators, cap):
         return None
     n = len(generators[0])
     limit = min(cap, DEFAULT_POINT_CAP // n)
-    gens = list(dict.fromkeys(generators))
-    elements = orbit(tuple(range(1, n + 1)), lambda g: [compose(g, h) for h in gens], limit)
+    multipliers = [right_multiplier(h) for h in dict.fromkeys(generators)]
+    elements = orbit(tuple(range(1, n + 1)), lambda g: [mul(g) for mul in multipliers], limit)
     if len(elements) > limit:
         if len(elements) > cap:
             return None
@@ -129,6 +166,13 @@ class Permutation:
             raise ValidationError(f"images {images} are not a bijection of 1..{n}")
         self.images = images
 
+    @classmethod
+    def _of(cls, images: tuple) -> "Permutation":
+        """Wrap an image tuple the kernel built from valid permutations, unchecked."""
+        p = object.__new__(cls)
+        p.images = images
+        return p
+
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -137,40 +181,41 @@ class Permutation:
     def identity(cls, degree: int) -> "Permutation":
         if degree <= 0:
             raise ValidationError("degree must be positive")
-        return cls(range(1, degree + 1))
+        return cls._of(tuple(range(1, degree + 1)))
 
     def __call__(self, point: int) -> int:
         return self.images[point - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # (self*other)(x) = self(other(x))
-        return Permutation(compose(self.images, other.images))
+        return Permutation._of(compose(self.images, other.images))
 
     def inverse(self) -> "Permutation":
-        return Permutation(inverse(self.images))
+        return Permutation._of(inverse(self.images))
 
     def conjugate_by(self, h: "Permutation") -> "Permutation":
         """h * self * h^-1."""
-        return Permutation(conjugate(h.images, self.images))
+        return Permutation._of(conjugate(h.images, self.images))
 
     def __pow__(self, e: int) -> "Permutation":
-        n = self.degree
+        """Square and multiply on image tuples; powers of one element commute."""
+        base = self.images
         if e < 0:
-            return self.inverse() ** (-e)
-        result = Permutation.identity(n)
-        base = self
+            base, e = inverse(base), -e
+        result = tuple(range(1, len(base) + 1))
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = compose(result, base)
             e >>= 1
-        return result
+            if e:
+                base = compose(base, base)
+        return Permutation._of(result)
 
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.images))
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles()))
+        return math.lcm(*set(_cycle_lengths(self.images)))
 
     def cycles(self):
         """Nontrivial cycles, each starting at its minimal point."""
@@ -290,7 +335,7 @@ class PermutationGroup:
             if raw is None:
                 raise ResourceCapError(
                     f"group exceeds the element cap of {self.element_cap}")
-            self._elements = tuple(Permutation(t) for t in sorted(raw))
+            self._elements = tuple(map(Permutation._of, sorted(raw)))
         return self._elements
 
     @property
@@ -307,7 +352,7 @@ class PermutationGroup:
         return len(orbit(1, lambda x: [g(x) for g in self.generators])) == self.degree
 
     def exponent(self) -> int:
-        return math.lcm(*(c.representative.order() for c in self.conjugacy_classes()))
+        return math.lcm(*(c.order for c in self.conjugacy_classes()))
 
     def conjugacy_classes(self):
         """Classes in deterministic order: (element order, size, minimal member).
@@ -316,25 +361,26 @@ class PermutationGroup:
         conjugations in all; the identity class comes first.
         """
         if self._classes is None:
-            gens = [h.images for h in self.generators]
+            step = conjugation_step([h.images for h in self.generators])
             by_images = {g.images: g for g in self.elements}
             seen = set()
             parts = []
             for g in self.elements:  # canonical order: each orbit starts at its minimum
                 if g.images in seen:
                     continue
-                found = orbit(g.images, lambda x: [conjugate(h, x) for h in gens])
+                found = orbit(g.images, step)
                 seen.update(found)
                 members = [by_images[t] for t in found]
                 parts.append((g.order(), len(members), g.images, members))
             parts.sort(key=lambda part: part[:3])
             index = {}
             classes = []
-            for i, (_, size, _, members) in enumerate(parts):
+            for i, (order, size, _, members) in enumerate(parts):
                 for x in members:
                     index[x.images] = i
                 classes.append(ConjugacyClass(representative=members[0],
-                                              members=frozenset(members), size=size))
+                                              members=frozenset(members), size=size,
+                                              order=order))
             self._class_index = index
             self._classes = tuple(classes)
         return self._classes
@@ -354,22 +400,25 @@ class PermutationGroup:
         """prod[i][j]: bitmask of the classes met by rep_i * C_j.
 
         It is also the set of classes met by C_i * C_j, which equals
-        C_j * C_i, so the table is symmetric; k*|G|/2 compositions.
+        C_j * C_i, so the table is symmetric and each entry can run over
+        the smaller of its two classes.  rep*x = rep (x rep) rep^-1 is
+        conjugate to x*rep, so one fixed right multiplier by rep serves a
+        whole row: taking the rows in order of class size, row b covers the
+        classes no larger than C_b, sum(min(|C_i|, |C_j|)) compositions.
         """
         if self._class_products is None:
             classes = self.conjugacy_classes()
-            index = self._class_index
+            lookup = self._class_index.__getitem__
+            members = [[x.images for x in c.members] for c in classes]
             k = len(classes)
             prod = [[0] * k for _ in range(k)]
-            for i, ci in enumerate(classes):
-                rep = ci.representative.images
-                row = prod[i]
-                for j in range(i, k):
-                    mask = 0
-                    for x in classes[j].members:
-                        mask |= 1 << index[compose(rep, x.images)]
-                    row[j] = mask
-                    prod[j][i] = mask
+            by_size = sorted(range(k), key=lambda c: classes[c].size)
+            for position, b in enumerate(by_size):
+                times_rep = right_multiplier(classes[b].representative.images)
+                row = prod[b]
+                for c in by_size[:position + 1]:
+                    met = set(map(lookup, map(times_rep, members[c])))
+                    row[c] = prod[c][b] = sum(1 << m for m in met)
             self._class_products = prod
         return self._class_products
 
@@ -383,6 +432,7 @@ class ConjugacyClass:
     representative: Permutation
     members: frozenset
     size: int
+    order: int  # element order, shared by every member
 
 
 @dataclass(frozen=True)
@@ -418,7 +468,7 @@ def subgroup_generated(G: PermutationGroup, elems) -> frozenset:
     raw = closure(gens, G.element_cap)
     if raw is None:
         raise ResourceCapError(f"subgroup closure exceeds the cap of {G.element_cap}")
-    return frozenset(Permutation(t) for t in raw)
+    return frozenset(map(Permutation._of, raw))
 
 
 def is_subgroup(G: PermutationGroup, subset) -> bool:
@@ -431,8 +481,8 @@ def is_subgroup(G: PermutationGroup, subset) -> bool:
 
 def is_normal(G: PermutationGroup, subset) -> bool:
     imgs = {g.images for g in subset}
-    return all(conjugate(h.images, g.images) in imgs
-               for h in G.generators for g in subset)
+    step = conjugation_step([h.images for h in G.generators])
+    return all(imgs.issuperset(step(g)) for g in imgs)
 
 
 def is_abelian_set(subset) -> bool:
@@ -443,11 +493,11 @@ def is_abelian_set(subset) -> bool:
 
 def pointwise_class_centralizer(G: PermutationGroup, c) -> frozenset:
     """{g in G : gxg^-1 = x for all x in c}; a subgroup of G."""
-    c = list(c)
+    c = [x.images for x in c]
     if not c:
         raise ValidationError("centralizer of an empty set is not defined here")
     return frozenset(g for g in G.elements
-                     if all(conjugate(g.images, x.images) == x.images for x in c))
+                     if all(compose(g.images, x) == compose(x, g.images) for x in c))
 
 
 def subgroup_key(subset):

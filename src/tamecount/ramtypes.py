@@ -21,6 +21,30 @@ def _units(e: int):
     return frozenset(u for u in range(1, e + 1) if math.gcd(u, e) == 1)
 
 
+def _is_closed(units, e: int) -> bool:
+    """Whether a set of units mod e > 1 that contains 1 is a subgroup.
+
+    Grows the subgroup H generated so far by each unit u not yet in it:
+    <H, u> is H, H*u, H*u^2, ... up to the first power of u back in H.
+    Each new coset is checked against `units` as it is made, so the work
+    is linear in |units|, not quadratic.
+    """
+    subgroup = {1}
+    for u in units:
+        if u in subgroup:
+            continue
+        grown = set(subgroup)
+        power = u
+        while power not in subgroup:
+            coset = {h * power % e for h in subgroup}
+            if not coset <= units:
+                return False
+            grown |= coset
+            power = power * u % e
+        subgroup = grown
+    return True
+
+
 class CyclotomicProfile:
     """Either full-Q (U_e = (Z/eZ)^* for all e) or a restricted table.
 
@@ -40,10 +64,8 @@ class CyclotomicProfile:
                 raise ValidationError(f"U_{e} must consist of units mod {e}")
             if 1 not in units and e > 1:
                 raise ValidationError(f"U_{e} must contain 1")
-            for a in units:  # subgroup check
-                for b in units:
-                    if (a * b) % e not in units and not (e == 1):
-                        raise ValidationError(f"U_{e} = {sorted(units)} is not closed under multiplication")
+            if e > 1 and not _is_closed(units, e):
+                raise ValidationError(f"U_{e} = {sorted(units)} is not closed under multiplication")
             self.restrictions[e] = units
         self.name = name or ("Q" if not self.restrictions else "restricted")
 
@@ -146,10 +168,10 @@ def tame_types(G: PermutationGroup, profile: CyclotomicProfile, label_pins=None)
         rep = cls.representative
         # conjugation commutes with powering, so the type is the union of
         # the classes of rep^u over the units u of the profile
-        merged = {G.class_index(rep ** u) for u in profile.units_for(rep.order())}
+        merged = {G.class_index(rep ** u) for u in profile.units_for(cls.order)}
         placed.update(merged)
         members = frozenset().union(*(classes[j].members for j in merged))
-        raw.append((rep.order(), len(members), rep, members, cls.size))
+        raw.append((cls.order, len(members), rep, members, cls.size))
     raw.sort(key=lambda r: (r[0], r[1], r[2].images))
 
     pins = label_pins or {}

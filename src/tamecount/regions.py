@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractViolationError, ParseError, ValidationError
-from .perm import PermutationGroup, conjugate, cycle_count, is_abelian_set, is_normal
+from .perm import PermutationGroup, conjugation_step, cycle_count, is_abelian_set, is_normal
 from .ramtypes import CyclotomicProfile
 
 WEYL_T_EXPONENT = Fraction(1, 3)
@@ -246,8 +246,8 @@ def subconvexity_matrix(G: PermutationGroup, types, profile: SubconvexityProfile
         pos = {x: i for i, x in enumerate(orbit)}
         alpha = profile.alpha_of(kappa.label)
         for tau in types:
-            g = tau.representative.images
-            action = tuple(pos[conjugate(g, x)] + 1 for x in orbit)
+            step = conjugation_step([tau.representative.images])
+            action = tuple(pos[y] + 1 for (y,) in map(step, orbit))
             ind = len(orbit) - cycle_count(action)
             matrix[(tau.label, kappa.label)] = alpha * kappa.zeta_degree * ind
     return matrix

@@ -402,3 +402,38 @@ def test_classes_fuzz_exits_cleanly(tmp_path_factory, spec, text, fmt):
     path.write_text(text, encoding="utf-8")
     code = cli_main(["classes", spec, "--cyc", str(path), "--format", fmt])
     assert code in (0, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# fuzz at the input boundary: `classes` over random group files
+# ---------------------------------------------------------------------------
+
+def _group_file(degree):
+    """Name, degree and generator lines around one declared degree.
+
+    Single cycles are valid; other cycle lists may repeat a point (images
+    that are no bijection), leave 1..degree or be empty.
+    """
+    valid = (st.lists(st.integers(1, degree), min_size=1, max_size=degree, unique=True)
+             if degree > 0 else st.nothing())
+    messy = st.lists(st.integers(-1, degree + 2), max_size=4)
+    cycles = st.lists(st.one_of(valid, messy), min_size=1, max_size=3)
+    line = st.one_of(valid.map(lambda pts: [pts]), cycles).map(
+        lambda cs: "".join(f"({','.join(map(str, pts))})" for pts in cs))
+    return st.builds(lambda name, degree_line, gens: "\n".join([name, degree_line, *gens]),
+                     st.sampled_from(["name G"] * 3 + ["name", "# comment\nname G"]),
+                     st.sampled_from([f"degree {degree}"] * 4 + ["degree", "degree x"]),
+                     st.lists(st.one_of(line, st.text(alphabet="()0123456789,- x", max_size=12)),
+                              max_size=3))
+
+
+_group_text = st.one_of(st.integers(-1, 6).flatmap(_group_file),
+                        st.text(alphabet="namedgr ()0123456789,\n", max_size=40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_group_text)
+def test_group_file_fuzz_exits_cleanly(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.grp"
+    path.write_text(text, encoding="utf-8")
+    assert cli_main(["classes", str(path)]) in (0, 2, 3)

@@ -1,9 +1,10 @@
 """The class-lattice group engine against the element-set code it replaced.
 
 The `ref_*` functions are the previous implementations, kept verbatim
-apart from their names: the quadratic conjugacy partition, the pairwise
-join-closure of normal subgroups, the Fitting subgroup as the join of the
-nilpotent normal subgroups, and tame types as per-element
+apart from their names and the class `order` field, which the reference
+fills by repeated composition: the quadratic conjugacy partition, the
+pairwise join-closure of normal subgroups, the Fitting subgroup as the
+join of the nilpotent normal subgroups, and tame types as per-element
 conjugation-plus-powering orbits.  Every catalog and ladder group up to
 order 128 must give the same classes, normal subgroups, Fitting subgroup
 and tame types under both.
@@ -58,6 +59,16 @@ def ref_conjugacy_partition(elements):
     return classes
 
 
+def ref_element_order(images):
+    """Smallest k >= 1 with g^k = 1, by repeated per-point composition."""
+    identity = tuple(range(1, len(images) + 1))
+    power, k = images, 1
+    while power != identity:
+        power = tuple(images[j - 1] for j in power)
+        k += 1
+    return k
+
+
 def ref_conjugacy_classes(G):
     parts = ref_conjugacy_partition([g.images for g in G.elements])
     classes = []
@@ -66,9 +77,9 @@ def ref_conjugacy_classes(G):
         rep = members[0]
         classes.append(ConjugacyClass(representative=rep,
                                       members=frozenset(members),
-                                      size=len(members)))
-    classes.sort(key=lambda c: (c.representative.order(), c.size,
-                                c.representative.images))
+                                      size=len(members),
+                                      order=ref_element_order(rep.images)))
+    classes.sort(key=lambda c: (c.order, c.size, c.representative.images))
     return tuple(classes)
 
 

@@ -1,5 +1,11 @@
 """Permutation engine: parsing, enumeration, classes, subgroups, series."""
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import _suites
 
 from tamecount import (PermutationGroup, direct_product, export_group_file,
                        fitting_subgroup, index_of, is_nilpotent, normal_subgroups,
@@ -10,9 +16,10 @@ import tamecount.perm as perm
 from tamecount.catalog import Q8XC2_CLASS_REPS
 from tamecount.errors import (ContractViolationError, ParseError, ResourceCapError,
                               ValidationError)
-from tamecount.perm import (Permutation, all_subgroups, compose, cycle_count, inverse,
-                            is_abelian_set, is_normal, is_subgroup, orbit, prime_factors,
-                            subgroup_generated, subgroup_key, sylow_orders)
+from tamecount.perm import (Permutation, all_subgroups, compose, conjugate, conjugation_step,
+                            cycle_count, inverse, is_abelian_set, is_normal, is_subgroup, orbit,
+                            prime_factors, right_multiplier, subgroup_generated, subgroup_key,
+                            sylow_orders)
 
 
 def s4():
@@ -29,6 +36,108 @@ def test_kernel_identity_and_composition():
     assert compose(ident, p) == p
     assert compose(p, inverse(p)) == ident
     assert cycle_count(ident) == 3
+
+
+# ---------------------------------------------------------------------------
+# the itemgetter kernels against plain per-point loops
+# ---------------------------------------------------------------------------
+
+def ref_compose(p, q):
+    return tuple(p[j - 1] for j in q)
+
+
+def ref_inverse(p):
+    out = [0] * len(p)
+    for i, v in enumerate(p, start=1):
+        out[v - 1] = i
+    return tuple(out)
+
+
+def ref_conjugate(h, g):
+    """h g h^-1."""
+    return ref_compose(ref_compose(h, g), ref_inverse(h))
+
+
+def ref_order(p):
+    """Smallest k >= 1 with p^k = 1, by repeated composition."""
+    identity = tuple(range(1, len(p) + 1))
+    power, k = p, 1
+    while power != identity:
+        power = ref_compose(power, p)
+        k += 1
+    return k
+
+
+def ref_power(p, e):
+    if e < 0:
+        p, e = ref_inverse(p), -e
+    out = tuple(range(1, len(p) + 1))
+    for _ in range(e % ref_order(p)):
+        out = ref_compose(out, p)
+    return out
+
+
+def ref_cycle_count(p):
+    seen = set()
+    count = 0
+    for start in range(1, len(p) + 1):
+        if start not in seen:
+            count += 1
+            point = start
+            while point not in seen:
+                seen.add(point)
+                point = p[point - 1]
+    return count
+
+
+_perm_pair = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.permutations(range(1, n + 1)).map(tuple), st.permutations(range(1, n + 1)).map(tuple)))
+_exponent = st.one_of(st.integers(-40, 40), st.integers(-10 ** 30, 10 ** 30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_perm_pair, e=_exponent)
+def test_kernels_match_per_point_loops(pair, e):
+    p, q = pair
+    assert compose(p, q) == ref_compose(p, q)
+    assert right_multiplier(q)(p) == ref_compose(p, q)
+    assert inverse(p) == ref_inverse(p)
+    assert conjugate(p, q) == ref_conjugate(p, q)
+    assert conjugation_step([p, q, p])(q) == [ref_conjugate(h, q) for h in (p, q, p)]
+    assert cycle_count(p) == ref_cycle_count(p)
+    P, Q = Permutation(p), Permutation(q)
+    assert P.order() == ref_order(p)
+    for result, expected in [(P * Q, ref_compose(p, q)), (P.inverse(), ref_inverse(p)),
+                             (Q.conjugate_by(P), ref_conjugate(p, q)),
+                             (P ** e, ref_power(p, e)), (P ** 0, ref_power(p, 0))]:
+        assert result.images == expected
+        assert Permutation(result.images) == result  # the unchecked wrap holds a bijection
+
+
+def _suite_groups():
+    groups = _suites.class_index_groups_up_to_200() + _suites.normal_scan_groups_up_to_100()
+    return [pytest.param(G, id=f"{G.name or 'G'}-{G.degree}-{i}") for i, G in enumerate(groups)]
+
+
+@pytest.mark.parametrize("G", _suite_groups())
+def test_class_products_match_rep_times_member_table(G):
+    classes = G.conjugacy_classes()
+    where = {x.images: i for i, c in enumerate(classes) for x in c.members}
+    expected = [[0] * len(classes) for _ in classes]
+    for i, ci in enumerate(classes):
+        for j, cj in enumerate(classes):
+            for x in cj.members:
+                expected[i][j] |= 1 << where[ref_compose(ci.representative.images, x.images)]
+    assert G.class_products() == expected
+
+
+@pytest.mark.parametrize("G", _suite_groups())
+def test_class_order_is_the_element_order(G):
+    classes = G.conjugacy_classes()
+    for c in classes:
+        assert c.order == c.representative.order() == ref_order(c.representative.images)
+        assert all(x.order() == c.order for x in c.members)
+    assert G.exponent() == math.lcm(*(ref_order(g.images) for g in G.elements))
 
 
 class TestOrbit:

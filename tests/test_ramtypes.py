@@ -1,5 +1,6 @@
 """Tame types, cyclotomic profiles, weights, pushforwards, pole bounds."""
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from tamecount import (CyclotomicProfile, index_of, min_weight, pole_order_bound
                        pushforward_type, quotient, tame_types, weight_conductor_d4,
                        weight_custom, weight_discriminant, weight_inv_gamma,
                        weight_product_ramified, wreath_product)
+from tamecount.cli import main as cli_main
 from tamecount.errors import ValidationError
 from tamecount.perm import PermutationGroup, subgroup_generated
 from tamecount.ramtypes import parse_cyclotomic_file, parse_weight_file, type_of
@@ -151,6 +153,35 @@ class TestProfiles:
             powers = {pow(g, k, e) for k in range(e)}
             expected = {h * x % e for h in expected for x in powers}
         assert prof.units_for(e) == frozenset(x or e for x in expected)
+
+    @pytest.mark.parametrize("units", [{8: {1, 3, 5}}, {15: {1, 2}}, {7: {1, 2, 3}}])
+    def test_non_closed_unit_set_rejected(self, units):
+        with pytest.raises(ValidationError, match="is not closed under multiplication"):
+            CyclotomicProfile(units)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_closure_check_matches_all_pairs(self, data):
+        e = data.draw(st.integers(2, 40), label="e")
+        units = [u for u in range(1, e + 1) if math.gcd(u, e) == 1]
+        chosen = {1} | set(data.draw(st.lists(st.sampled_from(units), max_size=6), label="units"))
+        closed = all(a * b % e in chosen for a in chosen for b in chosen)
+        if closed:
+            assert CyclotomicProfile({e: chosen}).units_for(e) == frozenset(chosen)
+        else:
+            with pytest.raises(ValidationError, match="not closed"):
+                CyclotomicProfile({e: chosen})
+
+    def test_large_prime_modulus_is_fast(self, tmp_path, capsys):
+        # 3 generates the 8008 units mod 8009: an all-pairs closure check
+        # makes 6.4e7 products here
+        path = tmp_path / "big.cyc"
+        path.write_text("8009 3\n", encoding="utf-8")
+        assert len(parse_cyclotomic_file(path.read_text()).units_for(8009)) == 8008
+        start = time.perf_counter()
+        assert cli_main(["classes", "4T3", "--cyc", str(path)]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert '"label": "4A"' in capsys.readouterr().out
 
 
 class TestWeights:
