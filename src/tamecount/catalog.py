@@ -49,8 +49,8 @@ class CatalogEntry:
     label: str
     group: PermutationGroup
     provenance: str
-    label_pins: dict = field(default_factory=dict)         # Permutation -> label
-    sibling_degrees: dict = field(default_factory=dict)    # degree -> (group, pins)
+    label_pins: dict = field(default_factory=dict)  # Permutation -> label
+    sibling: tuple | None = None  # (group, pins) of the other published representation
     conductor_family: bool = False
     gamma_family: bool = False
 
@@ -58,42 +58,38 @@ class CatalogEntry:
         return tame_types(self.group, cyc, label_pins=self.label_pins)
 
 
+def _pinned_entry(base: PermutationGroup, pins: dict, regular_name: str, regular: bool,
+                  provenance: str, **families) -> CatalogEntry:
+    """The pinned group `base` or, if `regular`, its left-regular action;
+    the other representation is the entry's sibling.  The regular action
+    carries each pin to the image of its element."""
+    reg, phi = regular_embedding(base, name=regular_name)
+    reg_pins = {phi[p]: lab for p, lab in pins.items()}
+    if regular:
+        group, label_pins, sibling = reg, reg_pins, (base, pins)
+    else:
+        group, label_pins, sibling = base, pins, (reg, reg_pins)
+    return CatalogEntry(label=group.name, group=group, provenance=provenance,
+                        label_pins=label_pins, sibling=sibling, **families)
+
+
 def _d4_entry(octic: bool) -> CatalogEntry:
     a = parse_permutation("(1,2,3,4)", 4)
     b = parse_permutation("(1,3)", 4)
     quartic = PermutationGroup(4, [a, b], name="4T3")
-    pins4 = {parse_permutation(rep, 4): lab for lab, rep in D4_CLASS_REPS.items()}
-    reg, phi = regular_embedding(quartic, name="8T4")
-    pins8 = {phi[p]: lab for p, lab in pins4.items()}
-    if octic:
-        entry = CatalogEntry(label="8T4", group=reg,
-                             provenance="left-regular action of the 4T3 presentation",
-                             label_pins=pins8, conductor_family=True, gamma_family=False)
-        entry.sibling_degrees = {4: (quartic, pins4), 8: (reg, pins8)}
-    else:
-        entry = CatalogEntry(label="4T3", group=quartic,
-                             provenance="presentation a^4=b^2=1, bab^-1=a^-1, b a transposition",
-                             label_pins=pins4, conductor_family=True, gamma_family=True)
-        entry.sibling_degrees = {4: (quartic, pins4), 8: (reg, pins8)}
-    return entry
+    pins = {parse_permutation(rep, 4): lab for lab, rep in D4_CLASS_REPS.items()}
+    provenance = ("left-regular action of the 4T3 presentation" if octic
+                  else "presentation a^4=b^2=1, bab^-1=a^-1, b a transposition")
+    return _pinned_entry(quartic, pins, "8T4", octic, provenance,
+                         conductor_family=True, gamma_family=not octic)
 
 
 def _q8xc2_entry(deg16: bool) -> CatalogEntry:
-    pins8 = {parse_permutation(rep, 8): lab for lab, rep in Q8XC2_CLASS_REPS.items()}
-    octal = PermutationGroup(8, sorted(pins8), name="8T11")
-    reg, phi = regular_embedding(octal, name="16T11")
-    pins16 = {phi[p]: lab for p, lab in pins8.items()}
-    if deg16:
-        entry = CatalogEntry(label="16T11", group=reg,
-                             provenance="left-regular action of the published degree-8 classes",
-                             label_pins=pins16)
-        entry.sibling_degrees = {8: (octal, pins8), 16: (reg, pins16)}
-    else:
-        entry = CatalogEntry(label="8T11", group=octal,
-                             provenance="published degree-8 class representatives",
-                             label_pins=pins8)
-        entry.sibling_degrees = {8: (octal, pins8), 16: (reg, pins16)}
-    return entry
+    pins = {parse_permutation(rep, 8): lab for lab, rep in Q8XC2_CLASS_REPS.items()}
+    octal = PermutationGroup(8, sorted(pins), name="8T11")
+    provenance = ("left-regular action of the published degree-8 classes" if deg16
+                  else "published degree-8 class representatives")
+    return _pinned_entry(octal, pins, "16T11", deg16, provenance)
 
 
 def _s3_entry() -> CatalogEntry:
@@ -121,7 +117,7 @@ def _split_args(body: str):
     raise ValidationError(f"combinator needs two arguments: {body!r}")
 
 
-def resolve_entry(spec: str, element_cap=100_000) -> CatalogEntry:
+def resolve_entry(spec: str) -> CatalogEntry:
     """Resolve a catalog label, combinator expression, or group file path."""
     spec = spec.strip()
     if spec in ("4T3", "D4"):
@@ -140,8 +136,8 @@ def resolve_entry(spec: str, element_cap=100_000) -> CatalogEntry:
     m = re.fullmatch(r"(product|wreath)\((.+)\)", spec)
     if m:
         left, right = _split_args(m.group(2))
-        A = resolve_entry(left, element_cap)
-        B = resolve_entry(right, element_cap)
+        A = resolve_entry(left)
+        B = resolve_entry(right)
         if m.group(1) == "product":
             G = product_representation(A.group, B.group)
             name = f"product({A.label},{B.label})"
@@ -157,7 +153,7 @@ def resolve_entry(spec: str, element_cap=100_000) -> CatalogEntry:
     if path.suffix == ".group" or path.exists():
         if not path.exists():
             raise ValidationError(f"group file {path} does not exist")
-        G = parse_group_file(path.read_text(encoding="utf-8"), element_cap=element_cap)
+        G = parse_group_file(path.read_text(encoding="utf-8"))
         return CatalogEntry(label=G.name, group=G, provenance=f"user file {path}")
     raise ValidationError(
         f"unknown group spec {spec!r}: not a catalog label, combinator, or existing file")

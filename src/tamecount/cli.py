@@ -17,8 +17,8 @@ from .catalog import resolve_cyclotomic, resolve_entry, resolve_weight
 from .concentration import analysis_witnesses, classify
 from .errors import ParseError, ResourceCapError, TamecountError, ValidationError
 from .hull_lp import parse_rational
-from .perm import index_of, parse_permutation, subgroup_generated
-from .ramtypes import weight_conductor_d4
+from .perm import content_lines, index_of, parse_permutation, subgroup_generated
+from .ramtypes import tame_types, weight_conductor_d4
 from .regions import make_profile, parse_subconvexity_file
 
 EXIT_OK = 0
@@ -53,10 +53,7 @@ def _resolve_witnesses(spec: str, entry, types, wt):
     if not path.exists():
         raise ValidationError(f"witness file {path} does not exist")
     witnesses = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(path.read_text(encoding="utf-8")):
         try:
             gens = [parse_permutation(tok, entry.group.degree) for tok in line.split()]
         except ParseError as exc:
@@ -82,24 +79,22 @@ def cmd_classes(args) -> int:
     entry = resolve_entry(args.entry)
     cyc = resolve_cyclotomic(args.cyc)
     types = entry.types(cyc)
-    sibling_degrees = sorted(entry.sibling_degrees) or [entry.group.degree]
-    sibling_types = {}
-    for deg in sibling_degrees:
-        if entry.sibling_degrees:
-            group, pins = entry.sibling_degrees[deg]
-            from .ramtypes import tame_types
-            sibling_types[deg] = {t.label: t for t in tame_types(group, cyc, label_pins=pins)}
-        else:
-            sibling_types[deg] = {t.label: t for t in types}
+    by_degree = {entry.group.degree: types}
+    if entry.sibling:
+        group, pins = entry.sibling
+        by_degree[group.degree] = tame_types(group, cyc, label_pins=pins)
+    degrees = sorted(by_degree)
+    representatives = {deg: {t.label: t.representative for t in by_degree[deg]}
+                       for deg in degrees}
     conductor = weight_conductor_d4(types).weights if entry.conductor_family else None
-    cols = ["label", "size", "order"] + [f"index{deg}" for deg in sibling_degrees]
+    cols = ["label", "size", "order"] + [f"index{deg}" for deg in degrees]
     if conductor is not None:
         cols.append("conductor_weight")
     rows = []
     for t in sorted(types, key=lambda t: (t.order, t.label)):
         row = {"label": t.label, "size": t.size, "order": t.order}
-        for deg in sibling_degrees:
-            row[f"index{deg}"] = index_of(sibling_types[deg][t.label].representative)
+        for deg in degrees:
+            row[f"index{deg}"] = index_of(representatives[deg][t.label])
         if conductor is not None:
             row["conductor_weight"] = str(conductor[t.label])
         rows.append(row)
@@ -178,10 +173,7 @@ def _parse_manifest(path: Path):
     four-field line.  A line with another field count is kept as read; it
     fails on its own when it runs."""
     requests = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(path.read_text(encoding="utf-8")):
         parts = line.split()
         if len(parts) == 4:
             parts.append("auto")
@@ -204,6 +196,9 @@ def _run_request_worker(item):
 
 
 def cmd_batch(args) -> int:
+    if args.jobs < 1:
+        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_USAGE
     manifest = Path(args.manifest)
     if not manifest.exists():
         print(f"manifest {manifest} does not exist", file=sys.stderr)
@@ -212,11 +207,13 @@ def cmd_batch(args) -> int:
     outdir = Path(args.out) if args.out else None
     if outdir:
         outdir.mkdir(parents=True, exist_ok=True)
-    if args.jobs > 1 and requests:
+    # a forked pool starts all its workers at the first submit
+    workers = min(args.jobs, len(requests))
+    if workers > 1:
         # imported here, not at module level: the process-pool machinery
         # (multiprocessing) adds ~1.6 MB to the start of every other command
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_request_worker, requests))
     else:
         results = [_run_request_worker(item) for item in requests]

@@ -128,24 +128,23 @@ def orbit(start, step, limit=math.inf):
     return found
 
 
-def closure(generators, cap):
-    """Orbit closure of `generators` under composition.
+def closure(generators):
+    """Orbit closure of the nonempty list `generators` under composition.
 
-    Returns the full element list in discovery order, or None if it would
-    exceed `cap` elements.  Raises ResourceCapError once the elements would
-    hold more than DEFAULT_POINT_CAP points (elements x degree), which
-    bounds the work of a high-degree closure.  Inverses come for free:
-    powers of each generator reach them.
+    Returns the full element list in discovery order.  Raises
+    ResourceCapError once there would be more than DEFAULT_ELEMENT_CAP
+    elements, or once the elements would hold more than DEFAULT_POINT_CAP
+    points (elements x degree), which bounds the work of a high-degree
+    closure.  Inverses come for free: powers of each generator reach them.
     """
-    if not generators:
-        return None
     n = len(generators[0])
-    limit = min(cap, DEFAULT_POINT_CAP // n)
+    limit = min(DEFAULT_ELEMENT_CAP, DEFAULT_POINT_CAP // n)
     multipliers = [right_multiplier(h) for h in dict.fromkeys(generators)]
     elements = orbit(tuple(range(1, n + 1)), lambda g: [mul(g) for mul in multipliers], limit)
     if len(elements) > limit:
-        if len(elements) > cap:
-            return None
+        if len(elements) > DEFAULT_ELEMENT_CAP:
+            raise ResourceCapError(
+                f"group closure exceeds the element cap of {DEFAULT_ELEMENT_CAP}")
         raise ResourceCapError(
             f"group closure exceeds the point cap of {DEFAULT_POINT_CAP}: "
             f"{len(elements)} elements x degree {n} = {len(elements) * n} points")
@@ -295,7 +294,7 @@ class PermutationGroup:
     (an idempotent fill, safe under concurrent access).
     """
 
-    def __init__(self, degree, generators, name=None, element_cap=DEFAULT_ELEMENT_CAP):
+    def __init__(self, degree, generators, name=None):
         if degree <= 0:
             raise ValidationError("degree must be positive")
         gens = []
@@ -310,17 +309,12 @@ class PermutationGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self.name = name
-        self.element_cap = element_cap
         self._elements = None
         self._classes = None
         self._class_index = None
         self._class_products = None
         self._normal_subgroups = None
         self._fitting = None
-
-    @classmethod
-    def trivial(cls, degree=1):
-        return cls(degree, [Permutation.identity(degree)], name="1")
 
     @property
     def identity(self) -> Permutation:
@@ -330,11 +324,7 @@ class PermutationGroup:
     def elements(self):
         """The full element set, canonically sorted."""
         if self._elements is None:
-            raw = closure([g.images for g in self.generators] or [self.identity.images],
-                            self.element_cap)
-            if raw is None:
-                raise ResourceCapError(
-                    f"group exceeds the element cap of {self.element_cap}")
+            raw = closure([g.images for g in self.generators] or [self.identity.images])
             self._elements = tuple(map(Permutation._of, sorted(raw)))
         return self._elements
 
@@ -441,7 +431,6 @@ class QuotientGroup:
     parent: PermutationGroup
     kernel: frozenset
     carrier: PermutationGroup
-    projection: dict  # parent element -> coset index (1-based)
     _images: dict     # parent element -> carrier Permutation
 
     def push(self, g: Permutation) -> Permutation:
@@ -465,10 +454,7 @@ def subgroup_generated(G: PermutationGroup, elems) -> frozenset:
     gens = [g.images for g in elems]
     if not gens:
         return frozenset({G.identity})
-    raw = closure(gens, G.element_cap)
-    if raw is None:
-        raise ResourceCapError(f"subgroup closure exceeds the cap of {G.element_cap}")
-    return frozenset(map(Permutation._of, raw))
+    return frozenset(map(Permutation._of, closure(gens)))
 
 
 def is_subgroup(G: PermutationGroup, subset) -> bool:
@@ -641,10 +627,8 @@ def quotient(G: PermutationGroup, N) -> QuotientGroup:
     images = {g: action(g) for g in G.elements}
     carrier_name = f"{G.name}/N" if G.name else None
     carrier = PermutationGroup(m, [images[g] for g in G.generators] or [Permutation.identity(m)],
-                               name=carrier_name, element_cap=G.element_cap)
-    projection = {g: index_of_coset[g] for g in G.elements}
-    return QuotientGroup(parent=G, kernel=N, carrier=carrier,
-                         projection=projection, _images=images)
+                               name=carrier_name)
+    return QuotientGroup(parent=G, kernel=N, carrier=carrier, _images=images)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +657,7 @@ def is_nilpotent(G: PermutationGroup) -> bool:
 
 
 def subgroup_as_group(G: PermutationGroup, subset, name=None) -> PermutationGroup:
-    return PermutationGroup(G.degree, sorted(subset), name=name, element_cap=G.element_cap)
+    return PermutationGroup(G.degree, sorted(subset), name=name)
 
 
 def fitting_subgroup(G: PermutationGroup) -> frozenset:
@@ -704,8 +688,7 @@ def direct_product(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup
     for h in H.generators:
         gens.append(Permutation(tuple(range(1, n + 1)) + tuple(v + n for v in h.images)))
     name = f"{G.name}x{H.name}" if G.name and H.name else None
-    return PermutationGroup(n + m, gens, name=name,
-                            element_cap=max(G.element_cap, H.element_cap))
+    return PermutationGroup(n + m, gens, name=name)
 
 
 def product_representation(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
@@ -723,8 +706,7 @@ def product_representation(G: PermutationGroup, H: PermutationGroup) -> Permutat
         gens.append(Permutation(tuple(pair(i, h(j)) for i in range(1, n + 1)
                                       for j in range(1, m + 1))))
     name = f"{G.name}x{H.name}" if G.name and H.name else None
-    return PermutationGroup(n * m, gens, name=name,
-                            element_cap=max(G.element_cap, H.element_cap))
+    return PermutationGroup(n * m, gens, name=name)
 
 
 def wreath_product(N: PermutationGroup, B: PermutationGroup) -> PermutationGroup:
@@ -751,8 +733,7 @@ def wreath_product(N: PermutationGroup, B: PermutationGroup) -> PermutationGroup
                 images[point(block, i) - 1] = point(b(block), i)
         gens.append(Permutation(images))
     name = f"{N.name}wr{B.name}" if N.name and B.name else None
-    return PermutationGroup(n * m, gens, name=name,
-                            element_cap=max(N.element_cap, B.element_cap))
+    return PermutationGroup(n * m, gens, name=name)
 
 
 def regular_embedding(G: PermutationGroup, name=None):
@@ -769,7 +750,7 @@ def regular_embedding(G: PermutationGroup, name=None):
 
     phi = {g: act(g) for g in elems}
     gens = [phi[g] for g in G.generators] or [Permutation.identity(G.order)]
-    R = PermutationGroup(G.order, gens, name=name, element_cap=G.element_cap)
+    R = PermutationGroup(G.order, gens, name=name)
     return R, phi
 
 
@@ -781,16 +762,21 @@ def regular_representation(G: PermutationGroup, name=None) -> PermutationGroup:
 # group file format
 # ---------------------------------------------------------------------------
 
-def parse_group_file(text: str, element_cap=DEFAULT_ELEMENT_CAP) -> PermutationGroup:
+def content_lines(text: str):
+    """(line number, stripped line) for each line of an input file that is
+    neither blank nor a `#` comment; numbering starts at 1."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def parse_group_file(text: str) -> PermutationGroup:
     """Parse the ingestion format: `name <label>`, `degree <n>`, one generator per line."""
-    lines = text.splitlines()
     name = None
     degree = None
     gens = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         if name is None:
             if not line.startswith("name "):
                 raise ParseError(f"line {lineno}: expected 'name <label>', got {line!r}")
@@ -816,7 +802,7 @@ def parse_group_file(text: str, element_cap=DEFAULT_ELEMENT_CAP) -> PermutationG
         raise ParseError("group file must declare a name and a degree")
     if not gens:
         raise ParseError("group file lists no generators")
-    return PermutationGroup(degree, gens, name=name, element_cap=element_cap)
+    return PermutationGroup(degree, gens, name=name)
 
 
 def export_group_file(G: PermutationGroup) -> str:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError
-from .perm import (Permutation, PermutationGroup, QuotientGroup, index_of, is_nilpotent, orbit,
-                   prime_factors)
+from .perm import (Permutation, PermutationGroup, QuotientGroup, content_lines, index_of,
+                   is_nilpotent, orbit, prime_factors)
 
 
 def _units(e: int):
@@ -104,10 +104,7 @@ class CyclotomicProfile:
 def parse_cyclotomic_file(text: str, name=None) -> CyclotomicProfile:
     """Lines `e u1,u2,...` listing generators of U_e as residues."""
     restrictions = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'e u1,u2,...', got {line!r}")
@@ -218,7 +215,6 @@ class WeightFunction:
     """Positive rational weights on the nontrivial tame types."""
     name: str
     weights: dict  # label -> Fraction
-    wild_policy: str = "irrelevant-to-regions"
 
     def __call__(self, tau) -> Fraction:
         label = tau.label if isinstance(tau, TameType) else tau
@@ -284,15 +280,15 @@ def weight_custom(table, types, name="custom") -> WeightFunction:
 
 
 def parse_weight_file(text: str, types, name="custom") -> WeightFunction:
-    """Lines `label rational`, e.g. `2B 3/2`."""
+    """Lines `label rational`, e.g. `2B 3/2`; every label names one of `types`."""
+    labels = {t.label for t in types}
     table = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'label rational', got {line!r}")
+        if parts[0] not in labels:
+            raise ParseError(f"line {lineno}: unknown type label {parts[0]!r}")
         try:
             table[parts[0]] = Fraction(parts[1])
         except (ValueError, ZeroDivisionError):

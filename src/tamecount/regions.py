@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractViolationError, ParseError, ValidationError
-from .perm import PermutationGroup, conjugation_step, cycle_count, is_abelian_set, is_normal
+from .perm import (PermutationGroup, content_lines, conjugation_step, cycle_count,
+                   is_abelian_set, is_normal)
 from .ramtypes import CyclotomicProfile
 
 WEYL_T_EXPONENT = Fraction(1, 3)
@@ -90,14 +91,13 @@ def make_profile(preset: str, types, cyc: CyclotomicProfile, *,
 
 
 def parse_subconvexity_file(text: str, types, name="custom") -> SubconvexityProfile:
-    """`gamma <q>`, then `alpha <label|*> <q>` / `beta <label|*> <q>` lines."""
+    """`gamma <q>`, then `alpha <label|*> <q>` / `beta <label|*> <q>` lines;
+    every label names one of `types`."""
+    labels = {t.label for t in types}
     gamma = Fraction(1, 2)
     alpha, beta = {}, {}
     saw_beta = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         try:
             if parts[0] == "gamma" and len(parts) == 2:
@@ -110,8 +110,10 @@ def parse_subconvexity_file(text: str, types, name="custom") -> SubconvexityProf
                 if parts[1] == "*":
                     for t in types:
                         table.setdefault(t.label, value)
-                else:
+                elif parts[1] in labels:
                     table[parts[1]] = value
+                else:
+                    raise ParseError(f"line {lineno}: unknown type label {parts[1]!r}")
             else:
                 raise ParseError(f"line {lineno}: unrecognized directive {line!r}")
         except (ValueError, ZeroDivisionError):
@@ -136,7 +138,6 @@ class LinearConstraint:
     """sum_v coefficients[v] * sigma_v > bound (strict)."""
     coefficients: tuple  # ((label, Fraction), ...) sorted by label position
     bound: Fraction
-    strict: bool = True
 
     def support(self):
         return tuple(lab for lab, _ in self.coefficients)

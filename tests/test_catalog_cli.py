@@ -1,4 +1,5 @@
 """Catalog fingerprints, CLI surface, batch reproducibility, golden files."""
+import concurrent.futures
 import json
 import subprocess
 import sys
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tamecount.catalog as catalog
+import tamecount.cli as cli
 import tamecount.hull_lp as hull_lp
 import tamecount.perm as perm
 from tamecount import (build_region, export_group_file, make_profile, parse_group_file,
@@ -126,6 +129,21 @@ class TestCliClasses:
         header = res.stdout.splitlines()[0].split("\t")
         assert header == ["label", "size", "order", "index4", "index8", "conductor_weight"]
 
+    @pytest.mark.parametrize("spec, degrees", [
+        ("4T3", [4, 8]), ("8T4", [8, 4]), ("16T11", [16, 8]), ("C6", [6]),
+    ])
+    def test_types_computed_once_per_representation(self, monkeypatch, capsys, spec, degrees):
+        seen = []
+        real = catalog.tame_types
+
+        def counting(G, *args, **kwargs):
+            seen.append(G.degree)
+            return real(G, *args, **kwargs)
+        monkeypatch.setattr(catalog, "tame_types", counting)
+        monkeypatch.setattr(cli, "tame_types", counting)
+        assert cli_main(["classes", spec]) == 0
+        assert seen == degrees
+
 
 class TestCliClassify:
     def test_d4_disc(self):
@@ -232,6 +250,46 @@ class TestBatch:
         assert all(r["verdict"] == "asymptotic-with-power-saving"
                    for r in summary["requests"])
 
+    def test_jobs_never_exceed_the_request_count(self, tmp_path, monkeypatch):
+        started = []
+
+        class SerialPool:
+            """Records the worker count asked for and maps in this process."""
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("4T3 disc paper-d4 Q\n# comment\n8T4 disc paper-d4 Q\n",
+                            encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_main(["batch", str(manifest), "--out", str(out), "--jobs", "64"]) == 0
+        assert started == [2]
+        for name, golden in (("report_0001.json", "report_0002.json"),
+                             ("report_0003.json", "report_0003.json")):
+            assert (out / name).read_bytes() == (GOLDEN / golden).read_bytes()
+        one = tmp_path / "one.txt"
+        one.write_text("4T3 disc paper-d4 Q\n", encoding="utf-8")
+        assert cli_main(["batch", str(one), "--out", str(tmp_path / "o1"), "--jobs", "64"]) == 0
+        assert started == [2]  # one request runs in this process
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("4T3 disc paper-d4 Q\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_main(["batch", str(manifest), "--out", str(out), "--jobs", jobs]) == 1
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_manifest(self, tmp_path):
         manifest = tmp_path / "empty.txt"
         manifest.write_text("", encoding="utf-8")
@@ -315,6 +373,23 @@ class TestCustomInputFiles:
         # identical numbers to the quartic discriminant run
         assert data["threshold"] == "9/16"
         assert data["power_saving_exponent"] == "15/22"
+
+    @pytest.mark.parametrize("weight_text, profile_text, message", [
+        ("2A 2\n2B 2\n2C 1\n4A 3\n9Z 5\n", "alpha * 3/8\n",
+         "ParseError: line 5: unknown type label '9Z'"),
+        ("2A 2\n2B 2\n2C 1\n4A 3\n", "alpha 2Z 1/2\nalpha * 3/8\n",
+         "ParseError: line 1: unknown type label '2Z'"),
+        ("2A 2\n2B 2\n2C 1\n4A 3\n", "alpha * 3/8\nbeta * 3/4\nbeta 4a 1/2\n",
+         "ParseError: line 3: unknown type label '4a'"),
+    ])
+    def test_unknown_label_exits_2(self, tmp_path, capsys, weight_text, profile_text, message):
+        weight = tmp_path / "w.txt"
+        weight.write_text(weight_text, encoding="utf-8")
+        profile = tmp_path / "p.txt"
+        profile.write_text(profile_text, encoding="utf-8")
+        assert cli_main(["analyze", "4T3", "--weight", str(weight),
+                         "--profile", str(profile)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_profile_without_beta_is_asymptotic_only(self, tmp_path):
         profile = tmp_path / "p.txt"
@@ -437,3 +512,98 @@ def test_group_file_fuzz_exits_cleanly(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz.grp"
     path.write_text(text, encoding="utf-8")
     assert cli_main(["classes", str(path)]) in (0, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# fuzz at the input boundary: `analyze 4T3` over random weight, subconvexity
+# and witness files, `batch` over random manifests
+# ---------------------------------------------------------------------------
+
+def _input_file(required, line, alphabet):
+    """Random file text: lines from `required` (or none), random `line`s and
+    blank or comment lines, shuffled; or raw characters of `alphabet`."""
+    filler = st.sampled_from(["", "   ", "# note", "\t# indented"])
+    lines = st.builds(lambda head, rest: head + rest, st.one_of(required, st.just([])),
+                      st.lists(st.one_of(line, filler), max_size=4))
+    return st.one_of(lines.flatmap(st.permutations).map("\n".join),
+                     st.text(alphabet=alphabet, max_size=30))
+
+
+_valid_rational = st.builds("{}/{}".format, st.integers(0, 12), st.integers(1, 12))
+_rational = st.one_of(
+    _valid_rational, _valid_rational,
+    st.builds("{}/{}".format, st.integers(-3, 12), st.integers(-2, 12)),
+    st.integers(-2, 12).map(str), st.sampled_from(["x", "1/", "3/8 1"]))
+_d4_label = st.sampled_from(["2A", "2B", "2C", "4A", "*"] * 2 + ["4a", "9Z"])
+
+_weight_text = _input_file(
+    st.lists(st.integers(1, 9), min_size=4, max_size=4).map(
+        lambda ws: [f"{lab} {w}" for lab, w in zip(("2A", "2B", "2C", "4A"), ws)]),
+    st.one_of(st.builds("{} {}".format, _d4_label, _rational),
+              st.lists(_d4_label, max_size=3).map(" ".join)),
+    "24ABC/ -#\n")
+
+_profile_text = _input_file(
+    st.sampled_from([["alpha * 3/8"], ["gamma 1/2", "alpha * 3/8", "beta * 3/4"]]),
+    st.one_of(st.builds("{} {} {}".format, st.sampled_from(["alpha", "beta"] * 3 + ["delta"]),
+                        _d4_label, _rational),
+              st.builds("gamma {}".format, _rational)),
+    "abeglmpht*24ABC/ #\n")
+
+_d4_cycles = st.sampled_from(["(1,2,3,4)", "(1,3)", "(1,3)(2,4)", "(1,4)(2,3)", "(2,4)",
+                              "()", "(1,2)", "(1,5)", "(1,1)", "(1,x)"])
+_witness_text = _input_file(
+    st.just(["(1,4)(2,3) (1,3)(2,4)", "(1,3) (1,3)(2,4)"]),
+    st.lists(_d4_cycles, min_size=1, max_size=3).map(" ".join),
+    "(1234,) #\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_weight_text)
+def test_weight_file_fuzz_exits_cleanly(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.weight"
+    path.write_text(text, encoding="utf-8")
+    assert cli_main(["analyze", "4T3", "--weight", str(path), "--profile", "paper-d4"]) in (0, 2, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_profile_text)
+def test_subconvexity_file_fuzz_exits_cleanly(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.profile"
+    path.write_text(text, encoding="utf-8")
+    assert cli_main(["analyze", "4T3", "--weight", "disc", "--profile", str(path)]) in (0, 2, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_witness_text)
+def test_witness_file_fuzz_exits_cleanly(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.witnesses"
+    path.write_text(text, encoding="utf-8")
+    assert cli_main(["analyze", "4T3", "--weight", "disc", "--witnesses", str(path)]) in (0, 2, 3)
+
+
+_manifest_line = st.one_of(
+    st.builds(lambda fields, witnesses: " ".join(fields + witnesses),
+              st.tuples(st.sampled_from(["4T3", "8T4", "C2", "S3", "product(C2,C2)", "16T777"]),
+                        st.sampled_from(["disc", "prodram", "cond-d4", "inv-gamma:1/2",
+                                         "inv-gamma:0", "w"]),
+                        st.sampled_from(["paper-d4", "burgess-yang", "convexity",
+                                         "lindelof:1/3", "nope"]),
+                        st.sampled_from(["Q", "nope"])).map(list),
+              st.sampled_from([[], [], ["auto"], ["missing.txt"]])),
+    st.lists(st.sampled_from(["4T3", "disc", "Q", "auto"]), max_size=6).map(" ".join))
+_manifest_text = _input_file(st.just(["4T3 disc paper-d4 Q"]), _manifest_line,
+                             "4T3 discQ#\n")
+
+
+@settings(max_examples=30, deadline=None)
+@given(text=_manifest_text)
+def test_manifest_fuzz_exits_cleanly(tmp_path_factory, text):
+    manifest = tmp_path_factory.getbasetemp() / "fuzz.manifest"
+    manifest.write_text(text, encoding="utf-8")
+    out = tmp_path_factory.mktemp("batch")
+    assert cli_main(["batch", str(manifest), "--out", str(out), "--jobs", "1"]) in (0, 2, 3)
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    content = [line for line in text.splitlines() if line.strip()
+               and not line.strip().startswith("#")]
+    assert len(summary["requests"]) == len(content)

@@ -20,9 +20,8 @@ from tamecount.perm import (Permutation, PermutationGroup, subgroup_generated, s
 from tamecount.ramtypes import tame_types
 
 
-def cyclic(n, cap=100_000):
-    return PermutationGroup(n, [tuple(range(2, n + 1)) + (1,)], name=f"C{n}",
-                            element_cap=cap)
+def cyclic(n):
+    return PermutationGroup(n, [tuple(range(2, n + 1)) + (1,)], name=f"C{n}")
 
 
 class TestAbelianNormalSubgroups:

@@ -158,7 +158,7 @@ class TestOrbit:
 
     def test_closure_is_the_orbit_of_the_identity(self):
         gens = [(2, 3, 4, 1), (2, 1, 3, 4)]
-        elements = perm.closure(gens, 100)
+        elements = perm.closure(gens)
         assert elements[0] == (1, 2, 3, 4)
         assert elements[1:3] == gens
         assert len(elements) == len(set(elements)) == 24
@@ -227,12 +227,16 @@ class TestEnumeration:
         G = PermutationGroup(8, reps)
         assert G.order == 16
 
-    def test_cap_exceeded(self):
-        G = PermutationGroup(5, ["(1,2,3,4,5)", "(1,2)"], element_cap=50)
-        with pytest.raises(ResourceCapError, match="50"):
+    def test_cap_exceeded(self, monkeypatch):
+        monkeypatch.setattr(perm, "DEFAULT_ELEMENT_CAP", 50)
+        G = PermutationGroup(5, ["(1,2,3,4,5)", "(1,2)"])
+        with pytest.raises(ResourceCapError, match="element cap of 50"):
             _ = G.elements
+        with pytest.raises(ResourceCapError, match="element cap of 50"):
+            subgroup_generated(G, G.generators)
         # a cap equal to the order is not exceeded
-        assert PermutationGroup(5, ["(1,2,3,4,5)", "(1,2)"], element_cap=120).order == 120
+        monkeypatch.setattr(perm, "DEFAULT_ELEMENT_CAP", 120)
+        assert PermutationGroup(5, ["(1,2,3,4,5)", "(1,2)"]).order == 120
 
     def test_point_cap_exceeded(self, monkeypatch):
         # S5 on 5 points stores 120 x 5 = 600 points
@@ -533,6 +537,16 @@ class TestGroupFile:
     def test_missing_header(self):
         with pytest.raises(ParseError, match="name"):
             parse_group_file("degree 4\n(1,2)\n")
+
+    def test_content_lines_skip_blank_and_comment_lines(self):
+        text = "# header\n\n  name demo  \n\t# indented comment\ndegree 4\n   \n(1,2) # tail\n"
+        assert list(perm.content_lines(text)) == [
+            (3, "name demo"), (5, "degree 4"), (7, "(1,2) # tail")]
+        assert list(perm.content_lines("")) == []
+
+    def test_error_line_counts_skipped_lines(self):
+        with pytest.raises(ParseError, match="line 6"):
+            parse_group_file("# c\nname x\n\n  # c\ndegree 4\n(1,9)\n")
 
 
 def test_order_divides_degree_factorial():

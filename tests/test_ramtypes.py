@@ -12,7 +12,7 @@ from tamecount import (CyclotomicProfile, index_of, min_weight, pole_order_bound
                        weight_custom, weight_discriminant, weight_inv_gamma,
                        weight_product_ramified, wreath_product)
 from tamecount.cli import main as cli_main
-from tamecount.errors import ValidationError
+from tamecount.errors import ParseError, ValidationError
 from tamecount.perm import PermutationGroup, subgroup_generated
 from tamecount.ramtypes import parse_cyclotomic_file, parse_weight_file, type_of
 
@@ -224,6 +224,14 @@ class TestWeights:
     def test_weight_file(self, d4_types):
         wt = parse_weight_file("2A 2\n2B 3/2\n2C 1\n4A 2\n", d4_types)
         assert wt.weights["2B"] == Fraction(3, 2)
+
+    @pytest.mark.parametrize("text, lineno, label", [
+        ("2A 2\n2B 3/2\n2C 1\n4A 2\n9Z 5\n", 5, "9Z"),
+        ("# D4\n2A 2\n2B 3/2\n\n4a 2\n2C 1\n4A 2\n", 5, "4a"),
+    ])
+    def test_weight_file_rejects_unknown_label(self, d4_types, text, lineno, label):
+        with pytest.raises(ParseError, match=f"line {lineno}: unknown type label '{label}'"):
+            parse_weight_file(text, d4_types)
 
     def test_discriminant_rep_invariance(self, t16_types):
         for t in t16_types:

@@ -6,9 +6,10 @@ import pytest
 
 from tamecount import (absolute_convergence_orthant, build_region, make_profile,
                        subconvexity_matrix)
-from tamecount.errors import ContractViolationError, ValidationError
+from tamecount.errors import ContractViolationError, ParseError, ValidationError
 from tamecount.perm import conjugate, cycle_count, subgroup_generated
-from tamecount.regions import SubconvexityProfile, constraint, default_beta
+from tamecount.regions import (SubconvexityProfile, constraint, default_beta,
+                               parse_subconvexity_file)
 from tamecount.hull_lp import hull_membership
 
 
@@ -214,3 +215,21 @@ class TestRegionInvariants:
     def test_gamma_range_validated(self, d4_types):
         with pytest.raises(ValidationError):
             SubconvexityProfile("bad", Fraction(1), {t.label: Fraction(0) for t in d4_types}, None)
+
+
+class TestSubconvexityFile:
+    def test_parse(self, d4_types):
+        prof = parse_subconvexity_file(
+            "# D4\ngamma 1/2\n\nalpha * 3/8\nalpha 2A 1/4\nbeta * 3/4\n", d4_types)
+        assert prof.gamma == Fraction(1, 2)
+        assert prof.alpha == {"2A": Fraction(1, 4), "2B": Fraction(3, 8),
+                              "2C": Fraction(3, 8), "4A": Fraction(3, 8)}
+        assert set(prof.beta.values()) == {Fraction(3, 4)}
+
+    @pytest.mark.parametrize("text, lineno, label", [
+        ("alpha 4a 1/2\nalpha * 3/8\n", 1, "4a"),
+        ("gamma 1/2\nalpha * 3/8\n\nbeta 2Z 1/2\nbeta * 3/4\n", 4, "2Z"),
+    ])
+    def test_unknown_label_rejected(self, d4_types, text, lineno, label):
+        with pytest.raises(ParseError, match=f"line {lineno}: unknown type label '{label}'"):
+            parse_subconvexity_file(text, d4_types)
