@@ -16,7 +16,8 @@ from pathlib import Path
 
 from .errors import ValidationError
 from .perm import (PermutationGroup, parse_group_file, parse_permutation,
-                   product_representation, regular_embedding, wreath_product)
+                   product_representation, read_input_file, regular_embedding,
+                   wreath_product)
 from .hull_lp import parse_rational
 from .ramtypes import (CyclotomicProfile, WeightFunction, parse_cyclotomic_file,
                        parse_weight_file, tame_types, weight_conductor_d4,
@@ -150,10 +151,10 @@ def resolve_entry(spec: str) -> CatalogEntry:
     if spec.startswith("file:"):
         spec = spec[5:]
     path = Path(spec)
-    if path.suffix == ".group" or path.exists():
+    if spec and (path.suffix == ".group" or path.exists()):  # Path("") is "."
         if not path.exists():
             raise ValidationError(f"group file {path} does not exist")
-        G = parse_group_file(path.read_text(encoding="utf-8"))
+        G = parse_group_file(read_input_file(path))
         return CatalogEntry(label=G.name, group=G, provenance=f"user file {path}")
     raise ValidationError(
         f"unknown group spec {spec!r}: not a catalog label, combinator, or existing file")
@@ -178,7 +179,7 @@ def resolve_weight(spec: str, entry: CatalogEntry, types) -> WeightFunction:
         return WeightFunction(name=spec, weights=wt.weights)
     path = Path(spec)
     if path.exists():
-        return parse_weight_file(path.read_text(encoding="utf-8"), types,
+        return parse_weight_file(read_input_file(path), types,
                                  name=f"custom:{path.name}")
     raise ValidationError(f"unknown weight spec {spec!r}")
 
@@ -188,5 +189,5 @@ def resolve_cyclotomic(spec: str) -> CyclotomicProfile:
         return CyclotomicProfile.full_q()
     path = Path(spec)
     if path.exists():
-        return parse_cyclotomic_file(path.read_text(encoding="utf-8"), name=path.name)
+        return parse_cyclotomic_file(read_input_file(path), name=path.name)
     raise ValidationError(f"unknown cyclotomic profile spec {spec!r}")

@@ -17,7 +17,8 @@ from .catalog import resolve_cyclotomic, resolve_entry, resolve_weight
 from .concentration import analysis_witnesses, classify
 from .errors import ParseError, ResourceCapError, TamecountError, ValidationError
 from .hull_lp import parse_rational
-from .perm import content_lines, index_of, parse_permutation, subgroup_generated
+from .perm import (content_lines, index_of, parse_permutation, read_input_file,
+                   subgroup_generated)
 from .ramtypes import tame_types, weight_conductor_d4
 from .regions import make_profile, parse_subconvexity_file
 
@@ -41,7 +42,7 @@ def _resolve_profile(spec: str, types, cyc):
         return make_profile(spec, types, cyc)
     path = Path(spec)
     if path.exists():
-        return parse_subconvexity_file(path.read_text(encoding="utf-8"), types,
+        return parse_subconvexity_file(read_input_file(path), types,
                                        name=f"custom:{path.name}")
     raise ValidationError(f"unknown profile spec {spec!r}")
 
@@ -53,7 +54,7 @@ def _resolve_witnesses(spec: str, entry, types, wt):
     if not path.exists():
         raise ValidationError(f"witness file {path} does not exist")
     witnesses = []
-    for lineno, line in content_lines(path.read_text(encoding="utf-8")):
+    for lineno, line in content_lines(read_input_file(path)):
         try:
             gens = [parse_permutation(tok, entry.group.degree) for tok in line.split()]
         except ParseError as exc:
@@ -173,7 +174,7 @@ def _parse_manifest(path: Path):
     four-field line.  A line with another field count is kept as read; it
     fails on its own when it runs."""
     requests = []
-    for lineno, line in content_lines(path.read_text(encoding="utf-8")):
+    for lineno, line in content_lines(read_input_file(path)):
         parts = line.split()
         if len(parts) == 4:
             parts.append("auto")

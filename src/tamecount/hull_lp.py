@@ -3,10 +3,13 @@
 The solver is a two-phase tableau simplex over fractions.Fraction with
 Bland's anti-cycling rule: exact and deterministic.  Phase 1 starts from
 the slack basis: a ">=" row with bound <= 0 is negated so that its
-surplus starts basic, and only the other rows get artificials.  A pivot
-touches only the nonzero columns of the pivot row and builds each updated
-entry from integers with one normalisation; lp_solve stops with
-ResourceCapError after DEFAULT_PIVOT_CAP pivots.
+surplus starts basic, and only the other rows get artificials.  It works
+on sparse rows with an integer ratio test: each tableau row is a dict of
+its nonzero entries, a pivot touches only the nonzero columns of the
+pivot row and builds each updated entry from integers with one
+normalisation, and the ratio test compares rhs/a as integer cross
+products; lp_solve stops with ResourceCapError after DEFAULT_PIVOT_CAP
+pivots.
 
 Membership in the convex hull of a union of regions with a common
 recession cone uses the Balas extended formulation: one LP maximises the
@@ -28,6 +31,9 @@ from .ramtypes import min_weight
 from .regions import subconvexity_matrix
 
 DEFAULT_PIVOT_CAP = 100_000
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 def rational_str(x: Fraction) -> str:
@@ -85,13 +91,15 @@ def lp_solve(problem: LPProblem) -> LPResult:
 
     Phase 1 starts from the slack basis where it can: a ">=" row with
     bound <= 0 is negated, so its surplus has coefficient +1 and starts
-    basic at -bound >= 0.  Only the other rows get artificials.
+    basic at -bound >= 0.  Only the other rows get artificials.  Each
+    tableau row is a dict {column: nonzero Fraction} with the rhs under
+    column `total`; the two cost rows are dense lists.
     Raises ResourceCapError after DEFAULT_PIVOT_CAP pivots.
     """
     n = len(problem.variables)
     # column layout: for each variable either one column (nonneg) or a +/- pair,
     # then one surplus per ">=" row, then one artificial per row without a
-    # starting surplus
+    # starting surplus, then the rhs
     col_of_var = []  # (plus_col, minus_col | None)
     ncols = 0
     for flag in problem.nonneg:
@@ -101,60 +109,54 @@ def lp_solve(problem: LPProblem) -> LPResult:
         else:
             col_of_var.append((ncols, ncols + 1))
             ncols += 2
+    bounds = [Fraction(bound) for _, _, bound in problem.constraints]
+    starts = [rel == ">=" and bound <= 0
+              for (_, rel, _), bound in zip(problem.constraints, bounds)]
     art0 = ncols + sum(1 for _, rel, _ in problem.constraints if rel == ">=")
+    total = art0 + starts.count(False)
     surplus = ncols
-    rows = []
-    rhs = []
-    basis = []
-    for row, rel, bound in problem.constraints:
-        expanded = [Fraction(0)] * art0
-        for i, coef in enumerate(row):
-            plus, minus = col_of_var[i]
-            expanded[plus] += coef
-            if minus is not None:
-                expanded[minus] -= coef
-        bound = Fraction(bound)
-        start = None
-        if rel == ">=":
-            expanded[surplus] = Fraction(-1)
-            if bound <= 0:
-                start = surplus
-            surplus += 1
-        if bound < 0 or start is not None:  # rhs >= 0, a starting surplus at +1
-            expanded = [-v for v in expanded]
-            bound = -bound
-        rows.append(expanded)
-        rhs.append(bound)
-        basis.append(start)
-    m = len(rows)
-    # phase 1: an artificial for each row without a starting surplus
-    total = art0 + basis.count(None)
     art = art0
-    for i, row in enumerate(rows):
-        row.extend([Fraction(0)] * (total - art0))
-        if basis[i] is None:
-            row[art] = Fraction(1)
-            basis[i] = art
+    tableau = []
+    basis = []
+    for (row, rel, _), bound, start in zip(problem.constraints, bounds, starts):
+        flip = start or bound < 0  # rhs >= 0, a starting surplus at +1
+        entries = {}
+        for i, coef in enumerate(row):
+            if coef:
+                if flip:
+                    coef = -coef
+                plus, minus = col_of_var[i]
+                entries[plus] = coef
+                if minus is not None:
+                    entries[minus] = -coef
+        if rel == ">=":
+            entries[surplus] = _ONE if flip else _MINUS_ONE
+            if start:
+                basis.append(surplus)
+            surplus += 1
+        if not start:
+            entries[art] = _ONE
+            basis.append(art)
             art += 1
-        row.append(rhs[i])
-    tableau = rows
-    cost1 = [Fraction(0)] * (total + 1)
-    for j in range(art0, total):
-        cost1[j] = Fraction(1)
+        if bound:
+            entries[total] = -bound if flip else bound
+        tableau.append(entries)
+    m = len(tableau)
+    cost1 = [_ZERO] * art0 + [_ONE] * (total - art0) + [_ZERO]
     shape = f"({m} rows x {n} variables)"
     _reduce_cost_row(cost1, tableau, basis)
     status, pivots = _pivot_until_optimal(tableau, cost1, basis, total, 0,
                                           f"LP phase 1 {shape}")
     if status == "unbounded":  # impossible in phase 1 (costs bounded below by 0)
         raise AssertionError("phase 1 cannot be unbounded")
-    if -cost1[-1] > 0:
+    if cost1[total] < 0:
         return LPResult(status="infeasible", pivots=pivots)
     pivots += _drive_out_artificials(tableau, basis, art0)
     keep = []
     for i, b in enumerate(basis):
         if b >= art0:
             # redundant row: all structural coefficients zero
-            if any(tableau[i][j] != 0 for j in range(art0)):
+            if any(j < art0 for j in tableau[i]):
                 raise AssertionError("artificial not driven out of a non-redundant row")
             continue
         keep.append(i)
@@ -162,24 +164,24 @@ def lp_solve(problem: LPProblem) -> LPResult:
     basis = [basis[i] for i in keep]
     # phase 2
     if problem.objective is None:
-        objective = [Fraction(0)] * n
+        objective = [_ZERO] * n
     else:
         objective = [Fraction(c) for c in problem.objective]
-    cost2 = [Fraction(0)] * (total + 1)
+    cost2 = [_ZERO] * (total + 1)
     for i, coef in enumerate(objective):
         plus, minus = col_of_var[i]
-        cost2[plus] += coef
+        cost2[plus] = coef
         if minus is not None:
-            cost2[minus] -= coef
+            cost2[minus] = -coef
     forbidden = set(range(art0, total))
     _reduce_cost_row(cost2, tableau, basis)
     status, pivots = _pivot_until_optimal(tableau, cost2, basis, total, pivots,
                                           f"LP phase 2 {shape}", forbidden=forbidden)
     if status == "unbounded":
         return LPResult(status="unbounded", pivots=pivots)
-    values = [Fraction(0)] * total
-    for i, b in enumerate(basis):
-        values[b] = tableau[i][-1]
+    values = [_ZERO] * total
+    for row, b in zip(tableau, basis):
+        values[b] = row.get(total, _ZERO)
     assignment = {}
     for i, var in enumerate(problem.variables):
         plus, minus = col_of_var[i]
@@ -189,71 +191,107 @@ def lp_solve(problem: LPProblem) -> LPResult:
     return LPResult(status="optimal", value=value, assignment=assignment, pivots=pivots)
 
 
-def _eliminate(target, coef, nonzeros):
-    """target -= coef * row in place, where nonzeros lists the row's nonzero
-    entries as (column, numerator, denominator).
+def _eliminate(cost, coef, nonzeros):
+    """cost -= coef * row in place for a dense cost row, where nonzeros lists
+    the row's nonzero entries as (column, numerator, denominator).
 
     Columns where the row is zero cannot change, so they are skipped; each
     updated entry is built from integers with a single normalisation.
     """
     cn, cd = coef.numerator, coef.denominator
     for k, rn, rd in nonzeros:
-        v = target[k]
+        v = cost[k]
         d = cd * rd
-        target[k] = Fraction(v.numerator * d - cn * rn * v.denominator, v.denominator * d)
+        cost[k] = Fraction(v.numerator * d - cn * rn * v.denominator, v.denominator * d)
+
+
+def _eliminate_sparse(target, coef, nonzeros):
+    """The same update on a dict row: an entry that appears is created, an
+    entry that cancels is deleted."""
+    cn, cd = coef.numerator, coef.denominator
+    get = target.get
+    for k, rn, rd in nonzeros:
+        v = get(k)
+        if v is None:
+            target[k] = Fraction(-cn * rn, cd * rd)
+            continue
+        vd = v.denominator
+        d = cd * rd
+        num = v.numerator * d - cn * rn * vd
+        if num:
+            target[k] = Fraction(num, vd * d)
+        else:
+            del target[k]
 
 
 def _reduce_cost_row(cost, tableau, basis):
-    for i, b in enumerate(basis):
+    for row, b in zip(tableau, basis):
         if cost[b]:
-            nonzeros = [(k, v.numerator, v.denominator) for k, v in enumerate(tableau[i]) if v]
+            nonzeros = [(k, v.numerator, v.denominator) for k, v in row.items()]
             _eliminate(cost, cost[b], nonzeros)
 
 
 def _pivot_until_optimal(tableau, cost, basis, total, pivots, stage, forbidden=frozenset()):
-    """Pivot by Bland's rule; returns the status and the running pivot count."""
+    """Pivot by Bland's rule; returns the status and the running pivot count.
+
+    The ratio test compares rhs/a as integer cross products and builds no
+    Fraction; ties go to the row with the smallest basic index.
+    """
     while True:
         entering = None
         skip = forbidden.union(basis)
         for j in range(total):
-            if j not in skip and cost[j] < 0:
+            if j not in skip and cost[j].numerator < 0:
                 entering = j
                 break
         if entering is None:
             return "optimal", pivots
         leaving = None
-        best = None
         for i, row in enumerate(tableau):
-            a = row[entering]
-            if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
+            a = row.get(entering)
+            if a is None or a.numerator <= 0:
+                continue
+            b = row.get(total, _ZERO)
+            # rhs / a = (bn * ad) / (bd * an), with a positive denominator
+            num = b.numerator * a.denominator
+            den = b.denominator * a.numerator
+            if leaving is not None:
+                cross, best = num * best_den, best_num * den
+                if cross > best or (cross == best and basis[i] > basis[leaving]):
+                    continue
+            leaving, best_num, best_den = i, num, den
         if leaving is None:
             return "unbounded", pivots
         if pivots >= DEFAULT_PIVOT_CAP:
             raise ResourceCapError(
                 f"{stage} exceeds the pivot cap of {DEFAULT_PIVOT_CAP}")
-        _pivot(tableau, cost, basis, leaving, entering)
+        nonzeros = _pivot(tableau, basis, leaving, entering)
+        coef = cost[entering]
+        if coef:
+            _eliminate(cost, coef, nonzeros)
+            cost[entering] = _ZERO
         pivots += 1
 
 
-def _pivot(tableau, cost, basis, i, j):
-    """Pivot on entry (i, j), in place, touching only row i's nonzero columns."""
+def _pivot(tableau, basis, i, j):
+    """Pivot on entry (i, j) of the dict rows, in place, touching only row
+    i's nonzero columns; returns those columns other than j as
+    (column, numerator, denominator) for the caller's cost row."""
     row = tableau[i]
     pn, pd = row[j].numerator, row[j].denominator
     nonzeros = []
-    for k, v in enumerate(row):
-        if v:
+    for k, v in row.items():
+        if k != j:
             row[k] = r = Fraction(v.numerator * pd, v.denominator * pn)
             nonzeros.append((k, r.numerator, r.denominator))
+    row[j] = _ONE
     for k, other in enumerate(tableau):
-        if k != i and other[j]:
-            _eliminate(other, other[j], nonzeros)
-    if cost[j]:
-        _eliminate(cost, cost[j], nonzeros)
+        if k != i:
+            coef = other.pop(j, None)
+            if coef is not None:
+                _eliminate_sparse(other, coef, nonzeros)
     basis[i] = j
+    return nonzeros
 
 
 def _drive_out_artificials(tableau, basis, art0):
@@ -262,14 +300,9 @@ def _drive_out_artificials(tableau, basis, art0):
     for i, b in enumerate(basis):
         if b < art0:
             continue
-        row = tableau[i]
-        pivot_col = None
-        for j in range(art0):
-            if row[j] != 0:
-                pivot_col = j
-                break
+        pivot_col = min((j for j in tableau[i] if j < art0), default=None)
         if pivot_col is not None:
-            _pivot(tableau, [Fraction(0)] * len(row), basis, i, pivot_col)
+            _pivot(tableau, basis, i, pivot_col)
             pivots += 1
     return pivots
 

@@ -31,6 +31,7 @@ import math
 import re
 from dataclasses import dataclass
 from operator import itemgetter
+from pathlib import Path
 
 from .errors import ContractViolationError, ParseError, ResourceCapError, ValidationError
 
@@ -761,6 +762,17 @@ def regular_representation(G: PermutationGroup, name=None) -> PermutationGroup:
 # ---------------------------------------------------------------------------
 # group file format
 # ---------------------------------------------------------------------------
+
+def read_input_file(path) -> str:
+    """The text of an input file; a path that is no readable UTF-8 file (a
+    directory, say) raises ValidationError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path} is not UTF-8 text") from None
+
 
 def content_lines(text: str):
     """(line number, stripped line) for each line of an input file that is

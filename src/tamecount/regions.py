@@ -256,6 +256,9 @@ def subconvexity_matrix(G: PermutationGroup, types, profile: SubconvexityProfile
 
 def _check_abelian_normal(G, T):
     T = frozenset(T)
+    G.conjugacy_classes()  # builds G._class_index, one dict over G's elements
+    if any(t.images not in G._class_index for t in T):
+        raise ContractViolationError("witness subgroup is not contained in the group")
     if not is_normal(G, T):
         raise ContractViolationError("witness subgroup is not normal")
     if not is_abelian_set(T):

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -216,11 +217,17 @@ class TestCliAnalyze:
         ("4T3", "--weight", "disc", "--profile", "lindelof(abc)"),
         ("4T3", "--weight", "inv-gamma:abc"),
         ("4T3", "--weight", "inv-gamma:1/0"),
+        # the right-regular image of 8T4's generator a: normal and abelian,
+        # but not an element of 8T4
+        ("8T4", "--weight", "disc", "--witnesses", "{outside}"),
     ])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, args):
         zero_modulus = tmp_path / "zero.cyc"
         zero_modulus.write_text("0 1\n", encoding="utf-8")
-        res = run_cli("analyze", *(a.format(zero_modulus=zero_modulus) for a in args))
+        outside = tmp_path / "outside.wit"
+        outside.write_text("(1,7,6,4)(2,3,5,8)\n", encoding="utf-8")
+        res = run_cli("analyze", *(a.format(zero_modulus=zero_modulus, outside=outside)
+                                   for a in args))
         assert res.returncode == 2
         assert "Traceback" not in res.stderr
 
@@ -580,6 +587,56 @@ def test_witness_file_fuzz_exits_cleanly(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz.witnesses"
     path.write_text(text, encoding="utf-8")
     assert cli_main(["analyze", "4T3", "--weight", "disc", "--witnesses", str(path)]) in (0, 2, 3)
+
+
+_spec_atom = st.one_of(
+    st.integers(-2, 6).map("C{}".format),
+    st.sampled_from(["S3", "4T3", "8T4"]),
+    st.sampled_from(["", " ", ".", "C", "Cx", "T4", "4T", "(", ")", ",", "()", "product",
+                     "wreath(", "8T4)", "S3,", "16T777"]))
+# well-formed, a paren or comma dropped, or one too many
+_spec_shapes = ["{op}({a},{b})"] * 4 + [
+    "{op}({a},{b}", "{op}{a},{b})", "{op}({a}{b})", "{op}({a} {b})",
+    "{op}(({a},{b})", "{op}({a},{b}))", "{op}({a},,{b})", "{op}({a},{b},)"]
+
+
+def _combinator(arg):
+    return st.builds(lambda shape, op, a, b: shape.format(op=op, a=a, b=b),
+                     st.sampled_from(_spec_shapes), st.sampled_from(["product", "wreath"]),
+                     arg, arg)
+
+
+_spec = st.one_of(_spec_atom, _combinator(_spec_atom),
+                  _combinator(st.one_of(_spec_atom, _combinator(_spec_atom))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_spec)
+def test_spec_fuzz_exits_cleanly(spec):
+    # wreath products of the atoms reach orders of 10^7; a lower element
+    # cap sends them to the resource-cap exit after a few ms
+    with mock.patch.object(perm, "DEFAULT_ELEMENT_CAP", 1000):
+        assert cli_main(["classes", spec]) in (0, 2, 3), spec
+
+
+@pytest.mark.parametrize("option", ["--weight", "--profile", "--cyc", "--witnesses"])
+def test_unreadable_input_file_exits_2(tmp_path, capsys, option):
+    args = {"--weight": "disc", option: str(tmp_path)}
+    assert cli_main(["analyze", "4T3", *(x for kv in args.items() for x in kv)]) == 2
+    assert f"cannot read {tmp_path}: Is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["", " ", "wreath(,)", "product(C2,)"])
+def test_empty_spec_is_unknown(capsys, spec):
+    assert cli_main(["classes", spec]) == 2
+    assert "unknown group spec ''" in capsys.readouterr().err
+
+
+def test_non_utf8_group_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "binary.group"
+    path.write_bytes(b"name \xd0\xff\n")
+    assert cli_main(["classes", str(path)]) == 2
+    assert "is not UTF-8 text" in capsys.readouterr().err
 
 
 _manifest_line = st.one_of(

@@ -110,6 +110,55 @@ class TestLpSolve:
         assert cli_main(["analyze", "4T3", "--weight", "disc"]) == 3
         assert "LP phase 1 (" in capsys.readouterr().err
 
+    def test_redundant_row_dropped(self, monkeypatch):
+        # min x + 2y  s.t. x + y == 2, 2x + 2y == 4 (twice the first) and
+        # x - y >= 0, x, y >= 0: the second row's artificial cannot leave
+        # the basis, so phase 2 runs on the other two rows
+        phase_rows = []
+        pivot_until_optimal = hull_lp._pivot_until_optimal
+
+        def recording(tableau, *args, **kwargs):
+            phase_rows.append(len(tableau))
+            return pivot_until_optimal(tableau, *args, **kwargs)
+
+        monkeypatch.setattr(hull_lp, "_pivot_until_optimal", recording)
+        p = LPProblem(variables=("x", "y"),
+                      constraints=[((Fraction(1), Fraction(1)), "==", Fraction(2)),
+                                   ((Fraction(2), Fraction(2)), "==", Fraction(4)),
+                                   ((Fraction(1), Fraction(-1)), ">=", Fraction(0))],
+                      objective=(Fraction(1), Fraction(2)), nonneg=(True, True))
+        r = lp_solve(p)
+        assert phase_rows == [3, 2]
+        assert r.status == "optimal" and r.value == 2
+        assert r.assignment == {"x": Fraction(2), "y": Fraction(0)}
+        _dense_pivots.clear()
+        assert _dense_lp_solve(p) == ("optimal", r.value, r.assignment)
+        assert r.pivots == len(_dense_pivots)
+
+    def test_artificial_driven_out(self, monkeypatch):
+        # min z  s.t. x + z == 0 and x == 0, x free, z >= 0: phase 1 ends
+        # with the second row's artificial basic at zero in a row holding z,
+        # so one drive-out pivot replaces it by z
+        driven = []
+        drive_out = hull_lp._drive_out_artificials
+
+        def recording(*args):
+            driven.append(drive_out(*args))
+            return driven[-1]
+
+        monkeypatch.setattr(hull_lp, "_drive_out_artificials", recording)
+        p = LPProblem(variables=("x", "z"),
+                      constraints=[((Fraction(1), Fraction(1)), "==", Fraction(0)),
+                                   ((Fraction(1), Fraction(0)), "==", Fraction(0))],
+                      objective=(Fraction(0), Fraction(1)), nonneg=(False, True))
+        r = lp_solve(p)
+        assert driven == [1]
+        assert (r.status, r.value, r.pivots) == ("optimal", 0, 2)
+        assert r.assignment == {"x": 0, "z": 0}
+        _dense_pivots.clear()
+        assert _dense_lp_solve(p) == ("optimal", r.value, r.assignment)
+        assert _dense_pivots == [(0, 0), (1, 2)]
+
     def test_16t11_pivot_counts(self, recorded_lps):
         # the threshold LP, then the max-margin membership LP of the pole
         # point; any change of pivot rule, tie-break or starting basis
@@ -635,6 +684,16 @@ def small_lps(draw):
         st.tuples(st.tuples(*[small_fraction] * n), st.sampled_from([">=", "=="]),
                   small_fraction),
         min_size=1, max_size=6))
+    # a positive multiple of an "==" row and an all-zero row leave an
+    # artificial basic at zero after phase 1: the drive-out and the
+    # redundant-row drop then run
+    equalities = [row for row in rows if row[1] == "=="]
+    if equalities and draw(st.booleans()):
+        coeffs, _, bound = draw(st.sampled_from(equalities))
+        k = draw(st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3))
+        rows.append((tuple(k * c for c in coeffs), "==", k * bound))
+    if draw(st.booleans()):
+        rows.append(((Fraction(0),) * n, draw(st.sampled_from([">=", "=="])), Fraction(0)))
     objective = draw(st.none() | st.tuples(*[small_fraction] * n))
     nonneg = draw(st.tuples(*[st.booleans()] * n))
     return LPProblem(variables=tuple(f"x{i}" for i in range(n)), constraints=rows,

@@ -7,7 +7,9 @@ import pytest
 from tamecount import (absolute_convergence_orthant, build_region, make_profile,
                        subconvexity_matrix)
 from tamecount.errors import ContractViolationError, ParseError, ValidationError
-from tamecount.perm import conjugate, cycle_count, subgroup_generated
+from tamecount.catalog import resolve_entry
+from tamecount.perm import conjugate, cycle_count, parse_permutation, subgroup_generated
+from tamecount.ramtypes import tame_types
 from tamecount.regions import (SubconvexityProfile, constraint, default_beta,
                                parse_subconvexity_file)
 from tamecount.hull_lp import hull_membership
@@ -131,6 +133,16 @@ class TestBuildRegion:
         H = subgroup_generated(G, [parse_permutation("(1,3)", 4)])
         with pytest.raises(ContractViolationError):
             build_region(G, H, types, prof, cyc_q)
+
+    def test_witness_outside_group_rejected(self, cyc_q):
+        G = resolve_entry("8T4").group
+        types = tame_types(G, cyc_q)
+        prof = make_profile("burgess-yang", types, cyc_q)
+        outside = parse_permutation("(1,7,6,4)(2,3,5,8)", 8)
+        T = subgroup_generated(G, [outside])
+        assert outside not in G
+        with pytest.raises(ContractViolationError, match="not contained in the group"):
+            build_region(G, T, types, prof, cyc_q)
 
     def test_common_t_type_bound_across_witnesses(self, q8c2_deg16, t16_types, cyc_q):
         # 2A is central, so every witness region gives it the gamma bound
