@@ -7,9 +7,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import ContractViolationError, UnsupportedHypothesisError, ValidationError
-from .perm import (PermutationGroup, fitting_subgroup, index_of, is_abelian_normal,
-                   is_abelian_set, is_normal, normal_closure, normal_subgroups, quotient,
-                   subgroup_as_group, subgroup_generated, upper_central_series)
+from .perm import (PermutationGroup, class_mask, fitting_subgroup, index_of, is_abelian_normal,
+                   normal_closure, normal_subgroups, quotient, subgroup_as_group,
+                   subgroup_generated, upper_central_series)
 from .ramtypes import WeightFunction, min_weight
 
 STATUS_CONCENTRATED = "concentrated"
@@ -137,11 +137,10 @@ def abelian_invariants(G: PermutationGroup, subset):
     factor of a finite abelian group, so peeling one off and recursing on
     the quotient carrier yields the decomposition.
     """
-    elems = frozenset(subset)
-    if not is_abelian_set(elems):
+    group = subgroup_as_group(G, subset)
+    if len(group.conjugacy_classes()) != group.order:  # abelian: singleton classes
         raise ContractViolationError("abelian invariants of a nonabelian set")
     invariants = []
-    group = subgroup_as_group(G, elems)
     while group.order > 1:
         top = min(group.elements, key=lambda g: (-g.order(), g.images))
         invariants.append(top.order())
@@ -155,9 +154,9 @@ def h1ur_chain(G: PermutationGroup, N, T):
     series of N, ending at the hypercenter; orders multiply to |T|."""
     N = frozenset(N)
     T = frozenset(T)
-    if not (is_normal(G, N) and is_normal(G, T)):
+    if class_mask(G, N) is None or class_mask(G, T) is None:
         raise ContractViolationError("N and T must be normal in G")
-    if not is_abelian_set(T):
+    if not is_abelian_normal(G, T):
         raise ContractViolationError("T must be abelian")
     N_group = subgroup_as_group(G, N, name="N")
     series = upper_central_series(N_group)
@@ -212,7 +211,7 @@ def wreath_theta_bound(N: PermutationGroup, witnesses, m: int, k_degree: int) ->
     thetas = []
     for T in witnesses:
         T = frozenset(T)
-        if not is_normal(N, T) or not is_abelian_set(T):
+        if class_mask(N, T) is None or not is_abelian_normal(N, T):
             raise ContractViolationError("witnesses must be abelian and normal in N")
         thetas.append(wreath_theta_from_params(N.degree, a, len(T), m, k_degree))
     return min(thetas)

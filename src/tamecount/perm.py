@@ -9,6 +9,9 @@ subgroups, normal closures and the Fitting subgroup are unions of
 classes, found as bitmask fixpoints of that table (the class-structure
 methods of Hulpke, "Computing normal subgroups", ISSAC 1998).  The
 normal-subgroup lattice and the Fitting subgroup are cached as well.
+Membership, normality, subgroup and abelian tests read the same data:
+`in` the class index, `class_mask` and `is_abelian_normal` the classes
+and their product table.
 
 Every breadth-first search here is one `orbit`: the element closure,
 the conjugation orbits that make the classes, the point orbit behind
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -334,7 +338,11 @@ class PermutationGroup:
         return len(self.elements)
 
     def __contains__(self, g):
-        return isinstance(g, Permutation) and g in set(self.elements)
+        """Membership, read from the class index."""
+        if not isinstance(g, Permutation):
+            return False
+        self.conjugacy_classes()
+        return g.images in self._class_index
 
     def element_set(self):
         return frozenset(self.elements)
@@ -446,36 +454,12 @@ def index_of(g: Permutation, n: int | None = None) -> int:
     return g.degree - cycle_count(g.images)
 
 
-# ---------------------------------------------------------------------------
-# subgroup machinery (element-set based)
-# ---------------------------------------------------------------------------
-
 def subgroup_generated(G: PermutationGroup, elems) -> frozenset:
     """Subgroup of G generated by `elems`, as an element set."""
     gens = [g.images for g in elems]
     if not gens:
         return frozenset({G.identity})
     return frozenset(map(Permutation._of, closure(gens)))
-
-
-def is_subgroup(G: PermutationGroup, subset) -> bool:
-    subset = frozenset(subset)
-    if G.identity not in subset:
-        return False
-    imgs = {g.images for g in subset}
-    return all(compose(a.images, b.images) in imgs for a in subset for b in subset)
-
-
-def is_normal(G: PermutationGroup, subset) -> bool:
-    imgs = {g.images for g in subset}
-    step = conjugation_step([h.images for h in G.generators])
-    return all(imgs.issuperset(step(g)) for g in imgs)
-
-
-def is_abelian_set(subset) -> bool:
-    elems = sorted(subset)
-    return all(compose(a.images, b.images) == compose(b.images, a.images)
-               for i, a in enumerate(elems) for b in elems[i + 1:])
 
 
 def pointwise_class_centralizer(G: PermutationGroup, c) -> frozenset:
@@ -490,25 +474,6 @@ def pointwise_class_centralizer(G: PermutationGroup, c) -> frozenset:
 def subgroup_key(subset):
     """The canonical subgroup order: (order, sorted image tuples)."""
     return (len(subset), sorted(g.images for g in subset))
-
-
-def all_subgroups(G: PermutationGroup):
-    """Every subgroup of G by brute-force closure growth (test oracle)."""
-    trivial = frozenset({G.identity})
-    known = {trivial}
-    frontier = [trivial]
-    while frontier:
-        new = []
-        for H in frontier:
-            for g in G.elements:
-                if g in H:
-                    continue
-                grown = subgroup_generated(G, set(H) | {g})
-                if grown not in known:
-                    known.add(grown)
-                    new.append(grown)
-        frontier = new
-    return sorted(known, key=subgroup_key)
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +516,20 @@ def _class_union(G: PermutationGroup, mask: int) -> frozenset:
     return frozenset(out)
 
 
+def class_mask(G: PermutationGroup, subset) -> int | None:
+    """Bitmask of the classes of G whose union is `subset`.
+
+    None when an element of `subset` lies outside G or when `subset` meets
+    a class without containing all of it; so a subset of G gets a mask
+    exactly when it is closed under conjugation.
+    """
+    classes = G.conjugacy_classes()
+    hits = Counter(map(G._class_index.get, {x.images for x in subset}))
+    if None in hits or any(classes[i].size != n for i, n in hits.items()):
+        return None
+    return sum(1 << i for i in hits)
+
+
 def normal_closure(G: PermutationGroup, elems) -> frozenset:
     """Smallest normal subgroup of G containing `elems`."""
     gens = sorted({G.class_index(g) for g in elems})
@@ -558,11 +537,11 @@ def normal_closure(G: PermutationGroup, elems) -> frozenset:
 
 
 def is_abelian_normal(G: PermutationGroup, N) -> bool:
-    """Whether the normal subgroup N of G is abelian.
+    """Whether the union of classes N of G is abelian.
 
-    Checks only the classes that generate N, each taken when the classes
+    Checks only the classes that generate <N>, each taken when the classes
     before it do not yet generate it: a group generated by pairwise
-    commuting elements is abelian.
+    commuting elements is abelian, and N is abelian exactly when <N> is.
     """
     prod = G.class_products()
     classes = G.conjugacy_classes()
@@ -604,10 +583,13 @@ def _normal_subgroup_lattice(G: PermutationGroup):
 def quotient(G: PermutationGroup, N) -> QuotientGroup:
     """G/N with the carrier acting regularly on the coset space."""
     N = frozenset(N)
-    if not is_subgroup(G, N):
-        raise ContractViolationError("kernel is not a subgroup")
-    if not is_normal(G, N):
+    mask = class_mask(G, N)
+    if mask is None:
         raise ContractViolationError("kernel is not normal")
+    # from the identity class, N's classes generate <N>; N is a subgroup
+    # exactly when that adds nothing
+    if _close(G.class_products(), 1, list(_bits(mask))) != mask:
+        raise ContractViolationError("kernel is not a subgroup")
     cosets = []
     seen = set()
     for g in G.elements:  # canonical order; coset rep = minimal member
@@ -835,8 +817,3 @@ def prime_factors(n: int) -> dict:
     if n > 1:
         out[n] = 1
     return out
-
-
-def sylow_orders(G: PermutationGroup):
-    """Prime factorization of |G| as {p: p^k}."""
-    return {p: p ** k for p, k in prime_factors(G.order).items()}

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractViolationError, ParseError, ValidationError
-from .perm import (PermutationGroup, content_lines, conjugation_step, cycle_count,
-                   is_abelian_set, is_normal)
+from .perm import (PermutationGroup, class_mask, content_lines, conjugation_step, cycle_count,
+                   is_abelian_normal)
 from .ramtypes import CyclotomicProfile
 
 WEYL_T_EXPONENT = Fraction(1, 3)
@@ -256,12 +256,11 @@ def subconvexity_matrix(G: PermutationGroup, types, profile: SubconvexityProfile
 
 def _check_abelian_normal(G, T):
     T = frozenset(T)
-    G.conjugacy_classes()  # builds G._class_index, one dict over G's elements
-    if any(t.images not in G._class_index for t in T):
+    if not all(t in G for t in T):
         raise ContractViolationError("witness subgroup is not contained in the group")
-    if not is_normal(G, T):
+    if class_mask(G, T) is None:
         raise ContractViolationError("witness subgroup is not normal")
-    if not is_abelian_set(T):
+    if not is_abelian_normal(G, T):
         raise ContractViolationError("witness subgroup is not abelian")
     return T
 

@@ -6,8 +6,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from tamecount import hull_membership, verify_certificate
-from tamecount.perm import (PermutationGroup, all_subgroups, is_normal,
-                            normal_subgroups, product_representation, wreath_product)
+from tamecount.perm import (PermutationGroup, compose, conjugation_step, normal_subgroups,
+                            prime_factors, product_representation, subgroup_generated,
+                            subgroup_key, wreath_product)
 from tamecount.regions import TubularRegion, constraint
 
 
@@ -213,6 +214,55 @@ def run_conditional_hull_draws(count, seed=99):
 
 
 # ---------------------------------------------------------------------------
+# element-set oracles: the walkers that the class-data tests replaced in
+# `tamecount.perm`, kept verbatim apart from their names
+# ---------------------------------------------------------------------------
+
+def ref_is_subgroup(G: PermutationGroup, subset) -> bool:
+    subset = frozenset(subset)
+    if G.identity not in subset:
+        return False
+    imgs = {g.images for g in subset}
+    return all(compose(a.images, b.images) in imgs for a in subset for b in subset)
+
+
+def ref_is_normal(G: PermutationGroup, subset) -> bool:
+    imgs = {g.images for g in subset}
+    step = conjugation_step([h.images for h in G.generators])
+    return all(imgs.issuperset(step(g)) for g in imgs)
+
+
+def ref_is_abelian_set(subset) -> bool:
+    elems = sorted(subset)
+    return all(compose(a.images, b.images) == compose(b.images, a.images)
+               for i, a in enumerate(elems) for b in elems[i + 1:])
+
+
+def ref_all_subgroups(G: PermutationGroup):
+    """Every subgroup of G by brute-force closure growth (test oracle)."""
+    trivial = frozenset({G.identity})
+    known = {trivial}
+    frontier = [trivial]
+    while frontier:
+        new = []
+        for H in frontier:
+            for g in G.elements:
+                if g in H:
+                    continue
+                grown = subgroup_generated(G, set(H) | {g})
+                if grown not in known:
+                    known.add(grown)
+                    new.append(grown)
+        frontier = new
+    return sorted(known, key=subgroup_key)
+
+
+def ref_sylow_orders(G: PermutationGroup):
+    """Prime factorization of |G| as {p: p^k}."""
+    return {p: p ** k for p, k in prime_factors(G.order).items()}
+
+
+# ---------------------------------------------------------------------------
 # exhaustive group suites
 # ---------------------------------------------------------------------------
 
@@ -278,7 +328,7 @@ def run_normal_join_vs_bruteforce():
     checked = 0
     for G in normal_scan_groups_up_to_100():
         assert G.order <= 100
-        expected = {frozenset(H) for H in all_subgroups(G) if is_normal(G, H)}
+        expected = {frozenset(H) for H in ref_all_subgroups(G) if ref_is_normal(G, H)}
         got = {frozenset(N) for N in normal_subgroups(G)}
         checked += len(expected)
         if got != expected:

@@ -15,8 +15,8 @@ from tamecount.concentration import (FITTING_CONCENTRATED, FITTING_NILPOTENT,
 from tamecount.errors import (ContractViolationError, UnsupportedHypothesisError,
                               ValidationError)
 from tamecount.catalog import resolve_entry
-from tamecount.perm import (Permutation, PermutationGroup, subgroup_generated, subgroup_key,
-                            upper_central_series)
+from tamecount.perm import (Permutation, PermutationGroup, parse_permutation, subgroup_generated,
+                            subgroup_key, upper_central_series)
 from tamecount.ramtypes import tame_types
 
 
@@ -254,7 +254,6 @@ class TestH1urChain:
                 assert prod == len(T)
 
     def test_hypercenter_containment_enforced(self, cyc_q):
-        from tamecount.perm import parse_permutation
         S3 = PermutationGroup(3, ["(1,2,3)", "(1,2)"], name="S3")
         A3 = subgroup_generated(S3, [parse_permutation("(1,2,3)", 3)])
         # N = A3 has hypercenter A3 (abelian); T = A3 fine
@@ -262,6 +261,12 @@ class TestH1urChain:
         # but T = A3 inside N = S3 fails: hypercenter of S3 is trivial
         with pytest.raises(ContractViolationError, match="hypercenter"):
             h1ur_chain(S3, S3.element_set(), A3)
+
+    def test_subgroup_outside_group_rejected(self):
+        G = PermutationGroup(4, ["(1,2)"])
+        K = {Permutation.identity(4), parse_permutation("(3,4)", 4)}
+        with pytest.raises(ContractViolationError, match="N and T must be normal in G"):
+            h1ur_chain(G, K, K)
 
     def test_abelian_invariants(self, q8c2_deg8):
         G = q8c2_deg8.group
@@ -307,6 +312,12 @@ class TestWreathTheta:
         G = PermutationGroup(3, ["(1,2,3)"], name="C3")
         with pytest.raises(UnsupportedHypothesisError):
             wreath_theta_bound(G, [G.element_set()], 2, 1)
+
+    def test_witness_outside_group_rejected(self):
+        G = PermutationGroup(4, ["(1,2)"])
+        outside = subgroup_generated(G, [parse_permutation("(3,4)", 4)])
+        with pytest.raises(ContractViolationError, match="abelian and normal in N"):
+            wreath_theta_bound(G, [outside], 2, 1)
 
     def test_non_power_of_two_witness_size(self):
         with pytest.raises(ValidationError):

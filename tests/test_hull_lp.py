@@ -1,5 +1,6 @@
 """Exact simplex, Balas hull membership, thresholds, and the
 LP-vs-Caratheodory dual-route checks."""
+import math
 import random
 from fractions import Fraction
 
@@ -674,7 +675,16 @@ def _drive_out_artificials(tableau, basis, art0):
             _pivot(tableau, [Fraction(0)] * len(row), basis, i, pivot_col)
 
 
-small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+@st.composite
+def fractions_over_3(draw, low, high):
+    """A fraction in [low, high] with denominator at most 3: the set that
+    `st.fractions(low, high, max_denominator=3)` draws, from two integer
+    draws at a fraction of its cost."""
+    q = draw(st.integers(1, 3))
+    return Fraction(draw(st.integers(math.ceil(low * q), math.floor(high * q))), q)
+
+
+small_fraction = fractions_over_3(-3, 3)
 
 
 @st.composite
@@ -690,7 +700,7 @@ def small_lps(draw):
     equalities = [row for row in rows if row[1] == "=="]
     if equalities and draw(st.booleans()):
         coeffs, _, bound = draw(st.sampled_from(equalities))
-        k = draw(st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3))
+        k = draw(fractions_over_3(Fraction(1, 3), 3))
         rows.append((tuple(k * c for c in coeffs), "==", k * bound))
     if draw(st.booleans()):
         rows.append(((Fraction(0),) * n, draw(st.sampled_from([">=", "=="])), Fraction(0)))

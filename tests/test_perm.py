@@ -1,5 +1,7 @@
 """Permutation engine: parsing, enumeration, classes, subgroups, series."""
+import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +18,11 @@ import tamecount.perm as perm
 from tamecount.catalog import Q8XC2_CLASS_REPS
 from tamecount.errors import (ContractViolationError, ParseError, ResourceCapError,
                               ValidationError)
-from tamecount.perm import (Permutation, all_subgroups, compose, conjugate, conjugation_step,
-                            cycle_count, inverse, is_abelian_set, is_normal, is_subgroup, orbit,
-                            prime_factors, right_multiplier, subgroup_generated, subgroup_key,
-                            sylow_orders)
+from tamecount.perm import (Permutation, class_mask, compose, conjugate, conjugation_step,
+                            cycle_count, inverse, is_abelian_normal, orbit, prime_factors,
+                            right_multiplier, subgroup_generated, subgroup_key)
+from _suites import (ref_all_subgroups, ref_is_abelian_set, ref_is_normal, ref_is_subgroup,
+                     ref_sylow_orders)
 
 
 def s4():
@@ -181,7 +184,7 @@ class TestPrimeFactors:
             assert prime_factors(n) == expected
 
     def test_sylow_orders(self):
-        assert sylow_orders(s4()) == {2: 8, 3: 3}
+        assert ref_sylow_orders(s4()) == {2: 8, 3: 3}
 
 
 class TestParsePermutation:
@@ -260,6 +263,22 @@ class TestEnumeration:
         with pytest.raises(ValidationError):
             PermutationGroup(0, [])
 
+    def test_membership(self, d4_quartic):
+        G = d4_quartic.group
+        assert all(g in G for g in G.elements)
+        assert parse_permutation("(1,2)", 4) not in G
+        assert Permutation.identity(5) not in G  # another degree
+        assert G.identity.images not in G and "()" not in G  # not a Permutation
+
+    def test_membership_is_fast(self):
+        # one class-index lookup per query; rebuilding the element set
+        # costs about 0.6 ms per query on this order-2048 group
+        G = wreath_product(cyclic(2), cyclic(8))
+        queries = [G.elements[i % G.order] for i in range(10_000)]
+        start = time.perf_counter()
+        assert all(g in G for g in queries)
+        assert time.perf_counter() - start < 1.0
+
 
 class TestConjugacyClasses:
     def test_d4_sizes(self, d4_quartic):
@@ -311,7 +330,7 @@ class TestCentralizer:
     def test_result_is_subgroup(self, q8c2_deg8):
         G = q8c2_deg8.group
         for cls in G.conjugacy_classes():
-            assert is_subgroup(G, pointwise_class_centralizer(G, cls.members))
+            assert ref_is_subgroup(G, pointwise_class_centralizer(G, cls.members))
 
 
 class TestNormalSubgroups:
@@ -334,7 +353,7 @@ class TestNormalSubgroups:
     ])
     def test_matches_bruteforce_scan(self, builder):
         G = builder()
-        expected = {H for H in map(frozenset, all_subgroups(G)) if is_normal(G, H)}
+        expected = {H for H in map(frozenset, ref_all_subgroups(G)) if ref_is_normal(G, H)}
         assert set(map(frozenset, normal_subgroups(G))) == expected
 
     def test_canonical_order(self, q8c2_deg8):
@@ -379,6 +398,53 @@ class TestQuotient:
         with pytest.raises(ContractViolationError):
             quotient(G, H)
 
+    def test_kernel_outside_group_rejected(self):
+        G = PermutationGroup(4, ["(1,2)"])
+        K = {Permutation.identity(4), parse_permutation("(3,4)", 4)}
+        with pytest.raises(ContractViolationError, match="kernel is not normal"):
+            quotient(G, K)
+
+
+def _outside_element(G):
+    """The least permutation of G's degree outside G; None for the full
+    symmetric group."""
+    elements = G.element_set()
+    perms = map(Permutation, itertools.permutations(range(1, G.degree + 1)))
+    return next((p for p in perms if p not in elements), None)
+
+
+@pytest.mark.parametrize("G", [pytest.param(G, id=f"{G.name}-{G.order}")
+                               for G in _suites.normal_scan_groups_up_to_100()])
+def test_class_data_predicates_match_element_walkers(G):
+    """class_mask, the quotient guard and is_abelian_normal against the
+    element-set oracles, on every subgroup, on subsets that meet a class
+    in part, on unions of one or two classes and on subsets holding an
+    element outside G."""
+    elements = G.element_set()
+    classes = G.conjugacy_classes()
+    subsets = {frozenset()} | set(map(frozenset, ref_all_subgroups(G)))
+    subsets |= {c.members | d.members for c in classes for d in classes}
+    for N in normal_subgroups(G):
+        subsets |= {N - {max(c.members)} for c in classes if c.size > 1 and c.members <= N}
+    outside = _outside_element(G)
+    if outside is not None:
+        subsets |= {S | {outside} for S in list(subsets)}
+    for S in subsets:
+        inside = S <= elements
+        normal = inside and ref_is_normal(G, S)
+        mask = class_mask(G, S)
+        assert (mask is not None) == normal
+        try:
+            quotient(G, S)
+            accepted = True
+        except ContractViolationError:
+            accepted = False
+        assert accepted == (normal and ref_is_subgroup(G, S))
+        if mask is not None:
+            assert set().union(*(classes[i].members
+                                 for i in range(len(classes)) if mask >> i & 1)) == S
+            assert is_abelian_normal(G, S) == ref_is_abelian_set(S)
+
 
 class TestSeries:
     def test_d4_series(self, d4_quartic):
@@ -400,7 +466,6 @@ class TestSeries:
     def test_nilpotent_iff_sylow_product(self):
         # nilpotent <=> every Sylow subgroup is normal (so G is their
         # direct product); cross-checked for orders <= 100
-        from tamecount.perm import sylow_orders
         cases = [(cyclic(12), True), (s4(), False),
                  (PermutationGroup(3, ["(1,2,3)", "(1,2)"]), False),
                  (wreath_product(cyclic(2), cyclic(2)), True),
@@ -410,9 +475,9 @@ class TestSeries:
             assert G.order <= 100
             assert is_nilpotent(G) is expect
             sylow_product = True
-            for p, pk in sylow_orders(G).items():
+            for p, pk in ref_sylow_orders(G).items():
                 p_part = {g for g in G.elements if pk % g.order() == 0}
-                sylow_product &= (len(p_part) == pk and is_subgroup(G, p_part))
+                sylow_product &= (len(p_part) == pk and ref_is_subgroup(G, p_part))
             assert sylow_product is expect
 
 
@@ -438,7 +503,7 @@ class TestFitting:
         from tamecount.perm import subgroup_as_group
         for G in [s4(), PermutationGroup(3, ["(1,2,3)", "(1,2)"])]:
             fit = fitting_subgroup(G)
-            assert is_normal(G, fit)
+            assert ref_is_normal(G, fit)
             assert is_nilpotent(subgroup_as_group(G, fit))
 
 
@@ -569,5 +634,5 @@ def test_normal_subgroups_are_class_unions(q8c2_deg8):
 
 def test_abelian_set_helper(d4_quartic):
     G = d4_quartic.group
-    assert is_abelian_set(subgroup_generated(G, [parse_permutation("(1,2,3,4)", 4)]))
-    assert not is_abelian_set(G.element_set())
+    assert ref_is_abelian_set(subgroup_generated(G, [parse_permutation("(1,2,3,4)", 4)]))
+    assert not ref_is_abelian_set(G.element_set())
