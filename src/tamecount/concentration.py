@@ -137,6 +137,8 @@ def abelian_invariants(G: PermutationGroup, subset):
     factor of a finite abelian group, so peeling one off and recursing on
     the quotient carrier yields the decomposition.
     """
+    if not all(g in G for g in subset):
+        raise ContractViolationError("abelian invariants of a set outside the group")
     group = subgroup_as_group(G, subset)
     if len(group.conjugacy_classes()) != group.order:  # abelian: singleton classes
         raise ContractViolationError("abelian invariants of a nonabelian set")

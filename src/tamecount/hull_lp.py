@@ -1,15 +1,19 @@
 """Exact rational linear programming and convex hulls of region unions.
 
-The solver is a two-phase tableau simplex over fractions.Fraction with
-Bland's anti-cycling rule: exact and deterministic.  Phase 1 starts from
-the slack basis: a ">=" row with bound <= 0 is negated so that its
-surplus starts basic, and only the other rows get artificials.  It works
-on sparse rows with an integer ratio test: each tableau row is a dict of
-its nonzero entries, a pivot touches only the nonzero columns of the
-pivot row and builds each updated entry from integers with one
-normalisation, and the ratio test compares rhs/a as integer cross
-products; lp_solve stops with ResourceCapError after DEFAULT_PIVOT_CAP
-pivots.
+The solver is a fraction-free two-phase tableau simplex with Bland's
+anti-cycling rule: exact and deterministic.  Phase 1 starts from the
+slack basis: a ">=" row with bound <= 0 is negated so that its surplus
+starts basic, and only the other rows get artificials.  Each tableau row
+is a sparse dict of nonzero integers, primitive (the gcd of its entries
+is 1) and a positive multiple of the row a Fraction tableau would hold,
+so its basic column holds a positive integer instead of 1.  A pivot on
+entry p of row r replaces each other row k holding a in the pivot column
+by p*row_k - a*row_r made primitive (Bareiss 1968 and Edmonds 1967 on
+fraction-free elimination).  Positive row scaling changes no ratio
+rhs/a, no reduced-cost sign and no basic index, so the pivots are those
+of the Fraction simplex; the ratio test compares integer cross products.
+Fractions are built only from the LPProblem and for the LPResult.
+lp_solve stops with ResourceCapError after DEFAULT_PIVOT_CAP pivots.
 
 Membership in the convex hull of a union of regions with a common
 recession cone uses the Balas extended formulation: one LP maximises the
@@ -23,17 +27,16 @@ equality rows, which alone need artificials.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .errors import ResourceCapError, ValidationError
 from .ramtypes import min_weight
 from .regions import subconvexity_matrix
 
 DEFAULT_PIVOT_CAP = 100_000
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
 
 
 def rational_str(x: Fraction) -> str:
@@ -87,14 +90,18 @@ class LPResult:
 
 
 def lp_solve(problem: LPProblem) -> LPResult:
-    """Exact two-phase simplex with Bland's rule.
+    """Exact two-phase simplex with Bland's rule, fraction-free.
 
     Phase 1 starts from the slack basis where it can: a ">=" row with
     bound <= 0 is negated, so its surplus has coefficient +1 and starts
     basic at -bound >= 0.  Only the other rows get artificials.  Each
-    tableau row is a dict {column: nonzero Fraction} with the rhs under
-    column `total`; the two cost rows are dense lists.
-    Raises ResourceCapError after DEFAULT_PIVOT_CAP pivots.
+    tableau row is a primitive integer dict {column: nonzero int} with the
+    rhs under column `total`; it is a positive multiple of the row that
+    the Fraction simplex would hold, so its basic column holds a positive
+    integer instead of 1.  The two cost rows are primitive integer lists,
+    positive multiples of the reduced costs, and only their signs are
+    read.  Fractions appear only where the problem is read and the result
+    written.  Raises ResourceCapError after DEFAULT_PIVOT_CAP pivots.
     """
     n = len(problem.variables)
     # column layout: for each variable either one column (nonneg) or a +/- pair,
@@ -130,19 +137,19 @@ def lp_solve(problem: LPProblem) -> LPResult:
                 if minus is not None:
                     entries[minus] = -coef
         if rel == ">=":
-            entries[surplus] = _ONE if flip else _MINUS_ONE
+            entries[surplus] = 1 if flip else -1
             if start:
                 basis.append(surplus)
             surplus += 1
         if not start:
-            entries[art] = _ONE
+            entries[art] = 1
             basis.append(art)
             art += 1
         if bound:
             entries[total] = -bound if flip else bound
-        tableau.append(entries)
+        tableau.append(_integer_row(entries))
     m = len(tableau)
-    cost1 = [_ZERO] * art0 + [_ONE] * (total - art0) + [_ZERO]
+    cost1 = [0] * art0 + [1] * (total - art0) + [0]
     shape = f"({m} rows x {n} variables)"
     _reduce_cost_row(cost1, tableau, basis)
     status, pivots = _pivot_until_optimal(tableau, cost1, basis, total, 0,
@@ -164,24 +171,27 @@ def lp_solve(problem: LPProblem) -> LPResult:
     basis = [basis[i] for i in keep]
     # phase 2
     if problem.objective is None:
-        objective = [_ZERO] * n
+        objective = [Fraction(0)] * n
     else:
         objective = [Fraction(c) for c in problem.objective]
-    cost2 = [_ZERO] * (total + 1)
+    costs = {}
     for i, coef in enumerate(objective):
-        plus, minus = col_of_var[i]
-        cost2[plus] = coef
-        if minus is not None:
-            cost2[minus] = -coef
+        if coef:
+            plus, minus = col_of_var[i]
+            costs[plus] = coef
+            if minus is not None:
+                costs[minus] = -coef
+    costs = _integer_row(costs)
+    cost2 = [costs.get(j, 0) for j in range(total + 1)]
     forbidden = set(range(art0, total))
     _reduce_cost_row(cost2, tableau, basis)
     status, pivots = _pivot_until_optimal(tableau, cost2, basis, total, pivots,
                                           f"LP phase 2 {shape}", forbidden=forbidden)
     if status == "unbounded":
         return LPResult(status="unbounded", pivots=pivots)
-    values = [_ZERO] * total
+    values = [Fraction(0)] * total
     for row, b in zip(tableau, basis):
-        values[b] = row.get(total, _ZERO)
+        values[b] = Fraction(row.get(total, 0), row[b])
     assignment = {}
     for i, var in enumerate(problem.variables):
         plus, minus = col_of_var[i]
@@ -191,57 +201,84 @@ def lp_solve(problem: LPProblem) -> LPResult:
     return LPResult(status="optimal", value=value, assignment=assignment, pivots=pivots)
 
 
-def _eliminate(cost, coef, nonzeros):
-    """cost -= coef * row in place for a dense cost row, where nonzeros lists
-    the row's nonzero entries as (column, numerator, denominator).
+# The row gcd and lcm fold with reduce rather than unpack a dict view or a
+# generator into math.gcd(*...): each such call builds an argument tuple,
+# and the freed tuples pile up in the interpreter's tuple free list until a
+# full collection, which integer pivoting (no GC-tracked Fractions) makes
+# rare.  Over 480 golden passes that held ~1.8 MB of extra peak RSS.
 
-    Columns where the row is zero cannot change, so they are skipped; each
-    updated entry is built from integers with a single normalisation.
-    """
-    cn, cd = coef.numerator, coef.denominator
-    for k, rn, rd in nonzeros:
-        v = cost[k]
-        d = cd * rd
-        cost[k] = Fraction(v.numerator * d - cn * rn * v.denominator, v.denominator * d)
+def _integer_row(entries):
+    """The primitive integer dict row that is a positive multiple of a dict
+    of nonzero rationals (ints or Fractions)."""
+    scale = reduce(math.lcm, (v.denominator for v in entries.values()), 1)
+    return _primitive({k: v.numerator * (scale // v.denominator) for k, v in entries.items()})
 
 
-def _eliminate_sparse(target, coef, nonzeros):
-    """The same update on a dict row: an entry that appears is created, an
-    entry that cancels is deleted."""
-    cn, cd = coef.numerator, coef.denominator
-    get = target.get
-    for k, rn, rd in nonzeros:
-        v = get(k)
-        if v is None:
-            target[k] = Fraction(-cn * rn, cd * rd)
-            continue
-        vd = v.denominator
-        d = cd * rd
-        num = v.numerator * d - cn * rn * vd
-        if num:
-            target[k] = Fraction(num, vd * d)
+def _primitive(row):
+    """row divided by the gcd of its entries; row is a dict of ints."""
+    g = reduce(math.gcd, row.values(), 0)
+    if g <= 1:  # 0 only for an empty row
+        return row
+    return {k: v // g for k, v in row.items()}
+
+
+def _combine(row, p, a, pivot_row):
+    """The primitive dict row that is a positive multiple of p*row -
+    a*pivot_row (p > 0): an entry that appears is created, an entry that
+    cancels is deleted."""
+    g = math.gcd(p, a)
+    if g != 1:
+        p //= g
+        a //= g
+    new = row.copy() if p == 1 else {k: p * v for k, v in row.items()}
+    get = new.get
+    for k, v in pivot_row.items():
+        w = get(k, 0) - a * v
+        if w:
+            new[k] = w
         else:
-            del target[k]
+            del new[k]
+    return _primitive(new)
+
+
+def _eliminate_cost(cost, j, pivot_row):
+    """cost <- p*cost - cost[j]*pivot_row, made primitive, in place, where
+    p = pivot_row[j] > 0: the cost row's entry j becomes 0 and every other
+    entry keeps the sign of its reduced cost."""
+    a = cost[j]
+    p = pivot_row[j]
+    g = math.gcd(p, a)
+    if g != 1:
+        p //= g
+        a //= g
+    if p != 1:
+        cost[:] = [p * v for v in cost]
+    for k, v in pivot_row.items():
+        cost[k] -= a * v
+    g = math.gcd(*cost)
+    if g > 1:
+        cost[:] = [v // g for v in cost]
 
 
 def _reduce_cost_row(cost, tableau, basis):
     for row, b in zip(tableau, basis):
         if cost[b]:
-            nonzeros = [(k, v.numerator, v.denominator) for k, v in row.items()]
-            _eliminate(cost, cost[b], nonzeros)
+            _eliminate_cost(cost, b, row)
 
 
 def _pivot_until_optimal(tableau, cost, basis, total, pivots, stage, forbidden=frozenset()):
     """Pivot by Bland's rule; returns the status and the running pivot count.
 
-    The ratio test compares rhs/a as integer cross products and builds no
-    Fraction; ties go to the row with the smallest basic index.
+    The ratio test compares rhs/a as integer cross products; ties go to
+    the row with the smallest basic index.  Scaling a row by a positive
+    integer changes neither its ratio nor a reduced-cost sign, so the
+    pivots are those of the Fraction simplex.
     """
     while True:
         entering = None
         skip = forbidden.union(basis)
         for j in range(total):
-            if j not in skip and cost[j].numerator < 0:
+            if j not in skip and cost[j] < 0:
                 entering = j
                 break
         if entering is None:
@@ -249,49 +286,42 @@ def _pivot_until_optimal(tableau, cost, basis, total, pivots, stage, forbidden=f
         leaving = None
         for i, row in enumerate(tableau):
             a = row.get(entering)
-            if a is None or a.numerator <= 0:
+            if a is None or a <= 0:
                 continue
-            b = row.get(total, _ZERO)
-            # rhs / a = (bn * ad) / (bd * an), with a positive denominator
-            num = b.numerator * a.denominator
-            den = b.denominator * a.numerator
+            b = row.get(total, 0)
             if leaving is not None:
-                cross, best = num * best_den, best_num * den
+                # b / a against best_b / best_a, both denominators positive
+                cross, best = b * best_a, best_b * a
                 if cross > best or (cross == best and basis[i] > basis[leaving]):
                     continue
-            leaving, best_num, best_den = i, num, den
+            leaving, best_b, best_a = i, b, a
         if leaving is None:
             return "unbounded", pivots
         if pivots >= DEFAULT_PIVOT_CAP:
             raise ResourceCapError(
                 f"{stage} exceeds the pivot cap of {DEFAULT_PIVOT_CAP}")
-        nonzeros = _pivot(tableau, basis, leaving, entering)
-        coef = cost[entering]
-        if coef:
-            _eliminate(cost, coef, nonzeros)
-            cost[entering] = _ZERO
+        _pivot(tableau, basis, leaving, entering)
+        if cost[entering]:
+            _eliminate_cost(cost, entering, tableau[leaving])
         pivots += 1
 
 
 def _pivot(tableau, basis, i, j):
-    """Pivot on entry (i, j) of the dict rows, in place, touching only row
-    i's nonzero columns; returns those columns other than j as
-    (column, numerator, denominator) for the caller's cost row."""
+    """Pivot on entry (i, j) of the integer rows: row i is negated if its
+    entry is negative (only an artificial drive-out, at rhs 0, picks such
+    an entry), then every other row k with a nonzero entry a in column j
+    becomes p*row_k - a*row_i, made primitive."""
     row = tableau[i]
-    pn, pd = row[j].numerator, row[j].denominator
-    nonzeros = []
-    for k, v in row.items():
-        if k != j:
-            row[k] = r = Fraction(v.numerator * pd, v.denominator * pn)
-            nonzeros.append((k, r.numerator, r.denominator))
-    row[j] = _ONE
+    p = row[j]
+    if p < 0:
+        row = tableau[i] = {k: -v for k, v in row.items()}
+        p = -p
     for k, other in enumerate(tableau):
         if k != i:
-            coef = other.pop(j, None)
-            if coef is not None:
-                _eliminate_sparse(other, coef, nonzeros)
+            a = other.get(j)
+            if a is not None:
+                tableau[k] = _combine(other, p, a, row)
     basis[i] = j
-    return nonzeros
 
 
 def _drive_out_artificials(tableau, basis, art0):

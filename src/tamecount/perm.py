@@ -586,9 +586,14 @@ def quotient(G: PermutationGroup, N) -> QuotientGroup:
     mask = class_mask(G, N)
     if mask is None:
         raise ContractViolationError("kernel is not normal")
-    # from the identity class, N's classes generate <N>; N is a subgroup
-    # exactly when that adds nothing
-    if _close(G.class_products(), 1, list(_bits(mask))) != mask:
+    # a normal N holding the identity is a subgroup exactly when m*r lies in
+    # N for each m in N and each class representative r in N: g r g^-1 is
+    # any member of r's class, and m g r g^-1 = g (g^-1 m g) r g^-1
+    classes = G.conjugacy_classes()
+    members = [x.images for x in N]
+    products = (G._class_index[p] for i in _bits(mask)
+                for p in map(right_multiplier(classes[i].representative.images), members))
+    if not mask & 1 or any(not mask >> c & 1 for c in products):
         raise ContractViolationError("kernel is not a subgroup")
     cosets = []
     seen = set()

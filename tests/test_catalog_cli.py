@@ -22,6 +22,7 @@ from tamecount.concentration import analysis_witnesses
 from tamecount.errors import ValidationError
 
 GOLDEN = Path(__file__).parent / "golden"
+REFERENCE = Path(__file__).parent / "reference"
 
 
 def run_cli(*args, cwd=None):
@@ -165,6 +166,14 @@ class TestCliClassify:
 
 
 class TestCliAnalyze:
+    def test_order_1536_report_byte_identical(self, capsys):
+        # the only tier-1 analysis above order 16: 12 witnesses, two Balas
+        # LPs of 411 rows x 601 variables (64 + 58 pivots); CI compares the
+        # slower wreath(C2,C10) report the same way
+        assert cli_main(["analyze", "wreath(4T3,C3)", "--weight", "disc"]) == 0
+        expected = (REFERENCE / "analyze_wreath_4T3_C3_disc.txt").read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == expected
+
     def test_8t4_disc(self):
         res = run_cli("analyze", "8T4", "--weight", "disc", "--profile", "paper-d4")
         assert res.returncode == 0

@@ -268,6 +268,12 @@ class TestH1urChain:
         with pytest.raises(ContractViolationError, match="N and T must be normal in G"):
             h1ur_chain(G, K, K)
 
+    def test_abelian_invariants_subset_outside_group_rejected(self):
+        G = PermutationGroup(4, ["(1,2)"])
+        K = {Permutation.identity(4), parse_permutation("(3,4)", 4)}
+        with pytest.raises(ContractViolationError, match="outside the group"):
+            abelian_invariants(G, K)
+
     def test_abelian_invariants(self, q8c2_deg8):
         G = q8c2_deg8.group
         for T in abelian_normal_subgroups(G):

@@ -10,7 +10,9 @@ from tamecount import (LPProblem, conditional_hull_point_check, hull_membership,
                        line_threshold, lp_solve, make_profile, shortcut_2d,
                        verify_certificate, weight_conductor_d4, weight_discriminant)
 import tamecount.hull_lp as hull_lp
+from tamecount.catalog import resolve_weight
 from tamecount.cli import main as cli_main, run_analysis_request
+from tamecount.concentration import analysis_witnesses
 from tamecount.errors import ResourceCapError, ValidationError
 from tamecount.hull_lp import (certificate_roundtrip, rational_str, parse_rational,
                                verify_lp_assignment)
@@ -168,6 +170,42 @@ class TestLpSolve:
         assert [r.pivots for _, r in recorded_lps] == [26, 25]
         assert [r.status for _, r in recorded_lps] == ["optimal", "optimal"]
 
+    def test_negative_drive_out_entries(self, monkeypatch):
+        # min 2x + y + z  s.t. -x - y + 2z == 1, 2x - 2y == 0 and
+        # -2x + y - 2z >= -1, x, y >= 0: phase 1 leaves both artificials
+        # basic at zero, and each drive-out pivots on a negative entry, so
+        # the integer pivot negates its row first
+        entries = []
+        pivot = hull_lp._pivot
+
+        def recording(tableau, basis, i, j):
+            entries.append(tableau[i][j])
+            return pivot(tableau, basis, i, j)
+
+        monkeypatch.setattr(hull_lp, "_pivot", recording)
+        p = LPProblem(variables=("x", "y", "z"),
+                      constraints=[((Fraction(-1), Fraction(-1), Fraction(2)), "==", Fraction(1)),
+                                   ((Fraction(2), Fraction(-2), Fraction(0)), "==", Fraction(0)),
+                                   ((Fraction(-2), Fraction(1), Fraction(-2)), ">=", Fraction(-1))],
+                      objective=(Fraction(2), Fraction(1), Fraction(1)),
+                      nonneg=(True, True, False))
+        r = lp_solve(p)
+        assert sum(1 for e in entries if e < 0) == 2
+        assert (r.status, r.value) == ("optimal", Fraction(1, 2))
+        assert r.assignment == {"x": 0, "y": 0, "z": Fraction(1, 2)}
+        _dense_pivots.clear()
+        assert _dense_lp_solve(p) == ("optimal", r.value, r.assignment)
+        assert r.pivots == len(_dense_pivots)
+
+    def test_16t11_lps_match_dense_reference(self, recorded_lps):
+        run_analysis_request("16T11", "disc", "paper-16t11", "Q")
+        assert len(recorded_lps) == 2
+        for problem, result in recorded_lps:
+            _dense_pivots.clear()
+            assert (_dense_lp_solve(problem)
+                    == (result.status, result.value, result.assignment))
+            assert result.pivots == len(_dense_pivots)
+
     def test_16t11_balas_shape(self, recorded_lps):
         # 8 regions over 8 variables: the 64 pure rows are shifted out,
         # leaving sum(lam) = 1, 24 mixed rows and 8 coupling rows
@@ -190,6 +228,35 @@ def d4_regions(d4_quartic, d4_types, cyc_q):
     RB = build_region(G, TB, d4_types, prof, cyc_q, name="Omega_B")
     RC = build_region(G, TC, d4_types, prof, cyc_q, name="Omega_C")
     return RB, RC
+
+
+@pytest.fixture(scope="module")
+def d4_disc_regions(d4_quartic, d4_types, cyc_q):
+    """The 4T3 regions of a disc analysis under paper-d4, and the weights."""
+    G = d4_quartic.group
+    wt = resolve_weight("disc", d4_quartic, d4_types)
+    prof = make_profile("paper-d4", d4_types, cyc_q)
+    regions = [build_region(G, T, d4_types, prof, cyc_q)
+               for T in analysis_witnesses(G, d4_types, wt)]
+    return regions, wt.weights
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(999, 1000), Fraction(1001, 1000),
+                                   1 + Fraction(1, 2 ** 22)],
+                         ids=["1/2", "999/1000", "1001/1000", "1+2^-22"])
+def test_margin_lps_match_dense_reference(d4_disc_regions, recorded_lps, scale):
+    """The Balas LPs of an open-membership probe at scale * threshold along
+    the disc weights: large denominators, unlike the property test's."""
+    regions, weights = d4_disc_regions
+    threshold = line_threshold(weights, regions)
+    member, _ = hull_membership({v: scale * threshold * w for v, w in weights.items()},
+                                regions, mode="open")
+    assert member == (scale > 1)
+    assert len(recorded_lps) == 2
+    for problem, result in recorded_lps:
+        _dense_pivots.clear()
+        assert _dense_lp_solve(problem) == (result.status, result.value, result.assignment)
+        assert result.pivots == len(_dense_pivots)
 
 
 def d4_point(a2, b2, c2, a4):
