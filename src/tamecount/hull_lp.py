@@ -58,27 +58,49 @@ def parse_rational(s: str) -> Fraction:
 class LPProblem:
     """min objective . x  subject to rows (coeffs, rel, bound), rel in {>=, ==}.
 
-    Variables are free unless flagged nonnegative.  A None objective is a
-    pure feasibility problem.
+    A row and the objective are sparse: dicts {variable index: coefficient},
+    the index in range(len(variables)), every coefficient and bound an int
+    or a Fraction.  Construction stores each row and the objective as a
+    tuple of (index, coefficient) pairs in index order, zeros dropped, so
+    a row holds exactly its nonzeros.  Variables are free unless flagged
+    nonnegative.  A None objective is a pure feasibility problem.
     """
     variables: tuple
-    constraints: list  # (tuple[Fraction], ">=" | "==", Fraction)
-    objective: tuple | None = None
+    constraints: list  # ({index: int | Fraction}, ">=" | "==", int | Fraction)
+    objective: dict | None = None
     nonneg: tuple | None = None
 
     def __post_init__(self):
         n = len(self.variables)
         if self.nonneg is None:
-            self.nonneg = tuple(False for _ in range(n))
+            self.nonneg = (False,) * n
         if len(self.nonneg) != n:
             raise ValidationError("nonneg flags must match the variable arity")
-        if self.objective is not None and len(self.objective) != n:
-            raise ValidationError("objective arity mismatch")
-        for row, rel, _ in self.constraints:
-            if len(row) != n:
-                raise ValidationError("constraint arity mismatch")
+        if self.objective is not None:
+            self.objective = _sparse_row(self.objective, n)
+        constraints = []
+        for row, rel, bound in self.constraints:
             if rel not in (">=", "=="):
                 raise ValidationError(f"unsupported relation {rel!r}")
+            constraints.append((_sparse_row(row, n), rel, _rational(bound)))
+        self.constraints = constraints
+
+
+def _rational(x):
+    if not isinstance(x, (int, Fraction)):
+        raise ValidationError(f"LP coefficient or bound {x!r} is not an int or a Fraction")
+    return x
+
+
+def _sparse_row(row, n):
+    """The (index, coefficient) pairs of a dict row, in index order, zeros dropped."""
+    if not isinstance(row, dict):
+        raise ValidationError("an LP row is a dict {variable index: coefficient}")
+    for i, coef in row.items():
+        if not (isinstance(i, int) and 0 <= i < n):
+            raise ValidationError(f"LP variable index {i!r} outside range({n})")
+        _rational(coef)
+    return tuple(sorted((i, coef) for i, coef in row.items() if coef))
 
 
 @dataclass
@@ -116,26 +138,23 @@ def lp_solve(problem: LPProblem) -> LPResult:
         else:
             col_of_var.append((ncols, ncols + 1))
             ncols += 2
-    bounds = [Fraction(bound) for _, _, bound in problem.constraints]
-    starts = [rel == ">=" and bound <= 0
-              for (_, rel, _), bound in zip(problem.constraints, bounds)]
+    starts = [rel == ">=" and bound <= 0 for _, rel, bound in problem.constraints]
     art0 = ncols + sum(1 for _, rel, _ in problem.constraints if rel == ">=")
     total = art0 + starts.count(False)
     surplus = ncols
     art = art0
     tableau = []
     basis = []
-    for (row, rel, _), bound, start in zip(problem.constraints, bounds, starts):
+    for (row, rel, bound), start in zip(problem.constraints, starts):
         flip = start or bound < 0  # rhs >= 0, a starting surplus at +1
         entries = {}
-        for i, coef in enumerate(row):
-            if coef:
-                if flip:
-                    coef = -coef
-                plus, minus = col_of_var[i]
-                entries[plus] = coef
-                if minus is not None:
-                    entries[minus] = -coef
+        for i, coef in row:
+            if flip:
+                coef = -coef
+            plus, minus = col_of_var[i]
+            entries[plus] = coef
+            if minus is not None:
+                entries[minus] = -coef
         if rel == ">=":
             entries[surplus] = 1 if flip else -1
             if start:
@@ -170,17 +189,13 @@ def lp_solve(problem: LPProblem) -> LPResult:
     tableau = [tableau[i] for i in keep]
     basis = [basis[i] for i in keep]
     # phase 2
-    if problem.objective is None:
-        objective = [Fraction(0)] * n
-    else:
-        objective = [Fraction(c) for c in problem.objective]
+    objective = problem.objective or ()
     costs = {}
-    for i, coef in enumerate(objective):
-        if coef:
-            plus, minus = col_of_var[i]
-            costs[plus] = coef
-            if minus is not None:
-                costs[minus] = -coef
+    for i, coef in objective:
+        plus, minus = col_of_var[i]
+        costs[plus] = coef
+        if minus is not None:
+            costs[minus] = -coef
     costs = _integer_row(costs)
     cost2 = [costs.get(j, 0) for j in range(total + 1)]
     forbidden = set(range(art0, total))
@@ -192,12 +207,9 @@ def lp_solve(problem: LPProblem) -> LPResult:
     values = [Fraction(0)] * total
     for row, b in zip(tableau, basis):
         values[b] = Fraction(row.get(total, 0), row[b])
-    assignment = {}
-    for i, var in enumerate(problem.variables):
-        plus, minus = col_of_var[i]
-        assignment[var] = values[plus] - (values[minus] if minus is not None else 0)
-    value = sum((objective[i] * assignment[v] for i, v in enumerate(problem.variables)),
-                Fraction(0)) if problem.objective is not None else Fraction(0)
+    assignment = {var: values[plus] if minus is None else values[plus] - values[minus]
+                  for var, (plus, minus) in zip(problem.variables, col_of_var)}
+    value = sum((coef * assignment[problem.variables[i]] for i, coef in objective), Fraction(0))
     return LPResult(status="optimal", value=value, assignment=assignment, pivots=pivots)
 
 
@@ -341,7 +353,7 @@ def verify_lp_assignment(problem: LPProblem, assignment: dict) -> bool:
     """Exact re-substitution check of every constraint."""
     x = [assignment[v] for v in problem.variables]
     for row, rel, bound in problem.constraints:
-        lhs = sum((c * xi for c, xi in zip(row, x)), Fraction(0))
+        lhs = sum((c * x[i] for i, c in row), Fraction(0))
         if rel == ">=" and lhs < bound:
             return False
         if rel == "==" and lhs != bound:
@@ -422,45 +434,33 @@ def _balas_problem(regions, variables, *, point=None, wt=None):
     """
     lower = [{v: region.pure_lower_bound(v) for v in variables} for region in regions]
     names = [f"lam{j}" for j in range(len(regions))]
+    z = {}  # (j, v) -> index of z_{j,v}
     for j in range(len(regions)):
-        names.extend(f"z{j}.{v}" for v in variables)
-    scalar = "s" if wt is not None else "t"
-    names.append(scalar)
-    nonneg = [True] * (len(names) - 1) + [False]
-    index = {nm: i for i, nm in enumerate(names)}
-    ncols = len(names)
-
-    def row():
-        return [Fraction(0)] * ncols
-
-    constraints = []
-    r = row()
-    for j in range(len(regions)):
-        r[index[f"lam{j}"]] = Fraction(1)
-    constraints.append((tuple(r), "==", Fraction(1)))
+        for v in variables:
+            z[j, v] = len(names)
+            names.append(f"z{j}.{v}")
+    scalar = len(names)
+    names.append("s" if wt is not None else "t")
+    constraints = [(dict.fromkeys(range(len(regions)), 1), "==", 1)]
     for j, region in enumerate(regions):
         for c in region.mixed_constraints():
-            r = row()
-            for lab, coef in c.coefficients:
-                r[index[f"z{j}.{lab}"]] = coef
-            r[index[f"lam{j}"]] = sum((coef * lower[j][lab] for lab, coef in c.coefficients),
-                                      -c.bound)
-            constraints.append((tuple(r), ">=", Fraction(0)))
+            r = {z[j, lab]: coef for lab, coef in c.coefficients}
+            r[j] = sum((coef * lower[j][lab] for lab, coef in c.coefficients), -c.bound)
+            constraints.append((r, ">=", 0))
     for v in variables:
-        r = row()
+        r = {}
         for j in range(len(regions)):
-            r[index[f"lam{j}"]] = lower[j][v]
-            r[index[f"z{j}.{v}"]] = Fraction(1)
+            r[j] = lower[j][v]
+            r[z[j, v]] = 1
         if wt is not None:
-            r[index["s"]] = -Fraction(wt[v])
-            constraints.append((tuple(r), "==", Fraction(0)))
+            r[scalar] = -wt[v]
+            constraints.append((r, "==", 0))
         else:
-            r[index["t"]] = Fraction(1)
-            constraints.append((tuple(r), "==", point[v]))
-    objective = row()
-    objective[index[scalar]] = Fraction(1) if wt is not None else Fraction(-1)
+            r[scalar] = 1
+            constraints.append((r, "==", point[v]))
     return LPProblem(variables=tuple(names), constraints=constraints,
-                     objective=tuple(objective), nonneg=tuple(nonneg))
+                     objective={scalar: 1 if wt is not None else -1},
+                     nonneg=(True,) * scalar + (False,))
 
 
 def _certificate_from_assignment(assignment, regions, variables) -> HullCertificate:

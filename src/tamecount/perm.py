@@ -447,10 +447,8 @@ class QuotientGroup:
         return self._images[g]
 
 
-def index_of(g: Permutation, n: int | None = None) -> int:
-    """ind_n(g) = n - #{orbits of g on 1..n}, fixed points counted."""
-    if n is not None and n != g.degree:
-        raise ValidationError(f"degree mismatch: permutation has degree {g.degree}, asked for {n}")
+def index_of(g: Permutation) -> int:
+    """ind_n(g) = n - #{orbits of g on 1..n} for g of degree n, fixed points counted."""
     return g.degree - cycle_count(g.images)
 
 

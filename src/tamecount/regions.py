@@ -2,9 +2,9 @@
 
 A region is a finite list of strict rational linear inequalities in the
 real parts of the variables indexed by the nontrivial tame types.  Every
-emitted region carries a pure lower bound on each variable and only
-nonnegative coefficients, so its recession cone is exactly the
-nonnegative orthant; the hull machinery relies on that.
+region carries a pure lower bound on each variable and only positive
+coefficients, so its recession cone is exactly the nonnegative orthant
+and the all-large point lies in it; the hull machinery relies on that.
 """
 from __future__ import annotations
 
@@ -185,12 +185,18 @@ class TubularRegion:
         self.name = name
         index = {v: i for i, v in enumerate(self.variables)}
         self._pure_lower = {}  # label -> largest b/c over pure constraints c*sigma > b
+        # every constraint has a coefficient and every coefficient is positive,
+        # so the all-coordinates-large point satisfies them all: never empty
         for c in self.constraints:
+            if not c.coefficients:
+                raise ValidationError("a constraint needs at least one nonzero coefficient")
             for lab, coef in c.coefficients:
                 if lab not in index:
                     raise ValidationError(f"constraint variable {lab} outside the index")
                 if coef < 0:
                     raise ValidationError("region coefficients must be nonnegative")
+                if coef == 0:
+                    raise ValidationError("region coefficients must be nonzero")
             if c.is_pure():
                 (lab, coef), = c.coefficients
                 val = c.bound / coef
@@ -198,12 +204,6 @@ class TubularRegion:
         missing = [v for v in self.variables if v not in self._pure_lower]
         if missing:
             raise ValidationError(f"variables without a pure lower bound: {missing}")
-        # nonemptiness: the all-coordinates-large point satisfies everything
-        big = max((c.bound for c in self.constraints), default=Fraction(0)) + 1
-        probe = {v: max(big, Fraction(1)) for v in self.variables}
-        for c in self.constraints:
-            if not c.evaluate(probe) > c.bound:
-                raise ValidationError("region is empty on the all-large probe")
 
     def pure_lower_bound(self, label) -> Fraction:
         """Largest b/c over pure constraints c*sigma > b on `label`."""

@@ -1,8 +1,10 @@
 """Exact simplex, Balas hull membership, thresholds, and the
 LP-vs-Caratheodory dual-route checks."""
+import importlib.util
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -40,29 +42,29 @@ def recorded_lps(monkeypatch):
 
 class TestLpSolve:
     def test_minimize_lower_bound(self):
-        p = LPProblem(variables=("x",), constraints=[((Fraction(1),), ">=", Fraction(3))],
-                      objective=(Fraction(1),))
+        p = LPProblem(variables=("x",), constraints=[({0: Fraction(1)}, ">=", Fraction(3))],
+                      objective={0: Fraction(1)})
         r = lp_solve(p)
         assert r.status == "optimal" and r.value == 3
         assert verify_lp_assignment(p, r.assignment)
 
     def test_infeasible(self):
         p = LPProblem(variables=("x",),
-                      constraints=[((Fraction(1),), ">=", Fraction(1)),
-                                   ((Fraction(-1),), ">=", Fraction(0))])
+                      constraints=[({0: Fraction(1)}, ">=", Fraction(1)),
+                                   ({0: Fraction(-1)}, ">=", Fraction(0))])
         assert lp_solve(p).status == "infeasible"
 
     def test_unbounded(self):
-        p = LPProblem(variables=("x",), constraints=[((Fraction(1),), ">=", Fraction(0))],
-                      objective=(Fraction(-1),))
+        p = LPProblem(variables=("x",), constraints=[({0: Fraction(1)}, ">=", Fraction(0))],
+                      objective={0: Fraction(-1)})
         assert lp_solve(p).status == "unbounded"
 
     def test_equality_and_free_variables(self):
         # min x + y  s.t. x - y == 2 and x >= 0, y free: optimum at (0, -2)
         p = LPProblem(variables=("x", "y"),
-                      constraints=[((Fraction(1), Fraction(-1)), "==", Fraction(2)),
-                                   ((Fraction(1), Fraction(0)), ">=", Fraction(0))],
-                      objective=(Fraction(1), Fraction(1)))
+                      constraints=[({0: Fraction(1), 1: Fraction(-1)}, "==", Fraction(2)),
+                                   ({0: Fraction(1)}, ">=", Fraction(0))],
+                      objective={0: Fraction(1), 1: Fraction(1)})
         r = lp_solve(p)
         assert r.status == "optimal" and r.value == -2
         assert r.assignment == {"x": Fraction(0), "y": Fraction(-2)}
@@ -71,25 +73,48 @@ class TestLpSolve:
     def test_exact_rational_optimum(self):
         # min s s.t. 3s >= 19/16 and 2s >= 27/32: optimum 27/64
         p = LPProblem(variables=("s",),
-                      constraints=[((Fraction(3),), ">=", Fraction(19, 16)),
-                                   ((Fraction(2),), ">=", Fraction(27, 32))],
-                      objective=(Fraction(1),), nonneg=(True,))
+                      constraints=[({0: Fraction(3)}, ">=", Fraction(19, 16)),
+                                   ({0: Fraction(2)}, ">=", Fraction(27, 32))],
+                      objective={0: Fraction(1)}, nonneg=(True,))
         r = lp_solve(p)
         assert r.value == max(Fraction(19, 48), Fraction(27, 64))
 
-    def test_arity_mismatch(self):
-        with pytest.raises(ValidationError):
-            LPProblem(variables=("x",), constraints=[((Fraction(1), Fraction(2)), ">=", 0)])
+    @pytest.mark.parametrize("row,objective", [
+        ({0: Fraction(1), 1: Fraction(2)}, None),
+        ({-1: Fraction(1)}, None),
+        ({"x": Fraction(1)}, None),
+        ({0: Fraction(1)}, {1: Fraction(1)}),
+    ], ids=["row_index_1", "row_index_-1", "row_label", "objective_index_1"])
+    def test_index_out_of_range(self, row, objective):
+        with pytest.raises(ValidationError, match="outside range"):
+            LPProblem(variables=("x",), constraints=[(row, ">=", 0)], objective=objective)
+
+    def test_dense_row_rejected(self):
+        with pytest.raises(ValidationError, match="dict"):
+            LPProblem(variables=("x",), constraints=[((Fraction(1),), ">=", 0)])
+
+    @pytest.mark.parametrize("row,bound,objective", [
+        ({0: 0.5}, 0, None),
+        ({0: 1}, 0.1, None),
+        ({0: 1}, 0, {0: 1.0}),
+        ({0: "1"}, 0, None),
+    ], ids=["float_coefficient", "float_bound", "float_objective", "str_coefficient"])
+    def test_non_rational_input_rejected(self, row, bound, objective):
+        with pytest.raises(ValidationError, match="not an int or a Fraction"):
+            LPProblem(variables=("x",), constraints=[(row, ">=", bound)], objective=objective)
 
     def test_degenerate_cycling_terminates(self):
         # classic Beale-style degenerate instance; Bland must terminate
         rows = [
-            ((Fraction(1, 4), Fraction(-8), Fraction(-1), Fraction(9)), "==", Fraction(0)),
-            ((Fraction(1, 2), Fraction(-12), Fraction(-1, 2), Fraction(3)), "==", Fraction(0)),
-            ((Fraction(0), Fraction(0), Fraction(1), Fraction(0)), ">=", Fraction(-1)),
+            ({0: Fraction(1, 4), 1: Fraction(-8), 2: Fraction(-1), 3: Fraction(9)}, "==",
+             Fraction(0)),
+            ({0: Fraction(1, 2), 1: Fraction(-12), 2: Fraction(-1, 2), 3: Fraction(3)}, "==",
+             Fraction(0)),
+            ({2: Fraction(1)}, ">=", Fraction(-1)),
         ]
         p = LPProblem(variables=("a", "b", "c", "d"), constraints=rows,
-                      objective=(Fraction(-3, 4), Fraction(150), Fraction(-1, 50), Fraction(6)),
+                      objective={0: Fraction(-3, 4), 1: Fraction(150), 2: Fraction(-1, 50),
+                                 3: Fraction(6)},
                       nonneg=(True, True, True, True))
         r = lp_solve(p)
         assert r.status in ("optimal", "unbounded")
@@ -97,9 +122,9 @@ class TestLpSolve:
     def test_pivot_cap_counts_every_pivot(self, monkeypatch):
         # min x + y  s.t. x + 2y >= 3 and 2x + y >= 3, x, y >= 0
         p = LPProblem(variables=("x", "y"),
-                      constraints=[((Fraction(1), Fraction(2)), ">=", Fraction(3)),
-                                   ((Fraction(2), Fraction(1)), ">=", Fraction(3))],
-                      objective=(Fraction(1), Fraction(1)), nonneg=(True, True))
+                      constraints=[({0: Fraction(1), 1: Fraction(2)}, ">=", Fraction(3)),
+                                   ({0: Fraction(2), 1: Fraction(1)}, ">=", Fraction(3))],
+                      objective={0: Fraction(1), 1: Fraction(1)}, nonneg=(True, True))
         pivots = lp_solve(p).pivots
         assert pivots > 1
         monkeypatch.setattr(hull_lp, "DEFAULT_PIVOT_CAP", pivots)
@@ -126,10 +151,10 @@ class TestLpSolve:
 
         monkeypatch.setattr(hull_lp, "_pivot_until_optimal", recording)
         p = LPProblem(variables=("x", "y"),
-                      constraints=[((Fraction(1), Fraction(1)), "==", Fraction(2)),
-                                   ((Fraction(2), Fraction(2)), "==", Fraction(4)),
-                                   ((Fraction(1), Fraction(-1)), ">=", Fraction(0))],
-                      objective=(Fraction(1), Fraction(2)), nonneg=(True, True))
+                      constraints=[({0: Fraction(1), 1: Fraction(1)}, "==", Fraction(2)),
+                                   ({0: Fraction(2), 1: Fraction(2)}, "==", Fraction(4)),
+                                   ({0: Fraction(1), 1: Fraction(-1)}, ">=", Fraction(0))],
+                      objective={0: Fraction(1), 1: Fraction(2)}, nonneg=(True, True))
         r = lp_solve(p)
         assert phase_rows == [3, 2]
         assert r.status == "optimal" and r.value == 2
@@ -151,9 +176,9 @@ class TestLpSolve:
 
         monkeypatch.setattr(hull_lp, "_drive_out_artificials", recording)
         p = LPProblem(variables=("x", "z"),
-                      constraints=[((Fraction(1), Fraction(1)), "==", Fraction(0)),
-                                   ((Fraction(1), Fraction(0)), "==", Fraction(0))],
-                      objective=(Fraction(0), Fraction(1)), nonneg=(False, True))
+                      constraints=[({0: Fraction(1), 1: Fraction(1)}, "==", Fraction(0)),
+                                   ({0: Fraction(1)}, "==", Fraction(0))],
+                      objective={1: Fraction(1)}, nonneg=(False, True))
         r = lp_solve(p)
         assert driven == [1]
         assert (r.status, r.value, r.pivots) == ("optimal", 0, 2)
@@ -184,10 +209,12 @@ class TestLpSolve:
 
         monkeypatch.setattr(hull_lp, "_pivot", recording)
         p = LPProblem(variables=("x", "y", "z"),
-                      constraints=[((Fraction(-1), Fraction(-1), Fraction(2)), "==", Fraction(1)),
-                                   ((Fraction(2), Fraction(-2), Fraction(0)), "==", Fraction(0)),
-                                   ((Fraction(-2), Fraction(1), Fraction(-2)), ">=", Fraction(-1))],
-                      objective=(Fraction(2), Fraction(1), Fraction(1)),
+                      constraints=[({0: Fraction(-1), 1: Fraction(-1), 2: Fraction(2)}, "==",
+                                    Fraction(1)),
+                                   ({0: Fraction(2), 1: Fraction(-2)}, "==", Fraction(0)),
+                                   ({0: Fraction(-2), 1: Fraction(1), 2: Fraction(-2)}, ">=",
+                                    Fraction(-1))],
+                      objective={0: Fraction(2), 1: Fraction(1), 2: Fraction(1)},
                       nonneg=(True, True, False))
         r = lp_solve(p)
         assert sum(1 for e in entries if e < 0) == 2
@@ -603,7 +630,7 @@ def _dense_lp_solve(problem):
     basis = []
     for row, rel, bound in problem.constraints:
         expanded = [Fraction(0)] * art0
-        for i, coef in enumerate(row):
+        for i, coef in row:
             plus, minus = col_of_var[i]
             expanded[plus] += coef
             if minus is not None:
@@ -651,10 +678,9 @@ def _dense_lp_solve(problem):
     tableau = [tableau[i] for i in keep]
     basis = [basis[i] for i in keep]
     # phase 2
-    if problem.objective is None:
-        objective = [Fraction(0)] * n
-    else:
-        objective = [Fraction(c) for c in problem.objective]
+    objective = [Fraction(0)] * n
+    for i, coef in problem.objective or ():
+        objective[i] = Fraction(coef)
     cost2 = [Fraction(0)] * (total + 1)
     for i, coef in enumerate(objective):
         plus, minus = col_of_var[i]
@@ -773,8 +799,11 @@ def small_lps(draw):
         rows.append(((Fraction(0),) * n, draw(st.sampled_from([">=", "=="])), Fraction(0)))
     objective = draw(st.none() | st.tuples(*[small_fraction] * n))
     nonneg = draw(st.tuples(*[st.booleans()] * n))
-    return LPProblem(variables=tuple(f"x{i}" for i in range(n)), constraints=rows,
-                     objective=objective, nonneg=nonneg)
+    return LPProblem(variables=tuple(f"x{i}" for i in range(n)),
+                     constraints=[(dict(enumerate(coeffs)), rel, bound)
+                                  for coeffs, rel, bound in rows],
+                     objective=None if objective is None else dict(enumerate(objective)),
+                     nonneg=nonneg)
 
 
 @settings(deadline=None, max_examples=300)
@@ -787,3 +816,43 @@ def test_sparse_pivot_matches_dense_reference(problem):
     assert result.pivots == len(_dense_pivots)
     if result.status == "optimal":
         assert verify_lp_assignment(problem, result.assignment)
+
+
+def _load_benchmark_lp_shape():
+    """The LP-shape counter of the benchmark's tracer (perfbench/tracing.py)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._lp_shape
+
+
+benchmark_lp_shape = _load_benchmark_lp_shape()
+
+
+@settings(deadline=None, max_examples=50)
+@given(problem=small_lps(), data=st.data())
+def test_explicit_zeros_and_key_order_change_nothing(problem, data):
+    """Rows and objective given with explicit zeros and shuffled keys store,
+    solve and count like the same maps without the zeros."""
+    n = len(problem.variables)
+
+    def noisy(pairs):
+        row = dict(pairs)
+        row.update((i, Fraction(0)) for i in data.draw(st.sets(st.integers(0, n - 1)))
+                   if i not in row)
+        return {i: row[i] for i in data.draw(st.permutations(list(row)))}
+
+    clean = LPProblem(problem.variables,
+                      [(dict(row), rel, bound) for row, rel, bound in problem.constraints],
+                      None if problem.objective is None else dict(problem.objective),
+                      problem.nonneg)
+    shuffled = LPProblem(problem.variables,
+                         [(noisy(row), rel, bound) for row, rel, bound in problem.constraints],
+                         None if problem.objective is None else noisy(problem.objective),
+                         problem.nonneg)
+    assert shuffled == clean
+    result = lp_solve(shuffled)
+    assert result == lp_solve(clean)
+    nonzeros = sum(len(row) for row, _, _ in clean.constraints)
+    assert benchmark_lp_shape((shuffled,), {}, result)["nnz"] == nonzeros

@@ -207,6 +207,20 @@ class TestRegionInvariants:
         with pytest.raises(ValidationError, match="nonnegative"):
             TubularRegion(("x",), [LinearConstraint((("x", Fraction(-1)),), Fraction(0))])
 
+    def test_small_coefficient_region_accepted(self):
+        # {a > 500}: a large bound over a small coefficient is not empty
+        from tamecount.regions import TubularRegion
+        region = TubularRegion(["a"], [constraint({"a": Fraction(1, 100)}, 5)])
+        assert region.pure_lower_bound("a") == 500
+        assert region.contains_strict({"a": Fraction(501)})
+
+    def test_zero_or_no_coefficient_rejected(self):
+        from tamecount.regions import TubularRegion, LinearConstraint
+        with pytest.raises(ValidationError, match="nonzero"):
+            TubularRegion(("a",), [LinearConstraint((("a", Fraction(0)),), Fraction(1))])
+        with pytest.raises(ValidationError, match="nonzero"):
+            TubularRegion(("a",), [constraint({"a": 1}, 0), LinearConstraint((), Fraction(-1))])
+
     def test_pure_lower_bound_is_the_largest(self):
         from tamecount.regions import TubularRegion
         region = TubularRegion(("x", "y"), [
