@@ -64,8 +64,8 @@ def _pinned_entry(base: PermutationGroup, pins: dict, regular_name: str, regular
     """The pinned group `base` or, if `regular`, its left-regular action;
     the other representation is the entry's sibling.  The regular action
     carries each pin to the image of its element."""
-    reg, phi = regular_embedding(base, name=regular_name)
-    reg_pins = {phi[p]: lab for p, lab in pins.items()}
+    embedding = regular_embedding(base, name=regular_name)
+    reg, reg_pins = embedding.carrier, {embedding.push(p): lab for p, lab in pins.items()}
     if regular:
         group, label_pins, sibling = reg, reg_pins, (base, pins)
     else:

@@ -8,7 +8,7 @@ from itertools import combinations
 
 from .errors import ContractViolationError, UnsupportedHypothesisError, ValidationError
 from .perm import (PermutationGroup, class_mask, fitting_subgroup, index_of, is_abelian_normal,
-                   normal_closure, normal_subgroups, quotient, subgroup_as_group,
+                   normal_closure, normal_subgroups, prime_factors, subgroup_as_group,
                    subgroup_generated, upper_central_series)
 from .ramtypes import WeightFunction, min_weight
 
@@ -130,25 +130,44 @@ def analysis_witnesses(G: PermutationGroup, types, wt: WeightFunction):
 # the h^1_ur ledger
 # ---------------------------------------------------------------------------
 
-def abelian_invariants(G: PermutationGroup, subset):
-    """Invariant factors [d_1 >= d_2 >= ...] of an abelian subgroup.
+def _invariant_factors(A, B):
+    """Invariant factors of the abelian quotient A/B of element sets, B a
+    subgroup of A, read as `abelian_invariants` says from the counts of the
+    x in A with x^(p^k) in B, which number |B| p^(e_k)."""
+    invariants = []
+    for p, a in prime_factors(len(A) // len(B)).items():
+        powers, e = list(A), 0  # x^(p^k) for each x in A, k = 0, 1, ...
+        while e < a:
+            powers = [x ** p for x in powers]
+            killed = sum(x in B for x in powers) // len(B)
+            at_least = prime_factors(killed).get(p, 0) - e  # cyclic p-factors of order >= p^k
+            e += at_least
+            invariants.extend([1] * (at_least - len(invariants)))
+            invariants[:at_least] = [d * p for d in invariants[:at_least]]
+    return invariants
 
-    A cyclic subgroup generated by an element of maximal order is a direct
-    factor of a finite abelian group, so peeling one off and recursing on
-    the quotient carrier yields the decomposition.
+
+def abelian_invariants(G: PermutationGroup, subset):
+    """Invariant factors [d_1 >= d_2 >= ...] of the abelian subgroup A of G
+    generated by `subset`, read from element orders.
+
+    For each prime p of |A|, the x in A with x^(p^k) = 1 number p^(e_k),
+    e_k the sum of min(lambda_i, k) over the cyclic factors Z/p^(lambda_i)
+    of A; so e_k - e_(k-1) of them have order at least p^k, and each
+    multiplies one of the first e_k - e_(k-1) invariant factors by p (Holt,
+    Eick and O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).
     """
     if not all(g in G for g in subset):
         raise ContractViolationError("abelian invariants of a set outside the group")
-    group = subgroup_as_group(G, subset)
-    if len(group.conjugacy_classes()) != group.order:  # abelian: singleton classes
+    gens = []
+    A = {G.identity}
+    for g in subset:
+        if g not in A:
+            gens.append(g)
+            A = subgroup_generated(G, gens)
+    if any(a * b != b * a for i, a in enumerate(gens) for b in gens[i + 1:]):
         raise ContractViolationError("abelian invariants of a nonabelian set")
-    invariants = []
-    while group.order > 1:
-        top = min(group.elements, key=lambda g: (-g.order(), g.images))
-        invariants.append(top.order())
-        q = quotient(group, subgroup_generated(group, [top]))
-        group = q.carrier
-    return invariants
+    return _invariant_factors(A, {G.identity})
 
 
 def h1ur_chain(G: PermutationGroup, N, T):
@@ -160,22 +179,12 @@ def h1ur_chain(G: PermutationGroup, N, T):
         raise ContractViolationError("N and T must be normal in G")
     if not is_abelian_normal(G, T):
         raise ContractViolationError("T must be abelian")
-    N_group = subgroup_as_group(G, N, name="N")
-    series = upper_central_series(N_group)
-    hyper = series[-1]
-    if not T <= hyper:
+    series = upper_central_series(subgroup_as_group(G, N, name="N"))
+    if not T <= series[-1]:
         raise ContractViolationError("T must lie in the hypercenter of N")
-    chain = []
-    prev = T & series[0]
-    for Z in series[1:]:
-        cur = T & Z
-        order = len(cur) // len(prev)
-        if order > 1:
-            q = quotient(subgroup_as_group(G, cur), prev)
-            inv = abelian_invariants(q.carrier, q.carrier.element_set())
-            chain.append((order, tuple(inv)))
-        prev = cur
-    return chain
+    layers = [T & Z for Z in series]
+    return [(len(cur) // len(prev), tuple(_invariant_factors(cur, prev)))
+            for prev, cur in zip(layers, layers[1:]) if len(cur) > len(prev)]
 
 
 # ---------------------------------------------------------------------------

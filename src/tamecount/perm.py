@@ -16,6 +16,10 @@ and their product table.
 Every breadth-first search here is one `orbit`: the element closure,
 the conjugation orbits that make the classes, the point orbit behind
 `is_transitive` and the join search of the normal-subgroup lattice.
+Every coset action is one `QuotientGroup`, G acting on the cosets of N
+by left multiplication: `quotient` builds it, and `regular_embedding`
+on the singleton cosets.  Its carrier is built from the generators'
+images only; `push` computes any other element's image when asked for.
 
 Points are labeled 1..degree.  The canonical ordering used by every
 "deterministic" contract is lexicographic on the image tuple, and
@@ -434,17 +438,30 @@ class ConjugacyClass:
     order: int  # element order, shared by every member
 
 
-@dataclass(frozen=True)
 class QuotientGroup:
-    """G/N presented by the regular action on the coset space."""
-    parent: PermutationGroup
-    kernel: frozenset
-    carrier: PermutationGroup
-    _images: dict     # parent element -> carrier Permutation
+    """G/N, its `carrier` acting by left multiplication on the cosets gN
+    (N given as the image tuples `kernel`), listed by their minimal members
+    in canonical order."""
+
+    def __init__(self, G: PermutationGroup, kernel, name=None):
+        times_members = [right_multiplier(n) for n in kernel]
+        self._coset_of = {}     # element image tuple -> its coset's position, from 1
+        self._times_reps = []   # x -> x*rep for each coset representative rep
+        for g in G.elements:
+            if g.images not in self._coset_of:
+                self._times_reps.append(right_multiplier(g.images))
+                for times_member in times_members:
+                    self._coset_of[times_member(g.images)] = len(self._times_reps)
+        m = len(self._times_reps)
+        self.carrier = PermutationGroup(m, [self.push(g) for g in G.generators]
+                                        or [Permutation.identity(m)], name=name)
 
     def push(self, g: Permutation) -> Permutation:
-        """Image of g in the carrier group."""
-        return self._images[g]
+        """Image of g in the carrier group; ValidationError when g is not in G."""
+        if g.images not in self._coset_of:
+            raise ValidationError(f"{g!r} is not an element of the group")
+        return Permutation._of(tuple(self._coset_of[times_rep(g.images)]
+                                     for times_rep in self._times_reps))
 
 
 def index_of(g: Permutation) -> int:
@@ -579,7 +596,7 @@ def _normal_subgroup_lattice(G: PermutationGroup):
 
 
 def quotient(G: PermutationGroup, N) -> QuotientGroup:
-    """G/N with the carrier acting regularly on the coset space."""
+    """G/N with the carrier acting on the cosets of N by left multiplication."""
     N = frozenset(N)
     mask = class_mask(G, N)
     if mask is None:
@@ -593,28 +610,7 @@ def quotient(G: PermutationGroup, N) -> QuotientGroup:
                 for p in map(right_multiplier(classes[i].representative.images), members))
     if not mask & 1 or any(not mask >> c & 1 for c in products):
         raise ContractViolationError("kernel is not a subgroup")
-    cosets = []
-    seen = set()
-    for g in G.elements:  # canonical order; coset rep = minimal member
-        if g in seen:
-            continue
-        coset = frozenset(g * n for n in N)
-        seen |= coset
-        cosets.append((g, coset))
-    index_of_coset = {}
-    for i, (_, coset) in enumerate(cosets):
-        for x in coset:
-            index_of_coset[x] = i + 1
-    m = len(cosets)
-
-    def action(g):
-        return Permutation(tuple(index_of_coset[g * rep] for rep, _ in cosets))
-
-    images = {g: action(g) for g in G.elements}
-    carrier_name = f"{G.name}/N" if G.name else None
-    carrier = PermutationGroup(m, [images[g] for g in G.generators] or [Permutation.identity(m)],
-                               name=carrier_name)
-    return QuotientGroup(parent=G, kernel=N, carrier=carrier, _images=images)
+    return QuotientGroup(G, members, f"{G.name}/N" if G.name else None)
 
 
 # ---------------------------------------------------------------------------
@@ -622,16 +618,20 @@ def quotient(G: PermutationGroup, N) -> QuotientGroup:
 # ---------------------------------------------------------------------------
 
 def upper_central_series(G: PermutationGroup):
-    """[Z_0=1, Z_1=Z(G), ...] strictly increasing, ending at the hypercenter."""
-    elems = G.elements
+    """[Z_0=1, Z_1=Z(G), ...] strictly increasing, ending at the hypercenter.
+
+    Z_{i+1} holds the g with h g h^-1 g^-1 in Z_i for every generator h;
+    each Z_i is normal, a union of classes, so one member per class is tested.
+    """
+    step = conjugation_step([h.images for h in G.generators])
+    commutators = [(c.members, list(map(right_multiplier(inverse(c.representative.images)),
+                                        step(c.representative.images))))
+                   for c in G.conjugacy_classes()]
     series = [frozenset({G.identity})]
     while True:
-        Z = series[-1]
-        nxt = frozenset(
-            g for g in elems
-            if all((h.inverse() * (g.inverse() * (h * g))) in Z for h in G.generators)
-        )
-        if nxt == Z:
+        Z = {x.images for x in series[-1]}
+        nxt = frozenset().union(*(members for members, comms in commutators if Z.issuperset(comms)))
+        if nxt == series[-1]:
             break
         series.append(nxt)
     return series
@@ -722,26 +722,15 @@ def wreath_product(N: PermutationGroup, B: PermutationGroup) -> PermutationGroup
     return PermutationGroup(n * m, gens, name=name)
 
 
-def regular_embedding(G: PermutationGroup, name=None):
-    """Left-regular representation of G, with the element correspondence.
-
-    Returns (R, phi) where R has degree |G| and phi maps each element of
-    G to its image permutation in R.
-    """
-    elems = G.elements
-    pos = {g: i + 1 for i, g in enumerate(elems)}
-
-    def act(g):
-        return Permutation(tuple(pos[g * x] for x in elems))
-
-    phi = {g: act(g) for g in elems}
-    gens = [phi[g] for g in G.generators] or [Permutation.identity(G.order)]
-    R = PermutationGroup(G.order, gens, name=name)
-    return R, phi
+def regular_embedding(G: PermutationGroup, name=None) -> QuotientGroup:
+    """Left-regular representation of G, its action on the singleton cosets
+    G/1: the carrier has degree |G|.  The kernel is trivial, so `quotient`'s
+    normality check is not needed."""
+    return QuotientGroup(G, [G.identity.images], name)
 
 
 def regular_representation(G: PermutationGroup, name=None) -> PermutationGroup:
-    return regular_embedding(G, name=name)[0]
+    return regular_embedding(G, name=name).carrier
 
 
 # ---------------------------------------------------------------------------

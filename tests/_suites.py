@@ -7,8 +7,9 @@ from itertools import combinations
 
 from tamecount import hull_membership, verify_certificate
 from tamecount.perm import (PermutationGroup, compose, conjugation_step, normal_subgroups,
-                            prime_factors, product_representation, subgroup_generated,
-                            subgroup_key, wreath_product)
+                            prime_factors, product_representation, quotient,
+                            subgroup_as_group, subgroup_generated, subgroup_key,
+                            upper_central_series, wreath_product)
 from tamecount.regions import TubularRegion, constraint
 
 
@@ -255,6 +256,52 @@ def ref_all_subgroups(G: PermutationGroup):
                     new.append(grown)
         frontier = new
     return sorted(known, key=subgroup_key)
+
+
+def ref_abelian_invariants(G: PermutationGroup, subset):
+    """Invariant factors [d_1 >= d_2 >= ...] of the abelian group <subset>.
+
+    A cyclic subgroup generated by an element of maximal order is a direct
+    factor of a finite abelian group, so peeling one off and recursing on
+    the quotient carrier yields the decomposition.
+    """
+    group = subgroup_as_group(G, subset)
+    invariants = []
+    while group.order > 1:
+        top = min(group.elements, key=lambda g: (-g.order(), g.images))
+        invariants.append(top.order())
+        group = quotient(group, subgroup_generated(group, [top])).carrier
+    return invariants
+
+
+def ref_h1ur_layers(G: PermutationGroup, N, T):
+    """`h1ur_chain` layers with each layer's invariants peeled from its
+    quotient carrier (the layers themselves from `upper_central_series`)."""
+    series = upper_central_series(subgroup_as_group(G, N))
+    layers = [frozenset(T) & Z for Z in series]
+    out = []
+    for prev, cur in zip(layers, layers[1:]):
+        if len(cur) > len(prev):
+            carrier = quotient(subgroup_as_group(G, cur), prev).carrier
+            out.append((len(cur) // len(prev),
+                        tuple(ref_abelian_invariants(carrier, carrier.elements))))
+    return out
+
+
+def ref_upper_central_series(G: PermutationGroup):
+    """[Z_0=1, Z_1=Z(G), ...] by testing every element against every generator."""
+    elems = G.elements
+    series = [frozenset({G.identity})]
+    while True:
+        Z = series[-1]
+        nxt = frozenset(
+            g for g in elems
+            if all((h.inverse() * (g.inverse() * (h * g))) in Z for h in G.generators)
+        )
+        if nxt == Z:
+            break
+        series.append(nxt)
+    return series
 
 
 def ref_sylow_orders(G: PermutationGroup):

@@ -15,9 +15,11 @@ from tamecount.concentration import (FITTING_CONCENTRATED, FITTING_NILPOTENT,
 from tamecount.errors import (ContractViolationError, UnsupportedHypothesisError,
                               ValidationError)
 from tamecount.catalog import resolve_entry
-from tamecount.perm import (Permutation, PermutationGroup, parse_permutation, subgroup_generated,
-                            subgroup_key, upper_central_series)
+from tamecount.perm import (Permutation, PermutationGroup, direct_product, is_abelian_normal,
+                            normal_subgroups, parse_permutation, subgroup_as_group,
+                            subgroup_generated, subgroup_key, upper_central_series)
 from tamecount.ramtypes import tame_types
+from _suites import ref_abelian_invariants, ref_h1ur_layers
 
 
 def cyclic(n):
@@ -282,6 +284,42 @@ class TestH1urChain:
             for d in inv:
                 prod *= d
             assert prod == len(T)
+
+
+def _cyclic_product(orders):
+    G = cyclic(orders[0])
+    for n in orders[1:]:
+        G = direct_product(G, cyclic(n))
+    return G
+
+
+@pytest.mark.parametrize("orders", [(4, 4, 2), (6, 4), (12, 2, 3), (9, 3, 5), (7,), (8, 2, 2)],
+                         ids=lambda orders: "x".join(f"C{n}" for n in orders))
+def test_invariants_match_peeling_on_cyclic_products(orders):
+    """abelian_invariants on every subgroup, and the one-layer chain of the
+    whole group, against the peeled quotient carriers."""
+    G = _cyclic_product(orders)
+    for T in normal_subgroups(G):  # every subgroup of an abelian group
+        assert abelian_invariants(G, T) == ref_abelian_invariants(G, T)
+    whole = G.element_set()
+    assert h1ur_chain(G, whole, whole) == ref_h1ur_layers(G, whole, whole)
+
+
+@pytest.mark.parametrize("spec", ["16T11", "product(4T3,C3)", "wreath(C2,C4)"])
+def test_h1ur_layers_match_peeling(spec):
+    """Every layer of every valid (N, T) chain against its peeled quotient
+    carrier, on nilpotent groups whose chains have several layers."""
+    G = resolve_entry(spec).group
+    abelian = [T for T in normal_subgroups(G) if is_abelian_normal(G, T)]
+    layer_counts = set()
+    for N in normal_subgroups(G):
+        hypercenter = upper_central_series(subgroup_as_group(G, N))[-1]
+        for T in abelian:
+            if T <= hypercenter:
+                chain = h1ur_chain(G, N, T)
+                assert chain == ref_h1ur_layers(G, N, T)
+                layer_counts.add(len(chain))
+    assert max(layer_counts) >= 2
 
 
 class TestWreathTheta:

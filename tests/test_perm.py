@@ -15,14 +15,14 @@ from tamecount import (PermutationGroup, direct_product, export_group_file,
                        product_representation, quotient, regular_representation,
                        upper_central_series, wreath_product)
 import tamecount.perm as perm
-from tamecount.catalog import Q8XC2_CLASS_REPS
+from tamecount.catalog import Q8XC2_CLASS_REPS, resolve_entry
 from tamecount.errors import (ContractViolationError, ParseError, ResourceCapError,
                               ValidationError)
 from tamecount.perm import (Permutation, class_mask, compose, conjugate, conjugation_step,
                             cycle_count, inverse, is_abelian_normal, orbit, prime_factors,
                             right_multiplier, subgroup_generated, subgroup_key)
 from _suites import (ref_all_subgroups, ref_is_abelian_set, ref_is_normal, ref_is_subgroup,
-                     ref_sylow_orders)
+                     ref_sylow_orders, ref_upper_central_series)
 
 
 def s4():
@@ -404,6 +404,15 @@ class TestQuotient:
         with pytest.raises(ContractViolationError, match="kernel is not normal"):
             quotient(G, K)
 
+    def test_push_outside_parent_rejected(self):
+        G = PermutationGroup(4, ["(1,2)"])
+        q = quotient(G, {Permutation.identity(4)})
+        with pytest.raises(ValidationError, match="not an element of the group"):
+            q.push(parse_permutation("(3,4)", 4))
+        # degree 5: its first four images are those of (1,2)
+        with pytest.raises(ValidationError, match="not an element of the group"):
+            q.push(parse_permutation("(1,2)", 5))
+
 
 def _outside_element(G):
     """The least permutation of G's degree outside G; None for the full
@@ -462,6 +471,13 @@ class TestSeries:
         series = upper_central_series(q8c2_deg16.group)
         for a, b in zip(series, series[1:]):
             assert a < b
+
+    @pytest.mark.parametrize("spec", ["4T3", "16T11", "product(4T3,C3)", "wreath(C2,C4)"])
+    def test_matches_element_walker_on_normal_subgroups(self, spec):
+        G = resolve_entry(spec).group
+        for N in normal_subgroups(G):
+            H = perm.subgroup_as_group(G, N)
+            assert upper_central_series(H) == ref_upper_central_series(H)
 
     def test_nilpotent_iff_sylow_product(self):
         # nilpotent <=> every Sylow subgroup is normal (so G is their
@@ -533,6 +549,17 @@ class TestProducts:
     def test_regular_c2(self):
         R = regular_representation(cyclic(2))
         assert R.degree == 2 and R.order == 2
+
+    @pytest.mark.parametrize("spec", ["4T3", "8T11"])
+    def test_regular_embedding_is_left_multiplication(self, spec):
+        G = resolve_entry(spec).group
+        embedding = perm.regular_embedding(G)
+        position = {g: i for i, g in enumerate(G.elements, start=1)}
+        for g in G.elements:
+            image = embedding.push(g)
+            assert all(image(position[x]) == position[g * x] for x in G.elements)
+        assert embedding.carrier.generators == tuple(map(embedding.push, G.generators))
+        assert embedding.carrier.order == G.order
 
     def test_wreath_order(self):
         W = wreath_product(cyclic(2), cyclic(3))
