@@ -175,7 +175,6 @@ def analyze(G: PermutationGroup, types, wt, witnesses, profile: SubconvexityProf
             verdict = VERDICT_ASYMPTOTIC
     else:
         verdict = VERDICT_HULL_TOO_SMALL
-        cert = None
     wname = weight_name if weight_name is not None else wt.name
     published_check = None
     if baselines and profile.name in _BASELINE_PROFILES and cyc.is_full:

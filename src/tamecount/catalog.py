@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ValidationError
-from .perm import (PermutationGroup, parse_group_file, parse_permutation,
+from .perm import (PermutationGroup, check_degree, parse_group_file, parse_permutation,
                    product_representation, read_input_file, regular_embedding,
                    wreath_product)
 from .hull_lp import parse_rational
@@ -101,6 +101,7 @@ def _s3_entry() -> CatalogEntry:
 def _cyclic_entry(n: int) -> CatalogEntry:
     if n < 1:
         raise ValidationError("cyclic order must be positive")
+    check_degree(n)
     images = tuple(range(2, n + 1)) + (1,)
     G = PermutationGroup(n, [images], name=f"C{n}")
     return CatalogEntry(label=f"C{n}", group=G, provenance="cyclic group, regular action")

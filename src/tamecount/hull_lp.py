@@ -6,9 +6,10 @@ slack basis: a ">=" row with bound <= 0 is negated so that its surplus
 starts basic, and only the other rows get artificials.  Each tableau row
 is a sparse dict of nonzero integers, primitive (the gcd of its entries
 is 1) and a positive multiple of the row a Fraction tableau would hold,
-so its basic column holds a positive integer instead of 1.  A pivot on
-entry p of row r replaces each other row k holding a in the pivot column
-by p*row_k - a*row_r made primitive (Bareiss 1968 and Edmonds 1967 on
+so its basic column holds a positive integer instead of 1; the cost row
+is one more such row (Chvatal 1983, ch. 8).  A pivot on entry p of row r
+replaces each other row k holding a in the pivot column by
+p*row_k - a*row_r made primitive (Bareiss 1968 and Edmonds 1967 on
 fraction-free elimination).  Positive row scaling changes no ratio
 rhs/a, no reduced-cost sign and no basic index, so the pivots are those
 of the Fraction simplex; the ratio test compares integer cross products.
@@ -22,7 +23,9 @@ interior of the closed one, so the point is a closed member iff t >= 0
 and an open member iff t > 0.  The LP shifts out each region's pure lower
 bounds (y = lb*lam + z with z >= 0, the textbook lower-bound shift), so
 it keeps only the mixed rows, all with bound 0, and the 1 + |variables|
-equality rows, which alone need artificials.
+equality rows, which alone need artificials.  It relies on the contract
+that TubularRegion's constructor alone enforces: a pure lower bound on
+every variable and only positive coefficients (an orthant recession cone).
 """
 from __future__ import annotations
 
@@ -120,9 +123,10 @@ def lp_solve(problem: LPProblem) -> LPResult:
     tableau row is a primitive integer dict {column: nonzero int} with the
     rhs under column `total`; it is a positive multiple of the row that
     the Fraction simplex would hold, so its basic column holds a positive
-    integer instead of 1.  The two cost rows are primitive integer lists,
-    positive multiples of the reduced costs, and only their signs are
-    read.  Fractions appear only where the problem is read and the result
+    integer instead of 1.  The cost row of each phase is a dict row of the
+    same kind, a positive multiple of the reduced costs, and _combine
+    updates it like any other row; only the signs of its entries are read.
+    Fractions appear only where the problem is read and the result
     written.  Raises ResourceCapError after DEFAULT_PIVOT_CAP pivots.
     """
     n = len(problem.variables)
@@ -167,15 +171,12 @@ def lp_solve(problem: LPProblem) -> LPResult:
         if bound:
             entries[total] = -bound if flip else bound
         tableau.append(_integer_row(entries))
-    m = len(tableau)
-    cost1 = [0] * art0 + [1] * (total - art0) + [0]
-    shape = f"({m} rows x {n} variables)"
-    _reduce_cost_row(cost1, tableau, basis)
-    status, pivots = _pivot_until_optimal(tableau, cost1, basis, total, 0,
-                                          f"LP phase 1 {shape}")
+    shape = f"({len(tableau)} rows x {n} variables)"
+    status, pivots, cost = _pivot_until_optimal(tableau, dict.fromkeys(range(art0, total), 1),
+                                                basis, total, total, 0, f"LP phase 1 {shape}")
     if status == "unbounded":  # impossible in phase 1 (costs bounded below by 0)
         raise AssertionError("phase 1 cannot be unbounded")
-    if cost1[total] < 0:
+    if cost.get(total, 0) < 0:
         return LPResult(status="infeasible", pivots=pivots)
     pivots += _drive_out_artificials(tableau, basis, art0)
     keep = []
@@ -188,7 +189,7 @@ def lp_solve(problem: LPProblem) -> LPResult:
         keep.append(i)
     tableau = [tableau[i] for i in keep]
     basis = [basis[i] for i in keep]
-    # phase 2
+    # phase 2: artificial columns (art0 and up) may no longer enter
     objective = problem.objective or ()
     costs = {}
     for i, coef in objective:
@@ -196,12 +197,8 @@ def lp_solve(problem: LPProblem) -> LPResult:
         costs[plus] = coef
         if minus is not None:
             costs[minus] = -coef
-    costs = _integer_row(costs)
-    cost2 = [costs.get(j, 0) for j in range(total + 1)]
-    forbidden = set(range(art0, total))
-    _reduce_cost_row(cost2, tableau, basis)
-    status, pivots = _pivot_until_optimal(tableau, cost2, basis, total, pivots,
-                                          f"LP phase 2 {shape}", forbidden=forbidden)
+    status, pivots, _ = _pivot_until_optimal(tableau, _integer_row(costs), basis, art0, total,
+                                             pivots, f"LP phase 2 {shape}")
     if status == "unbounded":
         return LPResult(status="unbounded", pivots=pivots)
     values = [Fraction(0)] * total
@@ -253,48 +250,25 @@ def _combine(row, p, a, pivot_row):
     return _primitive(new)
 
 
-def _eliminate_cost(cost, j, pivot_row):
-    """cost <- p*cost - cost[j]*pivot_row, made primitive, in place, where
-    p = pivot_row[j] > 0: the cost row's entry j becomes 0 and every other
-    entry keeps the sign of its reduced cost."""
-    a = cost[j]
-    p = pivot_row[j]
-    g = math.gcd(p, a)
-    if g != 1:
-        p //= g
-        a //= g
-    if p != 1:
-        cost[:] = [p * v for v in cost]
-    for k, v in pivot_row.items():
-        cost[k] -= a * v
-    g = math.gcd(*cost)
-    if g > 1:
-        cost[:] = [v // g for v in cost]
+def _pivot_until_optimal(tableau, cost, basis, limit, total, pivots, stage):
+    """Price out the basis from the integer dict row `cost`, then pivot by
+    Bland's rule; returns the status, the running pivot count and the cost
+    row, a positive multiple of the reduced costs (column `total` holds the
+    negated objective).
 
-
-def _reduce_cost_row(cost, tableau, basis):
-    for row, b in zip(tableau, basis):
-        if cost[b]:
-            _eliminate_cost(cost, b, row)
-
-
-def _pivot_until_optimal(tableau, cost, basis, total, pivots, stage, forbidden=frozenset()):
-    """Pivot by Bland's rule; returns the status and the running pivot count.
-
-    The ratio test compares rhs/a as integer cross products; ties go to
-    the row with the smallest basic index.  Scaling a row by a positive
-    integer changes neither its ratio nor a reduced-cost sign, so the
-    pivots are those of the Fraction simplex.
+    A basic column has no cost entry, so the entering column is the
+    smallest column below `limit` with a negative cost.  The ratio test
+    compares rhs/a as integer cross products; ties go to the row with the
+    smallest basic index.  Positive row scaling changes neither a ratio nor
+    a reduced-cost sign, so the pivots are those of the Fraction simplex.
     """
+    for row, b in zip(tableau, basis):
+        if b in cost:
+            cost = _combine(cost, row[b], cost[b], row)
     while True:
-        entering = None
-        skip = forbidden.union(basis)
-        for j in range(total):
-            if j not in skip and cost[j] < 0:
-                entering = j
-                break
+        entering = min((j for j, v in cost.items() if v < 0 and j < limit), default=None)
         if entering is None:
-            return "optimal", pivots
+            return "optimal", pivots, cost
         leaving = None
         for i, row in enumerate(tableau):
             a = row.get(entering)
@@ -308,13 +282,13 @@ def _pivot_until_optimal(tableau, cost, basis, total, pivots, stage, forbidden=f
                     continue
             leaving, best_b, best_a = i, b, a
         if leaving is None:
-            return "unbounded", pivots
+            return "unbounded", pivots, cost
         if pivots >= DEFAULT_PIVOT_CAP:
             raise ResourceCapError(
                 f"{stage} exceeds the pivot cap of {DEFAULT_PIVOT_CAP}")
         _pivot(tableau, basis, leaving, entering)
-        if cost[entering]:
-            _eliminate_cost(cost, entering, tableau[leaving])
+        row = tableau[leaving]
+        cost = _combine(cost, row[entering], cost[entering], row)
         pivots += 1
 
 
@@ -496,17 +470,6 @@ def _certificate_from_assignment(assignment, regions, variables) -> HullCertific
     return HullCertificate(lambdas=lambdas, points=tuple(points), epsilon=epsilon)
 
 
-def _assert_orthant_recession(regions):
-    # TubularRegion construction already guarantees this; re-assert rather
-    # than trust the caller, since Balas validity depends on it.
-    for region in regions:
-        for v in region.variables:
-            region.pure_lower_bound(v)
-        for c in region.constraints:
-            if any(coef < 0 for _, coef in c.coefficients):
-                raise ValidationError("negative coefficient breaks the recession-cone contract")
-
-
 def hull_membership(point, regions, mode="open"):
     """Membership of `point` in the hull of the union of the regions.
 
@@ -521,7 +484,6 @@ def hull_membership(point, regions, mode="open"):
     if not regions:
         return False, None
     variables = _common_variables(regions)
-    _assert_orthant_recession(regions)
     pt = _as_point(point, variables)
     # always feasible (the all-large point lies in every region) and bounded
     # (every variable has a pure lower bound)
@@ -569,7 +531,6 @@ def line_threshold(wt, regions) -> Fraction:
     if not regions:
         raise ValidationError("no regions given")
     variables = _common_variables(regions)
-    _assert_orthant_recession(regions)
     weights = {v: Fraction(wt(v) if callable(wt) else wt[v]) for v in variables}
     if any(weights[v] <= 0 for v in variables):
         raise ValidationError("line thresholds need positive weights on all variables")

@@ -160,6 +160,13 @@ def closure(generators):
     return elements
 
 
+def check_degree(n: int):
+    """Refuse an input degree above DEFAULT_POINT_CAP before any image tuple
+    of it is built: closure would refuse every group of that degree."""
+    if n > DEFAULT_POINT_CAP:
+        raise ResourceCapError(f"degree {n} exceeds the point cap of {DEFAULT_POINT_CAP}")
+
+
 class Permutation:
     """A bijection of {1..degree}, stored as the tuple of images."""
 
@@ -668,6 +675,7 @@ def fitting_subgroup(G: PermutationGroup) -> frozenset:
 def direct_product(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
     """G x H acting on n+m disjoint points (intransitive carrier)."""
     n, m = G.degree, H.degree
+    check_degree(n + m)
     gens = []
     for g in G.generators:
         gens.append(Permutation(tuple(g.images) + tuple(range(n + 1, n + m + 1))))
@@ -680,6 +688,7 @@ def direct_product(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup
 def product_representation(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
     """G x H acting on the n*m point pairs; transitive when both factors are."""
     n, m = G.degree, H.degree
+    check_degree(n * m)
 
     def pair(i, j):  # 1-based point for (i, j)
         return (i - 1) * m + j
@@ -701,6 +710,7 @@ def wreath_product(N: PermutationGroup, B: PermutationGroup) -> PermutationGroup
     Base copies of N act inside each block; B permutes the blocks.
     """
     n, m = N.degree, B.degree
+    check_degree(n * m)
 
     def point(block, i):  # 1-based
         return (block - 1) * n + i
@@ -779,6 +789,7 @@ def parse_group_file(text: str) -> PermutationGroup:
                 raise ParseError(f"line {lineno}: bad degree {line[7:].strip()!r}") from None
             if degree <= 0:
                 raise ParseError(f"line {lineno}: degree must be positive")
+            check_degree(degree)
             continue
         try:
             gens.append(parse_permutation(line, degree))

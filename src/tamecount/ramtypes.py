@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ParseError, ValidationError
-from .perm import (Permutation, PermutationGroup, QuotientGroup, content_lines, index_of,
-                   is_nilpotent, orbit, prime_factors)
+from .errors import ParseError, ResourceCapError, ValidationError
+from .perm import (DEFAULT_ELEMENT_CAP, Permutation, PermutationGroup, QuotientGroup,
+                   content_lines, index_of, is_nilpotent, orbit, prime_factors)
 
 
 def _units(e: int):
@@ -115,6 +115,9 @@ def parse_cyclotomic_file(text: str, name=None) -> CyclotomicProfile:
             raise ParseError(f"line {lineno}: bad integer in {line!r}") from None
         if e <= 0:
             raise ParseError(f"line {lineno}: modulus {e} is not positive")
+        if e > DEFAULT_ELEMENT_CAP:  # no group within the caps has an element of order e
+            raise ResourceCapError(
+                f"line {lineno}: modulus {e} exceeds the element cap of {DEFAULT_ELEMENT_CAP}")
         gens = [g % e if g % e else e for g in gens]
         if any(math.gcd(g, e) != 1 for g in gens):
             raise ParseError(f"line {lineno}: non-unit residue for modulus {e}")

@@ -47,41 +47,34 @@ class SubconvexityProfile:
             raise ValidationError(f"profile {self.name} has no alpha for type {label}")
         return self.alpha[label]
 
-    def beta_of(self, label: str) -> Fraction:
-        if self.beta is None:
-            raise ValidationError(f"profile {self.name} assumes no t-aspect bound")
-        if label not in self.beta:
-            raise ValidationError(f"profile {self.name} has no beta for type {label}")
-        return self.beta[label]
 
+def default_beta(types, alpha, cyc: CyclotomicProfile):
+    """Conservative t-aspect exponents over Q: alpha * |tau|.
 
-def default_beta(types, alpha, cyc: CyclotomicProfile, k_degree: int = 1):
-    """Conservative t-aspect exponents: alpha * |tau| * [k:Q].
-
-    Size-one types over Q with the full cyclotomic profile are rational
-    Dirichlet L-functions, where the Weyl-strength bound 1/3 is sharper.
+    Size-one types with the full cyclotomic profile are rational Dirichlet
+    L-functions, where the Weyl-strength bound 1/3 is sharper.
     """
     beta = {}
     for t in types:
-        b = alpha[t.label] * t.size * k_degree
-        if t.size == 1 and cyc.is_full and k_degree == 1:
+        b = alpha[t.label] * t.size
+        if t.size == 1 and cyc.is_full:
             b = min(b, WEYL_T_EXPONENT)
         beta[t.label] = b
     return beta
 
 
 def make_profile(preset: str, types, cyc: CyclotomicProfile, *,
-                 gamma: Fraction | None = None, k_degree: int = 1) -> SubconvexityProfile:
+                 gamma: Fraction | None = None) -> SubconvexityProfile:
     """Build a named preset over the given type list."""
     labels = [t.label for t in types]
     if preset in ("burgess-yang", "paper-d4", "paper-16t11"):
         alpha = {lab: Fraction(3, 8) for lab in labels}
         return SubconvexityProfile(name=preset, gamma=Fraction(1, 2), alpha=alpha,
-                                   beta=default_beta(types, alpha, cyc, k_degree))
+                                   beta=default_beta(types, alpha, cyc))
     if preset == "convexity":
         alpha = {lab: Fraction(1, 2) for lab in labels}
         return SubconvexityProfile(name=preset, gamma=Fraction(1, 2), alpha=alpha,
-                                   beta=default_beta(types, alpha, cyc, k_degree))
+                                   beta=default_beta(types, alpha, cyc))
     if preset == "lindelof":
         g = Fraction(1, 2) if gamma is None else Fraction(gamma)
         alpha = {lab: Fraction(0) for lab in labels}
@@ -177,7 +170,8 @@ def constraint(coeffs: dict, bound) -> LinearConstraint:
 
 
 class TubularRegion:
-    """Open region cut out by strict linear inequalities with orthant recession cone."""
+    """Open region cut out by strict linear inequalities with orthant recession
+    cone; the constructor alone enforces the contract that hull_lp relies on."""
 
     def __init__(self, variables, constraints, name=None):
         self.variables = tuple(variables)

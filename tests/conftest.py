@@ -1,6 +1,21 @@
 import pytest
 
+import tamecount.hull_lp as hull_lp
 from tamecount import CyclotomicProfile, resolve_entry
+
+
+@pytest.fixture
+def recorded_lps(monkeypatch):
+    """The (LPProblem, LPResult) of every lp_solve call made through hull_lp."""
+    results = []
+    solve = hull_lp.lp_solve
+
+    def recording_solve(problem):
+        results.append((problem, solve(problem)))
+        return results[-1][1]
+
+    monkeypatch.setattr(hull_lp, "lp_solve", recording_solve)
+    return results
 
 
 @pytest.fixture(scope="session")

@@ -166,13 +166,15 @@ class TestCliClassify:
 
 
 class TestCliAnalyze:
-    def test_order_1536_report_byte_identical(self, capsys):
+    def test_order_1536_report_byte_identical(self, capsys, recorded_lps):
         # the only tier-1 analysis above order 16: 12 witnesses, two Balas
-        # LPs of 411 rows x 601 variables (64 + 58 pivots); CI compares the
-        # slower wreath(C2,C10) report the same way
+        # LPs of 411 rows x 601 variables; their pivot counts pin Bland's
+        # rule on large cost rows.  CI compares the slower wreath(C2,C10)
+        # report the same way
         assert cli_main(["analyze", "wreath(4T3,C3)", "--weight", "disc"]) == 0
         expected = (REFERENCE / "analyze_wreath_4T3_C3_disc.txt").read_bytes()
         assert capsys.readouterr().out.encode("utf-8") == expected
+        assert [r.pivots for _, r in recorded_lps] == [64, 58]
 
     def test_8t4_disc(self):
         res = run_cli("analyze", "8T4", "--weight", "disc", "--profile", "paper-d4")
@@ -440,6 +442,22 @@ class TestCustomInputFiles:
         assert cli_main(["classes", "C40"]) == 3
         err = capsys.readouterr().err
         assert "point cap of 1000: 26 elements x degree 40 = 1040 points" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("spec, degree", [("C1001", 1001), ("product(C40,C40)", 1600),
+                                              ("wreath(C40,C40)", 1600), ("file", 1001)])
+    def test_degree_above_point_cap_refused(self, spec, degree, monkeypatch, tmp_path,
+                                            capsys):
+        # no closure of a degree above the point cap fits under it, so the
+        # degree is refused before any permutation of that degree is built
+        # (not by closure, whose message names an element count)
+        monkeypatch.setattr(perm, "DEFAULT_POINT_CAP", 1000)
+        if spec == "file":
+            spec = tmp_path / "big.group"
+            spec.write_text(f"name big\ndegree {degree}\n(1,2)\n", encoding="utf-8")
+        assert cli_main(["classes", str(spec)]) == 3
+        err = capsys.readouterr().err
+        assert f"resource cap: degree {degree} exceeds the point cap of 1000" in err
         assert "Traceback" not in err
 
 

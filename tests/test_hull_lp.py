@@ -22,20 +22,6 @@ from tamecount.perm import subgroup_generated
 from tamecount.regions import TubularRegion, build_region, constraint
 
 
-@pytest.fixture
-def recorded_lps(monkeypatch):
-    """The (LPProblem, LPResult) of every lp_solve call made through hull_lp."""
-    results = []
-    solve = hull_lp.lp_solve
-
-    def recording_solve(problem):
-        results.append((problem, solve(problem)))
-        return results[-1][1]
-
-    monkeypatch.setattr(hull_lp, "lp_solve", recording_solve)
-    return results
-
-
 # ---------------------------------------------------------------------------
 # plain LP
 # ---------------------------------------------------------------------------

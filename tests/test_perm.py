@@ -546,6 +546,17 @@ class TestProducts:
         assert P.order == 24
         assert P.is_transitive()
 
+    @pytest.mark.parametrize("construct, degree", [(direct_product, 11),
+                                                   (product_representation, 24),
+                                                   (wreath_product, 24)])
+    def test_product_degree_above_point_cap_refused(self, d4_octic, monkeypatch,
+                                                    construct, degree):
+        monkeypatch.setattr(perm, "DEFAULT_POINT_CAP", degree - 1)
+        with pytest.raises(ResourceCapError, match=f"degree {degree} exceeds the point cap"):
+            construct(d4_octic.group, cyclic(3))
+        monkeypatch.setattr(perm, "DEFAULT_POINT_CAP", degree)
+        assert construct(d4_octic.group, cyclic(3)).degree == degree
+
     def test_regular_c2(self):
         R = regular_representation(cyclic(2))
         assert R.degree == 2 and R.order == 2

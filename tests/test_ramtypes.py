@@ -13,7 +13,7 @@ from tamecount import (CyclotomicProfile, index_of, min_weight, pole_order_bound
                        weight_product_ramified, wreath_product)
 from tamecount.cli import main as cli_main
 from tamecount.errors import ParseError, ValidationError
-from tamecount.perm import PermutationGroup, subgroup_generated
+from tamecount.perm import DEFAULT_ELEMENT_CAP, PermutationGroup, subgroup_generated
 from tamecount.ramtypes import parse_cyclotomic_file, parse_weight_file, type_of
 
 
@@ -182,6 +182,19 @@ class TestProfiles:
         assert cli_main(["classes", "4T3", "--cyc", str(path)]) == 0
         assert time.perf_counter() - start < 1.0
         assert '"label": "4A"' in capsys.readouterr().out
+
+    def test_modulus_above_element_cap_refused(self, tmp_path, capsys):
+        # no group within the caps has an element of order above the element
+        # cap, so such a modulus is refused before its unit group is walked
+        path = tmp_path / "huge.cyc"
+        path.write_text(f"{DEFAULT_ELEMENT_CAP + 1} 1\n", encoding="utf-8")
+        assert cli_main(["classes", "4T3", "--cyc", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert (f"resource cap: line 1: modulus {DEFAULT_ELEMENT_CAP + 1} exceeds the "
+                f"element cap of {DEFAULT_ELEMENT_CAP}") in err
+        assert "Traceback" not in err
+        path.write_text(f"{DEFAULT_ELEMENT_CAP} 1\n", encoding="utf-8")
+        assert cli_main(["classes", "4T3", "--cyc", str(path)]) == 0
 
 
 class TestWeights:
