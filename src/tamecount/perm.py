@@ -3,12 +3,18 @@
 Everything is computed by explicit enumeration: element sets are
 materialized by breadth-first closure over the generators (no
 Schreier--Sims), which keeps every downstream result certifiable at
-desk scale (orders up to ~10^5).  Each group caches its conjugacy
-classes, an element -> class index and a class-product table; normal
-subgroups, normal closures and the Fitting subgroup are unions of
-classes, found as bitmask fixpoints of that table (the class-structure
-methods of Hulpke, "Computing normal subgroups", ISSAC 1998).  The
-normal-subgroup lattice and the Fitting subgroup are cached as well.
+desk scale (orders up to ~10^5).  The closure keeps an irredundant
+subset of the generators, skipping each one that already lies in the
+closure of those kept before it; the group stores that subset as
+`kept`, and the class BFS and the upper central series conjugate by it
+alone, since any generating set gives the same conjugation orbits.
+
+Each group caches its conjugacy classes, an element -> class index and
+a class-product table; normal subgroups, normal closures and the
+Fitting subgroup are unions of classes, found as bitmask fixpoints of
+that table (the class-structure methods of Hulpke, "Computing normal
+subgroups", ISSAC 1998).  The normal-subgroup lattice and the Fitting
+subgroup are cached as well.
 Membership, normality, subgroup and abelian tests read the same data:
 `in` the class index, `class_mask` and `is_abelian_normal` the classes
 and their product table.
@@ -137,10 +143,22 @@ def orbit(start, step, limit=math.inf):
     return found
 
 
+def _moved_first(p):
+    """Closure's generator order: more moved points first, then the image tuple."""
+    return (-sum(i != v for i, v in enumerate(p, 1)), p)
+
+
 def closure(generators):
     """Orbit closure of the nonempty list `generators` under composition.
 
-    Returns the full element list in discovery order.  Raises
+    Returns (elements, kept): the full element list in discovery order and
+    an irredundant generating subset of `generators`.  The distinct
+    generators are taken in `_moved_first` order; one that lies in the
+    closure of those kept so far is skipped, any other is kept and the
+    orbit of the identity under the kept multipliers is searched again.
+    So each kept generator lies outside the closure of the earlier ones.
+    Any generating set gives the same closure and the same conjugation
+    orbits, so every later search can run over `kept` alone.  Raises
     ResourceCapError once there would be more than DEFAULT_ELEMENT_CAP
     elements, or once the elements would hold more than DEFAULT_POINT_CAP
     points (elements x degree), which bounds the work of a high-degree
@@ -148,16 +166,25 @@ def closure(generators):
     """
     n = len(generators[0])
     limit = min(DEFAULT_ELEMENT_CAP, DEFAULT_POINT_CAP // n)
-    multipliers = [right_multiplier(h) for h in dict.fromkeys(generators)]
-    elements = orbit(tuple(range(1, n + 1)), lambda g: [mul(g) for mul in multipliers], limit)
-    if len(elements) > limit:
-        if len(elements) > DEFAULT_ELEMENT_CAP:
+    identity = tuple(range(1, n + 1))
+    elements, kept = [identity], []
+    candidates = sorted(set(generators), key=_moved_first)
+    while True:
+        members = set(elements)
+        candidates = [h for h in candidates if h not in members]
+        if not candidates:
+            return elements, kept
+        kept.append(candidates[0])
+        multipliers = [right_multiplier(h) for h in kept]
+        members = elements = None  # free the smaller closure before the search
+        elements = orbit(identity, lambda g: [mul(g) for mul in multipliers], limit)
+        if len(elements) > limit:
+            if len(elements) > DEFAULT_ELEMENT_CAP:
+                raise ResourceCapError(
+                    f"group closure exceeds the element cap of {DEFAULT_ELEMENT_CAP}")
             raise ResourceCapError(
-                f"group closure exceeds the element cap of {DEFAULT_ELEMENT_CAP}")
-        raise ResourceCapError(
-            f"group closure exceeds the point cap of {DEFAULT_POINT_CAP}: "
-            f"{len(elements)} elements x degree {n} = {len(elements) * n} points")
-    return elements
+                f"group closure exceeds the point cap of {DEFAULT_POINT_CAP}: "
+                f"{len(elements)} elements x degree {n} = {len(elements) * n} points")
 
 
 def check_degree(n: int):
@@ -165,6 +192,19 @@ def check_degree(n: int):
     of it is built: closure would refuse every group of that degree."""
     if n > DEFAULT_POINT_CAP:
         raise ResourceCapError(f"degree {n} exceeds the point cap of {DEFAULT_POINT_CAP}")
+
+
+def check_product_degree(n: int, *factors: PermutationGroup):
+    """`check_degree(n)` for a group of degree n built from `factors`, and
+    more: when every factor is transitive, so is the product or wreath
+    product, and a transitive group of degree n has at least n elements.
+    Closure would refuse it once n x n exceeds DEFAULT_POINT_CAP, so it is
+    refused before any of its generators is built."""
+    check_degree(n)
+    if n * n > DEFAULT_POINT_CAP and all(F.is_transitive() for F in factors):
+        raise ResourceCapError(
+            f"transitive degree {n} exceeds the point cap of {DEFAULT_POINT_CAP}: "
+            f"at least {n} elements x degree {n} = {n * n} points")
 
 
 class Permutation:
@@ -326,6 +366,7 @@ class PermutationGroup:
         self.generators = tuple(gens)
         self.name = name
         self._elements = None
+        self._kept = None
         self._classes = None
         self._class_index = None
         self._class_products = None
@@ -340,9 +381,17 @@ class PermutationGroup:
     def elements(self):
         """The full element set, canonically sorted."""
         if self._elements is None:
-            raw = closure([g.images for g in self.generators] or [self.identity.images])
+            raw, kept = closure([g.images for g in self.generators] or [self.identity.images])
+            self._kept = tuple(map(Permutation._of, kept))
             self._elements = tuple(map(Permutation._of, sorted(raw)))
         return self._elements
+
+    @property
+    def kept(self):
+        """The irredundant generating subset of `generators` that `closure`
+        keeps; the class BFS and the upper central series conjugate by it."""
+        _ = self.elements
+        return self._kept
 
     @property
     def order(self) -> int:
@@ -367,11 +416,11 @@ class PermutationGroup:
     def conjugacy_classes(self):
         """Classes in deterministic order: (element order, size, minimal member).
 
-        One conjugation-orbit BFS over the generators per class, O(|G|*gens)
-        conjugations in all; the identity class comes first.
+        One conjugation-orbit BFS over the kept generators per class,
+        O(|G|*kept) conjugations in all; the identity class comes first.
         """
         if self._classes is None:
-            step = conjugation_step([h.images for h in self.generators])
+            step = conjugation_step([h.images for h in self.kept])
             by_images = {g.images: g for g in self.elements}
             seen = set()
             parts = []
@@ -481,7 +530,7 @@ def subgroup_generated(G: PermutationGroup, elems) -> frozenset:
     gens = [g.images for g in elems]
     if not gens:
         return frozenset({G.identity})
-    return frozenset(map(Permutation._of, closure(gens)))
+    return frozenset(map(Permutation._of, closure(gens)[0]))
 
 
 def pointwise_class_centralizer(G: PermutationGroup, c) -> frozenset:
@@ -627,10 +676,11 @@ def quotient(G: PermutationGroup, N) -> QuotientGroup:
 def upper_central_series(G: PermutationGroup):
     """[Z_0=1, Z_1=Z(G), ...] strictly increasing, ending at the hypercenter.
 
-    Z_{i+1} holds the g with h g h^-1 g^-1 in Z_i for every generator h;
-    each Z_i is normal, a union of classes, so one member per class is tested.
+    Z_{i+1} holds the g with h g h^-1 g^-1 in Z_i for every kept generator
+    h; each Z_i is normal, a union of classes, so one member per class is
+    tested.
     """
-    step = conjugation_step([h.images for h in G.generators])
+    step = conjugation_step([h.images for h in G.kept])
     commutators = [(c.members, list(map(right_multiplier(inverse(c.representative.images)),
                                         step(c.representative.images))))
                    for c in G.conjugacy_classes()]
@@ -688,7 +738,7 @@ def direct_product(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup
 def product_representation(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
     """G x H acting on the n*m point pairs; transitive when both factors are."""
     n, m = G.degree, H.degree
-    check_degree(n * m)
+    check_product_degree(n * m, G, H)
 
     def pair(i, j):  # 1-based point for (i, j)
         return (i - 1) * m + j
@@ -710,7 +760,7 @@ def wreath_product(N: PermutationGroup, B: PermutationGroup) -> PermutationGroup
     Base copies of N act inside each block; B permutes the blocks.
     """
     n, m = N.degree, B.degree
-    check_degree(n * m)
+    check_product_degree(n * m, N, B)
 
     def point(block, i):  # 1-based
         return (block - 1) * n + i

@@ -460,6 +460,18 @@ class TestCustomInputFiles:
         assert f"resource cap: degree {degree} exceeds the point cap of 1000" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("spec", ["product(C5,C7)", "wreath(C5,C7)"])
+    def test_transitive_degree_squared_above_point_cap_refused(self, spec, monkeypatch,
+                                                               capsys):
+        # degree 35 passes the degree check, but a transitive group of degree
+        # 35 has at least 35 elements, 1225 points, so no generator is built
+        monkeypatch.setattr(perm, "DEFAULT_POINT_CAP", 1000)
+        assert cli_main(["classes", spec]) == 3
+        err = capsys.readouterr().err
+        assert ("resource cap: transitive degree 35 exceeds the point cap of 1000: "
+                "at least 35 elements x degree 35 = 1225 points") in err
+        assert "Traceback" not in err
+
 
 def test_golden_certificates_verify_with_positive_margin(cyc_q):
     for lineno, parts in _parse_manifest(GOLDEN / "golden_manifest.txt"):

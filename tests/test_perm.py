@@ -160,11 +160,60 @@ class TestOrbit:
         assert orbit(0, lambda x: [(x + 1) % 4], limit=4) == [0, 1, 2, 3]
 
     def test_closure_is_the_orbit_of_the_identity(self):
-        gens = [(2, 3, 4, 1), (2, 1, 3, 4)]
-        elements = perm.closure(gens)
+        # closure returns (elements, kept): the orbit of the identity under
+        # the kept generators, taken more moved points first; the identity,
+        # a repeat and the square of the 4-cycle add nothing and are skipped
+        gens = [(2, 1, 3, 4), (3, 4, 1, 2), (1, 2, 3, 4), (2, 3, 4, 1), (2, 1, 3, 4)]
+        elements, kept = perm.closure(gens)
+        assert kept == [(2, 3, 4, 1), (2, 1, 3, 4)]
         assert elements[0] == (1, 2, 3, 4)
-        assert elements[1:3] == gens
+        assert elements[1:3] == kept
         assert len(elements) == len(set(elements)) == 24
+        assert perm.closure([(1, 2, 3)]) == ([(1, 2, 3)], [])
+
+
+def ref_closure(gens, n):
+    """The group generated by `gens` (image tuples of degree n), as a set."""
+    found = {tuple(range(1, n + 1))}
+    frontier = found
+    while frontier:
+        frontier = {ref_compose(g, h) for g in frontier for h in gens} - found
+        found |= frontier
+    return found
+
+
+_GENERATING_SET_GROUPS = [s4(), resolve_entry("4T3").group, resolve_entry("8T11").group,
+                          resolve_entry("16T11").group, wreath_product(cyclic(2), cyclic(3)),
+                          product_representation(resolve_entry("4T3").group, cyclic(3))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_group_data_do_not_depend_on_the_generating_set(data):
+    G = data.draw(st.sampled_from(_GENERATING_SET_GROUPS))
+    padded = st.tuples(st.permutations(G.generators),
+                       st.lists(st.sampled_from(G.generators + (G.identity,)), max_size=4))
+    listing = data.draw(st.one_of(st.just(list(G.elements)),
+                                  padded.flatmap(lambda t: st.permutations(t[0] + t[1]))))
+    H = PermutationGroup(G.degree, listing)
+    assert H.elements == G.elements
+    assert H.conjugacy_classes() == G.conjugacy_classes()
+    assert H.class_products() == G.class_products()
+    assert normal_subgroups(H) == normal_subgroups(G)
+    # kept is an irredundant generating subset of the listing
+    kept = [g.images for g in H.kept]
+    assert set(kept) <= {g.images for g in listing}
+    assert ref_closure(kept, G.degree) == {g.images for g in G.elements}
+    for i, g in enumerate(kept):
+        assert g not in ref_closure(kept[:i], G.degree)
+
+
+@pytest.mark.parametrize("spec, kept", [("wreath(C2,C8)", 2), ("wreath(4T3,C3)", 3),
+                                        ("16T11", 3)])
+def test_paper_groups_close_over_few_generators(spec, kept):
+    G = resolve_entry(spec).group
+    assert len(G.generators) > len(G.kept) == kept
+    assert set(G.kept) <= set(G.generators)
 
 
 class TestPrimeFactors:
@@ -554,8 +603,24 @@ class TestProducts:
         monkeypatch.setattr(perm, "DEFAULT_POINT_CAP", degree - 1)
         with pytest.raises(ResourceCapError, match=f"degree {degree} exceeds the point cap"):
             construct(d4_octic.group, cyclic(3))
-        monkeypatch.setattr(perm, "DEFAULT_POINT_CAP", degree)
+        # both factors are transitive, so product and wreath product are too
+        # and need degree x degree points: that many pass, the degree alone not
+        admitted = degree if construct is direct_product else degree * degree
+        monkeypatch.setattr(perm, "DEFAULT_POINT_CAP", admitted)
         assert construct(d4_octic.group, cyclic(3)).degree == degree
+        if construct is not direct_product:
+            monkeypatch.setattr(perm, "DEFAULT_POINT_CAP", admitted - 1)
+            with pytest.raises(ResourceCapError, match=f"transitive degree {degree} exceeds"):
+                construct(d4_octic.group, cyclic(3))
+
+    @pytest.mark.parametrize("construct", [product_representation, wreath_product])
+    def test_intransitive_factor_escapes_the_transitive_rule(self, monkeypatch, construct):
+        # 35 x 35 = 1225 points exceed the cap, but with an intransitive
+        # factor the group may have fewer than 35 elements: here it is C7
+        monkeypatch.setattr(perm, "DEFAULT_POINT_CAP", 1000)
+        P = construct(PermutationGroup(5, ["()"]), cyclic(7))
+        assert P.degree == 35 and not P.is_transitive()
+        assert P.order == 7
 
     def test_regular_c2(self):
         R = regular_representation(cyclic(2))
