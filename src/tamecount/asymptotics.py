@@ -94,7 +94,7 @@ def xi_exponent(regions, witness_type_sets, beta, wt, s_star: Fraction) -> Fract
     lower = {v: [r.pure_lower_bound(v) for r in regions] for v in variables}
     in_mixed = set()
     for r in regions:
-        for c in r.mixed_constraints():
+        for c, _ in r.mixed:
             in_mixed.update(c.support())
     pointwise = []
     hulled = []

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ValidationError
-from .perm import (PermutationGroup, check_degree, parse_group_file, parse_permutation,
-                   product_representation, read_input_file, regular_embedding,
-                   wreath_product)
+from .perm import (PermutationGroup, check_transitive_degree, parse_group_file,
+                   parse_permutation, product_representation, read_input_file,
+                   regular_embedding, wreath_product)
 from .hull_lp import parse_rational
 from .ramtypes import (CyclotomicProfile, WeightFunction, parse_cyclotomic_file,
                        parse_weight_file, tame_types, weight_conductor_d4,
@@ -101,7 +101,7 @@ def _s3_entry() -> CatalogEntry:
 def _cyclic_entry(n: int) -> CatalogEntry:
     if n < 1:
         raise ValidationError("cyclic order must be positive")
-    check_degree(n)
+    check_transitive_degree(n)
     images = tuple(range(2, n + 1)) + (1,)
     G = PermutationGroup(n, [images], name=f"C{n}")
     return CatalogEntry(label=f"C{n}", group=G, provenance="cyclic group, regular action")

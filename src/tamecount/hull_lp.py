@@ -22,10 +22,15 @@ margin t with point - t*1 in the closed hull.  The open hull is the
 interior of the closed one, so the point is a closed member iff t >= 0
 and an open member iff t > 0.  The LP shifts out each region's pure lower
 bounds (y = lb*lam + z with z >= 0, the textbook lower-bound shift), so
-it keeps only the mixed rows, all with bound 0, and the 1 + |variables|
-equality rows, which alone need artificials.  It relies on the contract
-that TubularRegion's constructor alone enforces: a pure lower bound on
-every variable and only positive coefficients (an orthant recession cone).
+it keeps only the mixed rows, all with bound 0.  A region gets a z column
+only for a coordinate that one of its mixed rows reads; every other
+recession slack is shared, one per coordinate, as the surplus of that
+coordinate's coupling row, which is an inequality (Balas 1979: the
+recession cone is the same for every region).  So only the convexity row
+and the coupling rows of negative point coordinates need artificials;
+every other row starts from its surplus.  It relies on the contract that
+TubularRegion's constructor alone enforces: a pure lower bound on every
+variable and only positive coefficients (an orthant recession cone).
 """
 from __future__ import annotations
 
@@ -394,65 +399,75 @@ def _as_point(point, variables) -> dict:
 
 
 def _balas_problem(regions, variables, *, point=None, wt=None):
-    """Variables: lam_j, z_{j,v}, then one scalar.
+    """Variables: lam_j, the z_{j,v} that a mixed row reads, then one scalar.
 
     Region j's scaled point is y_j = lb_j * lam_j + z_j with z_j >= 0, where
     lb_j holds the region's pure lower bounds.  Each pure row c*y >= b*lam
     has b/c <= lb, so z >= 0 and lam >= 0 imply it and it is dropped; a
-    mixed row sum coef*y >= bound*lam becomes
-    sum coef*z + (sum coef*lb - bound) * lam >= 0.  With a weight line:
-    minimise s subject to sum_j y_j = s * wt.  With a point: maximise the
-    margin t subject to sum_j y_j + t * 1 = point.  Every region row has
-    bound 0, so lp_solve starts it from its surplus and only the
-    1 + len(variables) equality rows need artificials.
+    mixed row sum coef*y >= bound*lam becomes sum coef*z + value * lam >= 0
+    with the value at the corner that TubularRegion stores.  A coordinate v
+    that no mixed row of region j reads needs no z_{j,v}: the recession
+    cone is the nonnegative orthant, so one slack per coordinate serves
+    every region, and it is the surplus of that coordinate's coupling row.
+    With a weight line: minimise s subject to s * wt_v - sum_j y_{j,v} >= 0.
+    With a point: maximise the margin t subject to
+    -sum_j y_{j,v} - t >= -point_v.  lp_solve starts every region row and
+    every coupling row with point_v >= 0 from its surplus, so only the
+    convexity row sum lam = 1 and the coupling rows with point_v < 0 need
+    artificials.
     """
-    lower = [{v: region.pure_lower_bound(v) for v in variables} for region in regions]
     names = [f"lam{j}" for j in range(len(regions))]
     z = {}  # (j, v) -> index of z_{j,v}
-    for j in range(len(regions)):
+    for j, region in enumerate(regions):
+        read = {lab for c, _ in region.mixed for lab, _ in c.coefficients}
         for v in variables:
-            z[j, v] = len(names)
-            names.append(f"z{j}.{v}")
+            if v in read:
+                z[j, v] = len(names)
+                names.append(f"z{j}.{v}")
     scalar = len(names)
     names.append("s" if wt is not None else "t")
     constraints = [(dict.fromkeys(range(len(regions)), 1), "==", 1)]
     for j, region in enumerate(regions):
-        for c in region.mixed_constraints():
+        for c, value in region.mixed:
             r = {z[j, lab]: coef for lab, coef in c.coefficients}
-            r[j] = sum((coef * lower[j][lab] for lab, coef in c.coefficients), -c.bound)
+            r[j] = value
             constraints.append((r, ">=", 0))
     for v in variables:
         r = {}
-        for j in range(len(regions)):
-            r[j] = lower[j][v]
-            r[z[j, v]] = 1
+        for j, region in enumerate(regions):
+            r[j] = -region.pure_lower_bound(v)
+            if (j, v) in z:
+                r[z[j, v]] = -1
         if wt is not None:
-            r[scalar] = -wt[v]
-            constraints.append((r, "==", 0))
+            r[scalar] = wt[v]
+            constraints.append((r, ">=", 0))
         else:
-            r[scalar] = 1
-            constraints.append((r, "==", point[v]))
+            r[scalar] = -1
+            constraints.append((r, ">=", -point[v]))
     return LPProblem(variables=tuple(names), constraints=constraints,
                      objective={scalar: 1 if wt is not None else -1},
                      nonneg=(True,) * scalar + (False,))
 
 
-def _certificate_from_assignment(assignment, regions, variables) -> HullCertificate:
+def _certificate_from_assignment(assignment, regions, variables, target) -> HullCertificate:
     lambdas = tuple(assignment[f"lam{j}"] for j in range(len(regions)))
-    # undo the lower-bound shift: y_{j,v} = lb_{j,v} * lam_j + z_{j,v}
-    y = [{v: region.pure_lower_bound(v) * lam + assignment[f"z{j}.{v}"] for v in variables}
-         for j, (region, lam) in enumerate(zip(regions, lambdas))]
-    # inactive regions may carry recession-ray mass (A y >= 0 with lam = 0);
-    # fold it into an active point, which stays feasible because the
-    # recession cone is the nonnegative orthant
-    stray = {v: Fraction(0) for v in variables}
-    for j, lam in enumerate(lambdas):
-        if lam == 0:
-            for v in variables:
-                stray[v] += y[j][v]
-    # shifting every active point by t * 1 moves the combination from
-    # point - t * 1 onto the point itself, since the lambdas sum to 1
     t = assignment["t"]
+    # undo the lower-bound shift: y_{j,v} = lb_{j,v} * lam_j + z_{j,v}, with
+    # z_{j,v} = 0 where the LP has no such column
+    y = [{v: region.pure_lower_bound(v) * lam + assignment.get(f"z{j}.{v}", 0)
+          for v in variables}
+         for j, (region, lam) in enumerate(zip(regions, lambdas))]
+    # what the active points leave of target - t * 1: the coupling rows'
+    # surpluses and the recession-ray mass of inactive regions (A y >= 0
+    # with lam = 0), all nonnegative; fold it into an active point, which
+    # stays feasible because the recession cone is the nonnegative orthant
+    stray = {v: target[v] - t for v in variables}
+    for j, lam in enumerate(lambdas):
+        if lam:
+            for v in variables:
+                stray[v] -= y[j][v]
+    # shifting every active point by t * 1 moves the combination from
+    # target - t * 1 onto the target itself, since the lambdas sum to 1
     points = []
     absorbed = False
     for j, lam in enumerate(lambdas):
@@ -493,7 +508,7 @@ def hull_membership(point, regions, mode="open"):
     margin = result.assignment["t"]
     if margin < 0 or (mode == "open" and margin == 0):
         return False, None
-    return True, _certificate_from_assignment(result.assignment, regions, variables)
+    return True, _certificate_from_assignment(result.assignment, regions, variables, pt)
 
 
 def verify_certificate(cert: HullCertificate, regions, point) -> bool:

@@ -194,10 +194,11 @@ def check_degree(n: int):
         raise ResourceCapError(f"degree {n} exceeds the point cap of {DEFAULT_POINT_CAP}")
 
 
-def check_product_degree(n: int, *factors: PermutationGroup):
-    """`check_degree(n)` for a group of degree n built from `factors`, and
-    more: when every factor is transitive, so is the product or wreath
-    product, and a transitive group of degree n has at least n elements.
+def check_transitive_degree(n: int, *factors: PermutationGroup):
+    """`check_degree(n)` for a group of degree n that is transitive when
+    every one of `factors` is, and more: a product or wreath product of
+    transitive factors is transitive, as is a regular cyclic group (no
+    factors), and a transitive group of degree n has at least n elements.
     Closure would refuse it once n x n exceeds DEFAULT_POINT_CAP, so it is
     refused before any of its generators is built."""
     check_degree(n)
@@ -738,7 +739,7 @@ def direct_product(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup
 def product_representation(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
     """G x H acting on the n*m point pairs; transitive when both factors are."""
     n, m = G.degree, H.degree
-    check_product_degree(n * m, G, H)
+    check_transitive_degree(n * m, G, H)
 
     def pair(i, j):  # 1-based point for (i, j)
         return (i - 1) * m + j
@@ -760,7 +761,7 @@ def wreath_product(N: PermutationGroup, B: PermutationGroup) -> PermutationGroup
     Base copies of N act inside each block; B permutes the blocks.
     """
     n, m = N.degree, B.degree
-    check_product_degree(n * m, N, B)
+    check_transitive_degree(n * m, N, B)
 
     def point(block, i):  # 1-based
         return (block - 1) * n + i

@@ -171,7 +171,14 @@ def constraint(coeffs: dict, bound) -> LinearConstraint:
 
 class TubularRegion:
     """Open region cut out by strict linear inequalities with orthant recession
-    cone; the constructor alone enforces the contract that hull_lp relies on."""
+    cone; the constructor alone enforces the contract that hull_lp relies on.
+
+    The constructor also shifts the region once to its corner, the point of
+    pure lower bounds lb: `mixed` holds each mixed constraint c with its
+    value at the corner, c.evaluate(lb) - c.bound.  With y = lb + z the
+    row c*y > bound reads c*z + value > 0, and every pure row holds for
+    all z >= 0, which is how hull_lp writes the region.
+    """
 
     def __init__(self, variables, constraints, name=None):
         self.variables = tuple(variables)
@@ -198,6 +205,8 @@ class TubularRegion:
         missing = [v for v in self.variables if v not in self._pure_lower]
         if missing:
             raise ValidationError(f"variables without a pure lower bound: {missing}")
+        self.mixed = tuple((c, c.evaluate(self._pure_lower) - c.bound)
+                           for c in self.constraints if not c.is_pure())
 
     def pure_lower_bound(self, label) -> Fraction:
         """Largest b/c over pure constraints c*sigma > b on `label`."""
@@ -205,9 +214,6 @@ class TubularRegion:
             return self._pure_lower[label]
         except KeyError:
             raise ValidationError(f"no pure lower bound on {label}") from None
-
-    def mixed_constraints(self):
-        return tuple(c for c in self.constraints if not c.is_pure())
 
     def contains_strict(self, point: dict) -> bool:
         return all(c.evaluate(point) > c.bound for c in self.constraints)

@@ -5,7 +5,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from tamecount import hull_membership, verify_certificate
+import tamecount.hull_lp as hull_lp
+from tamecount import LPProblem, hull_membership, lp_solve, verify_certificate
 from tamecount.perm import (PermutationGroup, compose, conjugation_step, normal_subgroups,
                             prime_factors, product_representation, quotient,
                             subgroup_as_group, subgroup_generated, subgroup_key,
@@ -145,7 +146,7 @@ def random_query_point(rng, regions, variables):
         point = {v: Fraction(0) for v in variables}
         for w, region in zip(weights, regions):
             corner = {v: region.pure_lower_bound(v) for v in variables}
-            for c in region.mixed_constraints():
+            for c, _ in region.mixed:
                 subject = c.support()[0]
                 deficit = c.bound - c.evaluate(corner)
                 if deficit > 0:
@@ -182,6 +183,75 @@ def run_oracle_case(dimension, region_count, max_mixed, instances, seed):
         if lp_member and not verify_certificate(cert, regions, point):
             disagreements += 1
     return instances, disagreements
+
+
+def ref_balas_problem(regions, variables, *, point=None, wt=None):
+    """The Balas LP with one z_{j,v} per region and coordinate and equality
+    coupling rows, each lam coefficient recomputed from the region's rows
+    (test oracle for `hull_lp._balas_problem`: same optimal value).
+
+    Variables: lam_j, z_{j,v}, then one scalar.  With a weight line:
+    minimise s subject to sum_j y_j = s * wt.  With a point: maximise the
+    margin t subject to sum_j y_j + t * 1 = point.
+    """
+    lower = [{v: region.pure_lower_bound(v) for v in variables} for region in regions]
+    names = [f"lam{j}" for j in range(len(regions))]
+    z = {}  # (j, v) -> index of z_{j,v}
+    for j in range(len(regions)):
+        for v in variables:
+            z[j, v] = len(names)
+            names.append(f"z{j}.{v}")
+    scalar = len(names)
+    names.append("s" if wt is not None else "t")
+    constraints = [(dict.fromkeys(range(len(regions)), 1), "==", 1)]
+    for j, region in enumerate(regions):
+        for c, _ in region.mixed:
+            r = {z[j, lab]: coef for lab, coef in c.coefficients}
+            r[j] = sum((coef * lower[j][lab] for lab, coef in c.coefficients), -c.bound)
+            constraints.append((r, ">=", 0))
+    for v in variables:
+        r = {}
+        for j in range(len(regions)):
+            r[j] = lower[j][v]
+            r[z[j, v]] = 1
+        if wt is not None:
+            r[scalar] = -wt[v]
+            constraints.append((r, "==", 0))
+        else:
+            r[scalar] = 1
+            constraints.append((r, "==", point[v]))
+    return LPProblem(variables=tuple(names), constraints=constraints,
+                     objective={scalar: 1 if wt is not None else -1},
+                     nonneg=(True,) * scalar + (False,))
+
+
+def balas_optima(regions, **target):
+    """The optimal values of `hull_lp._balas_problem` and of the reference
+    formulation for one threshold (wt=) or margin (point=) question."""
+    variables = regions[0].variables
+    results = [lp_solve(build(regions, variables, **target))
+               for build in (hull_lp._balas_problem, ref_balas_problem)]
+    assert [r.status for r in results] == ["optimal", "optimal"]
+    return tuple(r.value for r in results)
+
+
+def run_balas_reference_case(dimension, region_count, max_mixed, instances, seed):
+    """Returns (LPs compared, value mismatches) over the oracle's random
+    regions: a threshold along random positive weights and the margin of
+    the oracle's query point, per instance."""
+    rng = random.Random(seed)
+    variables = tuple("xyz"[:dimension])
+    mismatches = 0
+    for _ in range(instances):
+        regions = [random_region(rng, variables, max_mixed)
+                   for _ in range(region_count)]
+        wt = {v: Fraction(rng.randint(1, 6), rng.randint(1, 4)) for v in variables}
+        point = random_query_point(rng, regions, variables)
+        for target in ({"wt": wt}, {"point": point}):
+            new, ref = balas_optima(regions, **target)
+            if new != ref:
+                mismatches += 1
+    return 2 * instances, mismatches
 
 
 def run_conditional_hull_draws(count, seed=99):

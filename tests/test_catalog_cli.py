@@ -168,13 +168,13 @@ class TestCliClassify:
 class TestCliAnalyze:
     def test_order_1536_report_byte_identical(self, capsys, recorded_lps):
         # the only tier-1 analysis above order 16: 12 witnesses, two Balas
-        # LPs of 411 rows x 601 variables; their pivot counts pin Bland's
+        # LPs of 411 rows x 425 variables; their pivot counts pin Bland's
         # rule on large cost rows.  CI compares the slower wreath(C2,C10)
         # report the same way
         assert cli_main(["analyze", "wreath(4T3,C3)", "--weight", "disc"]) == 0
         expected = (REFERENCE / "analyze_wreath_4T3_C3_disc.txt").read_bytes()
         assert capsys.readouterr().out.encode("utf-8") == expected
-        assert [r.pivots for _, r in recorded_lps] == [64, 58]
+        assert [r.pivots for _, r in recorded_lps] == [17, 9]
 
     def test_8t4_disc(self):
         res = run_cli("analyze", "8T4", "--weight", "disc", "--profile", "paper-d4")
@@ -436,40 +436,54 @@ class TestCustomInputFiles:
         assert "cap" in res.stderr
 
 
-    def test_point_cap_exit_code(self, monkeypatch, capsys):
-        # C40 stores 40 x 40 = 1600 points, far below the element cap
+    def test_point_cap_exit_code(self, monkeypatch, tmp_path, capsys):
+        # the 40-cycle generates 40 x 40 = 1600 points, far below the element
+        # cap; a group file is not assumed transitive, so closure refuses it
         monkeypatch.setattr(perm, "DEFAULT_POINT_CAP", 1000)
-        assert cli_main(["classes", "C40"]) == 3
+        cycle = tmp_path / "c40.group"
+        cycle.write_text(f"name C40\ndegree 40\n({','.join(map(str, range(1, 41)))})\n",
+                         encoding="utf-8")
+        assert cli_main(["classes", str(cycle)]) == 3
         err = capsys.readouterr().err
         assert "point cap of 1000: 26 elements x degree 40 = 1040 points" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("spec, degree", [("C1001", 1001), ("product(C40,C40)", 1600),
-                                              ("wreath(C40,C40)", 1600), ("file", 1001)])
+    @pytest.mark.parametrize("spec, degree", [("C1001", 1001), ("product(F,F)", 1600),
+                                              ("wreath(F,F)", 1600), ("file", 1001)])
     def test_degree_above_point_cap_refused(self, spec, degree, monkeypatch, tmp_path,
                                             capsys):
         # no closure of a degree above the point cap fits under it, so the
         # degree is refused before any permutation of that degree is built
-        # (not by closure, whose message names an element count)
+        # (not by closure, whose message names an element count).  F is a
+        # group file of degree 40 holding one transposition: intransitive,
+        # so its product reaches the degree check, where C40 would already
+        # be refused by the transitive rule
         monkeypatch.setattr(perm, "DEFAULT_POINT_CAP", 1000)
         if spec == "file":
             spec = tmp_path / "big.group"
             spec.write_text(f"name big\ndegree {degree}\n(1,2)\n", encoding="utf-8")
+        else:
+            factor = tmp_path / "f40.group"
+            factor.write_text("name F\ndegree 40\n(1,2)\n", encoding="utf-8")
+            spec = spec.replace("F", str(factor))
         assert cli_main(["classes", str(spec)]) == 3
         err = capsys.readouterr().err
         assert f"resource cap: degree {degree} exceeds the point cap of 1000" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("spec", ["product(C5,C7)", "wreath(C5,C7)"])
-    def test_transitive_degree_squared_above_point_cap_refused(self, spec, monkeypatch,
-                                                               capsys):
-        # degree 35 passes the degree check, but a transitive group of degree
-        # 35 has at least 35 elements, 1225 points, so no generator is built
+    @pytest.mark.parametrize("spec, degree", [pytest.param(spec, degree, id=spec) for spec, degree
+                                              in [("product(C5,C7)", 35), ("wreath(C5,C7)", 35),
+                                                  ("C40", 40)]])
+    def test_transitive_degree_squared_above_point_cap_refused(self, spec, degree,
+                                                               monkeypatch, capsys):
+        # the degree passes the degree check, but a transitive group of
+        # degree d has at least d elements, d x d points above the cap, so
+        # no generator is built
         monkeypatch.setattr(perm, "DEFAULT_POINT_CAP", 1000)
         assert cli_main(["classes", spec]) == 3
         err = capsys.readouterr().err
-        assert ("resource cap: transitive degree 35 exceeds the point cap of 1000: "
-                "at least 35 elements x degree 35 = 1225 points") in err
+        assert (f"resource cap: transitive degree {degree} exceeds the point cap of 1000: "
+                f"at least {degree} elements x degree {degree} = {degree * degree} points") in err
         assert "Traceback" not in err
 
 

@@ -13,7 +13,7 @@ from tamecount import (LPProblem, conditional_hull_point_check, hull_membership,
                        verify_certificate, weight_conductor_d4, weight_discriminant)
 import tamecount.hull_lp as hull_lp
 from tamecount.catalog import resolve_weight
-from tamecount.cli import main as cli_main, run_analysis_request
+from tamecount.cli import _parse_manifest, main as cli_main, run_analysis_request
 from tamecount.concentration import analysis_witnesses
 from tamecount.errors import ResourceCapError, ValidationError
 from tamecount.hull_lp import (certificate_roundtrip, rational_str, parse_rational,
@@ -178,7 +178,7 @@ class TestLpSolve:
         # point; any change of pivot rule, tie-break or starting basis
         # moves these counts
         run_analysis_request("16T11", "disc", "paper-16t11", "Q")
-        assert [r.pivots for _, r in recorded_lps] == [26, 25]
+        assert [r.pivots for _, r in recorded_lps] == [19, 17]
         assert [r.status for _, r in recorded_lps] == ["optimal", "optimal"]
 
     def test_negative_drive_out_entries(self, monkeypatch):
@@ -221,10 +221,12 @@ class TestLpSolve:
 
     def test_16t11_balas_shape(self, recorded_lps):
         # 8 regions over 8 variables: the 64 pure rows are shifted out,
-        # leaving sum(lam) = 1, 24 mixed rows and 8 coupling rows
+        # leaving sum(lam) = 1, 24 mixed rows and 8 coupling rows; the
+        # columns are 8 lam, the 30 z_{j,v} whose v a mixed row of region j
+        # reads (not all 64), and the scalar
         run_analysis_request("16T11", "disc", "paper-16t11", "Q")
         shapes = [(len(p.constraints), len(p.variables)) for p, _ in recorded_lps]
-        assert shapes == [(33, 73), (33, 73)]
+        assert shapes == [(33, 39), (33, 39)]
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +517,54 @@ def test_lower_bound_shift_cases_agree_with_caratheodory(names):
                     assert verify_certificate(cert, regions, point), (mode, point)
                     assert cert.epsilon > 0 if mode == "open" else cert.epsilon >= 0
     assert 0 < members["open"] < members["closed"] < len(SHIFT_GRID) ** 2
+
+
+# ---------------------------------------------------------------------------
+# the Balas LP against the reference formulation (one z per region and
+# coordinate, equality coupling rows): the same optimal value
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dimension,region_count,max_mixed,instances,seed", _suites.ORACLE_CASES)
+def test_balas_matches_reference_on_oracle_regions(dimension, region_count, max_mixed,
+                                                   instances, seed):
+    compared, mismatches = _suites.run_balas_reference_case(dimension, region_count,
+                                                            max_mixed, instances, seed)
+    assert compared == 2 * instances and mismatches == 0
+
+
+@pytest.mark.parametrize("names", [(name,) for name in SHIFT_REGIONS] + [tuple(SHIFT_REGIONS)],
+                         ids=lambda names: " + ".join(names))
+def test_balas_matches_reference_on_shift_regions(names):
+    regions = [SHIFT_REGIONS[name] for name in names]
+    for wt in ({"x": Fraction(1), "y": Fraction(1)}, {"x": Fraction(1, 3), "y": Fraction(2)}):
+        new, ref = _suites.balas_optima(regions, wt=wt)
+        assert new == ref, wt
+    # a grid point with a negative coordinate gives its coupling row an
+    # artificial, which no golden or oracle point (all nonnegative) does
+    assert min(SHIFT_GRID) < 0
+    for x in SHIFT_GRID:
+        for y in SHIFT_GRID:
+            new, ref = _suites.balas_optima(regions, point={"x": x, "y": y})
+            assert new == ref, (x, y)
+
+
+def test_balas_matches_reference_on_golden_regions(monkeypatch):
+    built = []
+    build = hull_lp._balas_problem
+
+    def recording(regions, variables, **target):
+        built.append((regions, target))
+        return build(regions, variables, **target)
+
+    monkeypatch.setattr(hull_lp, "_balas_problem", recording)
+    manifest = Path(__file__).parent / "golden" / "golden_manifest.txt"
+    for _, parts in _parse_manifest(manifest):
+        run_analysis_request(*parts)
+    monkeypatch.undo()
+    assert sorted(key for _, target in built for key in target) == ["point"] * 6 + ["wt"] * 6
+    for regions, target in built:
+        new, ref = _suites.balas_optima(regions, **target)
+        assert new == ref, target
 
 
 def test_conditional_hull_implies_balas_member():

@@ -101,7 +101,7 @@ class TestBuildRegion:
         TB = subgroup_generated(G, by_label["2B"].members)
         prof = make_profile("burgess-yang", t16_types, cyc_q)
         region = build_region(G, TB, types=t16_types, profile=prof, cyc=cyc_q)
-        mixed = {c.canonical() for c in region.mixed_constraints()}
+        mixed = {c.canonical() for c, _ in region.mixed}
         expected = canon([
             ({"2C": 1, "2B": Fraction(3, 8)}, Fraction(11, 8)),
             ({"2D": 1, "2B": Fraction(3, 8)}, Fraction(11, 8)),
@@ -118,7 +118,7 @@ class TestBuildRegion:
         G, types, _, TC, _ = d4_setup
         prof = make_profile("lindelof", types, cyc_q, gamma=Fraction(1, 2))
         region = build_region(G, TC, types, prof, cyc_q)
-        assert not region.mixed_constraints()
+        assert not region.mixed
         assert region.pure_lower_bound("2C") == Fraction(1, 2)
         assert region.pure_lower_bound("2B") == 1
 
@@ -228,6 +228,8 @@ class TestRegionInvariants:
             constraint({"y": 1}, 0), constraint({"x": 1, "y": 1}, 5)])
         assert region.pure_lower_bound("x") == Fraction(2, 3)
         assert region.pure_lower_bound("y") == 0
+        # the mixed row x + y > 5 at the corner (2/3, 0)
+        assert region.mixed == ((region.constraints[-1], Fraction(2, 3) - 5),)
         with pytest.raises(ValidationError, match="no pure lower bound on z"):
             region.pure_lower_bound("z")
 
