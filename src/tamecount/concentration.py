@@ -7,9 +7,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import ContractViolationError, UnsupportedHypothesisError, ValidationError
-from .perm import (PermutationGroup, class_mask, fitting_subgroup, index_of, is_abelian_normal,
-                   normal_closure, normal_subgroups, prime_factors, subgroup_as_group,
-                   subgroup_generated, upper_central_series)
+from .perm import (Permutation, PermutationGroup, closure, compose, fitting_subgroup, index_of,
+                   is_abelian_normal, normal_closure, normal_subgroup_mask, normal_subgroups,
+                   prime_factors, subgroup_as_group, upper_central_series)
 from .ramtypes import WeightFunction, min_weight
 
 STATUS_CONCENTRATED = "concentrated"
@@ -159,15 +159,10 @@ def abelian_invariants(G: PermutationGroup, subset):
     """
     if not all(g in G for g in subset):
         raise ContractViolationError("abelian invariants of a set outside the group")
-    gens = []
-    A = {G.identity}
-    for g in subset:
-        if g not in A:
-            gens.append(g)
-            A = subgroup_generated(G, gens)
-    if any(a * b != b * a for i, a in enumerate(gens) for b in gens[i + 1:]):
+    A, gens = closure([g.images for g in subset] or [G.identity.images])
+    if any(compose(a, b) != compose(b, a) for i, a in enumerate(gens) for b in gens[i + 1:]):
         raise ContractViolationError("abelian invariants of a nonabelian set")
-    return _invariant_factors(A, {G.identity})
+    return _invariant_factors(set(map(Permutation._of, A)), {G.identity})
 
 
 def h1ur_chain(G: PermutationGroup, N, T):
@@ -175,7 +170,7 @@ def h1ur_chain(G: PermutationGroup, N, T):
     series of N, ending at the hypercenter; orders multiply to |T|."""
     N = frozenset(N)
     T = frozenset(T)
-    if class_mask(G, N) is None or class_mask(G, T) is None:
+    if normal_subgroup_mask(G, N) is None or normal_subgroup_mask(G, T) is None:
         raise ContractViolationError("N and T must be normal in G")
     if not is_abelian_normal(G, T):
         raise ContractViolationError("T must be abelian")
@@ -222,7 +217,7 @@ def wreath_theta_bound(N: PermutationGroup, witnesses, m: int, k_degree: int) ->
     thetas = []
     for T in witnesses:
         T = frozenset(T)
-        if class_mask(N, T) is None or not is_abelian_normal(N, T):
+        if normal_subgroup_mask(N, T) is None or not is_abelian_normal(N, T):
             raise ContractViolationError("witnesses must be abelian and normal in N")
         thetas.append(wreath_theta_from_params(N.degree, a, len(T), m, k_degree))
     return min(thetas)

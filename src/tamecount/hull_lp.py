@@ -390,11 +390,11 @@ def _as_point(point, variables) -> dict:
     if isinstance(point, dict):
         missing = [v for v in variables if v not in point]
         if missing:
-            raise ValidationError(f"point misses coordinates {missing}")
+            raise ValidationError(f"no value for the variables {missing}")
         return {v: Fraction(point[v]) for v in variables}
     values = list(point)
     if len(values) != len(variables):
-        raise ValidationError("point dimension does not match the variable index")
+        raise ValidationError("value count does not match the variable index")
     return {v: Fraction(x) for v, x in zip(variables, values)}
 
 
@@ -546,7 +546,7 @@ def line_threshold(wt, regions) -> Fraction:
     if not regions:
         raise ValidationError("no regions given")
     variables = _common_variables(regions)
-    weights = {v: Fraction(wt(v) if callable(wt) else wt[v]) for v in variables}
+    weights = _as_point({v: wt(v) for v in variables} if callable(wt) else wt, variables)
     if any(weights[v] <= 0 for v in variables):
         raise ValidationError("line thresholds need positive weights on all variables")
     problem = _balas_problem(regions, variables, wt=weights)

@@ -16,8 +16,8 @@ that table (the class-structure methods of Hulpke, "Computing normal
 subgroups", ISSAC 1998).  The normal-subgroup lattice and the Fitting
 subgroup are cached as well.
 Membership, normality, subgroup and abelian tests read the same data:
-`in` the class index, `class_mask` and `is_abelian_normal` the classes
-and their product table.
+`in` the class index, `class_mask`, `normal_subgroup_mask` (every module's
+normal-subgroup test) and `is_abelian_normal` the classes and their products.
 
 Every breadth-first search here is one `orbit`: the element closure,
 the conjugation orbits that make the classes, the point orbit behind
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -592,12 +591,14 @@ def class_mask(G: PermutationGroup, subset) -> int | None:
     """Bitmask of the classes of G whose union is `subset`.
 
     None when an element of `subset` lies outside G or when `subset` meets
-    a class without containing all of it; so a subset of G gets a mask
-    exactly when it is closed under conjugation.
+    a class without containing all of it (then the sizes of the classes met
+    sum to more than |subset|); so a subset of G gets a mask exactly when it
+    is closed under conjugation.
     """
     classes = G.conjugacy_classes()
-    hits = Counter(map(G._class_index.get, {x.images for x in subset}))
-    if None in hits or any(classes[i].size != n for i, n in hits.items()):
+    images = {x.images for x in subset}
+    hits = set(map(G._class_index.get, images))
+    if None in hits or sum(classes[i].size for i in hits) != len(images):
         return None
     return sum(1 << i for i in hits)
 
@@ -608,23 +609,47 @@ def normal_closure(G: PermutationGroup, elems) -> frozenset:
     return _class_union(G, _close(G.class_products(), 1, gens))
 
 
+def normal_subgroup_mask(G: PermutationGroup, S) -> int | None:
+    """`class_mask(G, S)` when S is a normal subgroup of G, else None.
+
+    A class union holding the identity is a subgroup when m*r lies in it for
+    each member m and class representative r in it: g r g^-1 is any member
+    of r's class, and m g r g^-1 = g (g^-1 m g) r g^-1.
+    """
+    mask = class_mask(G, S)
+    if mask is None or not mask & 1:
+        return None
+    classes = G.conjugacy_classes()
+    members = [x.images for x in S]
+    products = (G._class_index[p] for i in _bits(mask)
+                for p in map(right_multiplier(classes[i].representative.images), members))
+    return mask if all(mask >> c & 1 for c in products) else None
+
+
 def is_abelian_normal(G: PermutationGroup, N) -> bool:
     """Whether the union of classes N of G is abelian.
 
     Checks only the classes that generate <N>, each taken when the classes
     before it do not yet generate it: a group generated by pairwise
     commuting elements is abelian, and N is abelian exactly when <N> is.
+    Conjugation carries a commuting pair (r, x) to all pairs of their classes,
+    so each generating representative meets the generating classes from its own on.
     """
+    mask = class_mask(G, N)
+    if mask is None:
+        raise ContractViolationError("the set is not a union of classes of the group")
     prod = G.class_products()
     classes = G.conjugacy_classes()
     span = 1
     gens = []
-    for i in sorted({G.class_index(g) for g in N}):
+    for i in _bits(mask):
         if not span >> i & 1:
             span = _close(prod, span, (i,))
-            gens.extend(x.images for x in classes[i].members)
-    return all(compose(a, b) == compose(b, a)
-               for i, a in enumerate(gens) for b in gens[i + 1:])
+            if classes[i].size > 1:  # a one-element class is central
+                gens.append(i)
+    reps = [classes[i].representative.images for i in gens]
+    return all(compose(r, x.images) == compose(x.images, r)
+               for k, r in enumerate(reps) for j in gens[k:] for x in classes[j].members)
 
 
 def normal_subgroups(G: PermutationGroup):
@@ -655,19 +680,9 @@ def _normal_subgroup_lattice(G: PermutationGroup):
 def quotient(G: PermutationGroup, N) -> QuotientGroup:
     """G/N with the carrier acting on the cosets of N by left multiplication."""
     N = frozenset(N)
-    mask = class_mask(G, N)
-    if mask is None:
-        raise ContractViolationError("kernel is not normal")
-    # a normal N holding the identity is a subgroup exactly when m*r lies in
-    # N for each m in N and each class representative r in N: g r g^-1 is
-    # any member of r's class, and m g r g^-1 = g (g^-1 m g) r g^-1
-    classes = G.conjugacy_classes()
-    members = [x.images for x in N]
-    products = (G._class_index[p] for i in _bits(mask)
-                for p in map(right_multiplier(classes[i].representative.images), members))
-    if not mask & 1 or any(not mask >> c & 1 for c in products):
-        raise ContractViolationError("kernel is not a subgroup")
-    return QuotientGroup(G, members, f"{G.name}/N" if G.name else None)
+    if normal_subgroup_mask(G, N) is None:
+        raise ContractViolationError("kernel is not normal, or not a subgroup")
+    return QuotientGroup(G, [x.images for x in N], f"{G.name}/N" if G.name else None)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractViolationError, ParseError, ValidationError
-from .perm import (PermutationGroup, class_mask, content_lines, conjugation_step, cycle_count,
-                   is_abelian_normal)
+from .perm import (PermutationGroup, content_lines, conjugation_step, cycle_count,
+                   is_abelian_normal, normal_subgroup_mask)
 from .ramtypes import CyclotomicProfile
 
 WEYL_T_EXPONENT = Fraction(1, 3)
@@ -258,8 +258,8 @@ def _check_abelian_normal(G, T):
     T = frozenset(T)
     if not all(t in G for t in T):
         raise ContractViolationError("witness subgroup is not contained in the group")
-    if class_mask(G, T) is None:
-        raise ContractViolationError("witness subgroup is not normal")
+    if normal_subgroup_mask(G, T) is None:
+        raise ContractViolationError("witness is not a normal subgroup")
     if not is_abelian_normal(G, T):
         raise ContractViolationError("witness subgroup is not abelian")
     return T

@@ -16,9 +16,10 @@ from tamecount.errors import (ContractViolationError, UnsupportedHypothesisError
                               ValidationError)
 from tamecount.catalog import resolve_entry
 from tamecount.perm import (Permutation, PermutationGroup, direct_product, is_abelian_normal,
-                            normal_subgroups, parse_permutation, subgroup_as_group,
+                            normal_subgroups, parse_permutation, quotient, subgroup_as_group,
                             subgroup_generated, subgroup_key, upper_central_series)
 from tamecount.ramtypes import tame_types
+from tamecount.regions import build_region, make_profile
 from _suites import ref_abelian_invariants, ref_h1ur_layers
 
 
@@ -366,6 +367,29 @@ class TestWreathTheta:
     def test_non_power_of_two_witness_size(self):
         with pytest.raises(ValidationError):
             wreath_theta_from_params(8, 2, 12, 1, 1)
+
+
+@pytest.mark.parametrize("with_identity", [False, True], ids=["class", "class+identity"])
+@pytest.mark.parametrize("entry", ["quotient", "build_region", "wreath_theta_bound",
+                                   "h1ur_chain N", "h1ur_chain T"])
+def test_normal_set_that_is_no_subgroup_rejected(d4_quartic, d4_types, cyc_q, entry,
+                                                 with_identity):
+    """{(1,3),(2,4)} is a class of 4T3, so closed under conjugation, but
+    (1,3)(2,4) lies outside it, with or without the identity added."""
+    G = d4_quartic.group
+    S = {parse_permutation("(1,3)", 4), parse_permutation("(2,4)", 4)}
+    if with_identity:
+        S.add(G.identity)
+    calls = {
+        "quotient": lambda: quotient(G, S),
+        "build_region": lambda: build_region(
+            G, S, d4_types, make_profile("burgess-yang", d4_types, cyc_q), cyc_q),
+        "wreath_theta_bound": lambda: wreath_theta_bound(G, [S], 2, 1),
+        "h1ur_chain N": lambda: h1ur_chain(G, S, {G.identity}),
+        "h1ur_chain T": lambda: h1ur_chain(G, G.element_set(), S),
+    }
+    with pytest.raises(ContractViolationError):
+        calls[entry]()
 
 
 class TestDirectProductCondition:

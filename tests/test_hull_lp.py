@@ -396,6 +396,10 @@ class TestLineThreshold:
         scaled = line_threshold(lambda v: 3 * wt.weights[v], list(d4_regions))
         assert scaled == base / 3
 
+    def test_weight_map_missing_a_variable_rejected(self, d4_regions):
+        with pytest.raises(ValidationError, match="4A"):
+            line_threshold({"2A": 1, "2B": 1, "2C": 1}, list(d4_regions))
+
 
 class TestShortcut2d:
     def test_octic_disc_passes(self, d4_octic, octic_types, cyc_q):

@@ -19,8 +19,8 @@ from tamecount.catalog import Q8XC2_CLASS_REPS, resolve_entry
 from tamecount.errors import (ContractViolationError, ParseError, ResourceCapError,
                               ValidationError)
 from tamecount.perm import (Permutation, class_mask, compose, conjugate, conjugation_step,
-                            cycle_count, inverse, is_abelian_normal, orbit, prime_factors,
-                            right_multiplier, subgroup_generated, subgroup_key)
+                            cycle_count, inverse, is_abelian_normal, normal_subgroup_mask, orbit,
+                            prime_factors, right_multiplier, subgroup_generated, subgroup_key)
 from _suites import (ref_all_subgroups, ref_is_abelian_set, ref_is_normal, ref_is_subgroup,
                      ref_sylow_orders, ref_upper_central_series)
 
@@ -474,7 +474,8 @@ def _outside_element(G):
 @pytest.mark.parametrize("G", [pytest.param(G, id=f"{G.name}-{G.order}")
                                for G in _suites.normal_scan_groups_up_to_100()])
 def test_class_data_predicates_match_element_walkers(G):
-    """class_mask, the quotient guard and is_abelian_normal against the
+    """class_mask, normal_subgroup_mask, the quotient guard and
+    is_abelian_normal against the
     element-set oracles, on every subgroup, on subsets that meet a class
     in part, on unions of one or two classes and on subsets holding an
     element outside G."""
@@ -498,6 +499,7 @@ def test_class_data_predicates_match_element_walkers(G):
         except ContractViolationError:
             accepted = False
         assert accepted == (normal and ref_is_subgroup(G, S))
+        assert (normal_subgroup_mask(G, S) is not None) == (normal and ref_is_subgroup(G, S))
         if mask is not None:
             assert set().union(*(classes[i].members
                                  for i in range(len(classes)) if mask >> i & 1)) == S
