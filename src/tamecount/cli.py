@@ -7,6 +7,7 @@ error.  All output is deterministic: canonical JSON (sorted keys) or TSV.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -69,9 +70,19 @@ def _resolve_witnesses(spec: str, entry, types, wt):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _emit(text: str, out: str | None):
+@contextlib.contextmanager
+def _writing(path):
+    """An OSError while writing `path` becomes a ValidationError (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _emit(text: str, out: str | Path | None):
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with _writing(out):
+            Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -207,7 +218,8 @@ def cmd_batch(args) -> int:
     requests = _parse_manifest(manifest)
     outdir = Path(args.out) if args.out else None
     if outdir:
-        outdir.mkdir(parents=True, exist_ok=True)
+        with _writing(outdir):
+            outdir.mkdir(parents=True, exist_ok=True)
     # a forked pool starts all its workers at the first submit
     workers = min(args.jobs, len(requests))
     if workers > 1:
@@ -224,20 +236,14 @@ def cmd_batch(args) -> int:
         if code == EXIT_OK:
             name = f"report_{lineno:04d}.json"
             text = canonical_json(payload)
-            if outdir:
-                (outdir / name).write_text(text, encoding="utf-8")
-            else:
-                sys.stdout.write(text)
+            _emit(text, outdir and outdir / name)
             summary.append({"line": lineno, "status": "ok", "report": name,
                             "verdict": payload["verdict"]})
         else:
             summary.append({"line": lineno, "status": "error", "detail": payload})
             print(f"line {lineno}: {payload}", file=sys.stderr)
     summary_text = canonical_json({"requests": summary})
-    if outdir:
-        (outdir / "summary.json").write_text(summary_text, encoding="utf-8")
-    else:
-        sys.stdout.write(summary_text)
+    _emit(summary_text, outdir and outdir / "summary.json")
     return max((code for _, code, _ in results), default=EXIT_OK)
 
 

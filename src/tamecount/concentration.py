@@ -1,5 +1,8 @@
 """Concentration classification and the group-theoretic feasibility
-thresholds for the twisted / wreath / direct-product counting theorems."""
+thresholds for the twisted / wreath / direct-product counting theorems.
+
+A normal subgroup holds a tame type exactly when it holds the type's
+representative (each rep^u generates <rep>), so types are read through it."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -39,6 +42,16 @@ def abelian_normal_subgroups(G: PermutationGroup):
     return out
 
 
+def _least_cover(candidates, targets):
+    """The first family of `candidates` covering `targets`, smallest first."""
+    useful = [c for c in candidates if any(x in c for x in targets)]
+    for size in range(1, len(useful) + 1):
+        for combo in combinations(useful, size):
+            if all(any(x in c for c in combo) for x in targets):
+                return list(combo)
+    return None
+
+
 def minimal_abelian_cover(G: PermutationGroup, min_elements):
     """Smallest family of abelian normal subgroups covering `min_elements`.
 
@@ -48,13 +61,7 @@ def minimal_abelian_cover(G: PermutationGroup, min_elements):
     `normal_subgroups`), so that is the first cover `combinations` yields.
     None when no cover exists.
     """
-    useful = [c for c in abelian_normal_subgroups(G) if any(x in c for x in min_elements)]
-    targets = set(min_elements)
-    for size in range(1, len(useful) + 1):
-        for combo in combinations(useful, size):
-            if targets <= set().union(*combo):
-                return list(combo)
-    return None
+    return _least_cover(abelian_normal_subgroups(G), min_elements)
 
 
 def classify(G: PermutationGroup, wt: WeightFunction, types) -> ConcentrationVerdict:
@@ -66,23 +73,21 @@ def classify(G: PermutationGroup, wt: WeightFunction, types) -> ConcentrationVer
     covers the minimum-weight elements.
     """
     a, argmin = min_weight(wt, types)
-    min_elements = set()
-    for t in argmin:
-        min_elements |= t.members
-    concentrated = len(normal_closure(G, min_elements)) < G.order
-    semiconcentrated = all(len(normal_closure(G, t.members)) < G.order for t in argmin)
+    reps = [t.representative for t in argmin]
+    concentrated = len(normal_closure(G, reps)) < G.order
+    semiconcentrated = all(len(normal_closure(G, [r])) < G.order for r in reps)
     if concentrated:
         status = STATUS_CONCENTRATED
     elif semiconcentrated:
         status = STATUS_PROPER
     else:
         status = STATUS_NOT
-    cover = minimal_abelian_cover(G, min_elements) if status != STATUS_NOT else None
+    cover = minimal_abelian_cover(G, reps) if status != STATUS_NOT else None
     fitting = fitting_subgroup(G)
     if len(fitting) == G.order:
         fitting_status = FITTING_NILPOTENT
     else:
-        fitting_status = FITTING_CONCENTRATED if min_elements <= fitting else FITTING_NEITHER
+        fitting_status = FITTING_CONCENTRATED if fitting.issuperset(reps) else FITTING_NEITHER
     return ConcentrationVerdict(status=status,
                                 witnesses=tuple(cover or ()),
                                 fitting_status=fitting_status,
@@ -98,28 +103,16 @@ def analysis_witnesses(G: PermutationGroup, types, wt: WeightFunction):
     minimum-weight types.  Extra regions only enlarge the hull, so this
     dominates any smaller admissible choice.
     """
-    a, argmin = min_weight(wt, types)
-    del a
-    seen = set()
+    reps = [t.representative for t in min_weight(wt, types)[1]]
+    abelian = abelian_normal_subgroups(G)
+    closures = [normal_closure(G, [t.representative]) for t in types]
     out = []
-    for t in types:
-        S = normal_closure(G, t.members)
-        if 1 < len(S) < G.order and is_abelian_normal(G, S) and S not in seen:
-            seen.add(S)
-            out.append(S)
-    min_elements = set()
-    for t in argmin:
-        min_elements |= t.members
-    for S in minimal_abelian_cover(G, min_elements) or []:
-        if S not in seen:
-            seen.add(S)
+    for S in closures + (_least_cover(abelian, reps) or []):
+        if S in abelian and S not in out:
             out.append(S)
     if not out:
         raise ValidationError("no abelian normal witnesses exist for this group")
-    covered = set()
-    for S in out:
-        covered |= S
-    if not min_elements <= covered:
+    if not all(any(r in S for S in out) for r in reps):
         raise ValidationError(
             "the minimum-weight types admit no abelian normal cover; "
             "the hull machinery does not apply")
@@ -213,7 +206,7 @@ def wreath_theta_bound(N: PermutationGroup, witnesses, m: int, k_degree: int) ->
         raise UnsupportedHypothesisError("the wreath bound is proven for 2-groups only")
     if not witnesses:
         raise ValidationError("at least one witness is required")
-    a = min(Fraction(index_of(g)) for g in N.elements if not g.is_identity())
+    a = min(Fraction(index_of(c.representative)) for c in N.conjugacy_classes()[1:])
     thetas = []
     for T in witnesses:
         T = frozenset(T)

@@ -178,7 +178,7 @@ def tame_types(G: PermutationGroup, profile: CyclotomicProfile, label_pins=None)
     types = []
     counters = {}
     for order, size, rep, members, conj in raw:
-        pinned = sorted({pins[p] for p in members if p in pins})
+        pinned = sorted({label for p, label in pins.items() if p in members})
         if len(pinned) == 1:
             label = pinned[0]
         elif len(pinned) > 1:
@@ -314,13 +314,13 @@ def min_weight(wt: WeightFunction, types):
 # ---------------------------------------------------------------------------
 
 def pushforward_type(tau: TameType, q: QuotientGroup, profile: CyclotomicProfile):
-    """Image of tau in the quotient, re-orbited there; None when trivial."""
-    images = {q.push(g) for g in tau.members}
-    nontrivial = {g for g in images if not g.is_identity()}
-    if not nontrivial:
+    """Image of tau in the quotient, re-orbited there; None when trivial.
+    Pushing commutes with conjugation and powering, so tau's image lies in
+    the type of its representative's image."""
+    image = q.push(tau.representative)
+    if image.is_identity():
         return None
-    quotient_types = tame_types(q.carrier, profile)
-    return type_of(quotient_types, min(nontrivial))
+    return type_of(tame_types(q.carrier, profile), image)
 
 
 def pole_order_bound(tau: TameType, G: PermutationGroup, profile: CyclotomicProfile) -> int:

@@ -679,6 +679,20 @@ def test_unreadable_input_file_exits_2(tmp_path, capsys, option):
     assert f"cannot read {tmp_path}: Is a directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, target, reason", [
+    (["classes", "4T3"], "", "Is a directory"),
+    (["analyze", "4T3", "--weight", "disc"], "missing/x.json", "No such file or directory"),
+    (["batch", "m.manifest"], "m.manifest", "File exists"),
+], ids=["classes-to-directory", "analyze-to-missing-directory", "batch-to-file"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, command, target, reason):
+    (tmp_path / "m.manifest").write_text("4T3 disc paper-d4 Q\n", encoding="utf-8")
+    out = tmp_path / target
+    command = [str(tmp_path / arg) if arg.endswith(".manifest") else arg for arg in command]
+    assert cli_main([*command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"ValidationError: cannot write {out}: {reason}\n"
+
+
 @pytest.mark.parametrize("spec", ["", " ", "wreath(,)", "product(C2,)"])
 def test_empty_spec_is_unknown(capsys, spec):
     assert cli_main(["classes", spec]) == 2

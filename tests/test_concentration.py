@@ -1,6 +1,7 @@
 """Concentration verdicts, the h^1_ur ledger, and threshold arithmetic."""
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -15,12 +16,15 @@ from tamecount.concentration import (FITTING_CONCENTRATED, FITTING_NILPOTENT,
 from tamecount.errors import (ContractViolationError, UnsupportedHypothesisError,
                               ValidationError)
 from tamecount.catalog import resolve_entry
+from tamecount.cli import main as cli_main
 from tamecount.perm import (Permutation, PermutationGroup, direct_product, is_abelian_normal,
                             normal_subgroups, parse_permutation, quotient, subgroup_as_group,
                             subgroup_generated, subgroup_key, upper_central_series)
 from tamecount.ramtypes import tame_types
 from tamecount.regions import build_region, make_profile
 from _suites import ref_abelian_invariants, ref_h1ur_layers
+
+REFERENCE = Path(__file__).parent / "reference"
 
 
 def cyclic(n):
@@ -63,9 +67,12 @@ class TestMinimalAbelianCover:
         entry = resolve_entry(spec)
         G = entry.group
         types = entry.types(cyc_q)
-        for targets in [set(t.members) for t in types] + [set().union(*(t.members
-                                                                      for t in types))]:
+        for targets in ([set(t.members) for t in types] + [{t.representative} for t in types]
+                        + [set().union(*(t.members for t in types))]):
             assert minimal_abelian_cover(G, targets) == self.least_cover(G, targets)
+        for t in types:  # a normal subgroup holds a type when it holds its representative
+            assert (minimal_abelian_cover(G, {t.representative})
+                    == minimal_abelian_cover(G, t.members))
 
 
 class TestClassify:
@@ -122,6 +129,17 @@ class TestClassify:
         assert v.witnesses == ()
         assert v.fitting_status == FITTING_NEITHER
 
+    def test_every_minimum_type_is_read(self, cyc_q):
+        # the double transpositions come first and generate Fitting(S4) = V4;
+        # the transpositions, also minimal, generate S4
+        from tamecount.concentration import FITTING_NEITHER
+        S4 = PermutationGroup(4, ["(1,2,3,4)", "(1,2)"], name="S4")
+        types = tame_types(S4, cyc_q)
+        wt = weight_custom({t.label: Fraction(1 if t.order == 2 else 5) for t in types}, types)
+        v = classify(S4, wt, types)
+        assert [t.size for t in types if t.label in v.min_type_labels] == [3, 6]
+        assert v.status == STATUS_NOT and v.fitting_status == FITTING_NEITHER
+
     def test_scaling_invariance(self, d4_quartic, d4_types):
         wt = weight_discriminant(d4_types, 4)
         scaled = weight_custom({lab: 7 * w for lab, w in wt.weights.items()}, d4_types)
@@ -156,7 +174,10 @@ def _compose(a, b):
 
 
 class TestAnalysisWitnesses:
-    def test_wreath_4t3_c3_order_1536(self, cyc_q):
+    def test_wreath_4t3_c3_order_1536(self, cyc_q, capsys):
+        assert cli_main(["classify", "wreath(4T3,C3)", "--weight", "disc"]) == 0
+        expected = (REFERENCE / "classify_wreath_4T3_C3_disc.json").read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == expected
         # checked element by element, on image tuples, without the class data
         entry = resolve_entry("wreath(4T3,C3)")
         G = entry.group

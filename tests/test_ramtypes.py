@@ -13,7 +13,9 @@ from tamecount import (CyclotomicProfile, index_of, min_weight, pole_order_bound
                        weight_product_ramified, wreath_product)
 from tamecount.cli import main as cli_main
 from tamecount.errors import ParseError, ValidationError
-from tamecount.perm import DEFAULT_ELEMENT_CAP, PermutationGroup, subgroup_generated
+from tamecount.catalog import resolve_entry
+from tamecount.perm import (DEFAULT_ELEMENT_CAP, PermutationGroup, normal_subgroups,
+                            subgroup_generated)
 from tamecount.ramtypes import parse_cyclotomic_file, parse_weight_file, type_of
 
 
@@ -291,6 +293,20 @@ class TestPushforward:
         t4a = next(t for t in d4_types if t.label == "4A")
         q = quotient(G, subgroup_generated(G, tc.members))
         assert pushforward_type(t4a, q, cyc_q) is not None
+
+    @pytest.mark.parametrize("spec", ["8T11", "wreath(C2,C3)"])
+    def test_matches_the_images_of_the_members(self, spec, cyc_q, cyc_qi):
+        # reference: the type of the least nontrivial image of all members
+        G = resolve_entry(spec).group
+        for profile in (cyc_q, cyc_qi):
+            types = tame_types(G, profile)
+            for N in normal_subgroups(G):
+                q = quotient(G, N)
+                quotient_types = tame_types(q.carrier, profile)
+                for t in types:
+                    images = {x for x in map(q.push, t.members) if not x.is_identity()}
+                    expected = type_of(quotient_types, min(images)) if images else None
+                    assert pushforward_type(t, q, profile) == expected
 
 
 class TestPoleOrderBound:
