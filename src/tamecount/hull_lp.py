@@ -17,18 +17,24 @@ Fractions are built only from the LPProblem and for the LPResult.
 lp_solve stops with ResourceCapError after DEFAULT_PIVOT_CAP pivots.
 
 Membership in the convex hull of a union of regions with a common
-recession cone uses the Balas extended formulation: one LP maximises the
-margin t with point - t*1 in the closed hull.  The open hull is the
-interior of the closed one, so the point is a closed member iff t >= 0
-and an open member iff t > 0.  The LP shifts out each region's pure lower
-bounds (y = lb*lam + z with z >= 0, the textbook lower-bound shift), so
-it keeps only the mixed rows, all with bound 0.  A region gets a z column
-only for a coordinate that one of its mixed rows reads; every other
-recession slack is shared, one per coordinate, as the surplus of that
-coordinate's coupling row, which is an inequality (Balas 1979: the
-recession cone is the same for every region).  So only the convexity row
-and the coupling rows of negative point coordinates need artificials;
-every other row starts from its surplus.  It relies on the contract that
+recession cone uses the Balas extended formulation (Balas 1979), in two
+LPs that share their region columns and rows.  Both shift out each
+region's pure lower bounds (y = lb*lam + z with z >= 0, the textbook
+lower-bound shift), so they keep only the mixed rows, all with bound 0,
+as TubularRegion stores them: primitive integer rows.  A region gets a z
+column only for a coordinate that one of its mixed rows reads; every
+other recession slack is shared, one per coordinate, as the surplus of
+that coordinate's coupling row, which is an inequality scaled to
+integers (the recession cone is the same for every region).  The
+membership LP maximises the margin t with point - t*1 in the closed
+hull.  The open hull is the interior of the closed one, so the point is a
+closed member iff t >= 0 and an open member iff t > 0; only its
+convexity row sum lam = 1 and the coupling rows of negative point
+coordinates need artificials.  The threshold LP along a weight line is a
+gauge LP around an integer m below the threshold: it maximises
+mu = sum lam over a feasible cone section that contains the origin, and
+the threshold is m + 1/mu*.  Every one of its rows starts from its
+surplus, so it makes no phase-1 pivot.  Both rely on the contract that
 TubularRegion's constructor alone enforces: a pure lower bound on every
 variable and only positive coefficients (an orthant recession cone).
 """
@@ -398,72 +404,113 @@ def _as_point(point, variables) -> dict:
     return {v: Fraction(x) for v, x in zip(variables, values)}
 
 
-def _balas_problem(regions, variables, *, point=None, wt=None):
-    """Variables: lam_j, the z_{j,v} that a mixed row reads, then one scalar.
+def _region_columns(regions, variables):
+    """The columns lam_j and the z_{j,v} that a mixed row reads, and every
+    region's mixed rows over them; both Balas LPs start from these.
 
     Region j's scaled point is y_j = lb_j * lam_j + z_j with z_j >= 0, where
     lb_j holds the region's pure lower bounds.  Each pure row c*y >= b*lam
     has b/c <= lb, so z >= 0 and lam >= 0 imply it and it is dropped; a
-    mixed row sum coef*y >= bound*lam becomes sum coef*z + value * lam >= 0
-    with the value at the corner that TubularRegion stores.  A coordinate v
-    that no mixed row of region j reads needs no z_{j,v}: the recession
-    cone is the nonnegative orthant, so one slack per coordinate serves
-    every region, and it is the surplus of that coordinate's coupling row.
-    With a weight line: minimise s subject to s * wt_v - sum_j y_{j,v} >= 0.
-    With a point: maximise the margin t subject to
-    -sum_j y_{j,v} - t >= -point_v.  lp_solve starts every region row and
-    every coupling row with point_v >= 0 from its surplus, so only the
-    convexity row sum lam = 1 and the coupling rows with point_v < 0 need
-    artificials.
+    mixed row sum coef*y >= bound*lam becomes sum coef*z + value * lam >= 0,
+    the primitive integer row that TubularRegion stores in shifted_rows.  A
+    coordinate v that no mixed row of region j reads needs no z_{j,v}: the
+    recession cone is the nonnegative orthant, so one slack per coordinate
+    serves every region, and it is the surplus of that coordinate's
+    coupling row.  Returns the column names, {(j, v): index of z_{j,v}} and
+    the mixed rows.
     """
     names = [f"lam{j}" for j in range(len(regions))]
     z = {}  # (j, v) -> index of z_{j,v}
     for j, region in enumerate(regions):
-        read = {lab for c, _ in region.mixed for lab, _ in c.coefficients}
+        read = {lab for coefs, _ in region.shifted_rows for lab, _ in coefs}
         for v in variables:
             if v in read:
                 z[j, v] = len(names)
                 names.append(f"z{j}.{v}")
-    scalar = len(names)
-    names.append("s" if wt is not None else "t")
-    constraints = [(dict.fromkeys(range(len(regions)), 1), "==", 1)]
+    rows = []
     for j, region in enumerate(regions):
-        for c, value in region.mixed:
-            r = {z[j, lab]: coef for lab, coef in c.coefficients}
+        for coefs, value in region.shifted_rows:
+            r = {z[j, lab]: coef for lab, coef in coefs}
             r[j] = value
-            constraints.append((r, ">=", 0))
+            rows.append((r, ">=", 0))
+    return names, z, rows
+
+
+def _coupling_row(z, v, lam_coefs, bound):
+    """-sum_j (lam_coefs[j] * lam_j + z_{j,v}) >= bound, scaled by the least
+    positive integer that makes every entry an int; returns the row, the
+    scale (the caller's scalar column gets -scale) and the scaled bound."""
+    scale = reduce(math.lcm, (x.denominator for x in lam_coefs), bound.denominator)
+    row = {j: -x.numerator * (scale // x.denominator) for j, x in enumerate(lam_coefs)}
+    for j in range(len(lam_coefs)):
+        if (j, v) in z:
+            row[z[j, v]] = -scale
+    return row, scale, bound.numerator * (scale // bound.denominator)
+
+
+def _balas_problem(regions, variables, point):
+    """The max-margin membership LP of `point`: variables lam_j, the
+    z_{j,v} of _region_columns, then the margin t.
+
+    Maximise t subject to sum_j lam_j = 1, the mixed rows and, for each
+    coordinate v, -sum_j y_{j,v} - t >= -point_v, scaled to integers.
+    lp_solve starts every mixed row and every coupling row with
+    point_v >= 0 from its surplus, so only the convexity row and the
+    coupling rows with point_v < 0 need artificials.  A threshold has its
+    own LP, _gauge_problem, with neither the convexity row nor a scalar.
+    """
+    names, z, mixed = _region_columns(regions, variables)
+    t = len(names)
+    names.append("t")
+    constraints = [(dict.fromkeys(range(len(regions)), 1), "==", 1)] + mixed
     for v in variables:
-        r = {}
-        for j, region in enumerate(regions):
-            r[j] = -region.pure_lower_bound(v)
-            if (j, v) in z:
-                r[z[j, v]] = -1
-        if wt is not None:
-            r[scalar] = wt[v]
-            constraints.append((r, ">=", 0))
-        else:
-            r[scalar] = -1
-            constraints.append((r, ">=", -point[v]))
+        row, scale, bound = _coupling_row(z, v, [r.pure_lower_bound(v) for r in regions],
+                                          -point[v])
+        row[t] = -scale
+        constraints.append((row, ">=", bound))
+    return LPProblem(variables=tuple(names), constraints=constraints, objective={t: -1},
+                     nonneg=(True,) * t + (False,))
+
+
+def _gauge_problem(regions, variables, wt, m):
+    """The threshold LP along the weight line, in gauge form around the
+    integer m: variables lam_j and the z_{j,v} of _region_columns.
+
+    Maximise mu = sum_j lam_j subject to the mixed rows and, for each
+    coordinate v, -sum_j ((lb_j(v) - m * wt_v) * lam_j + z_{j,v}) >= -wt_v,
+    scaled to integers.  Dividing a hull point y <= s * wt (sum lam = 1) by
+    s - m > 0 gives a feasible point with mu = 1 / (s - m), and back, so
+    the threshold is m + 1 / mu*; line_threshold picks m at least one
+    below the threshold, so mu* <= 1.  The origin is feasible: every row is
+    homogeneous or has rhs wt_v > 0, so lp_solve starts every row from its
+    surplus and makes no phase-1 pivot.
+    """
+    names, z, constraints = _region_columns(regions, variables)
+    for v in variables:
+        shift = m * wt[v]
+        row, _, bound = _coupling_row(z, v, [r.pure_lower_bound(v) - shift for r in regions],
+                                      -wt[v])
+        constraints.append((row, ">=", bound))
     return LPProblem(variables=tuple(names), constraints=constraints,
-                     objective={scalar: 1 if wt is not None else -1},
-                     nonneg=(True,) * scalar + (False,))
+                     objective=dict.fromkeys(range(len(regions)), -1),
+                     nonneg=(True,) * len(names))
 
 
 def _certificate_from_assignment(assignment, regions, variables, target) -> HullCertificate:
     lambdas = tuple(assignment[f"lam{j}"] for j in range(len(regions)))
     t = assignment["t"]
-    # undo the lower-bound shift: y_{j,v} = lb_{j,v} * lam_j + z_{j,v}, with
-    # z_{j,v} = 0 where the LP has no such column
-    y = [{v: region.pure_lower_bound(v) * lam + assignment.get(f"z{j}.{v}", 0)
-          for v in variables}
-         for j, (region, lam) in enumerate(zip(regions, lambdas))]
-    # what the active points leave of target - t * 1: the coupling rows'
+    # undo the lower-bound shift on the active regions: y_{j,v} =
+    # lb_{j,v} * lam_j + z_{j,v}, with z_{j,v} = 0 where the LP has no such
+    # column.  What they leave of target - t * 1 is the coupling rows'
     # surpluses and the recession-ray mass of inactive regions (A y >= 0
     # with lam = 0), all nonnegative; fold it into an active point, which
     # stays feasible because the recession cone is the nonnegative orthant
+    y = {}
     stray = {v: target[v] - t for v in variables}
-    for j, lam in enumerate(lambdas):
+    for j, (region, lam) in enumerate(zip(regions, lambdas)):
         if lam:
+            y[j] = {v: region.pure_lower_bound(v) * lam + assignment.get(f"z{j}.{v}", 0)
+                    for v in variables}
             for v in variables:
                 stray[v] -= y[j][v]
     # shifting every active point by t * 1 moves the combination from
@@ -502,7 +549,7 @@ def hull_membership(point, regions, mode="open"):
     pt = _as_point(point, variables)
     # always feasible (the all-large point lies in every region) and bounded
     # (every variable has a pure lower bound)
-    result = lp_solve(_balas_problem(regions, variables, point=pt))
+    result = lp_solve(_balas_problem(regions, variables, pt))
     if result.status != "optimal":
         raise ValidationError(f"membership LP is {result.status}; regions are malformed")
     margin = result.assignment["t"]
@@ -542,6 +589,11 @@ def line_threshold(wt, regions) -> Fraction:
     """Infimum s with (wt(tau) * s) in the closed hull of the union.
 
     The open region of validity of the specialization is s > threshold.
+    One gauge LP (_gauge_problem) around the integer
+    m = floor(max_v min_j lb_j(v) / wt_v) - 1 gives it as m + 1 / mu*.
+    Every hull point y has y_v >= min_j lb_j(v), so the threshold is at
+    least m + 1 and mu* = 1 / (threshold - m) is at most 1; it is positive
+    because the all-large point lies in the hull.
     """
     if not regions:
         raise ValidationError("no regions given")
@@ -549,11 +601,12 @@ def line_threshold(wt, regions) -> Fraction:
     weights = _as_point({v: wt(v) for v in variables} if callable(wt) else wt, variables)
     if any(weights[v] <= 0 for v in variables):
         raise ValidationError("line thresholds need positive weights on all variables")
-    problem = _balas_problem(regions, variables, wt=weights)
-    result = lp_solve(problem)
+    m = math.floor(max(min(r.pure_lower_bound(v) for r in regions) / weights[v]
+                       for v in variables)) - 1
+    result = lp_solve(_gauge_problem(regions, variables, weights, m))
     if result.status != "optimal":
         raise ValidationError(f"threshold LP is {result.status}; regions are malformed")
-    return result.value
+    return m - 1 / result.value
 
 
 # ---------------------------------------------------------------------------

@@ -149,17 +149,17 @@ class LinearConstraint:
 
     def canonical(self):
         """Primitive integral form, for set comparison of constraint lists."""
-        denoms = [c.denominator for _, c in self.coefficients] + [self.bound.denominator]
-        lcm = 1
-        for d in denoms:
-            lcm = lcm * d // math.gcd(lcm, d)
-        nums = [int(c * lcm) for _, c in self.coefficients] + [int(self.bound * lcm)]
-        g = 0
-        for v in nums:
-            g = math.gcd(g, abs(v))
-        g = g or 1
-        return (tuple((lab, int(c * lcm) // g) for lab, c in self.coefficients),
-                int(self.bound * lcm) // g)
+        *coefs, bound = _coprime_integers([c for _, c in self.coefficients] + [self.bound])
+        return tuple((lab, n) for (lab, _), n in zip(self.coefficients, coefs)), bound
+
+
+def _coprime_integers(values):
+    """The positive multiple of a list of rationals whose entries are
+    coprime integers (all zeros stay zeros)."""
+    scale = math.lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (scale // x.denominator) for x in values]
+    g = math.gcd(*ints) or 1
+    return [n // g for n in ints]
 
 
 def constraint(coeffs: dict, bound) -> LinearConstraint:
@@ -177,7 +177,10 @@ class TubularRegion:
     pure lower bounds lb: `mixed` holds each mixed constraint c with its
     value at the corner, c.evaluate(lb) - c.bound.  With y = lb + z the
     row c*y > bound reads c*z + value > 0, and every pure row holds for
-    all z >= 0, which is how hull_lp writes the region.
+    all z >= 0, which is how hull_lp writes the region.  `shifted_rows`
+    holds the same rows as hull_lp reads them: each c*z + value made a
+    primitive integer row, ((label, int coefficient), ...) and the int
+    value, a positive multiple of the Fraction row.
     """
 
     def __init__(self, variables, constraints, name=None):
@@ -207,6 +210,10 @@ class TubularRegion:
             raise ValidationError(f"variables without a pure lower bound: {missing}")
         self.mixed = tuple((c, c.evaluate(self._pure_lower) - c.bound)
                            for c in self.constraints if not c.is_pure())
+        rows = [_coprime_integers([coef for _, coef in c.coefficients] + [value])
+                for c, value in self.mixed]
+        self.shifted_rows = tuple((tuple(zip(c.support(), ints[:-1])), ints[-1])
+                                  for (c, _), ints in zip(self.mixed, rows))
 
     def pure_lower_bound(self, label) -> Fraction:
         """Largest b/c over pure constraints c*sigma > b on `label`."""

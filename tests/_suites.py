@@ -188,7 +188,8 @@ def run_oracle_case(dimension, region_count, max_mixed, instances, seed):
 def ref_balas_problem(regions, variables, *, point=None, wt=None):
     """The Balas LP with one z_{j,v} per region and coordinate and equality
     coupling rows, each lam coefficient recomputed from the region's rows
-    (test oracle for `hull_lp._balas_problem`: same optimal value).
+    (test oracle for `hull_lp.line_threshold` and `hull_lp._balas_problem`:
+    same optimal value).
 
     Variables: lam_j, z_{j,v}, then one scalar.  With a weight line:
     minimise s subject to sum_j y_j = s * wt.  With a point: maximise the
@@ -226,13 +227,17 @@ def ref_balas_problem(regions, variables, *, point=None, wt=None):
 
 
 def balas_optima(regions, **target):
-    """The optimal values of `hull_lp._balas_problem` and of the reference
-    formulation for one threshold (wt=) or margin (point=) question."""
+    """The answers of hull_lp and of the reference formulation to one
+    threshold (wt=, from `hull_lp.line_threshold`) or margin (point=, from
+    the optimum of `hull_lp._balas_problem`) question."""
     variables = regions[0].variables
-    results = [lp_solve(build(regions, variables, **target))
-               for build in (hull_lp._balas_problem, ref_balas_problem)]
-    assert [r.status for r in results] == ["optimal", "optimal"]
-    return tuple(r.value for r in results)
+    ref = lp_solve(ref_balas_problem(regions, variables, **target))
+    assert ref.status == "optimal"
+    if "wt" in target:
+        return hull_lp.line_threshold(target["wt"], regions), ref.value
+    new = lp_solve(hull_lp._balas_problem(regions, variables, target["point"]))
+    assert new.status == "optimal"
+    return new.value, ref.value
 
 
 def run_balas_reference_case(dimension, region_count, max_mixed, instances, seed):

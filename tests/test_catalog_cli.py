@@ -167,14 +167,14 @@ class TestCliClassify:
 
 class TestCliAnalyze:
     def test_order_1536_report_byte_identical(self, capsys, recorded_lps):
-        # the only tier-1 analysis above order 16: 12 witnesses, two Balas
-        # LPs of 411 rows x 425 variables; their pivot counts pin Bland's
-        # rule on large cost rows.  CI compares the slower wreath(C2,C10)
-        # report the same way
+        # the only tier-1 analysis above order 16: 12 witnesses, a gauge
+        # threshold LP of 410 rows x 424 variables and a membership LP of
+        # 411 x 425; their pivot counts pin Bland's rule on large cost
+        # rows.  CI compares the slower wreath(C2,C10) report the same way
         assert cli_main(["analyze", "wreath(4T3,C3)", "--weight", "disc"]) == 0
         expected = (REFERENCE / "analyze_wreath_4T3_C3_disc.txt").read_bytes()
         assert capsys.readouterr().out.encode("utf-8") == expected
-        assert [r.pivots for _, r in recorded_lps] == [17, 9]
+        assert [r.pivots for _, r in recorded_lps] == [10, 9]
 
     def test_8t4_disc(self):
         res = run_cli("analyze", "8T4", "--weight", "disc", "--profile", "paper-d4")

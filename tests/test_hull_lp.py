@@ -122,7 +122,7 @@ class TestLpSolve:
     def test_pivot_cap_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(hull_lp, "DEFAULT_PIVOT_CAP", 3)
         assert cli_main(["analyze", "4T3", "--weight", "disc"]) == 3
-        assert "LP phase 1 (" in capsys.readouterr().err
+        assert "LP phase 2 (" in capsys.readouterr().err
 
     def test_redundant_row_dropped(self, monkeypatch):
         # min x + 2y  s.t. x + y == 2, 2x + 2y == 4 (twice the first) and
@@ -178,7 +178,7 @@ class TestLpSolve:
         # point; any change of pivot rule, tie-break or starting basis
         # moves these counts
         run_analysis_request("16T11", "disc", "paper-16t11", "Q")
-        assert [r.pivots for _, r in recorded_lps] == [19, 17]
+        assert [r.pivots for _, r in recorded_lps] == [16, 17]
         assert [r.status for _, r in recorded_lps] == ["optimal", "optimal"]
 
     def test_negative_drive_out_entries(self, monkeypatch):
@@ -221,12 +221,13 @@ class TestLpSolve:
 
     def test_16t11_balas_shape(self, recorded_lps):
         # 8 regions over 8 variables: the 64 pure rows are shifted out,
-        # leaving sum(lam) = 1, 24 mixed rows and 8 coupling rows; the
-        # columns are 8 lam, the 30 z_{j,v} whose v a mixed row of region j
-        # reads (not all 64), and the scalar
+        # leaving 24 mixed rows and 8 coupling rows; the columns are 8 lam
+        # and the 30 z_{j,v} whose v a mixed row of region j reads (not
+        # all 64).  The membership LP adds sum(lam) = 1 and the margin t;
+        # the gauge threshold LP needs neither
         run_analysis_request("16T11", "disc", "paper-16t11", "Q")
         shapes = [(len(p.constraints), len(p.variables)) for p, _ in recorded_lps]
-        assert shapes == [(33, 39), (33, 39)]
+        assert shapes == [(32, 38), (33, 39)]
 
 
 # ---------------------------------------------------------------------------
@@ -552,23 +553,73 @@ def test_balas_matches_reference_on_shift_regions(names):
             assert new == ref, (x, y)
 
 
-def test_balas_matches_reference_on_golden_regions(monkeypatch):
+def _golden_builds(monkeypatch):
+    """(build name, regions, target, LPProblem) of every Balas LP that the
+    golden manifest's analyses build: the gauge LP of each threshold and
+    the membership LP of each pole point."""
     built = []
-    build = hull_lp._balas_problem
+    for name in ("_gauge_problem", "_balas_problem"):
+        def recording(regions, variables, target, *rest, name=name, build=getattr(hull_lp, name)):
+            built.append((name, regions, target, build(regions, variables, target, *rest)))
+            return built[-1][-1]
 
-    def recording(regions, variables, **target):
-        built.append((regions, target))
-        return build(regions, variables, **target)
-
-    monkeypatch.setattr(hull_lp, "_balas_problem", recording)
+        monkeypatch.setattr(hull_lp, name, recording)
     manifest = Path(__file__).parent / "golden" / "golden_manifest.txt"
     for _, parts in _parse_manifest(manifest):
         run_analysis_request(*parts)
     monkeypatch.undo()
-    assert sorted(key for _, target in built for key in target) == ["point"] * 6 + ["wt"] * 6
-    for regions, target in built:
-        new, ref = _suites.balas_optima(regions, **target)
+    return built
+
+
+def test_balas_matches_reference_on_golden_regions(monkeypatch):
+    built = _golden_builds(monkeypatch)
+    assert sorted(name for name, *_ in built) == ["_balas_problem"] * 6 + ["_gauge_problem"] * 6
+    for name, regions, target, _ in built:
+        key = "wt" if name == "_gauge_problem" else "point"
+        new, ref = _suites.balas_optima(regions, **{key: target})
         assert new == ref, target
+
+
+def test_golden_threshold_lps_make_no_phase_1_pivot(monkeypatch):
+    # every gauge row is homogeneous or has rhs wt_v > 0, so each starts
+    # from its surplus: no equality row, no artificial, nothing for phase 1
+    gauges = [problem for name, _, _, problem in _golden_builds(monkeypatch)
+              if name == "_gauge_problem"]
+    assert len(gauges) == 6
+    phases = []
+    pivot_until_optimal = hull_lp._pivot_until_optimal
+
+    def recording(tableau, cost, basis, limit, total, pivots, stage):
+        status, after, cost = pivot_until_optimal(tableau, cost, basis, limit, total, pivots,
+                                                   stage)
+        phases.append((stage.split(" (")[0], after - pivots))
+        return status, after, cost
+
+    monkeypatch.setattr(hull_lp, "_pivot_until_optimal", recording)
+    for problem in gauges:
+        assert all(rel == ">=" and bound <= 0 for _, rel, bound in problem.constraints)
+        phases.clear()
+        result = lp_solve(problem)
+        assert result.status == "optimal" and -1 <= result.value < 0
+        assert phases[0] == ("LP phase 1", 0) and phases[1][0] == "LP phase 2"
+        assert result.pivots == phases[1][1] > 0
+
+
+@pytest.mark.parametrize("pure,wt,expected", [
+    ({"x": -3, "y": -1}, (1, 1), -1),
+    ({"x": 0, "y": 0}, (1, 1), 0),
+    ({"x": Fraction(-1, 2), "y": Fraction(-3, 2)}, (1, 2), Fraction(-1, 2)),
+])
+def test_nonpositive_thresholds_match_reference(pure, wt, expected):
+    # m = floor(max_v lb(v) / wt_v) - 1 is negative here, so the gauge rows
+    # carry lb - m * wt with both signs of lb
+    region = TubularRegion(("x", "y"), [constraint({v: 1}, b) for v, b in pure.items()])
+    weights = {"x": Fraction(wt[0]), "y": Fraction(wt[1])}
+    assert _suites.balas_optima([region], wt=weights) == (expected, expected)
+    mixed = TubularRegion(("x", "y"), [constraint({"x": 1}, -3), constraint({"y": 1}, -2),
+                                       constraint({"x": 1, "y": 1}, -4)])
+    new, ref = _suites.balas_optima([region, mixed], wt=weights)
+    assert new == ref <= expected
 
 
 def test_conditional_hull_implies_balas_member():

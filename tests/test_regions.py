@@ -233,6 +233,17 @@ class TestRegionInvariants:
         with pytest.raises(ValidationError, match="no pure lower bound on z"):
             region.pure_lower_bound("z")
 
+    def test_shifted_rows_are_primitive_integer_rows(self):
+        from tamecount.regions import TubularRegion
+        region = TubularRegion(("x", "y"), [
+            constraint({"x": 3}, 2), constraint({"y": 1}, 0),
+            constraint({"x": 1, "y": 1}, 5), constraint({"x": 2, "y": 4}, 2)])
+        # at the corner (2/3, 0): x + y - 13/3 is 3x + 3y - 13, and
+        # 2x + 4y - 2/3 is 2 * (3x + 6y - 1) / 3
+        assert [value for _, value in region.mixed] == [Fraction(-13, 3), Fraction(-2, 3)]
+        assert region.shifted_rows == (((("x", 3), ("y", 3)), -13),
+                                       ((("x", 3), ("y", 6)), -1))
+
     def test_beta_defaults(self, d4_types, cyc_q):
         alpha = {t.label: Fraction(3, 8) for t in d4_types}
         beta = default_beta(d4_types, alpha, cyc_q)
