@@ -16,10 +16,9 @@ from .concentration import (ConcentrationVerdict, abelian_normal_subgroups, clas
                             direct_product_condition)
 from .regions import (SubconvexityProfile, LinearConstraint, TubularRegion,
                       subconvexity_matrix, build_region, absolute_convergence_orthant,
-                      make_profile)
+                      make_profile, shortcut_2d)
 from .hull_lp import (LPProblem, LPResult, lp_solve, HullCertificate, hull_membership,
-                      verify_certificate, line_threshold, shortcut_2d,
-                      conditional_hull_point_check)
+                      verify_certificate, line_threshold, conditional_hull_point_check)
 from .asymptotics import (MalleReport, analyze, xi_exponent, b_bounds, d4_gamma_family)
 from .catalog import CatalogEntry, resolve_entry, resolve_weight, resolve_cyclotomic
 

@@ -92,10 +92,7 @@ def xi_exponent(regions, witness_type_sets, beta, wt, s_star: Fraction) -> Fract
         raise ValidationError("no regions given")
     variables = regions[0].variables
     lower = {v: [r.pure_lower_bound(v) for r in regions] for v in variables}
-    in_mixed = set()
-    for r in regions:
-        for c, _ in r.mixed:
-            in_mixed.update(c.support())
+    in_mixed = {lab for r in regions for coefs, _ in r.shifted_rows for lab, _ in coefs}
     pointwise = []
     hulled = []
     for v in variables:

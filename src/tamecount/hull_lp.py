@@ -37,18 +37,17 @@ the threshold is m + 1/mu*.  Every one of its rows starts from its
 surplus, so it makes no phase-1 pivot.  Both rely on the contract that
 TubularRegion's constructor alone enforces: a pure lower bound on every
 variable and only positive coefficients (an orthant recession cone).
+A region is read only through its variables, pure_lower_bound,
+shifted_rows and slack; this module imports no region module.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
 from .errors import ResourceCapError, ValidationError
-from .ramtypes import min_weight
-from .regions import subconvexity_matrix
 
 DEFAULT_PIVOT_CAP = 100_000
 
@@ -229,7 +228,7 @@ def lp_solve(problem: LPProblem) -> LPResult:
 
 def _integer_row(entries):
     """The primitive integer dict row that is a positive multiple of a dict
-    of nonzero rationals (ints or Fractions)."""
+    of rationals (ints or Fractions); a zero entry stays 0."""
     scale = reduce(math.lcm, (v.denominator for v in entries.values()), 1)
     return _primitive({k: v.numerator * (scale // v.denominator) for k, v in entries.items()})
 
@@ -378,10 +377,6 @@ def certificate_from_json(data) -> HullCertificate:
                            epsilon=parse_rational(data["epsilon"]))
 
 
-def certificate_roundtrip(cert: HullCertificate, variables) -> HullCertificate:
-    return certificate_from_json(json.loads(json.dumps(cert.to_json_dict(variables))))
-
-
 def _common_variables(regions):
     if not regions:
         return None
@@ -526,9 +521,7 @@ def _certificate_from_assignment(assignment, regions, variables, target) -> Hull
             point = {v: point[v] + stray[v] / lam for v in variables}
             absorbed = True
         points.append(point)
-    epsilon = min(c.evaluate(p) - c.bound
-                  for p, region in zip(points, regions) if p is not None
-                  for c in region.constraints)
+    epsilon = min(region.slack(p) for p, region in zip(points, regions) if p is not None)
     return HullCertificate(lambdas=lambdas, points=tuple(points), epsilon=epsilon)
 
 
@@ -559,12 +552,14 @@ def hull_membership(point, regions, mode="open"):
 
 
 def verify_certificate(cert: HullCertificate, regions, point) -> bool:
-    """Independent check: recompute the convex combination and all slacks."""
+    """Independent check: one lambda and one point entry per region, lambdas
+    a convex combination, epsilon >= 0, the combination equal to `point`,
+    and every active point with region slack >= epsilon."""
     variables = _common_variables(regions)
     pt = _as_point(point, variables)
-    if any(l < 0 for l in cert.lambdas) or sum(cert.lambdas) != 1:
+    if not len(cert.lambdas) == len(cert.points) == len(regions) or cert.epsilon < 0:
         return False
-    if len(cert.lambdas) != len(regions):
+    if any(l < 0 for l in cert.lambdas) or sum(cert.lambdas) != 1:
         return False
     for v in variables:
         total = Fraction(0)
@@ -576,13 +571,8 @@ def verify_certificate(cert: HullCertificate, regions, point) -> bool:
             total += lam * p[v]
         if total != pt[v]:
             return False
-    for lam, p, region in zip(cert.lambdas, cert.points, regions):
-        if lam == 0:
-            continue
-        for c in region.constraints:
-            if c.evaluate(p) - c.bound < cert.epsilon:
-                return False
-    return True
+    return all(region.slack(p) >= cert.epsilon
+               for lam, p, region in zip(cert.lambdas, cert.points, regions) if lam)
 
 
 def line_threshold(wt, regions) -> Fraction:
@@ -610,52 +600,8 @@ def line_threshold(wt, regions) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the 2-dimensional shortcut and the conditional hull test
+# the conditional hull test
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShortcutResult:
-    applicable: bool
-    reason: str
-    tau: str | None = None
-    kappa: str | None = None
-    product: Fraction | None = None
-    passes: bool | None = None
-
-
-def shortcut_2d(G, T1, T2, wt, types, profile, cyc) -> ShortcutResult:
-    """The pairwise product criterion deciding hull membership in 2-D.
-
-    Requires the minimum-weight types to split as M\\{kappa} inside T1 and
-    M\\{tau} inside T2 for distinct minimum types tau, kappa; then the
-    point lies in the hull iff M[tau,kappa]*M[kappa,tau] < 1.
-    """
-    from .regions import witness_type_labels
-    a, argmin = min_weight(wt, types)
-    del a
-    labels_min = [t.label for t in argmin]
-    t1 = set(witness_type_labels(frozenset(T1), types))
-    t2 = set(witness_type_labels(frozenset(T2), types))
-    pair = None
-    for tau in labels_min:
-        for kappa in labels_min:
-            if tau == kappa:
-                continue
-            rest = set(labels_min)
-            if rest - {kappa} <= t1 and rest - {tau} <= t2:
-                pair = (tau, kappa)
-                break
-        if pair:
-            break
-    if pair is None:
-        return ShortcutResult(applicable=False,
-                              reason="minimum-weight types do not split into the two witnesses")
-    tau, kappa = pair
-    matrix = subconvexity_matrix(G, types, profile, cyc)
-    product = matrix[(tau, kappa)] * matrix[(kappa, tau)]
-    return ShortcutResult(applicable=True, reason="", tau=tau, kappa=kappa,
-                          product=product, passes=product < 1)
-
 
 def conditional_hull_point_check(point, witness_type_sets, gamma) -> bool:
     """Lindelof-preset hull test: the hull of the one-relaxed-orthant family

@@ -8,14 +8,14 @@ and the all-large point lies in it; the hull machinery relies on that.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractViolationError, ParseError, ValidationError
+from .hull_lp import _integer_row
 from .perm import (PermutationGroup, content_lines, conjugation_step, cycle_count,
                    is_abelian_normal, normal_subgroup_mask)
-from .ramtypes import CyclotomicProfile
+from .ramtypes import CyclotomicProfile, min_weight
 
 WEYL_T_EXPONENT = Fraction(1, 3)
 
@@ -132,34 +132,9 @@ class LinearConstraint:
     coefficients: tuple  # ((label, Fraction), ...) sorted by label position
     bound: Fraction
 
-    def support(self):
-        return tuple(lab for lab, _ in self.coefficients)
-
-    def coefficient(self, label) -> Fraction:
-        for lab, c in self.coefficients:
-            if lab == label:
-                return c
-        return Fraction(0)
-
-    def is_pure(self) -> bool:
-        return len(self.coefficients) == 1
-
-    def evaluate(self, point: dict) -> Fraction:
-        return sum((c * point[lab] for lab, c in self.coefficients), Fraction(0))
-
-    def canonical(self):
-        """Primitive integral form, for set comparison of constraint lists."""
-        *coefs, bound = _coprime_integers([c for _, c in self.coefficients] + [self.bound])
-        return tuple((lab, n) for (lab, _), n in zip(self.coefficients, coefs)), bound
-
-
-def _coprime_integers(values):
-    """The positive multiple of a list of rationals whose entries are
-    coprime integers (all zeros stay zeros)."""
-    scale = math.lcm(*(x.denominator for x in values))
-    ints = [x.numerator * (scale // x.denominator) for x in values]
-    g = math.gcd(*ints) or 1
-    return [n // g for n in ints]
+    def slack(self, point: dict) -> Fraction:
+        """sum_v c_v * point_v - bound: positive where the strict row holds."""
+        return sum((c * point[lab] for lab, c in self.coefficients), -self.bound)
 
 
 def constraint(coeffs: dict, bound) -> LinearConstraint:
@@ -171,16 +146,17 @@ def constraint(coeffs: dict, bound) -> LinearConstraint:
 
 class TubularRegion:
     """Open region cut out by strict linear inequalities with orthant recession
-    cone; the constructor alone enforces the contract that hull_lp relies on.
+    cone; the constructor alone enforces the contract that hull_lp relies on,
+    and `slack` alone evaluates the region at a point.
 
-    The constructor also shifts the region once to its corner, the point of
-    pure lower bounds lb: `mixed` holds each mixed constraint c with its
-    value at the corner, c.evaluate(lb) - c.bound.  With y = lb + z the
-    row c*y > bound reads c*z + value > 0, and every pure row holds for
-    all z >= 0, which is how hull_lp writes the region.  `shifted_rows`
-    holds the same rows as hull_lp reads them: each c*z + value made a
-    primitive integer row, ((label, int coefficient), ...) and the int
-    value, a positive multiple of the Fraction row.
+    Each row is held in two forms: the LinearConstraint in `constraints`,
+    which slacks and reports read, and, for a mixed row, the integer row in
+    `shifted_rows`, which hull_lp reads.  The constructor shifts each mixed
+    row c once to the corner lb, the point of pure lower bounds: with
+    y = lb + z the row c*y > bound reads c*z + c.slack(lb) > 0, and every
+    pure row holds for all z >= 0.  `shifted_rows` holds c*z + c.slack(lb)
+    made a primitive integer row, ((label, int coefficient), ...) and the
+    int value, a positive multiple of the Fraction row.
     """
 
     def __init__(self, variables, constraints, name=None):
@@ -194,6 +170,8 @@ class TubularRegion:
         for c in self.constraints:
             if not c.coefficients:
                 raise ValidationError("a constraint needs at least one nonzero coefficient")
+            if len({lab for lab, _ in c.coefficients}) < len(c.coefficients):
+                raise ValidationError("a constraint names a variable twice")
             for lab, coef in c.coefficients:
                 if lab not in index:
                     raise ValidationError(f"constraint variable {lab} outside the index")
@@ -201,19 +179,20 @@ class TubularRegion:
                     raise ValidationError("region coefficients must be nonnegative")
                 if coef == 0:
                     raise ValidationError("region coefficients must be nonzero")
-            if c.is_pure():
+            if len(c.coefficients) == 1:
                 (lab, coef), = c.coefficients
                 val = c.bound / coef
                 self._pure_lower[lab] = max(self._pure_lower.get(lab, val), val)
         missing = [v for v in self.variables if v not in self._pure_lower]
         if missing:
             raise ValidationError(f"variables without a pure lower bound: {missing}")
-        self.mixed = tuple((c, c.evaluate(self._pure_lower) - c.bound)
-                           for c in self.constraints if not c.is_pure())
-        rows = [_coprime_integers([coef for _, coef in c.coefficients] + [value])
-                for c, value in self.mixed]
-        self.shifted_rows = tuple((tuple(zip(c.support(), ints[:-1])), ints[-1])
-                                  for (c, _), ints in zip(self.mixed, rows))
+        rows = []
+        for c in self.constraints:
+            if len(c.coefficients) > 1:
+                row = _integer_row({**dict(c.coefficients), None: c.slack(self._pure_lower)})
+                value = row.pop(None)
+                rows.append((tuple(row.items()), value))
+        self.shifted_rows = tuple(rows)
 
     def pure_lower_bound(self, label) -> Fraction:
         """Largest b/c over pure constraints c*sigma > b on `label`."""
@@ -222,14 +201,10 @@ class TubularRegion:
         except KeyError:
             raise ValidationError(f"no pure lower bound on {label}") from None
 
-    def contains_strict(self, point: dict) -> bool:
-        return all(c.evaluate(point) > c.bound for c in self.constraints)
-
-    def contains_closed(self, point: dict) -> bool:
-        return all(c.evaluate(point) >= c.bound for c in self.constraints)
-
-    def canonical_constraints(self):
-        return frozenset(c.canonical() for c in self.constraints)
+    def slack(self, point: dict) -> Fraction:
+        """The least constraint slack at `point`: the point lies in the open
+        region iff it is positive and in the closure iff it is >= 0."""
+        return min(c.slack(point) for c in self.constraints)
 
     def __repr__(self):
         return f"TubularRegion({self.name or '?'}, {len(self.constraints)} constraints)"
@@ -322,3 +297,49 @@ def absolute_convergence_orthant(types) -> TubularRegion:
     variables = [t.label for t in types]
     return TubularRegion(variables, [constraint({v: 1}, 1) for v in variables],
                          name="abs-convergence")
+
+
+# ---------------------------------------------------------------------------
+# the 2-dimensional shortcut
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ShortcutResult:
+    applicable: bool
+    reason: str
+    tau: str | None = None
+    kappa: str | None = None
+    product: Fraction | None = None
+    passes: bool | None = None
+
+
+def shortcut_2d(G, T1, T2, wt, types, profile, cyc) -> ShortcutResult:
+    """The pairwise product criterion deciding hull membership in 2-D.
+
+    Requires the minimum-weight types to split as M\\{kappa} inside T1 and
+    M\\{tau} inside T2 for distinct minimum types tau, kappa; then the
+    point lies in the hull iff M[tau,kappa]*M[kappa,tau] < 1.
+    """
+    _, argmin = min_weight(wt, types)
+    labels_min = [t.label for t in argmin]
+    t1 = set(witness_type_labels(frozenset(T1), types))
+    t2 = set(witness_type_labels(frozenset(T2), types))
+    pair = None
+    for tau in labels_min:
+        for kappa in labels_min:
+            if tau == kappa:
+                continue
+            rest = set(labels_min)
+            if rest - {kappa} <= t1 and rest - {tau} <= t2:
+                pair = (tau, kappa)
+                break
+        if pair:
+            break
+    if pair is None:
+        return ShortcutResult(applicable=False,
+                              reason="minimum-weight types do not split into the two witnesses")
+    tau, kappa = pair
+    matrix = subconvexity_matrix(G, types, profile, cyc)
+    product = matrix[(tau, kappa)] * matrix[(kappa, tau)]
+    return ShortcutResult(applicable=True, reason="", tau=tau, kappa=kappa,
+                          product=product, passes=product < 1)

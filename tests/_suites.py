@@ -1,5 +1,6 @@
 """Shared property-suite machinery used by the unit tests and the
 acceptance suite (dual-route oracles and exhaustive group checks)."""
+import json
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,35 @@ from tamecount.perm import (PermutationGroup, compose, conjugation_step, normal_
                             subgroup_as_group, subgroup_generated, subgroup_key,
                             upper_central_series, wreath_product)
 from tamecount.regions import TubularRegion, constraint
+
+
+# ---------------------------------------------------------------------------
+# region and certificate views for comparisons
+# ---------------------------------------------------------------------------
+
+def canonical(c):
+    """Primitive integral form of a LinearConstraint, for set comparison
+    of constraint lists."""
+    values = [coef for _, coef in c.coefficients] + [c.bound]
+    scale = math.lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (scale // x.denominator) for x in values]
+    g = math.gcd(*ints) or 1
+    *coefs, bound = [n // g for n in ints]
+    return tuple((lab, n) for (lab, _), n in zip(c.coefficients, coefs)), bound
+
+
+def canonical_constraints(region):
+    return frozenset(canonical(c) for c in region.constraints)
+
+
+def mixed_constraints(region):
+    """The constraints of a region that read more than one variable."""
+    return [c for c in region.constraints if len(c.coefficients) > 1]
+
+
+def certificate_roundtrip(cert, variables):
+    """A certificate through its JSON form and back."""
+    return hull_lp.certificate_from_json(json.loads(json.dumps(cert.to_json_dict(variables))))
 
 
 def cyclic(n):
@@ -71,14 +101,14 @@ def region_vertices(region):
     """Basic points of the closure: every d-subset of tight rows."""
     variables = region.variables
     d = len(variables)
-    rows = [([c.coefficient(v) for v in variables], c.bound)
+    rows = [([dict(c.coefficients).get(v, Fraction(0)) for v in variables], c.bound)
             for c in region.constraints]
     vertices = []
     for combo in combinations(range(len(rows)), d):
         x = solve_square([rows[i][0] for i in combo], [rows[i][1] for i in combo])
         if x is None:
             continue
-        if region.contains_closed(dict(zip(variables, x))):
+        if region.slack(dict(zip(variables, x))) >= 0:
             vertices.append(tuple(x))
     return sorted(set(vertices))
 
@@ -146,11 +176,11 @@ def random_query_point(rng, regions, variables):
         point = {v: Fraction(0) for v in variables}
         for w, region in zip(weights, regions):
             corner = {v: region.pure_lower_bound(v) for v in variables}
-            for c, _ in region.mixed:
-                subject = c.support()[0]
-                deficit = c.bound - c.evaluate(corner)
+            for c in mixed_constraints(region):
+                subject, coef = c.coefficients[0]
+                deficit = -c.slack(corner)
                 if deficit > 0:
-                    corner[subject] += deficit / c.coefficient(subject)
+                    corner[subject] += deficit / coef
             bump = Fraction(rng.randint(0, 3), 4)
             for v in variables:
                 point[v] += (w / total) * (corner[v] + bump)
@@ -206,7 +236,7 @@ def ref_balas_problem(regions, variables, *, point=None, wt=None):
     names.append("s" if wt is not None else "t")
     constraints = [(dict.fromkeys(range(len(regions)), 1), "==", 1)]
     for j, region in enumerate(regions):
-        for c, _ in region.mixed:
+        for c in mixed_constraints(region):
             r = {z[j, lab]: coef for lab, coef in c.coefficients}
             r[j] = sum((coef * lower[j][lab] for lab, coef in c.coefficients), -c.bound)
             constraints.append((r, ">=", 0))

@@ -8,9 +8,12 @@ from tamecount import (analyze, b_bounds, d4_gamma_family, make_profile,
                        weight_inv_gamma, weight_product_ramified, xi_exponent)
 from tamecount.asymptotics import (VERDICT_ASYMPTOTIC, VERDICT_HULL_TOO_SMALL,
                                    VERDICT_POWER_SAVING)
-from tamecount.concentration import analysis_witnesses
+from tamecount.catalog import resolve_entry, resolve_weight
+from tamecount.cli import run_analysis_request
+from tamecount.concentration import analysis_witnesses, classify
 from tamecount.errors import ValidationError
 from tamecount.hull_lp import verify_certificate
+from tamecount.perm import upper_central_series
 from tamecount.regions import SubconvexityProfile, build_region
 
 
@@ -299,3 +302,27 @@ class TestGammaFamily:
             family = d4_gamma_family(gamma)
             assert rep.threshold == family.threshold
             assert rep.power_saving_exponent == family.power_saving_exponent
+
+
+# the abstract's class-2 claim: under Lindelof every group of nilpotency
+# class 2 has an asymptotic with a power-saving error term
+CLASS_2_GROUPS = ["4T3", "8T4", "8T11", "16T11", "product(C2,4T3)", "product(4T3,C3)",
+                  "product(C4,4T3)", "product(C2,8T11)"]
+
+
+@pytest.mark.parametrize("spec", CLASS_2_GROUPS)
+def test_class_2_groups_have_power_saving_under_lindelof(spec, cyc_q):
+    entry = resolve_entry(spec)
+    G = entry.group
+    series = upper_central_series(G)
+    assert len(series) == 3 and len(series[-1]) == G.order  # class exactly 2
+    types = entry.types(cyc_q)
+    wt = resolve_weight("disc", entry, types)
+    verdict = classify(G, wt, types)
+    assert verdict.status != "not-semiconcentrated" and verdict.witnesses
+    rep = run_analysis_request(spec, "disc", "lindelof", "Q")
+    assert rep.verdict == VERDICT_POWER_SAVING and rep.delta > 0
+    prof = make_profile("lindelof", types, cyc_q)
+    regions = [build_region(G, T, types, prof, cyc_q)
+               for T in analysis_witnesses(G, types, wt)]
+    assert verify_certificate(rep.certificate, regions, rep.pole_point)

@@ -176,6 +176,13 @@ class TestCliAnalyze:
         assert capsys.readouterr().out.encode("utf-8") == expected
         assert [r.pivots for _, r in recorded_lps] == [10, 9]
 
+    def test_hull_too_small_report_byte_identical(self, capsys):
+        # the one verdict no other reference pins: threshold = sigma_a = 1/16
+        args = ["analyze", "product(C2,16T11)", "--weight", "disc", "--profile", "burgess-yang"]
+        assert cli_main(args) == 0
+        expected = (REFERENCE / "analyze_product_C2_16T11_disc_burgess-yang.txt").read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == expected
+
     def test_8t4_disc(self):
         res = run_cli("analyze", "8T4", "--weight", "disc", "--profile", "paper-d4")
         assert res.returncode == 0

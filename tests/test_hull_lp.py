@@ -16,7 +16,7 @@ from tamecount.catalog import resolve_weight
 from tamecount.cli import _parse_manifest, main as cli_main, run_analysis_request
 from tamecount.concentration import analysis_witnesses
 from tamecount.errors import ResourceCapError, ValidationError
-from tamecount.hull_lp import (certificate_roundtrip, rational_str, parse_rational,
+from tamecount.hull_lp import (HullCertificate, rational_str, parse_rational,
                                verify_lp_assignment)
 from tamecount.perm import subgroup_generated
 from tamecount.regions import TubularRegion, build_region, constraint
@@ -317,11 +317,11 @@ class TestHullMembership:
     def test_single_region_reduces_to_feasibility(self, d4_regions):
         RB = d4_regions[0]
         inside = d4_point(1, 1, 2, 2)
-        assert RB.contains_strict(inside)
+        assert RB.slack(inside) > 0
         member, _ = hull_membership(inside, [RB], mode="open")
         assert member
         outside = d4_point(1, 1, 1, 1)  # violates 2C > 1 and the mixed rows of Omega_B
-        assert not RB.contains_strict(outside)
+        assert RB.slack(outside) <= 0
         member, _ = hull_membership(outside, [RB], mode="open")
         assert not member
 
@@ -344,9 +344,31 @@ class TestHullMembership:
     def test_certificate_roundtrip_bit_exact(self, d4_regions):
         point = d4_point(2, 1, 1, 2)
         _, cert = hull_membership(point, list(d4_regions), mode="open")
-        again = certificate_roundtrip(cert, d4_regions[0].variables)
+        again = _suites.certificate_roundtrip(cert, d4_regions[0].variables)
         assert again == cert
         assert verify_certificate(again, list(d4_regions), point)
+
+
+class TestVerifyCertificateRejects:
+    """Certificates that prove nothing about the point."""
+
+    def test_fewer_points_than_lambdas(self, d4_disc_regions):
+        # zip would pair 1/2 with 2 * pt and drop the second active region
+        regions, _ = d4_disc_regions
+        assert len(regions) == 4
+        pt = d4_point(2, 2, 2, 2)
+        cert = HullCertificate(lambdas=(Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(0)),
+                               points=({v: 2 * x for v, x in pt.items()},),
+                               epsilon=Fraction(0))
+        assert not verify_certificate(cert, regions, pt)
+
+    def test_negative_epsilon(self, d4_disc_regions):
+        regions, _ = d4_disc_regions
+        pt = d4_point(*[Fraction(1, 10)] * 4)
+        assert hull_membership(pt, regions, mode="closed") == (False, None)
+        cert = HullCertificate(lambdas=(Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
+                               points=(pt, None, None, None), epsilon=Fraction(-100))
+        assert not verify_certificate(cert, regions, pt)
 
 
 class TestMarginWithoutFloor:

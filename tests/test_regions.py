@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from _suites import canonical, canonical_constraints, mixed_constraints
 from tamecount import (absolute_convergence_orthant, build_region, make_profile,
                        subconvexity_matrix)
 from tamecount.errors import ContractViolationError, ParseError, ValidationError
@@ -19,7 +20,7 @@ def canon(expr_pairs):
     """Set of canonicalized (coefficients, bound) pairs for comparison."""
     out = set()
     for coeffs, bound in expr_pairs:
-        out.add(constraint(coeffs, bound).canonical())
+        out.add(canonical(constraint(coeffs, bound)))
     return out
 
 
@@ -80,7 +81,7 @@ class TestBuildRegion:
             ({"2B": 1, "2C": Fraction(3, 8)}, Fraction(11, 8)),
             ({"4A": 1, "2C": Fraction(3, 8)}, Fraction(11, 8)),
         ])
-        assert region.canonical_constraints() == frozenset(expected)
+        assert canonical_constraints(region) == frozenset(expected)
 
     def test_d4_tb_symmetric(self, d4_setup, cyc_q):
         G, types, TB, _, prof = d4_setup
@@ -93,7 +94,7 @@ class TestBuildRegion:
             ({"2C": 1, "2B": Fraction(3, 8)}, Fraction(11, 8)),
             ({"4A": 1, "2B": Fraction(3, 8)}, Fraction(11, 8)),
         ])
-        assert region.canonical_constraints() == frozenset(expected)
+        assert canonical_constraints(region) == frozenset(expected)
 
     def test_16t11_tb_has_four_mixed(self, q8c2_deg16, t16_types, cyc_q):
         G = q8c2_deg16.group
@@ -101,7 +102,7 @@ class TestBuildRegion:
         TB = subgroup_generated(G, by_label["2B"].members)
         prof = make_profile("burgess-yang", t16_types, cyc_q)
         region = build_region(G, TB, types=t16_types, profile=prof, cyc=cyc_q)
-        mixed = {c.canonical() for c, _ in region.mixed}
+        mixed = {canonical(c) for c in mixed_constraints(region)}
         expected = canon([
             ({"2C": 1, "2B": Fraction(3, 8)}, Fraction(11, 8)),
             ({"2D": 1, "2B": Fraction(3, 8)}, Fraction(11, 8)),
@@ -118,7 +119,7 @@ class TestBuildRegion:
         G, types, _, TC, _ = d4_setup
         prof = make_profile("lindelof", types, cyc_q, gamma=Fraction(1, 2))
         region = build_region(G, TC, types, prof, cyc_q)
-        assert not region.mixed
+        assert not region.shifted_rows
         assert region.pure_lower_bound("2C") == Fraction(1, 2)
         assert region.pure_lower_bound("2B") == 1
 
@@ -172,8 +173,8 @@ class TestBuildRegion:
             r_large = build_region(G, TC, types, p_large, cyc_q)
             for _ in range(12):
                 point = {lab: Fraction(rng.randint(2, 10), 4) for lab in labels}
-                if r_large.contains_strict(point):
-                    assert r_small.contains_strict(point)
+                if r_large.slack(point) > 0:
+                    assert r_small.slack(point) > 0
 
     def test_region_membership_matches_hull_on_single_region(self, d4_setup, cyc_q):
         G, types, _, TC, prof = d4_setup
@@ -182,7 +183,7 @@ class TestBuildRegion:
         for _ in range(15):
             point = {t.label: Fraction(rng.randint(1, 10), 4) for t in types}
             member, _ = hull_membership(point, [region], mode="open")
-            assert member == region.contains_strict(point)
+            assert member == (region.slack(point) > 0)
 
 
 class TestAbsoluteConvergence:
@@ -212,7 +213,7 @@ class TestRegionInvariants:
         from tamecount.regions import TubularRegion
         region = TubularRegion(["a"], [constraint({"a": Fraction(1, 100)}, 5)])
         assert region.pure_lower_bound("a") == 500
-        assert region.contains_strict({"a": Fraction(501)})
+        assert region.slack({"a": Fraction(501)}) > 0
 
     def test_zero_or_no_coefficient_rejected(self):
         from tamecount.regions import TubularRegion, LinearConstraint
@@ -221,6 +222,14 @@ class TestRegionInvariants:
         with pytest.raises(ValidationError, match="nonzero"):
             TubularRegion(("a",), [constraint({"a": 1}, 0), LinearConstraint((), Fraction(-1))])
 
+    def test_repeated_variable_rejected(self):
+        # read as 2x + y > 4 by a slack but as x + y by an LP column map
+        from tamecount.regions import TubularRegion, LinearConstraint
+        repeated = LinearConstraint((("x", Fraction(1)), ("x", Fraction(1)), ("y", Fraction(1))),
+                                    Fraction(4))
+        with pytest.raises(ValidationError, match="names a variable twice"):
+            TubularRegion(("x", "y"), [constraint({"x": 1}, 0), constraint({"y": 1}, 0), repeated])
+
     def test_pure_lower_bound_is_the_largest(self):
         from tamecount.regions import TubularRegion
         region = TubularRegion(("x", "y"), [
@@ -228,8 +237,10 @@ class TestRegionInvariants:
             constraint({"y": 1}, 0), constraint({"x": 1, "y": 1}, 5)])
         assert region.pure_lower_bound("x") == Fraction(2, 3)
         assert region.pure_lower_bound("y") == 0
-        # the mixed row x + y > 5 at the corner (2/3, 0)
-        assert region.mixed == ((region.constraints[-1], Fraction(2, 3) - 5),)
+        # the one mixed row, x + y > 5, has slack 2/3 - 5 at the corner (2/3, 0)
+        corner = {"x": Fraction(2, 3), "y": Fraction(0)}
+        assert region.constraints[-1].slack(corner) == Fraction(2, 3) - 5
+        assert region.shifted_rows == (((("x", 3), ("y", 3)), -13),)
         with pytest.raises(ValidationError, match="no pure lower bound on z"):
             region.pure_lower_bound("z")
 
@@ -240,7 +251,9 @@ class TestRegionInvariants:
             constraint({"x": 1, "y": 1}, 5), constraint({"x": 2, "y": 4}, 2)])
         # at the corner (2/3, 0): x + y - 13/3 is 3x + 3y - 13, and
         # 2x + 4y - 2/3 is 2 * (3x + 6y - 1) / 3
-        assert [value for _, value in region.mixed] == [Fraction(-13, 3), Fraction(-2, 3)]
+        corner = {"x": Fraction(2, 3), "y": Fraction(0)}
+        assert [c.slack(corner) for c in region.constraints[2:]] == [Fraction(-13, 3),
+                                                                     Fraction(-2, 3)]
         assert region.shifted_rows == (((("x", 3), ("y", 3)), -13),
                                        ((("x", 3), ("y", 6)), -1))
 
