@@ -10,9 +10,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import ContractViolationError, UnsupportedHypothesisError, ValidationError
-from .perm import (Permutation, PermutationGroup, closure, compose, fitting_subgroup, index_of,
-                   is_abelian_normal, normal_closure, normal_subgroup_mask, normal_subgroups,
-                   prime_factors, subgroup_as_group, upper_central_series)
+from .perm import (Permutation, PermutationGroup, abelian_normal_subgroups, closure, compose,
+                   fitting_subgroup, index_of, is_abelian_normal, normal_closure,
+                   normal_subgroup_mask, prime_factors, subgroup_as_group, upper_central_series)
 from .ramtypes import WeightFunction, min_weight
 
 STATUS_CONCENTRATED = "concentrated"
@@ -31,15 +31,6 @@ class ConcentrationVerdict:
     fitting_status: str
     min_weight: Fraction
     min_type_labels: tuple
-
-
-def abelian_normal_subgroups(G: PermutationGroup):
-    """Proper nontrivial normal subgroups with abelian carrier."""
-    out = []
-    for N in normal_subgroups(G):
-        if 1 < len(N) < G.order and is_abelian_normal(G, N):
-            out.append(N)
-    return out
 
 
 def _least_cover(candidates, targets):
@@ -163,10 +154,8 @@ def h1ur_chain(G: PermutationGroup, N, T):
     series of N, ending at the hypercenter; orders multiply to |T|."""
     N = frozenset(N)
     T = frozenset(T)
-    if normal_subgroup_mask(G, N) is None or normal_subgroup_mask(G, T) is None:
-        raise ContractViolationError("N and T must be normal in G")
-    if not is_abelian_normal(G, T):
-        raise ContractViolationError("T must be abelian")
+    if normal_subgroup_mask(G, N) is None or not is_abelian_normal(G, T):
+        raise ContractViolationError("N and T must be normal in G, and T abelian")
     series = upper_central_series(subgroup_as_group(G, N, name="N"))
     if not T <= series[-1]:
         raise ContractViolationError("T must lie in the hypercenter of N")
@@ -188,10 +177,13 @@ def _log2_exact(n: int) -> int:
 
 def wreath_theta_from_params(n: int, a, t_order: int, m: int, k_degree: int) -> Fraction:
     """n/a - log2|T|/2 + log2|T|/(2 m [k:Q]) for one witness size."""
+    a = Fraction(a)
     if m < 1 or k_degree < 1:
         raise ValidationError("block count and field degree must be positive")
+    if a <= 0:
+        raise ValidationError("the least index must be positive")
     log2t = _log2_exact(t_order)
-    return (Fraction(n, 1) / Fraction(a) - Fraction(log2t, 2)
+    return (Fraction(n, 1) / a - Fraction(log2t, 2)
             + Fraction(log2t, 2 * m * k_degree))
 
 
@@ -204,13 +196,15 @@ def wreath_theta_bound(N: PermutationGroup, witnesses, m: int, k_degree: int) ->
     order = N.order
     if order & (order - 1):
         raise UnsupportedHypothesisError("the wreath bound is proven for 2-groups only")
+    if order == 1:
+        raise ValidationError("N must be nontrivial")
     if not witnesses:
         raise ValidationError("at least one witness is required")
     a = min(Fraction(index_of(c.representative)) for c in N.conjugacy_classes()[1:])
     thetas = []
     for T in witnesses:
         T = frozenset(T)
-        if normal_subgroup_mask(N, T) is None or not is_abelian_normal(N, T):
+        if not is_abelian_normal(N, T):
             raise ContractViolationError("witnesses must be abelian and normal in N")
         thetas.append(wreath_theta_from_params(N.degree, a, len(T), m, k_degree))
     return min(thetas)

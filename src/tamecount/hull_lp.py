@@ -378,8 +378,6 @@ def certificate_from_json(data) -> HullCertificate:
 
 
 def _common_variables(regions):
-    if not regions:
-        return None
     variables = regions[0].variables
     for r in regions[1:]:
         if r.variables != variables:
@@ -554,7 +552,10 @@ def hull_membership(point, regions, mode="open"):
 def verify_certificate(cert: HullCertificate, regions, point) -> bool:
     """Independent check: one lambda and one point entry per region, lambdas
     a convex combination, epsilon >= 0, the combination equal to `point`,
-    and every active point with region slack >= epsilon."""
+    and every active point with region slack >= epsilon.  A certificate over
+    no regions proves nothing."""
+    if not regions:
+        return False
     variables = _common_variables(regions)
     pt = _as_point(point, variables)
     if not len(cert.lambdas) == len(cert.points) == len(regions) or cert.epsilon < 0:

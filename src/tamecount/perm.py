@@ -13,11 +13,12 @@ Each group caches its conjugacy classes, an element -> class index and
 a class-product table; normal subgroups, normal closures and the
 Fitting subgroup are unions of classes, found as bitmask fixpoints of
 that table (the class-structure methods of Hulpke, "Computing normal
-subgroups", ISSAC 1998).  The normal-subgroup lattice and the Fitting
-subgroup are cached as well.
-Membership, normality, subgroup and abelian tests read the same data:
-`in` the class index, `class_mask`, `normal_subgroup_mask` (every module's
-normal-subgroup test) and `is_abelian_normal` the classes and their products.
+subgroups", ISSAC 1998).  `_close` is the one rule: a class union holding
+the identity is a normal subgroup exactly when `_close` from it adds
+nothing (`normal_subgroup_mask`), and `is_abelian_normal` adds a
+commutation test of its generating classes.  The lattice caches its masks
+beside its element sets, so `abelian_normal_subgroups` and the Fitting
+subgroup never rebuild them.  Membership reads the class index.
 
 Every breadth-first search here is one `orbit`: the element closure,
 the conjugation orbits that make the classes, the point orbit behind
@@ -371,6 +372,7 @@ class PermutationGroup:
         self._class_index = None
         self._class_products = None
         self._normal_subgroups = None
+        self._normal_masks = None
         self._fitting = None
 
     @property
@@ -612,32 +614,24 @@ def normal_closure(G: PermutationGroup, elems) -> frozenset:
 def normal_subgroup_mask(G: PermutationGroup, S) -> int | None:
     """`class_mask(G, S)` when S is a normal subgroup of G, else None.
 
-    A class union holding the identity is a subgroup when m*r lies in it for
-    each member m and class representative r in it: g r g^-1 is any member
-    of r's class, and m g r g^-1 = g (g^-1 m g) r g^-1.
+    A class union holding the identity is a subgroup when it is closed
+    under the products of its own classes: `_close` from it adds nothing.
     """
     mask = class_mask(G, S)
     if mask is None or not mask & 1:
         return None
-    classes = G.conjugacy_classes()
-    members = [x.images for x in S]
-    products = (G._class_index[p] for i in _bits(mask)
-                for p in map(right_multiplier(classes[i].representative.images), members))
-    return mask if all(mask >> c & 1 for c in products) else None
+    return mask if _close(G.class_products(), mask, tuple(_bits(mask))) == mask else None
 
 
-def is_abelian_normal(G: PermutationGroup, N) -> bool:
-    """Whether the union of classes N of G is abelian.
+def _abelian_mask(G: PermutationGroup, mask: int) -> bool:
+    """Whether the normal subgroup with class mask `mask` is abelian.
 
-    Checks only the classes that generate <N>, each taken when the classes
+    Checks only the classes that generate it, each taken when the classes
     before it do not yet generate it: a group generated by pairwise
-    commuting elements is abelian, and N is abelian exactly when <N> is.
-    Conjugation carries a commuting pair (r, x) to all pairs of their classes,
-    so each generating representative meets the generating classes from its own on.
+    commuting elements is abelian.  Conjugation carries a commuting pair
+    (r, x) to all pairs of their classes, so each generating representative
+    meets the generating classes from its own on.
     """
-    mask = class_mask(G, N)
-    if mask is None:
-        raise ContractViolationError("the set is not a union of classes of the group")
     prod = G.class_products()
     classes = G.conjugacy_classes()
     span = 1
@@ -652,18 +646,25 @@ def is_abelian_normal(G: PermutationGroup, N) -> bool:
                for k, r in enumerate(reps) for j in gens[k:] for x in classes[j].members)
 
 
+def is_abelian_normal(G: PermutationGroup, S) -> bool:
+    """Whether S is an abelian normal subgroup of G."""
+    mask = normal_subgroup_mask(G, S)
+    return mask is not None and _abelian_mask(G, mask)
+
+
 def normal_subgroups(G: PermutationGroup):
     """All normal subgroups, sorted by (order, sorted images); a fresh list.
 
-    The lattice is built once per group and cached on it.
+    The lattice and its class masks are built once per group and cached on it.
     """
     if G._normal_subgroups is None:
-        G._normal_subgroups = _normal_subgroup_lattice(G)
+        # masks first: a reader that finds the sets finds their masks
+        G._normal_masks, G._normal_subgroups = _normal_subgroup_lattice(G)
     return list(G._normal_subgroups)
 
 
 def _normal_subgroup_lattice(G: PermutationGroup):
-    """Normal subgroups as class-union bitmasks closed under class products.
+    """(class masks, element sets) of the normal subgroups, in key order.
 
     Every normal subgroup is a union of conjugacy classes and the join of
     the normal closures of the classes it contains, so growing the trivial
@@ -674,7 +675,15 @@ def _normal_subgroup_lattice(G: PermutationGroup):
     for c in range(1, len(prod)):
         seeds.setdefault(_close(prod, 1, (c,)), c)
     known = orbit(1, lambda N: [_close(prod, N, (c,)) for seed, c in seeds.items() if seed & ~N])
-    return tuple(sorted((_class_union(G, mask) for mask in known), key=subgroup_key))
+    members = sorted(((_class_union(G, mask), mask) for mask in known),
+                     key=lambda member: subgroup_key(member[0]))
+    return tuple(mask for _, mask in members), tuple(N for N, _ in members)
+
+
+def abelian_normal_subgroups(G: PermutationGroup):
+    """Proper nontrivial normal subgroups with abelian carrier, in key order."""
+    return [N for N, mask in zip(normal_subgroups(G), G._normal_masks)
+            if 1 < len(N) < G.order and _abelian_mask(G, mask)]
 
 
 def quotient(G: PermutationGroup, N) -> QuotientGroup:
@@ -726,11 +735,11 @@ def fitting_subgroup(G: PermutationGroup) -> frozenset:
     subgroup; cached on the group.
     """
     if G._fitting is None:
-        gens = set()
-        for N in normal_subgroups(G):
+        mask = 0
+        for N, N_mask in zip(normal_subgroups(G), G._normal_masks):
             if len(prime_factors(len(N))) == 1:
-                gens |= N
-        G._fitting = normal_closure(G, gens)
+                mask |= N_mask
+        G._fitting = _class_union(G, _close(G.class_products(), 1, tuple(_bits(mask))))
     return G._fitting
 
 

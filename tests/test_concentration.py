@@ -389,6 +389,15 @@ class TestWreathTheta:
         with pytest.raises(ValidationError):
             wreath_theta_from_params(8, 2, 12, 1, 1)
 
+    def test_trivial_group_refused(self):
+        G = PermutationGroup(1, [(1,)])
+        with pytest.raises(ValidationError, match="N must be nontrivial"):
+            wreath_theta_bound(G, [G.element_set()], 2, 1)
+
+    def test_zero_least_index_refused(self):
+        with pytest.raises(ValidationError, match="least index must be positive"):
+            wreath_theta_from_params(4, 0, 2, 1, 1)
+
 
 @pytest.mark.parametrize("with_identity", [False, True], ids=["class", "class+identity"])
 @pytest.mark.parametrize("entry", ["quotient", "build_region", "wreath_theta_bound",

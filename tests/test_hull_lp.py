@@ -370,6 +370,10 @@ class TestVerifyCertificateRejects:
                                points=(pt, None, None, None), epsilon=Fraction(-100))
         assert not verify_certificate(cert, regions, pt)
 
+    def test_no_regions(self):
+        cert = HullCertificate(lambdas=(), points=(), epsilon=Fraction(0))
+        assert not verify_certificate(cert, [], {"x": Fraction(2)})
+
 
 class TestMarginWithoutFloor:
     """The region x > 1: membership is exact at any margin, however small."""

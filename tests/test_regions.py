@@ -208,6 +208,17 @@ class TestRegionInvariants:
         with pytest.raises(ValidationError, match="nonnegative"):
             TubularRegion(("x",), [LinearConstraint((("x", Fraction(-1)),), Fraction(0))])
 
+    @pytest.mark.parametrize("use", ["line_threshold", "hull_membership", "slack"])
+    def test_region_without_variables_rejected(self, use):
+        # no use of a region over no variables is reached: the constructor refuses it
+        from tamecount.regions import TubularRegion
+        from tamecount.hull_lp import line_threshold
+        calls = {"line_threshold": lambda r: line_threshold({}, [r]),
+                 "hull_membership": lambda r: hull_membership({}, [r]),
+                 "slack": lambda r: r.slack({})}
+        with pytest.raises(ValidationError, match="at least one variable"):
+            calls[use](TubularRegion((), []))
+
     def test_small_coefficient_region_accepted(self):
         # {a > 500}: a large bound over a small coefficient is not empty
         from tamecount.regions import TubularRegion
