@@ -141,15 +141,12 @@ def analyze(G: PermutationGroup, types, wt, witnesses, profile: SubconvexityProf
     wt.validate_total(types)
     if not witnesses:
         raise ValidationError("at least one abelian normal witness is required")
-    matrix = subconvexity_matrix(G, types, profile, cyc)
-    regions = []
-    witness_sets = []
-    witness_gens = []
-    for T in witnesses:
-        T = frozenset(T)
-        regions.append(build_region(G, T, types, profile, cyc, matrix=matrix))
-        witness_sets.append(frozenset(witness_type_labels(T, types)))
-        witness_gens.append(sorted(g.cycle_string() for g in T if not g.is_identity()))
+    witnesses = [frozenset(T) for T in witnesses]
+    witness_sets = [frozenset(witness_type_labels(T, types)) for T in witnesses]
+    matrix = subconvexity_matrix(G, types, profile, cyc, columns=frozenset().union(*witness_sets))
+    regions = [build_region(G, T, types, profile, cyc, matrix=matrix) for T in witnesses]
+    witness_gens = [sorted(g.cycle_string() for g in T if not g.is_identity())
+                    for T in witnesses]
     a_inv, argmin = min_weight(wt, types)
     del argmin
     sigma_a = 1 / a_inv

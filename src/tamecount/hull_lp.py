@@ -34,11 +34,12 @@ coordinates need artificials.  The threshold LP along a weight line is a
 gauge LP around an integer m below the threshold: it maximises
 mu = sum lam over a feasible cone section that contains the origin, and
 the threshold is m + 1/mu*.  Every one of its rows starts from its
-surplus, so it makes no phase-1 pivot.  Both rely on the contract that
-TubularRegion's constructor alone enforces: a pure lower bound on every
-variable and only positive coefficients (an orthant recession cone).
-A region is read only through its variables, pure_lower_bound,
-shifted_rows and slack; this module imports no region module.
+surplus, so it makes no phase-1 pivot.  Both rely on the region contract,
+which regions checks in one place on every region's integer form: a pure
+lower bound on every variable and only positive coefficients (an orthant
+recession cone).  A region is read only through its variables,
+pure_lower_bound, shifted_rows and slack; this module imports no region
+module.
 """
 from __future__ import annotations
 

@@ -8,8 +8,10 @@ and the all-large point lies in it; the hull machinery relies on that.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .errors import ContractViolationError, ParseError, ValidationError
 from .hull_lp import _integer_row
@@ -129,7 +131,7 @@ def parse_subconvexity_file(text: str, types, name="custom") -> SubconvexityProf
 @dataclass(frozen=True)
 class LinearConstraint:
     """sum_v coefficients[v] * sigma_v > bound (strict)."""
-    coefficients: tuple  # ((label, Fraction), ...) sorted by label position
+    coefficients: tuple  # ((label, int or Fraction), ...) sorted by label position
     bound: Fraction
 
     def slack(self, point: dict) -> Fraction:
@@ -146,55 +148,72 @@ def constraint(coeffs: dict, bound) -> LinearConstraint:
 
 class TubularRegion:
     """Open region cut out by strict linear inequalities with orthant recession
-    cone; the constructor alone enforces the contract that hull_lp relies on,
-    and `slack` alone evaluates the region at a point.
+    cone.  `_region_contract` alone enforces the contract that hull_lp relies
+    on, and `slack` alone evaluates the region at a point.
 
-    Each row is held in two forms: the LinearConstraint in `constraints`,
-    which slacks and reports read, and, for a mixed row, the integer row in
-    `shifted_rows`, which hull_lp reads.  The constructor shifts each mixed
-    row c once to the corner lb, the point of pure lower bounds: with
-    y = lb + z the row c*y > bound reads c*z + c.slack(lb) > 0, and every
-    pure row holds for all z >= 0.  `shifted_rows` holds c*z + c.slack(lb)
-    made a primitive integer row, ((label, int coefficient), ...) and the
-    int value, a positive multiple of the Fraction row.
+    The integer form is primary: the pure lower bounds and, for each mixed
+    row, the integer row in `shifted_rows`, which hull_lp reads.  A mixed
+    row c*y > bound is shifted to the corner lb, the point of pure lower
+    bounds: with y = lb + z it reads c*z + c.slack(lb) > 0, and every pure
+    row holds for all z >= 0.  `shifted_rows` holds c*z + c.slack(lb) made
+    a primitive integer row, ((label, int coefficient), ...) and the int
+    value, a positive multiple of the Fraction row.  `constraints`, the
+    LinearConstraints that slacks and reports read, is a view: the tuple
+    given to the constructor, or for a region of `build_region`, built from
+    the integer form on first read.
     """
 
     def __init__(self, variables, constraints, name=None):
         self.variables = tuple(variables)
-        if not self.variables:
-            raise ValidationError("a region needs at least one variable")
-        self.constraints = tuple(constraints)
+        self._constraints = tuple(constraints)
         self.name = name
-        index = {v: i for i, v in enumerate(self.variables)}
-        self._pure_lower = {}  # label -> largest b/c over pure constraints c*sigma > b
-        # every constraint has a coefficient and every coefficient is positive,
-        # so the all-coordinates-large point satisfies them all: never empty
-        for c in self.constraints:
-            if not c.coefficients:
-                raise ValidationError("a constraint needs at least one nonzero coefficient")
-            if len({lab for lab, _ in c.coefficients}) < len(c.coefficients):
-                raise ValidationError("a constraint names a variable twice")
-            for lab, coef in c.coefficients:
-                if lab not in index:
-                    raise ValidationError(f"constraint variable {lab} outside the index")
-                if coef < 0:
-                    raise ValidationError("region coefficients must be nonnegative")
-                if coef == 0:
-                    raise ValidationError("region coefficients must be nonzero")
-            if len(c.coefficients) == 1:
-                (lab, coef), = c.coefficients
-                val = c.bound / coef
-                self._pure_lower[lab] = max(self._pure_lower.get(lab, val), val)
-        missing = [v for v in self.variables if v not in self._pure_lower]
-        if missing:
-            raise ValidationError(f"variables without a pure lower bound: {missing}")
-        rows = []
-        for c in self.constraints:
-            if len(c.coefficients) > 1:
-                row = _integer_row({**dict(c.coefficients), None: c.slack(self._pure_lower)})
+        rows = [_integer_constraint(c) for c in self._constraints]
+        self._pure_lower = _region_contract(self.variables, rows)
+        shifted = []
+        for coefs, bound in rows:
+            if len(coefs) > 1:
+                slack = sum((a * self._pure_lower[lab] for lab, a in coefs), -bound)
+                row = _integer_row({**dict(coefs), None: slack})
                 value = row.pop(None)
-                rows.append((tuple(row.items()), value))
-        self.shifted_rows = tuple(rows)
+                shifted.append((tuple(row.items()), value))
+        self.shifted_rows = tuple(shifted)
+        self._leads = None
+
+    @classmethod
+    def _from_integer_rows(cls, variables, pure_rows, shifted_rows, leads, name=None):
+        """A region from its integer form: `pure_rows` holds one row
+        ((label, a),), b per variable, in variable order, read as
+        a*sigma > b; each shifted row reads 1 * sigma_lead + ... in its
+        LinearConstraint view, with lead the matching entry of `leads`."""
+        self = cls.__new__(cls)
+        self.variables = tuple(variables)
+        self._constraints = None
+        self.name = name
+        self._pure_lower = _region_contract(self.variables, pure_rows + shifted_rows)
+        self.shifted_rows = tuple(shifted_rows)
+        self._leads = tuple(leads)
+        return self
+
+    @property
+    def constraints(self):
+        """The rows as LinearConstraints: the tuple given to the constructor,
+        or for a region of `build_region`, one pure row per variable, in
+        variable order, then the mixed rows, each scaled to coefficient 1
+        on its lead variable."""
+        if self._constraints is None:
+            lb = self._pure_lower
+            cons = [LinearConstraint(((v, Fraction(1)),), lb[v]) for v in self.variables]
+            for (coefs, value), lead in zip(self.shifted_rows, self._leads):
+                # the row over its lead coefficient a, with bound
+                # (sum c*lb - value) / a over one common denominator
+                a = dict(coefs)[lead]
+                den = reduce(math.lcm, (lb[lab].denominator for lab, _ in coefs), 1)
+                num = sum(c * lb[lab].numerator * (den // lb[lab].denominator)
+                          for lab, c in coefs)
+                cons.append(LinearConstraint(tuple((lab, Fraction(c, a)) for lab, c in coefs),
+                                             Fraction(num - value * den, a * den)))
+            self._constraints = tuple(cons)
+        return self._constraints
 
     def pure_lower_bound(self, label) -> Fraction:
         """Largest b/c over pure constraints c*sigma > b on `label`."""
@@ -212,29 +231,94 @@ class TubularRegion:
         return f"TubularRegion({self.name or '?'}, {len(self.constraints)} constraints)"
 
 
+def _exact(x):
+    """x itself when it is an int or a Fraction (never a bool)."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise ValidationError(
+            f"region coefficients and bounds must be int or Fraction, not {type(x).__name__}")
+    return x
+
+
+def _integer_constraint(c: LinearConstraint):
+    """c as the integer row ((label, int), ...) and int bound that is c
+    scaled by the lcm of its denominators."""
+    values = [_exact(coef) for _, coef in c.coefficients]
+    bound = _exact(c.bound)
+    scale = reduce(math.lcm, (x.denominator for x in values), bound.denominator)
+    coefs = tuple((lab, x.numerator * (scale // x.denominator))
+                  for (lab, _), x in zip(c.coefficients, values))
+    return coefs, bound.numerator * (scale // bound.denominator)
+
+
+def _region_contract(variables, rows):
+    """The region contract, on integer rows ((label, int a), ...), int b:
+    at least one variable; every row has a coefficient, names no variable
+    twice, reads only the variables, and every coefficient is positive; and
+    every variable has a pure lower bound.  So the all-coordinates-large
+    point satisfies every row: the region is never empty, and its recession
+    cone is the orthant.  Returns {label: the largest b/a over the
+    one-coefficient rows a*sigma_label > b}; b is read from those alone."""
+    if not variables:
+        raise ValidationError("a region needs at least one variable")
+    index = set(variables)
+    pure = {}
+    for coefs, b in rows:
+        if not coefs:
+            raise ValidationError("a constraint needs at least one nonzero coefficient")
+        if len({lab for lab, _ in coefs}) < len(coefs):
+            raise ValidationError("a constraint names a variable twice")
+        for lab, a in coefs:
+            if lab not in index:
+                raise ValidationError(f"constraint variable {lab} outside the index")
+            if a < 0:
+                raise ValidationError("region coefficients must be nonnegative")
+            if a == 0:
+                raise ValidationError("region coefficients must be nonzero")
+        if len(coefs) == 1:
+            (lab, a), = coefs
+            val = Fraction(b, a)
+            if lab not in pure or val > pure[lab]:
+                pure[lab] = val
+    missing = [v for v in variables if v not in pure]
+    if missing:
+        raise ValidationError(f"variables without a pure lower bound: {missing}")
+    return pure
+
+
 # ---------------------------------------------------------------------------
 # the subconvexity matrix M and the region recipe
 # ---------------------------------------------------------------------------
 
 def subconvexity_matrix(G: PermutationGroup, types, profile: SubconvexityProfile,
-                        cyc: CyclotomicProfile):
+                        cyc: CyclotomicProfile, columns=None):
     """M[(tau, kappa)] = alpha_kappa * zeta_deg(kappa) * ind of tau acting on one
-    conjugation orbit of kappa.
+    conjugation orbit of kappa, for every tau and every kappa whose label is
+    in `columns` (every kappa when None).
 
-    Central kappa gives a zero column (one-point orbit).  The entry is
+    One conjugation step over all type representatives serves every
+    column.  A column with alpha_kappa = 0, or with central kappa (a
+    one-point orbit), is zero and costs no conjugation.  The entry is
     independent of the representative of tau (class invariance; enforced
-    by the representative-sweep test).
+    by the representative-sweep test).  Every type label must have an alpha.
     """
+    alphas = [Fraction(profile.alpha_of(t.label)) for t in types]
+    step = conjugation_step([tau.representative.images for tau in types])
     matrix = {}
-    for kappa in types:
-        orbit = sorted(x.images for x in G.class_of(kappa.representative).members)
+    for kappa, alpha in zip(types, alphas):
+        if columns is not None and kappa.label not in columns:
+            continue
+        members = G.class_of(kappa.representative).members
+        if not alpha or len(members) == 1:
+            for tau in types:
+                matrix[(tau.label, kappa.label)] = Fraction(0)
+            continue
+        unit = alpha * kappa.zeta_degree
+        orbit = sorted(x.images for x in members)
         pos = {x: i for i, x in enumerate(orbit)}
-        alpha = profile.alpha_of(kappa.label)
-        for tau in types:
-            step = conjugation_step([tau.representative.images])
-            action = tuple(pos[y] + 1 for (y,) in map(step, orbit))
-            ind = len(orbit) - cycle_count(action)
-            matrix[(tau.label, kappa.label)] = alpha * kappa.zeta_degree * ind
+        conjugates = [step(x) for x in orbit]
+        for i, tau in enumerate(types):
+            action = tuple(pos[ys[i]] + 1 for ys in conjugates)
+            matrix[(tau.label, kappa.label)] = unit * (len(orbit) - cycle_count(action))
     return matrix
 
 
@@ -260,34 +344,41 @@ def build_region(G: PermutationGroup, T, types, profile: SubconvexityProfile,
     Constraint families: sigma_tau > gamma on T-types; sigma_tau > 1
     elsewhere; and for each non-T type the mixed constraint
     sigma_tau + sum_k M[tau,k] sigma_k > 1 + sum_k M[tau,k] over T-types k,
-    omitted when every M[tau,k] vanishes.
+    omitted when every M[tau,k] vanishes.  `matrix` needs only the T-type
+    columns.
+
+    The rows are written in integer form.  A mixed row has the denominator
+    D = lcm(denominators of its M entries) * denominator(gamma), and at the
+    corner (gamma on T-types, 1 elsewhere) its value is
+    -(1 - gamma) * sum_k M[tau,k], so D times the shifted row is an integer
+    row; it is divided by its gcd.
     """
     T = _check_abelian_normal(G, T)
-    t_labels = set(witness_type_labels(T, types))
+    t_labels = witness_type_labels(T, types)
     if matrix is None:
-        matrix = subconvexity_matrix(G, types, profile, cyc)
-    variables = [t.label for t in types]
-    cons = []
+        matrix = subconvexity_matrix(G, types, profile, cyc, columns=t_labels)
+    gamma = Fraction(profile.gamma)
+    gp, gq = gamma.numerator, gamma.denominator
+    in_t = set(t_labels)
+    pure = [(((t.label, gq),), gp) if t.label in in_t else (((t.label, 1),), 1)
+            for t in types]
+    mixed, leads = [], []
     for t in types:
-        if t.label in t_labels:
-            cons.append(constraint({t.label: 1}, profile.gamma))
-        else:
-            cons.append(constraint({t.label: 1}, 1))
-    for t in types:
-        if t.label in t_labels:
+        if t.label in in_t:
             continue
-        coeffs = {t.label: Fraction(1)}
-        total = Fraction(0)
-        for k in types:
-            if k.label not in t_labels:
-                continue
-            m = matrix[(t.label, k.label)]
-            if m:
-                coeffs[k.label] = m
-                total += m
-        if total:
-            cons.append(constraint(coeffs, 1 + total))
-    return TubularRegion(variables, cons, name=name)
+        entries = [(k, m) for k in t_labels if (m := matrix[(t.label, k)])]
+        if not entries:
+            continue
+        lcd = reduce(math.lcm, (m.denominator for _, m in entries), 1)
+        nums = [(k, m.numerator * (lcd // m.denominator)) for k, m in entries]
+        value = -(gq - gp) * sum(n for _, n in nums)
+        row = [(t.label, lcd * gq)] + [(k, n * gq) for k, n in nums]
+        g = reduce(math.gcd, (a for _, a in row), value)
+        mixed.append((tuple(sorted((lab, a // g) for lab, a in row)), value // g))
+        leads.append(t.label)
+    return TubularRegion._from_integer_rows(variables=[t.label for t in types],
+                                            pure_rows=pure, shifted_rows=mixed,
+                                            leads=leads, name=name)
 
 
 def absolute_convergence_orthant(types) -> TubularRegion:
@@ -339,7 +430,7 @@ def shortcut_2d(G, T1, T2, wt, types, profile, cyc) -> ShortcutResult:
         return ShortcutResult(applicable=False,
                               reason="minimum-weight types do not split into the two witnesses")
     tau, kappa = pair
-    matrix = subconvexity_matrix(G, types, profile, cyc)
+    matrix = subconvexity_matrix(G, types, profile, cyc, columns={tau, kappa})
     product = matrix[(tau, kappa)] * matrix[(kappa, tau)]
     return ShortcutResult(applicable=True, reason="", tau=tau, kappa=kappa,
                           product=product, passes=product < 1)

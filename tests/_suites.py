@@ -39,6 +39,28 @@ def mixed_constraints(region):
     return [c for c in region.constraints if len(c.coefficients) > 1]
 
 
+def ref_build_region(T, types, profile, matrix):
+    """The region recipe through `constraint` and the public TubularRegion
+    constructor, as `build_region` wrote it before it built integer rows:
+    the oracle for its shifted rows, pure lower bounds and constraint view.
+    `matrix` needs the columns of the types in T."""
+    t_labels = {t.label for t in types if t.representative in T}
+    cons = [constraint({t.label: 1}, profile.gamma if t.label in t_labels else 1)
+            for t in types]
+    for t in types:
+        if t.label in t_labels:
+            continue
+        coeffs = {t.label: Fraction(1)}
+        total = Fraction(0)
+        for k in types:
+            if k.label in t_labels and matrix[(t.label, k.label)]:
+                coeffs[k.label] = matrix[(t.label, k.label)]
+                total += matrix[(t.label, k.label)]
+        if total:
+            cons.append(constraint(coeffs, 1 + total))
+    return TubularRegion([t.label for t in types], cons)
+
+
 def certificate_roundtrip(cert, variables):
     """A certificate through its JSON form and back."""
     return hull_lp.certificate_from_json(json.loads(json.dumps(cert.to_json_dict(variables))))

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from _suites import canonical, canonical_constraints, mixed_constraints
-from tamecount import (absolute_convergence_orthant, build_region, make_profile,
+from _suites import canonical, canonical_constraints, mixed_constraints, ref_build_region
+from tamecount import (absolute_convergence_orthant, analyze, build_region, make_profile,
                        subconvexity_matrix)
 from tamecount.errors import ContractViolationError, ParseError, ValidationError
-from tamecount.catalog import resolve_entry
+from tamecount.catalog import resolve_entry, resolve_weight
+from tamecount.concentration import analysis_witnesses
 from tamecount.perm import conjugate, cycle_count, parse_permutation, subgroup_generated
 from tamecount.ramtypes import tame_types
 from tamecount.regions import (SubconvexityProfile, constraint, default_beta,
@@ -186,6 +187,64 @@ class TestBuildRegion:
             assert member == (region.slack(point) > 0)
 
 
+# the golden requests, plus a wreath product and a direct product with many
+# more types than witness columns; each with its auto witnesses
+RECIPE_CASES = [("4T3", "disc", "paper-d4"), ("8T4", "disc", "paper-d4"),
+                ("4T3", "cond-d4", "paper-d4"), ("8T11", "disc", "paper-16t11"),
+                ("16T11", "disc", "paper-16t11"), ("4T3", "inv-gamma:1/5", "paper-d4"),
+                ("wreath(4T3,C3)", "disc", "burgess-yang"),
+                ("product(4T3,8T11)", "disc", "burgess-yang")]
+
+
+@pytest.fixture(scope="module", params=RECIPE_CASES, ids=" ".join)
+def recipe_case(request, cyc_q):
+    label, weight, preset = request.param
+    entry = resolve_entry(label)
+    types = entry.types(cyc_q)
+    wt = resolve_weight(weight, entry, types)
+    return entry.group, types, wt, analysis_witnesses(entry.group, types, wt), preset
+
+
+class TestIntegerRecipe:
+    @pytest.mark.parametrize("lindelof", [False, True], ids=["preset", "lindelof"])
+    def test_build_region_matches_constraint_recipe(self, recipe_case, cyc_q, lindelof):
+        G, types, _, witnesses, preset = recipe_case
+        prof = make_profile("lindelof" if lindelof else preset, types, cyc_q)
+        full = subconvexity_matrix(G, types, prof, cyc_q)
+        for T in witnesses:
+            want = ref_build_region(T, types, prof, full)
+            for region in (build_region(G, T, types, prof, cyc_q),
+                           build_region(G, T, types, prof, cyc_q, matrix=full)):
+                assert region.shifted_rows == want.shifted_rows
+                assert all(region.pure_lower_bound(v) == want.pure_lower_bound(v)
+                           for v in want.variables)
+                # values, order and types (Fraction, not int) of the view
+                assert repr(region.constraints) == repr(want.constraints)
+
+    def test_column_restricted_matrix_equals_full(self, recipe_case, cyc_q):
+        G, types, _, witnesses, preset = recipe_case
+        prof = make_profile(preset, types, cyc_q)
+        full = subconvexity_matrix(G, types, prof, cyc_q)
+        columns = {t.label for T in witnesses for t in types if t.representative in T}
+        part = subconvexity_matrix(G, types, prof, cyc_q, columns=columns)
+        assert part == {key: m for key, m in full.items() if key[1] in columns}
+
+    def test_missing_alpha_outside_the_witnesses_still_refused(self, cyc_q):
+        # the matrix computes only witness columns but reads every alpha
+        entry = resolve_entry("wreath(4T3,C3)")
+        G, types = entry.group, entry.types(cyc_q)
+        wt = resolve_weight("disc", entry, types)
+        witnesses = analysis_witnesses(G, types, wt)
+        read = {t.label for T in witnesses for t in types if t.representative in T}
+        outside = [t.label for t in types if t.label not in read]
+        assert outside
+        prof = make_profile("burgess-yang", types, cyc_q)
+        alpha = {lab: a for lab, a in prof.alpha.items() if lab != outside[0]}
+        partial = SubconvexityProfile(prof.name, prof.gamma, alpha, prof.beta)
+        with pytest.raises(ValidationError, match=f"no alpha for type {outside[0]}$"):
+            analyze(G, types, wt, witnesses, partial, cyc_q)
+
+
 class TestAbsoluteConvergence:
     def test_d4_four_constraints(self, d4_types):
         region = absolute_convergence_orthant(d4_types)
@@ -225,6 +284,34 @@ class TestRegionInvariants:
         region = TubularRegion(["a"], [constraint({"a": Fraction(1, 100)}, 5)])
         assert region.pure_lower_bound("a") == 500
         assert region.slack({"a": Fraction(501)}) > 0
+
+    def test_int_input_read_exactly(self):
+        # 1/1 is the Fraction 1, not the float 1.0 that hull_lp cannot scale
+        from tamecount.regions import TubularRegion, LinearConstraint
+        from tamecount.hull_lp import line_threshold
+        region = TubularRegion(["x", "y"], [LinearConstraint((("x", 1),), 1),
+                                            LinearConstraint((("y", 2),), 1),
+                                            LinearConstraint((("x", 1), ("y", 1)), 3)])
+        assert repr(region.pure_lower_bound("x")) == "Fraction(1, 1)"
+        assert region.pure_lower_bound("y") == Fraction(1, 2)
+        assert region.shifted_rows == (((("x", 2), ("y", 2)), -3),)
+        assert line_threshold({"x": 1, "y": 1}, [region]) == Fraction(3, 2)
+        member, cert = hull_membership({"x": 2, "y": 2}, [region], mode="open")
+        assert member and cert.epsilon > 0
+
+    def test_fraction_input_read_exactly(self):
+        from tamecount.regions import TubularRegion, LinearConstraint
+        region = TubularRegion(["x"], [LinearConstraint((("x", Fraction(3, 7)),), Fraction(2, 5))])
+        assert region.pure_lower_bound("x") == Fraction(14, 15)
+        assert region.slack({"x": Fraction(14, 15)}) == 0
+
+    @pytest.mark.parametrize("bad", [0.5, "1/2", True], ids=["float", "str", "bool"])
+    @pytest.mark.parametrize("where", ["coefficient", "bound"])
+    def test_inexact_input_rejected(self, bad, where):
+        from tamecount.regions import TubularRegion, LinearConstraint
+        coef, bound = (bad, 1) if where == "coefficient" else (1, bad)
+        with pytest.raises(ValidationError, match="must be int or Fraction"):
+            TubularRegion(["x"], [LinearConstraint((("x", coef),), bound)])
 
     def test_zero_or_no_coefficient_rejected(self):
         from tamecount.regions import TubularRegion, LinearConstraint
