@@ -371,11 +371,15 @@ class HullCertificate:
 
 
 def certificate_from_json(data) -> HullCertificate:
-    lambdas = tuple(parse_rational(s) for s in data["lambdas"])
-    points = tuple(None if p is None else {v: parse_rational(s) for v, s in p.items()}
-                   for p in data["points"])
-    return HullCertificate(lambdas=lambdas, points=points,
-                           epsilon=parse_rational(data["epsilon"]))
+    try:
+        return HullCertificate(
+            lambdas=tuple(parse_rational(s) for s in data["lambdas"]),
+            points=tuple(None if p is None else {v: parse_rational(s) for v, s in p.items()}
+                         for p in data["points"]),
+            epsilon=parse_rational(data["epsilon"]))
+    except (KeyError, TypeError, AttributeError):
+        raise ValidationError("a certificate needs a list of lambdas, a list of points "
+                              "(each a dict or null) and an epsilon") from None
 
 
 def _common_variables(regions):
@@ -552,9 +556,9 @@ def hull_membership(point, regions, mode="open"):
 
 def verify_certificate(cert: HullCertificate, regions, point) -> bool:
     """Independent check: one lambda and one point entry per region, lambdas
-    a convex combination, epsilon >= 0, the combination equal to `point`,
-    and every active point with region slack >= epsilon.  A certificate over
-    no regions proves nothing."""
+    a convex combination, epsilon >= 0, every active point a value for each
+    variable, the combination equal to `point`, and every active point with
+    region slack >= epsilon.  A certificate over no regions proves nothing."""
     if not regions:
         return False
     variables = _common_variables(regions)
@@ -563,18 +567,13 @@ def verify_certificate(cert: HullCertificate, regions, point) -> bool:
         return False
     if any(l < 0 for l in cert.lambdas) or sum(cert.lambdas) != 1:
         return False
-    for v in variables:
-        total = Fraction(0)
-        for lam, p in zip(cert.lambdas, cert.points):
-            if lam == 0:
-                continue
-            if p is None:
-                return False
-            total += lam * p[v]
-        if total != pt[v]:
-            return False
-    return all(region.slack(p) >= cert.epsilon
-               for lam, p, region in zip(cert.lambdas, cert.points, regions) if lam)
+    active = [(lam, p, region)
+              for lam, p, region in zip(cert.lambdas, cert.points, regions) if lam]
+    if any(p is None or any(v not in p for v in variables) for _, p, _ in active):
+        return False
+    if any(sum((lam * p[v] for lam, p, _ in active), Fraction(0)) != pt[v] for v in variables):
+        return False
+    return all(region.slack(p) >= cert.epsilon for _, p, region in active)
 
 
 def line_threshold(wt, regions) -> Fraction:

@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import ContractViolationError, ParseError, ValidationError
-from .hull_lp import _integer_row
 from .perm import (PermutationGroup, content_lines, conjugation_step, cycle_count,
                    is_abelian_normal)
 from .ramtypes import CyclotomicProfile, min_weight
@@ -151,68 +150,55 @@ class TubularRegion:
     cone.  `_region_contract` alone enforces the contract that hull_lp relies
     on, and `slack` alone evaluates the region at a point.
 
-    The integer form is primary: the pure lower bounds and, for each mixed
-    row, the integer row in `shifted_rows`, which hull_lp reads.  A mixed
-    row c*y > bound is shifted to the corner lb, the point of pure lower
-    bounds: with y = lb + z it reads c*z + c.slack(lb) > 0, and every pure
-    row holds for all z >= 0.  `shifted_rows` holds c*z + c.slack(lb) made
-    a primitive integer row, ((label, int coefficient), ...) and the int
-    value, a positive multiple of the Fraction row.  `constraints`, the
-    LinearConstraints that slacks and reports read, is a view: the tuple
-    given to the constructor, or for a region of `build_region`, built from
-    the integer form on first read.
+    Each row is held once, as an integer row ((label, int a), ...), int b,
+    int scale > 0 that stands for sum (a/scale)*sigma > b/scale.  From the
+    rows come the pure lower bounds and, for each mixed row, the integer
+    row in `shifted_rows`, which hull_lp reads.  A mixed row c*y > bound is
+    shifted to the corner lb, the point of pure lower bounds: with y = lb + z
+    it reads c*z + c.slack(lb) > 0, and every pure row holds for all z >= 0.
+    `shifted_rows` holds c*z + c.slack(lb) as its primitive positive integer
+    multiple, ((label, int coefficient), ...) and the int value.  The
+    public constructor and `build_region` both hand their integer rows to
+    `_init`; `constraints` is the rows' LinearConstraint view.
     """
 
     def __init__(self, variables, constraints, name=None):
-        self.variables = tuple(variables)
-        self._constraints = tuple(constraints)
-        self.name = name
-        rows = [_integer_constraint(c) for c in self._constraints]
-        self._pure_lower = _region_contract(self.variables, rows)
-        shifted = []
-        for coefs, bound in rows:
-            if len(coefs) > 1:
-                slack = sum((a * self._pure_lower[lab] for lab, a in coefs), -bound)
-                row = _integer_row({**dict(coefs), None: slack})
-                value = row.pop(None)
-                shifted.append((tuple(row.items()), value))
-        self.shifted_rows = tuple(shifted)
-        self._leads = None
+        self._init(variables, [_integer_constraint(c) for c in constraints], name)
 
-    @classmethod
-    def _from_integer_rows(cls, variables, pure_rows, shifted_rows, leads, name=None):
-        """A region from its integer form: `pure_rows` holds one row
-        ((label, a),), b per variable, in variable order, read as
-        a*sigma > b; each shifted row reads 1 * sigma_lead + ... in its
-        LinearConstraint view, with lead the matching entry of `leads`."""
-        self = cls.__new__(cls)
+    def _init(self, variables, rows, name):
+        """The one init body of every region, on its integer rows."""
         self.variables = tuple(variables)
-        self._constraints = None
         self.name = name
-        self._pure_lower = _region_contract(self.variables, pure_rows + shifted_rows)
-        self.shifted_rows = tuple(shifted_rows)
-        self._leads = tuple(leads)
-        return self
+        self._rows = tuple(rows)
+        self._constraints = None
+        lb = self._pure_lower = _region_contract(self.variables, self._rows)
+        shifted = []
+        for coefs, b, _ in self._rows:
+            if len(coefs) > 1:
+                # value = den * (sum a*lb - b), with den the lcm of the corner
+                # denominators so far; then the row over the gcd of its entries
+                den, value, ga = 1, -b, 0
+                for lab, a in coefs:
+                    x = lb[lab]
+                    q = x.denominator
+                    if den % q:
+                        m = math.lcm(den, q)
+                        value *= m // den
+                        den = m
+                    value += a * x.numerator * (den // q)
+                    ga = math.gcd(ga, a)
+                g = math.gcd(value, den * ga)
+                shifted.append((tuple((lab, a * den // g) for lab, a in coefs), value // g))
+        self.shifted_rows = tuple(shifted)
 
     @property
     def constraints(self):
-        """The rows as LinearConstraints: the tuple given to the constructor,
-        or for a region of `build_region`, one pure row per variable, in
-        variable order, then the mixed rows, each scaled to coefficient 1
-        on its lead variable."""
+        """The rows as LinearConstraints, in row order, built on first read:
+        for a region given to the constructor, equal to the tuple given."""
         if self._constraints is None:
-            lb = self._pure_lower
-            cons = [LinearConstraint(((v, Fraction(1)),), lb[v]) for v in self.variables]
-            for (coefs, value), lead in zip(self.shifted_rows, self._leads):
-                # the row over its lead coefficient a, with bound
-                # (sum c*lb - value) / a over one common denominator
-                a = dict(coefs)[lead]
-                den = reduce(math.lcm, (lb[lab].denominator for lab, _ in coefs), 1)
-                num = sum(c * lb[lab].numerator * (den // lb[lab].denominator)
-                          for lab, c in coefs)
-                cons.append(LinearConstraint(tuple((lab, Fraction(c, a)) for lab, c in coefs),
-                                             Fraction(num - value * den, a * den)))
-            self._constraints = tuple(cons)
+            self._constraints = tuple(
+                LinearConstraint(tuple((lab, Fraction(a, s)) for lab, a in coefs), Fraction(b, s))
+                for coefs, b, s in self._rows)
         return self._constraints
 
     def pure_lower_bound(self, label) -> Fraction:
@@ -224,11 +210,17 @@ class TubularRegion:
 
     def slack(self, point: dict) -> Fraction:
         """The least constraint slack at `point`: the point lies in the open
-        region iff it is positive and in the closure iff it is >= 0."""
-        return min(c.slack(point) for c in self.constraints)
+        region iff it is positive and in the closure iff it is >= 0.  Over
+        one common denominator den of the point, row (coefs, b, s) has
+        slack (sum a*den*p_v - b*den) / (s*den)."""
+        values = [point[v] for v in self.variables]
+        den = reduce(math.lcm, (x.denominator for x in values), 1)
+        nums = {v: x.numerator * (den // x.denominator) for v, x in zip(self.variables, values)}
+        return min(Fraction(sum((a * nums[lab] for lab, a in coefs), -b * den), s * den)
+                   for coefs, b, s in self._rows)
 
     def __repr__(self):
-        return f"TubularRegion({self.name or '?'}, {len(self.constraints)} constraints)"
+        return f"TubularRegion({self.name or '?'}, {len(self._rows)} constraints)"
 
 
 def _exact(x):
@@ -240,29 +232,32 @@ def _exact(x):
 
 
 def _integer_constraint(c: LinearConstraint):
-    """c as the integer row ((label, int), ...) and int bound that is c
-    scaled by the lcm of its denominators."""
+    """c as the integer row ((label, int), ...), int bound, int scale: c
+    times its scale, the lcm of its denominators."""
     values = [_exact(coef) for _, coef in c.coefficients]
     bound = _exact(c.bound)
     scale = reduce(math.lcm, (x.denominator for x in values), bound.denominator)
     coefs = tuple((lab, x.numerator * (scale // x.denominator))
                   for (lab, _), x in zip(c.coefficients, values))
-    return coefs, bound.numerator * (scale // bound.denominator)
+    return coefs, bound.numerator * (scale // bound.denominator), scale
 
 
 def _region_contract(variables, rows):
-    """The region contract, on integer rows ((label, int a), ...), int b:
-    at least one variable; every row has a coefficient, names no variable
-    twice, reads only the variables, and every coefficient is positive; and
-    every variable has a pure lower bound.  So the all-coordinates-large
-    point satisfies every row: the region is never empty, and its recession
-    cone is the orthant.  Returns {label: the largest b/a over the
-    one-coefficient rows a*sigma_label > b}; b is read from those alone."""
+    """The region contract, on integer rows ((label, int a), ...), int b,
+    int scale: at least one variable, none named twice; every row has a
+    coefficient, names no variable twice, reads only the variables, and
+    every coefficient is positive; and every variable has a pure lower
+    bound.  So the all-coordinates-large point satisfies every row: the
+    region is never empty, and its recession cone is the orthant.  Returns
+    {label: the largest b/a over the one-coefficient rows a*sigma_label > b};
+    b is read from those alone."""
     if not variables:
         raise ValidationError("a region needs at least one variable")
     index = set(variables)
+    if len(index) < len(variables):
+        raise ValidationError("a region names a variable twice")
     pure = {}
-    for coefs, b in rows:
+    for coefs, b, _ in rows:
         if not coefs:
             raise ValidationError("a constraint needs at least one nonzero coefficient")
         if len({lab for lab, _ in coefs}) < len(coefs):
@@ -345,13 +340,9 @@ def build_region(G: PermutationGroup, T, types, profile: SubconvexityProfile,
     elsewhere; and for each non-T type the mixed constraint
     sigma_tau + sum_k M[tau,k] sigma_k > 1 + sum_k M[tau,k] over T-types k,
     omitted when every M[tau,k] vanishes.  `matrix` needs only the T-type
-    columns.
-
-    The rows are written in integer form.  A mixed row has the denominator
-    D = lcm(denominators of its M entries) * denominator(gamma), and at the
-    corner (gamma on T-types, 1 elsewhere) its value is
-    -(1 - gamma) * sum_k M[tau,k], so D times the shifted row is an integer
-    row; it is divided by its gcd.
+    columns.  Each row is written as an integer row over its scale:
+    gamma.den * sigma > gamma.num on T-types, sigma > 1 elsewhere, and a
+    mixed row times lcd, the lcm of the denominators of its M entries.
     """
     T = _check_abelian_normal(G, T)
     t_labels = witness_type_labels(T, types)
@@ -360,9 +351,8 @@ def build_region(G: PermutationGroup, T, types, profile: SubconvexityProfile,
     gamma = Fraction(profile.gamma)
     gp, gq = gamma.numerator, gamma.denominator
     in_t = set(t_labels)
-    pure = [(((t.label, gq),), gp) if t.label in in_t else (((t.label, 1),), 1)
+    rows = [(((t.label, gq),), gp, gq) if t.label in in_t else (((t.label, 1),), 1, 1)
             for t in types]
-    mixed, leads = [], []
     for t in types:
         if t.label in in_t:
             continue
@@ -370,15 +360,12 @@ def build_region(G: PermutationGroup, T, types, profile: SubconvexityProfile,
         if not entries:
             continue
         lcd = reduce(math.lcm, (m.denominator for _, m in entries), 1)
-        nums = [(k, m.numerator * (lcd // m.denominator)) for k, m in entries]
-        value = -(gq - gp) * sum(n for _, n in nums)
-        row = [(t.label, lcd * gq)] + [(k, n * gq) for k, n in nums]
-        g = reduce(math.gcd, (a for _, a in row), value)
-        mixed.append((tuple(sorted((lab, a // g) for lab, a in row)), value // g))
-        leads.append(t.label)
-    return TubularRegion._from_integer_rows(variables=[t.label for t in types],
-                                            pure_rows=pure, shifted_rows=mixed,
-                                            leads=leads, name=name)
+        row = [(t.label, lcd)] + [(k, m.numerator * (lcd // m.denominator)) for k, m in entries]
+        # the bound 1 + sum_k M[tau,k], times lcd, is the coefficient sum
+        rows.append((tuple(sorted(row)), sum(a for _, a in row), lcd))
+    region = TubularRegion.__new__(TubularRegion)
+    region._init([t.label for t in types], rows, name)
+    return region
 
 
 def absolute_convergence_orthant(types) -> TubularRegion:

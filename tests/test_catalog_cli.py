@@ -265,8 +265,8 @@ class TestBatch:
         code = cli_main(["batch", str(GOLDEN / "golden_manifest.txt"),
                          "--out", str(out), "--jobs", "2"])
         assert code == 0
-        for golden in sorted(GOLDEN.glob("report_*.json")):
-            assert (out / golden.name).read_bytes() == golden.read_bytes()
+        for golden in sorted(GOLDEN.glob("report_*.json")) + [GOLDEN / "summary.json"]:
+            assert (out / golden.name).read_bytes() == golden.read_bytes(), golden.name
 
     def test_all_goldens_succeed(self):
         summary = json.loads((GOLDEN / "summary.json").read_text())

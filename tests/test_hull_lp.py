@@ -374,6 +374,32 @@ class TestVerifyCertificateRejects:
         cert = HullCertificate(lambdas=(), points=(), epsilon=Fraction(0))
         assert not verify_certificate(cert, [], {"x": Fraction(2)})
 
+    def test_active_point_without_a_variable(self, d4_disc_regions):
+        # a JSON certificate with one key of an active point dropped
+        regions, _ = d4_disc_regions
+        point = d4_point(2, 2, 2, 2)
+        _, cert = hull_membership(point, regions, mode="open")
+        data = cert.to_json_dict(regions[0].variables)
+        active = next(p for p in data["points"] if p is not None)
+        del active["4A"]
+        assert not verify_certificate(hull_lp.certificate_from_json(data), regions, point)
+
+    @pytest.mark.parametrize("field, value", [("lambdas", None), ("points", None),
+                                              ("epsilon", None), ("lambdas", 1),
+                                              ("points", [["2", "2", "2", "2"]])],
+                             ids=["no lambdas", "no points", "no epsilon", "int lambdas",
+                                  "list point"])
+    def test_malformed_json(self, d4_disc_regions, field, value):
+        regions, _ = d4_disc_regions
+        _, cert = hull_membership(d4_point(2, 2, 2, 2), regions, mode="open")
+        data = cert.to_json_dict(regions[0].variables)
+        if value is None:
+            del data[field]
+        else:
+            data[field] = value
+        with pytest.raises(ValidationError, match="a certificate needs a list of lambdas"):
+            hull_lp.certificate_from_json(data)
+
 
 class TestMarginWithoutFloor:
     """The region x > 1: membership is exact at any margin, however small."""

@@ -208,9 +208,10 @@ def recipe_case(request, cyc_q):
 class TestIntegerRecipe:
     @pytest.mark.parametrize("lindelof", [False, True], ids=["preset", "lindelof"])
     def test_build_region_matches_constraint_recipe(self, recipe_case, cyc_q, lindelof):
-        G, types, _, witnesses, preset = recipe_case
+        G, types, wt, witnesses, preset = recipe_case
         prof = make_profile("lindelof" if lindelof else preset, types, cyc_q)
         full = subconvexity_matrix(G, types, prof, cyc_q)
+        regions = []
         for T in witnesses:
             want = ref_build_region(T, types, prof, full)
             for region in (build_region(G, T, types, prof, cyc_q),
@@ -220,6 +221,17 @@ class TestIntegerRecipe:
                            for v in want.variables)
                 # values, order and types (Fraction, not int) of the view
                 assert repr(region.constraints) == repr(want.constraints)
+            regions.append(region)
+        # slack reads the integer rows; it is the least slack of the view's
+        # rows at seeded points and at the analysis's certificate points
+        rng = random.Random(len(types))
+        pairs = [(region, {t.label: Fraction(rng.randint(1, 24), rng.choice([1, 2, 8, 15]))
+                           for t in types})
+                 for region in regions for _ in range(3)]
+        cert = analyze(G, types, wt, witnesses, prof, cyc_q).certificate
+        pairs += [(region, p) for region, p in zip(regions, cert.points) if p is not None]
+        for region, p in pairs:
+            assert region.slack(p) == min(c.slack(p) for c in region.constraints)
 
     def test_column_restricted_matrix_equals_full(self, recipe_case, cyc_q):
         G, types, _, witnesses, preset = recipe_case
@@ -289,9 +301,10 @@ class TestRegionInvariants:
         # 1/1 is the Fraction 1, not the float 1.0 that hull_lp cannot scale
         from tamecount.regions import TubularRegion, LinearConstraint
         from tamecount.hull_lp import line_threshold
-        region = TubularRegion(["x", "y"], [LinearConstraint((("x", 1),), 1),
-                                            LinearConstraint((("y", 2),), 1),
-                                            LinearConstraint((("x", 1), ("y", 1)), 3)])
+        rows = (LinearConstraint((("x", 1),), 1), LinearConstraint((("y", 2),), 1),
+                LinearConstraint((("x", 1), ("y", 1)), 3))
+        region = TubularRegion(["x", "y"], rows)
+        assert region.constraints == rows
         assert repr(region.pure_lower_bound("x")) == "Fraction(1, 1)"
         assert region.pure_lower_bound("y") == Fraction(1, 2)
         assert region.shifted_rows == (((("x", 2), ("y", 2)), -3),)
@@ -328,11 +341,21 @@ class TestRegionInvariants:
         with pytest.raises(ValidationError, match="names a variable twice"):
             TubularRegion(("x", "y"), [constraint({"x": 1}, 0), constraint({"y": 1}, 0), repeated])
 
+    def test_repeated_region_variable_rejected(self):
+        # the Balas LP would get two z columns of one name, and the
+        # certificate of (2, 2) an epsilon of -1/2
+        from tamecount.regions import TubularRegion
+        with pytest.raises(ValidationError, match="a region names a variable twice"):
+            TubularRegion(("x", "x", "y"), [constraint({"x": 1}, 1), constraint({"y": 1}, 1),
+                                            constraint({"x": 1, "y": 1}, 3)])
+
     def test_pure_lower_bound_is_the_largest(self):
         from tamecount.regions import TubularRegion
-        region = TubularRegion(("x", "y"), [
-            constraint({"x": 2}, 1), constraint({"x": 3}, 2), constraint({"x": 1}, -1),
-            constraint({"y": 1}, 0), constraint({"x": 1, "y": 1}, 5)])
+        rows = (constraint({"x": 2}, 1), constraint({"x": 3}, 2), constraint({"x": 1}, -1),
+                constraint({"y": 1}, 0), constraint({"x": 1, "y": 1}, 5))
+        region = TubularRegion(("x", "y"), rows)
+        # the view reads the rows back from their integer form, in order
+        assert region.constraints == rows
         assert region.pure_lower_bound("x") == Fraction(2, 3)
         assert region.pure_lower_bound("y") == 0
         # the one mixed row, x + y > 5, has slack 2/3 - 5 at the corner (2/3, 0)
@@ -344,9 +367,10 @@ class TestRegionInvariants:
 
     def test_shifted_rows_are_primitive_integer_rows(self):
         from tamecount.regions import TubularRegion
-        region = TubularRegion(("x", "y"), [
-            constraint({"x": 3}, 2), constraint({"y": 1}, 0),
-            constraint({"x": 1, "y": 1}, 5), constraint({"x": 2, "y": 4}, 2)])
+        rows = (constraint({"x": 3}, 2), constraint({"y": 1}, 0),
+                constraint({"x": 1, "y": 1}, 5), constraint({"x": 2, "y": 4}, 2))
+        region = TubularRegion(("x", "y"), rows)
+        assert region.constraints == rows
         # at the corner (2/3, 0): x + y - 13/3 is 3x + 3y - 13, and
         # 2x + 4y - 2/3 is 2 * (3x + 6y - 1) / 3
         corner = {"x": Fraction(2, 3), "y": Fraction(0)}
