@@ -85,11 +85,14 @@ def xi_exponent(regions, witness_type_sets, beta, wt, s_star: Fraction) -> Fract
     every region, zero coefficient in every mixed constraint, member of
     every witness's type set: their bound survives on the hull as a
     non-increasing function of sigma) and hulled ones (worst-case bound
-    taken per region).  beta maps labels to t-aspect exponents; wt maps
-    labels to weights; s_star is the specialization threshold.
+    taken per region).  witness_type_sets holds one label set per region,
+    in order; beta maps labels to t-aspect exponents; wt maps labels to
+    weights; s_star is the specialization threshold.
     """
     if not regions:
         raise ValidationError("no regions given")
+    if len(witness_type_sets) != len(regions):
+        raise ValidationError("xi needs exactly one witness type set per region")
     variables = regions[0].variables
     lower = {v: [r.pure_lower_bound(v) for r in regions] for v in variables}
     in_mixed = {lab for r in regions for coefs, _ in r.shifted_rows for lab, _ in coefs}

@@ -7,7 +7,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from .errors import ContractViolationError, UnsupportedHypothesisError, ValidationError
 from .perm import (Permutation, PermutationGroup, abelian_normal_subgroups, closure, compose,
@@ -34,12 +36,19 @@ class ConcentrationVerdict:
 
 
 def _least_cover(candidates, targets):
-    """The first family of `candidates` covering `targets`, smallest first."""
-    useful = [c for c in candidates if any(x in c for x in targets)]
-    for size in range(1, len(useful) + 1):
-        for combo in combinations(useful, size):
-            if all(any(x in c for c in combo) for x in targets):
-                return list(combo)
+    """The first family of `candidates` covering `targets`, smallest first,
+    searched over the first candidate per nonzero mask of targets held: a
+    smallest cover never holds two of one mask, and the first in place of
+    a later one gives an earlier family of the same size."""
+    first = {}  # mask of the targets held -> the first candidate holding them
+    for c in candidates:
+        first.setdefault(sum(1 << k for k, x in enumerate(targets) if x in c), c)
+    first.pop(0, None)
+    full = (1 << len(targets)) - 1
+    for size in range(1, len(first) + 1):
+        for combo in combinations(first, size):
+            if reduce(or_, combo) == full:
+                return [first[mask] for mask in combo]
     return None
 
 
@@ -92,22 +101,22 @@ def analysis_witnesses(G: PermutationGroup, types, wt: WeightFunction):
     Takes the subgroup generated by each tame type whenever it is a proper
     nontrivial abelian normal subgroup, plus a minimal abelian cover of the
     minimum-weight types.  Extra regions only enlarge the hull, so this
-    dominates any smaller admissible choice.
+    dominates any smaller admissible choice.  With `types` all of G's tame
+    types, a proper abelian normal N holds a type's representative, whose
+    closure is then a witness; so none exists exactly when no such N does.
     """
     reps = [t.representative for t in min_weight(wt, types)[1]]
     abelian = abelian_normal_subgroups(G)
-    closures = [normal_closure(G, [t.representative]) for t in types]
-    out = []
-    for S in closures + (_least_cover(abelian, reps) or []):
-        if S in abelian and S not in out:
-            out.append(S)
-    if not out:
+    if not abelian:
         raise ValidationError("no abelian normal witnesses exist for this group")
-    if not all(any(r in S for S in out) for r in reps):
+    cover = _least_cover(abelian, reps)
+    if cover is None:
         raise ValidationError(
             "the minimum-weight types admit no abelian normal cover; "
             "the hull machinery does not apply")
-    return out
+    abelian = set(abelian)
+    closures = [normal_closure(G, [t.representative]) for t in types]
+    return list(dict.fromkeys(S for S in closures + cover if S in abelian))
 
 
 # ---------------------------------------------------------------------------

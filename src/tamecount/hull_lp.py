@@ -616,6 +616,9 @@ def conditional_hull_point_check(point, witness_type_sets, gamma) -> bool:
         covered |= set(s)
     if not covered:
         raise ValidationError("no covered coordinates")
+    missing = covered - point.keys()
+    if missing:
+        raise ValidationError(f"no value for covered coordinates {sorted(missing)}")
     n = len(covered)
     bound = 1 - Fraction(1 - gamma, n)
     for label, value in point.items():

@@ -12,10 +12,11 @@ alone, since any generating set gives the same conjugation orbits.
 Each group caches its conjugacy classes, an element -> class index and
 a class-product table; normal subgroups, normal closures and the
 Fitting subgroup are unions of classes, found as bitmask fixpoints of
-that table (the class-structure methods of Hulpke, "Computing normal
-subgroups", ISSAC 1998).  `_close` is the one rule: a class union holding
-the identity is a normal subgroup exactly when `_close` from it adds
-nothing (`normal_subgroup_mask`), and `is_abelian_normal` adds a
+that table, lattice joins as one pass over it (the class-structure
+methods of Hulpke, "Computing normal subgroups", ISSAC 1998).  `_close`
+is the one rule: a class union holding the identity is a normal
+subgroup exactly when `_close` from it adds nothing
+(`normal_subgroup_mask`), and `is_abelian_normal` adds a
 commutation test of its generating classes.  The lattice caches its masks
 beside its element sets, so `abelian_normal_subgroups` and the Fitting
 subgroup never rebuild them.  Membership reads the class index.
@@ -44,7 +45,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, or_
 from pathlib import Path
 
 from .errors import ContractViolationError, ParseError, ResourceCapError, ValidationError
@@ -668,13 +670,21 @@ def _normal_subgroup_lattice(G: PermutationGroup):
 
     Every normal subgroup is a union of conjugacy classes and the join of
     the normal closures of the classes it contains, so growing the trivial
-    subgroup one class closure at a time reaches every one of them.
+    subgroup one class closure S at a time reaches every one of them.  N*S
+    is the union of the C_i C_j over i in N, j in S: its mask is one pass
+    over N's classes of rows[i] = OR_{j in S} prod[i][j], built per seed.
     """
     prod = G.class_products()
-    seeds = {}  # normal closure of a class -> one class generating it
-    for c in range(1, len(prod)):
-        seeds.setdefault(_close(prod, 1, (c,)), c)
-    known = orbit(1, lambda N: [_close(prod, N, (c,)) for seed, c in seeds.items() if seed & ~N])
+    joins = []  # (closure S of a class, its rows)
+    for S in {_close(prod, 1, (c,)) for c in range(1, len(prod))}:
+        in_s = list(_bits(S))
+        joins.append((S, [reduce(or_, map(row.__getitem__, in_s)) for row in prod]))
+
+    def step(N):
+        in_n = list(_bits(N))
+        return [reduce(or_, map(rows.__getitem__, in_n)) for S, rows in joins if S & ~N]
+
+    known = orbit(1, step)
     members = sorted(((_class_union(G, mask), mask) for mask in known),
                      key=lambda member: subgroup_key(member[0]))
     return tuple(mask for _, mask in members), tuple(N for N, _ in members)

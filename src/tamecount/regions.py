@@ -396,12 +396,13 @@ def shortcut_2d(G, T1, T2, wt, types, profile, cyc) -> ShortcutResult:
 
     Requires the minimum-weight types to split as M\\{kappa} inside T1 and
     M\\{tau} inside T2 for distinct minimum types tau, kappa; then the
-    point lies in the hull iff M[tau,kappa]*M[kappa,tau] < 1.
+    point lies in the hull iff M[tau,kappa]*M[kappa,tau] < 1.  T1 and T2
+    must be abelian normal subgroups of G, as for `build_region`.
     """
+    t1 = set(witness_type_labels(_check_abelian_normal(G, T1), types))
+    t2 = set(witness_type_labels(_check_abelian_normal(G, T2), types))
     _, argmin = min_weight(wt, types)
     labels_min = [t.label for t in argmin]
-    t1 = set(witness_type_labels(frozenset(T1), types))
-    t2 = set(witness_type_labels(frozenset(T2), types))
     pair = None
     for tau in labels_min:
         for kappa in labels_min:

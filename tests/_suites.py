@@ -8,9 +8,9 @@ from itertools import combinations
 
 import tamecount.hull_lp as hull_lp
 from tamecount import LPProblem, hull_membership, lp_solve, verify_certificate
-from tamecount.perm import (PermutationGroup, compose, conjugation_step, normal_subgroups,
-                            prime_factors, product_representation, quotient,
-                            subgroup_as_group, subgroup_generated, subgroup_key,
+from tamecount.perm import (PermutationGroup, _class_union, _close, compose, conjugation_step,
+                            normal_subgroups, orbit, prime_factors, product_representation,
+                            quotient, subgroup_as_group, subgroup_generated, subgroup_key,
                             upper_central_series, wreath_product)
 from tamecount.regions import TubularRegion, constraint
 
@@ -494,6 +494,21 @@ def normal_scan_groups_up_to_100():
         product_representation(d4_deg4(), cyclic(3)),
         wreath_product(cyclic(2), cyclic(4)),          # order 64
     ]
+
+
+def ref_normal_subgroup_lattice(G: PermutationGroup):
+    """(class masks, element sets) of the normal subgroups, in key order,
+    each join N*S found as the `_close` fixpoint from N under one class
+    generating S: the lattice before its joins became one pass over the
+    class products."""
+    prod = G.class_products()
+    seeds = {}  # normal closure of a class -> one class generating it
+    for c in range(1, len(prod)):
+        seeds.setdefault(_close(prod, 1, (c,)), c)
+    known = orbit(1, lambda N: [_close(prod, N, (c,)) for seed, c in seeds.items() if seed & ~N])
+    members = sorted(((_class_union(G, mask), mask) for mask in known),
+                     key=lambda member: subgroup_key(member[0]))
+    return tuple(mask for _, mask in members), tuple(N for N, _ in members)
 
 
 def run_normal_join_vs_bruteforce():

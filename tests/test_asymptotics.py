@@ -14,7 +14,7 @@ from tamecount.concentration import analysis_witnesses, classify
 from tamecount.errors import ValidationError
 from tamecount.hull_lp import verify_certificate
 from tamecount.perm import is_nilpotent, upper_central_series
-from tamecount.regions import SubconvexityProfile, build_region
+from tamecount.regions import SubconvexityProfile, build_region, witness_type_labels
 
 
 def run(entry, types, wspec, profile_name, cyc, witnesses=None, gamma=None):
@@ -242,6 +242,25 @@ class TestXiExponent:
         values = [xi_exponent(regions, sets, prof.beta, wt_map, s)
                   for s in (Fraction(1, 8), Fraction(27, 128), Fraction(1, 4), Fraction(1))]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+    def test_one_witness_type_set_per_region(self, d4_quartic, d4_types, cyc_q):
+        # 4T3 disc paper-d4 has four regions; one set used to give xi = 0
+        # (not 3/8) and four sets per region an IndexError
+        wt = weight_discriminant(d4_types, 4)
+        prof = make_profile("paper-d4", d4_types, cyc_q)
+        wt_map = {t.label: wt(t) for t in d4_types}
+        G = d4_quartic.group
+        wits = analysis_witnesses(G, d4_types, wt)
+        regions = [build_region(G, W, d4_types, prof, cyc_q) for W in wits]
+        sets = [frozenset(witness_type_labels(W, d4_types)) for W in wits]
+        assert len(regions) == 4
+        assert xi_exponent(regions, sets, prof.beta, wt_map, Fraction(9, 16)) == Fraction(3, 8)
+        for bad in (sets[:1], [], sets + sets[:1]):
+            with pytest.raises(ValidationError, match="one witness type set per region"):
+                xi_exponent(regions, bad, prof.beta, wt_map, Fraction(9, 16))
+        with pytest.raises(ValidationError, match="one witness type set per region"):
+            xi_exponent(regions[:1], sets, prof.beta, wt_map, Fraction(9, 16))
 
 
 class TestBBounds:

@@ -16,7 +16,7 @@ import pytest
 import tamecount.perm as perm
 from tamecount.catalog import resolve_entry
 from tamecount.cli import run_analysis_request
-from _suites import ref_is_abelian_set
+from _suites import ref_is_abelian_set, ref_normal_subgroup_lattice
 from tamecount.perm import (ConjugacyClass, Permutation, PermutationGroup, conjugate,
                             fitting_subgroup, is_abelian_normal, is_nilpotent,
                             normal_closure, normal_subgroups, subgroup_as_group,
@@ -230,6 +230,15 @@ def test_normal_subgroups_and_fitting(spec):
     assert fitting_subgroup(G) == ref_fitting_subgroup(G)
     for N in normals:
         assert is_abelian_normal(G, N) == ref_is_abelian_set(N)
+
+
+def test_one_pass_joins_match_the_fixpoint_lattice():
+    # 438 normal subgroups: too many for the element-level reference
+    G = resolve_entry("product(4T3,8T11)").group
+    masks, subgroups = ref_normal_subgroup_lattice(G)
+    assert len(subgroups) == 438
+    assert normal_subgroups(G) == list(subgroups)
+    assert G._normal_masks == masks
 
 
 @pytest.mark.parametrize("spec", SPECS)

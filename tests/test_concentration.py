@@ -61,8 +61,10 @@ class TestMinimalAbelianCover:
                 return min(covers, key=lambda c: [subgroup_key(W) for W in c])
         return None
 
+    # product(C2,16T11): 40 candidates, 13 coverage masks over its 9
+    # minimum-weight representatives, least cover of 3
     @pytest.mark.parametrize("spec", ["4T3", "8T11", "16T11", "product(4T3,C3)",
-                                      "wreath(C2,C3)", "S3"])
+                                      "wreath(C2,C3)", "S3", "product(C2,16T11)"])
     def test_first_cover_is_the_least(self, spec, cyc_q):
         entry = resolve_entry(spec)
         G = entry.group
@@ -207,6 +209,13 @@ class TestAnalysisWitnesses:
         assert len(subgroup_generated(G, [Permutation(x) for x in minimal])) < G.order
         assert verdict.fitting_status == FITTING_CONCENTRATED
         assert len(upper_central_series(G)[-1]) < G.order  # not nilpotent
+
+    def test_product_c8_16t11_least_cover(self, capsys):
+        # 102 abelian candidates, 13 coverage masks over nine minimum-weight
+        # representatives, least cover of 3
+        assert cli_main(["classify", "product(C8,16T11)", "--weight", "disc"]) == 0
+        expected = (REFERENCE / "classify_product_C8_16T11_disc.json").read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == expected
 
     def test_d4_gets_all_four(self, d4_quartic, d4_types):
         wt = weight_discriminant(d4_types, 4)

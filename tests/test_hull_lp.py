@@ -15,10 +15,10 @@ import tamecount.hull_lp as hull_lp
 from tamecount.catalog import resolve_weight
 from tamecount.cli import _parse_manifest, main as cli_main, run_analysis_request
 from tamecount.concentration import analysis_witnesses
-from tamecount.errors import ResourceCapError, ValidationError
+from tamecount.errors import ContractViolationError, ResourceCapError, ValidationError
 from tamecount.hull_lp import (HullCertificate, rational_str, parse_rational,
                                verify_lp_assignment)
-from tamecount.perm import subgroup_generated
+from tamecount.perm import parse_permutation, subgroup_generated
 from tamecount.regions import TubularRegion, build_region, constraint
 
 
@@ -496,6 +496,21 @@ class TestShortcut2d:
         res = shortcut_2d(G, TB, TC, wt, d4_types, prof, cyc_q)
         assert not res.applicable and res.reason
 
+    def test_witnesses_must_be_abelian_normal_subgroups(self, d4_quartic, d4_types, cyc_q):
+        # neither <(2,4)> nor <(1,2)(3,4)> is normal in 4T3, and (1,2) lies
+        # outside it: the shortcut holds them to build_region's contract
+        G = d4_quartic.group
+        wt = weight_conductor_d4(d4_types)
+        prof = make_profile("paper-d4", d4_types, cyc_q)
+        T1 = subgroup_generated(G, [parse_permutation("(2,4)", 4)])
+        T2 = subgroup_generated(G, [parse_permutation("(1,2)(3,4)", 4)])
+        outside = {G.identity, parse_permutation("(1,2)", 4)}
+        with pytest.raises(ContractViolationError, match="abelian normal"):
+            build_region(G, T1, d4_types, prof, cyc_q)
+        for pair in ((T1, T2), (T2, T1), (outside, T2), (T2, outside)):
+            with pytest.raises(ContractViolationError):
+                shortcut_2d(G, *pair, wt, d4_types, prof, cyc_q)
+
 
 class TestConditionalHull:
     def test_coordinate_bound_formula(self):
@@ -516,6 +531,11 @@ class TestConditionalHull:
         sets = [{"a"}]
         point = {"a": Fraction(2), "b": Fraction(1)}
         assert not conditional_hull_point_check(point, sets, Fraction(1, 2))
+
+    def test_covered_coordinate_without_value_rejected(self):
+        for point in ({}, {"2B": 5}, {"2A": 2, "2B": 5}):
+            with pytest.raises(ValidationError, match="2C"):
+                conditional_hull_point_check(point, [{"2A"}, {"2C"}], 0)
 
 
 # ---------------------------------------------------------------------------
