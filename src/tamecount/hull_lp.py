@@ -1,45 +1,43 @@
 """Exact rational linear programming and convex hulls of region unions.
 
-The solver is a fraction-free two-phase tableau simplex with Bland's
-anti-cycling rule: exact and deterministic.  Phase 1 starts from the
-slack basis: a ">=" row with bound <= 0 is negated so that its surplus
-starts basic, and only the other rows get artificials.  Each tableau row
-is a sparse dict of nonzero integers, primitive (the gcd of its entries
-is 1) and a positive multiple of the row a Fraction tableau would hold,
-so its basic column holds a positive integer instead of 1; the cost row
-is one more such row (Chvatal 1983, ch. 8).  A pivot on entry p of row r
-replaces each other row k holding a in the pivot column by
-p*row_k - a*row_r made primitive (Bareiss 1968 and Edmonds 1967 on
-fraction-free elimination).  Positive row scaling changes no ratio
-rhs/a, no reduced-cost sign and no basic index, so the pivots are those
-of the Fraction simplex; the ratio test compares integer cross products.
-Fractions are built only from the LPProblem and for the LPResult.
-lp_solve stops with ResourceCapError after DEFAULT_PIVOT_CAP pivots.
+The solver is a fraction-free tableau simplex with Bland's anti-cycling
+rule: exact and deterministic.  Every LP here has only ">=" rows with
+bound <= 0 over nonnegative variables, so the origin is feasible: each
+row is negated so that its surplus starts basic, and the simplex runs
+one phase from that basis.  Each tableau row is a sparse dict of nonzero
+integers, primitive (the gcd of its entries is 1) and a positive
+multiple of the row a Fraction tableau would hold, so its basic column
+holds a positive integer instead of 1; the cost row is one more such row
+(Chvatal 1983, ch. 8).  A pivot on entry p of row r replaces each other
+row k holding a in the pivot column by p*row_k - a*row_r made primitive
+(Bareiss 1968 and Edmonds 1967 on fraction-free elimination).  Positive
+row scaling changes no ratio rhs/a, no reduced-cost sign and no basic
+index, so the pivots are those of the Fraction simplex; the ratio test
+compares integer cross products.  Fractions are built only from the
+LPProblem and for the LPResult.  lp_solve stops with ResourceCapError
+after DEFAULT_PIVOT_CAP pivots.
 
-Membership in the convex hull of a union of regions with a common
-recession cone uses the Balas extended formulation (Balas 1979), in two
-LPs that share their region columns and rows.  Both shift out each
-region's pure lower bounds (y = lb*lam + z with z >= 0, the textbook
-lower-bound shift), so they keep only the mixed rows, all with bound 0,
-as TubularRegion stores them: primitive integer rows.  A region gets a z
-column only for a coordinate that one of its mixed rows reads; every
-other recession slack is shared, one per coordinate, as the surplus of
-that coordinate's coupling row, which is an inequality scaled to
-integers (the recession cone is the same for every region).  The
-membership LP maximises the margin t with point - t*1 in the closed
-hull.  The open hull is the interior of the closed one, so the point is a
-closed member iff t >= 0 and an open member iff t > 0; only its
-convexity row sum lam = 1 and the coupling rows of negative point
-coordinates need artificials.  The threshold LP along a weight line is a
-gauge LP around an integer m below the threshold: it maximises
-mu = sum lam over a feasible cone section that contains the origin, and
-the threshold is m + 1/mu*.  Every one of its rows starts from its
-surplus, so it makes no phase-1 pivot.  Both rely on the region contract,
-which regions checks in one place on every region's integer form: a pure
-lower bound on every variable and only positive coefficients (an orthant
-recession cone).  A region is read only through its variables,
-pure_lower_bound, shifted_rows and slack; this module imports no region
-module.
+Both hull questions are where a line enters the closed hull of a union
+of regions with a common recession cone, answered by one gauge LP of
+the Balas extended formulation (Balas 1979; Charnes and Cooper 1962).
+It shifts out each region's pure lower bounds (y = lb*lam + z with
+z >= 0, the textbook lower-bound shift), so it keeps only the mixed
+rows, all with bound 0, as TubularRegion stores them: primitive integer
+rows.  A region gets a z column only for a coordinate that one of its
+mixed rows reads; every other recession slack is shared, one per
+coordinate, as the surplus of that coordinate's coupling row, an
+inequality scaled to integers (the recession cone is the same for every
+region).  Around a corner below the entry it maximises mu = sum lam, and
+the entry is 1/mu* past the corner; it has no convexity row and no
+scalar column.  The threshold is the entry of the weight line s * wt.
+The membership of a point p is the entry s* of the line p + s * 1: the
+point is a closed member iff s* <= 0 and an open member iff s* < 0 (the
+open hull is the interior of the closed one), and the certificate reads
+the same optimum.  Both rely on the region contract, which regions
+checks in one place on every region's integer form: a pure lower bound
+on every variable and only positive coefficients (an orthant recession
+cone).  A region is read only through its variables, pure_lower_bound,
+shifted_rows and slack; this module imports no region module.
 """
 from __future__ import annotations
 
@@ -58,6 +56,10 @@ def rational_str(x: Fraction) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
+    """The Fraction a string literal names; any other type is refused, so a
+    float never enters as its binary value."""
+    if not isinstance(s, str):
+        raise ValidationError(f"bad rational literal {s!r}: not a string")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
@@ -70,39 +72,37 @@ def parse_rational(s: str) -> Fraction:
 
 @dataclass
 class LPProblem:
-    """min objective . x  subject to rows (coeffs, rel, bound), rel in {>=, ==}.
+    """min objective . x  subject to x >= 0 and rows (coeffs, ">=", bound <= 0).
 
     A row and the objective are sparse: dicts {variable index: coefficient},
     the index in range(len(variables)), every coefficient and bound an int
     or a Fraction.  Construction stores each row and the objective as a
     tuple of (index, coefficient) pairs in index order, zeros dropped, so
-    a row holds exactly its nonzeros.  Variables are free unless flagged
-    nonnegative.  A None objective is a pure feasibility problem.
+    a row holds exactly its nonzeros.  Every row is ">=" with a bound <= 0,
+    so the origin is feasible; construction refuses any other row and names
+    it.  A None objective is a zero objective.
     """
     variables: tuple
-    constraints: list  # ({index: int | Fraction}, ">=" | "==", int | Fraction)
+    constraints: list  # ({index: int | Fraction}, ">=", int | Fraction <= 0)
     objective: dict | None = None
-    nonneg: tuple | None = None
 
     def __post_init__(self):
         n = len(self.variables)
-        if self.nonneg is None:
-            self.nonneg = (False,) * n
-        if len(self.nonneg) != n:
-            raise ValidationError("nonneg flags must match the variable arity")
         if self.objective is not None:
             self.objective = _sparse_row(self.objective, n)
         constraints = []
-        for row, rel, bound in self.constraints:
-            if rel not in (">=", "=="):
-                raise ValidationError(f"unsupported relation {rel!r}")
-            constraints.append((_sparse_row(row, n), rel, _rational(bound)))
+        for k, (row, rel, bound) in enumerate(self.constraints):
+            row = _sparse_row(row, n)
+            if rel != ">=" or _rational(bound) > 0:
+                raise ValidationError(f"LP row {k} reads {rel!r} {bound}: every row must be "
+                                      f"'>=' with a bound <= 0")
+            constraints.append((row, rel, bound))
         self.constraints = constraints
 
 
-def _rational(x):
-    if not isinstance(x, (int, Fraction)):
-        raise ValidationError(f"LP coefficient or bound {x!r} is not an int or a Fraction")
+def _rational(x, what="LP coefficient or bound"):
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise ValidationError(f"{what} {x!r} is not an int or a Fraction")
     return x
 
 
@@ -119,106 +119,49 @@ def _sparse_row(row, n):
 
 @dataclass
 class LPResult:
-    status: str  # optimal | infeasible | unbounded
+    status: str  # optimal | unbounded
     value: Fraction | None = None
     assignment: dict | None = None
-    pivots: int = 0  # simplex pivots in both phases, artificial drive-out included
+    pivots: int = 0  # simplex pivots from the surplus basis
 
 
 def lp_solve(problem: LPProblem) -> LPResult:
-    """Exact two-phase simplex with Bland's rule, fraction-free.
+    """Exact simplex with Bland's rule, fraction-free, from the origin.
 
-    Phase 1 starts from the slack basis where it can: a ">=" row with
-    bound <= 0 is negated, so its surplus has coefficient +1 and starts
-    basic at -bound >= 0.  Only the other rows get artificials.  Each
-    tableau row is a primitive integer dict {column: nonzero int} with the
-    rhs under column `total`; it is a positive multiple of the row that
-    the Fraction simplex would hold, so its basic column holds a positive
-    integer instead of 1.  The cost row of each phase is a dict row of the
-    same kind, a positive multiple of the reduced costs, and _combine
-    updates it like any other row; only the signs of its entries are read.
-    Fractions appear only where the problem is read and the result
-    written.  Raises ResourceCapError after DEFAULT_PIVOT_CAP pivots.
+    Every row a.x >= b has b <= 0, so it is negated to -a.x + s = -b >= 0
+    and its surplus s starts basic: the surplus basis is feasible and there
+    is no phase 1.  Each tableau row is a primitive integer dict {column:
+    nonzero int} with the rhs under column `total`; it is a positive
+    multiple of the row that the Fraction simplex would hold, so its basic
+    column holds a positive integer instead of 1.  The cost row is a dict
+    row of the same kind, a positive multiple of the reduced costs, and
+    _combine updates it like any other row; only the signs of its entries
+    are read.  Fractions appear only where the problem is read and the
+    result written.  Raises ResourceCapError after DEFAULT_PIVOT_CAP pivots.
     """
     n = len(problem.variables)
-    # column layout: for each variable either one column (nonneg) or a +/- pair,
-    # then one surplus per ">=" row, then one artificial per row without a
-    # starting surplus, then the rhs
-    col_of_var = []  # (plus_col, minus_col | None)
-    ncols = 0
-    for flag in problem.nonneg:
-        if flag:
-            col_of_var.append((ncols, None))
-            ncols += 1
-        else:
-            col_of_var.append((ncols, ncols + 1))
-            ncols += 2
-    starts = [rel == ">=" and bound <= 0 for _, rel, bound in problem.constraints]
-    art0 = ncols + sum(1 for _, rel, _ in problem.constraints if rel == ">=")
-    total = art0 + starts.count(False)
-    surplus = ncols
-    art = art0
+    # column layout: one column per variable, then one surplus per row, then the rhs
+    total = n + len(problem.constraints)
     tableau = []
-    basis = []
-    for (row, rel, bound), start in zip(problem.constraints, starts):
-        flip = start or bound < 0  # rhs >= 0, a starting surplus at +1
-        entries = {}
-        for i, coef in row:
-            if flip:
-                coef = -coef
-            plus, minus = col_of_var[i]
-            entries[plus] = coef
-            if minus is not None:
-                entries[minus] = -coef
-        if rel == ">=":
-            entries[surplus] = 1 if flip else -1
-            if start:
-                basis.append(surplus)
-            surplus += 1
-        if not start:
-            entries[art] = 1
-            basis.append(art)
-            art += 1
+    for k, (row, _, bound) in enumerate(problem.constraints):
+        entries = {i: -coef for i, coef in row}
+        entries[n + k] = 1
         if bound:
-            entries[total] = -bound if flip else bound
+            entries[total] = -bound
         tableau.append(_integer_row(entries))
-    shape = f"({len(tableau)} rows x {n} variables)"
-    status, pivots, cost = _pivot_until_optimal(tableau, dict.fromkeys(range(art0, total), 1),
-                                                basis, total, total, 0, f"LP phase 1 {shape}")
-    if status == "unbounded":  # impossible in phase 1 (costs bounded below by 0)
-        raise AssertionError("phase 1 cannot be unbounded")
-    if cost.get(total, 0) < 0:
-        return LPResult(status="infeasible", pivots=pivots)
-    pivots += _drive_out_artificials(tableau, basis, art0)
-    keep = []
-    for i, b in enumerate(basis):
-        if b >= art0:
-            # redundant row: all structural coefficients zero
-            if any(j < art0 for j in tableau[i]):
-                raise AssertionError("artificial not driven out of a non-redundant row")
-            continue
-        keep.append(i)
-    tableau = [tableau[i] for i in keep]
-    basis = [basis[i] for i in keep]
-    # phase 2: artificial columns (art0 and up) may no longer enter
+    basis = list(range(n, total))
     objective = problem.objective or ()
-    costs = {}
-    for i, coef in objective:
-        plus, minus = col_of_var[i]
-        costs[plus] = coef
-        if minus is not None:
-            costs[minus] = -coef
-    status, pivots, _ = _pivot_until_optimal(tableau, _integer_row(costs), basis, art0, total,
-                                             pivots, f"LP phase 2 {shape}")
+    status, pivots = _pivot_until_optimal(tableau, _integer_row(dict(objective)), basis, total,
+                                          f"LP ({len(tableau)} rows x {n} variables)")
     if status == "unbounded":
         return LPResult(status="unbounded", pivots=pivots)
-    values = [Fraction(0)] * total
+    values = [Fraction(0)] * n
     for row, b in zip(tableau, basis):
-        values[b] = Fraction(row.get(total, 0), row[b])
-    assignment = {var: values[plus] if minus is None else values[plus] - values[minus]
-                  for var, (plus, minus) in zip(problem.variables, col_of_var)}
-    value = sum((coef * assignment[problem.variables[i]] for i, coef in objective), Fraction(0))
-    return LPResult(status="optimal", value=value, assignment=assignment, pivots=pivots)
+        if b < n:
+            values[b] = Fraction(row.get(total, 0), row[b])
+    value = sum((coef * values[i] for i, coef in objective), Fraction(0))
+    return LPResult(status="optimal", value=value,
+                    assignment=dict(zip(problem.variables, values)), pivots=pivots)
 
 
 # The row gcd and lcm fold with reduce rather than unpack a dict view or a
@@ -261,25 +204,25 @@ def _combine(row, p, a, pivot_row):
     return _primitive(new)
 
 
-def _pivot_until_optimal(tableau, cost, basis, limit, total, pivots, stage):
+def _pivot_until_optimal(tableau, cost, basis, total, stage):
     """Price out the basis from the integer dict row `cost`, then pivot by
-    Bland's rule; returns the status, the running pivot count and the cost
-    row, a positive multiple of the reduced costs (column `total` holds the
-    negated objective).
+    Bland's rule; returns the status and the pivot count.
 
     A basic column has no cost entry, so the entering column is the
-    smallest column below `limit` with a negative cost.  The ratio test
-    compares rhs/a as integer cross products; ties go to the row with the
-    smallest basic index.  Positive row scaling changes neither a ratio nor
-    a reduced-cost sign, so the pivots are those of the Fraction simplex.
+    smallest column below `total` (the rhs) with a negative cost.  The
+    ratio test compares rhs/a as integer cross products; ties go to the
+    row with the smallest basic index.  Positive row scaling changes
+    neither a ratio nor a reduced-cost sign, so the pivots are those of
+    the Fraction simplex.
     """
     for row, b in zip(tableau, basis):
         if b in cost:
             cost = _combine(cost, row[b], cost[b], row)
+    pivots = 0
     while True:
-        entering = min((j for j, v in cost.items() if v < 0 and j < limit), default=None)
+        entering = min((j for j, v in cost.items() if v < 0 and j < total), default=None)
         if entering is None:
-            return "optimal", pivots, cost
+            return "optimal", pivots
         leaving = None
         for i, row in enumerate(tableau):
             a = row.get(entering)
@@ -293,7 +236,7 @@ def _pivot_until_optimal(tableau, cost, basis, limit, total, pivots, stage):
                     continue
             leaving, best_b, best_a = i, b, a
         if leaving is None:
-            return "unbounded", pivots, cost
+            return "unbounded", pivots
         if pivots >= DEFAULT_PIVOT_CAP:
             raise ResourceCapError(
                 f"{stage} exceeds the pivot cap of {DEFAULT_PIVOT_CAP}")
@@ -304,15 +247,11 @@ def _pivot_until_optimal(tableau, cost, basis, limit, total, pivots, stage):
 
 
 def _pivot(tableau, basis, i, j):
-    """Pivot on entry (i, j) of the integer rows: row i is negated if its
-    entry is negative (only an artificial drive-out, at rhs 0, picks such
-    an entry), then every other row k with a nonzero entry a in column j
-    becomes p*row_k - a*row_i, made primitive."""
+    """Pivot on the positive entry p = (i, j) of the integer rows: every
+    other row k with a nonzero entry a in column j becomes p*row_k -
+    a*row_i, made primitive."""
     row = tableau[i]
     p = row[j]
-    if p < 0:
-        row = tableau[i] = {k: -v for k, v in row.items()}
-        p = -p
     for k, other in enumerate(tableau):
         if k != i:
             a = other.get(j)
@@ -321,36 +260,16 @@ def _pivot(tableau, basis, i, j):
     basis[i] = j
 
 
-def _drive_out_artificials(tableau, basis, art0):
-    """Pivot artificials out of the basis where a row allows; returns the pivot count."""
-    pivots = 0
-    for i, b in enumerate(basis):
-        if b < art0:
-            continue
-        pivot_col = min((j for j in tableau[i] if j < art0), default=None)
-        if pivot_col is not None:
-            _pivot(tableau, basis, i, pivot_col)
-            pivots += 1
-    return pivots
-
-
 def verify_lp_assignment(problem: LPProblem, assignment: dict) -> bool:
-    """Exact re-substitution check of every constraint."""
+    """Exact re-substitution check: every variable nonnegative and every row met."""
     x = [assignment[v] for v in problem.variables]
-    for row, rel, bound in problem.constraints:
-        lhs = sum((c * x[i] for i, c in row), Fraction(0))
-        if rel == ">=" and lhs < bound:
-            return False
-        if rel == "==" and lhs != bound:
-            return False
-    for flag, v in zip(problem.nonneg, problem.variables):
-        if flag and assignment[v] < 0:
-            return False
-    return True
+    return all(v >= 0 for v in x) and all(
+        sum((c * x[i] for i, c in row), Fraction(0)) >= bound
+        for row, _, bound in problem.constraints)
 
 
 # ---------------------------------------------------------------------------
-# Balas membership, certificates, thresholds
+# hull membership, certificates, thresholds
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -391,20 +310,24 @@ def _common_variables(regions):
 
 
 def _as_point(point, variables) -> dict:
+    """The coordinates of a point or weight map, a dict or a sequence in
+    variable order; each must be an int (not a bool) or a Fraction, so a
+    float never enters as its binary value."""
     if isinstance(point, dict):
         missing = [v for v in variables if v not in point]
         if missing:
             raise ValidationError(f"no value for the variables {missing}")
-        return {v: Fraction(point[v]) for v in variables}
-    values = list(point)
-    if len(values) != len(variables):
-        raise ValidationError("value count does not match the variable index")
-    return {v: Fraction(x) for v, x in zip(variables, values)}
+        values = [point[v] for v in variables]
+    else:
+        values = list(point)
+        if len(values) != len(variables):
+            raise ValidationError("value count does not match the variable index")
+    return {v: Fraction(_rational(x, "coordinate or weight")) for v, x in zip(variables, values)}
 
 
 def _region_columns(regions, variables):
     """The columns lam_j and the z_{j,v} that a mixed row reads, and every
-    region's mixed rows over them; both Balas LPs start from these.
+    region's mixed rows over them; every gauge LP starts from these.
 
     Region j's scaled point is y_j = lb_j * lam_j + z_j with z_j >= 0, where
     lb_j holds the region's pure lower bounds.  Each pure row c*y >= b*lam
@@ -434,83 +357,76 @@ def _region_columns(regions, variables):
     return names, z, rows
 
 
-def _coupling_row(z, v, lam_coefs, bound):
-    """-sum_j (lam_coefs[j] * lam_j + z_{j,v}) >= bound, scaled by the least
-    positive integer that makes every entry an int; returns the row, the
-    scale (the caller's scalar column gets -scale) and the scaled bound."""
-    scale = reduce(math.lcm, (x.denominator for x in lam_coefs), bound.denominator)
-    row = {j: -x.numerator * (scale // x.denominator) for j, x in enumerate(lam_coefs)}
-    for j in range(len(lam_coefs)):
-        if (j, v) in z:
-            row[z[j, v]] = -scale
-    return row, scale, bound.numerator * (scale // bound.denominator)
-
-
-def _balas_problem(regions, variables, point):
-    """The max-margin membership LP of `point`: variables lam_j, the
-    z_{j,v} of _region_columns, then the margin t.
-
-    Maximise t subject to sum_j lam_j = 1, the mixed rows and, for each
-    coordinate v, -sum_j y_{j,v} - t >= -point_v, scaled to integers.
-    lp_solve starts every mixed row and every coupling row with
-    point_v >= 0 from its surplus, so only the convexity row and the
-    coupling rows with point_v < 0 need artificials.  A threshold has its
-    own LP, _gauge_problem, with neither the convexity row nor a scalar.
-    """
-    names, z, mixed = _region_columns(regions, variables)
-    t = len(names)
-    names.append("t")
-    constraints = [(dict.fromkeys(range(len(regions)), 1), "==", 1)] + mixed
-    for v in variables:
-        row, scale, bound = _coupling_row(z, v, [r.pure_lower_bound(v) for r in regions],
-                                          -point[v])
-        row[t] = -scale
-        constraints.append((row, ">=", bound))
-    return LPProblem(variables=tuple(names), constraints=constraints, objective={t: -1},
-                     nonneg=(True,) * t + (False,))
-
-
-def _gauge_problem(regions, variables, wt, m):
-    """The threshold LP along the weight line, in gauge form around the
-    integer m: variables lam_j and the z_{j,v} of _region_columns.
+def _gauge_problem(regions, variables, direction, corner):
+    """The gauge LP of the line corner + r * direction (direction > 0):
+    variables lam_j and the z_{j,v} of _region_columns.
 
     Maximise mu = sum_j lam_j subject to the mixed rows and, for each
-    coordinate v, -sum_j ((lb_j(v) - m * wt_v) * lam_j + z_{j,v}) >= -wt_v,
-    scaled to integers.  Dividing a hull point y <= s * wt (sum lam = 1) by
-    s - m > 0 gives a feasible point with mu = 1 / (s - m), and back, so
-    the threshold is m + 1 / mu*; line_threshold picks m at least one
-    below the threshold, so mu* <= 1.  The origin is feasible: every row is
-    homogeneous or has rhs wt_v > 0, so lp_solve starts every row from its
-    surplus and makes no phase-1 pivot.
+    coordinate v, -sum_j ((lb_j(v) - corner_v) * lam_j + z_{j,v}) >=
+    -direction_v, scaled to integers (Charnes and Cooper 1962).  Dividing
+    the lam and z of a hull point y <= corner + r * direction (sum lam = 1)
+    by r > 0 gives a feasible point with mu = 1 / r, and back, so the line
+    enters the closed hull at r = 1 / mu*.  The origin is feasible: every
+    row is homogeneous or has bound -direction_v < 0.
     """
     names, z, constraints = _region_columns(regions, variables)
     for v in variables:
-        shift = m * wt[v]
-        row, _, bound = _coupling_row(z, v, [r.pure_lower_bound(v) - shift for r in regions],
-                                      -wt[v])
-        constraints.append((row, ">=", bound))
+        lam_coefs = [r.pure_lower_bound(v) - corner[v] for r in regions]
+        bound = -direction[v]
+        scale = reduce(math.lcm, (x.denominator for x in lam_coefs), bound.denominator)
+        row = {j: -x.numerator * (scale // x.denominator) for j, x in enumerate(lam_coefs)}
+        for j in range(len(regions)):
+            if (j, v) in z:
+                row[z[j, v]] = -scale
+        constraints.append((row, ">=", bound.numerator * (scale // bound.denominator)))
     return LPProblem(variables=tuple(names), constraints=constraints,
-                     objective=dict.fromkeys(range(len(regions)), -1),
-                     nonneg=(True,) * len(names))
+                     objective=dict.fromkeys(range(len(regions)), -1))
 
 
-def _certificate_from_assignment(assignment, regions, variables, target) -> HullCertificate:
-    lambdas = tuple(assignment[f"lam{j}"] for j in range(len(regions)))
-    t = assignment["t"]
-    # undo the lower-bound shift on the active regions: y_{j,v} =
-    # lb_{j,v} * lam_j + z_{j,v}, with z_{j,v} = 0 where the LP has no such
-    # column.  What they leave of target - t * 1 is the coupling rows'
-    # surpluses and the recession-ray mass of inactive regions (A y >= 0
-    # with lam = 0), all nonnegative; fold it into an active point, which
-    # stays feasible because the recession cone is the nonnegative orthant
-    y = {}
+def _line_entry(question, regions, variables, base, direction):
+    """The least s with base + s * direction in the closed hull
+    (direction > 0), with mu* and the optimal assignment of its gauge LP.
+
+    Every hull point y has y_v >= min_j lb_j(v), so s is at least
+    max_v (min_j lb_j(v) - base_v) / direction_v.  The integer m is the
+    floor of that bound less one, so the corner base + m * direction lies
+    at least one step below the entry, mu* = 1 / (s - m) is at most 1 and
+    s = m + 1 / mu*.  mu* is positive because the all-large point lies in
+    the hull; the LP is bounded because every variable has a pure lower
+    bound.  `question` names the LP in the error of a malformed region set.
+    """
+    m = math.floor(max((min(r.pure_lower_bound(v) for r in regions) - base[v]) / direction[v]
+                       for v in variables)) - 1
+    corner = {v: base[v] + m * direction[v] for v in variables}
+    result = lp_solve(_gauge_problem(regions, variables, direction, corner))
+    if result.status != "optimal":
+        raise ValidationError(f"{question} LP is {result.status}; regions are malformed")
+    mu = -result.value
+    return m + 1 / mu, mu, result.assignment
+
+
+def _certificate_from_assignment(assignment, mu, t, regions, variables,
+                                 target) -> HullCertificate:
+    """The certificate of a closed member `target` from the gauge optimum
+    of its line along 1: mu* and the margin t = -s*."""
+    lambdas = tuple(assignment[f"lam{j}"] / mu for j in range(len(regions)))
+    # undo the gauge scaling and the lower-bound shift on the active
+    # regions: region j's point is (lb_j * lam'_j + z'_j) / lam'_j (mu*
+    # cancels), with z'_{j,v} = 0 where the LP has no such column.  What
+    # lam_j times these points leave of target - t * 1 is the coupling
+    # rows' surpluses and the recession-ray mass of inactive regions
+    # (A y >= 0 with lam = 0), all nonnegative; fold it into an active
+    # point, which stays feasible because the recession cone is the
+    # nonnegative orthant
+    corners = {}
     stray = {v: target[v] - t for v in variables}
     for j, (region, lam) in enumerate(zip(regions, lambdas)):
         if lam:
-            y[j] = {v: region.pure_lower_bound(v) * lam + assignment.get(f"z{j}.{v}", 0)
-                    for v in variables}
+            scaled = assignment[f"lam{j}"]
+            corners[j] = {v: region.pure_lower_bound(v) + assignment.get(f"z{j}.{v}", 0) / scaled
+                          for v in variables}
             for v in variables:
-                stray[v] -= y[j][v]
+                stray[v] -= lam * corners[j][v]
     # shifting every active point by t * 1 moves the combination from
     # target - t * 1 onto the target itself, since the lambdas sum to 1
     points = []
@@ -519,7 +435,7 @@ def _certificate_from_assignment(assignment, regions, variables, target) -> Hull
         if lam == 0:
             points.append(None)
             continue
-        point = {v: y[j][v] / lam + t for v in variables}
+        point = {v: corners[j][v] + t for v in variables}
         if not absorbed and any(stray[v] for v in variables):
             point = {v: point[v] + stray[v] / lam for v in variables}
             absorbed = True
@@ -531,11 +447,12 @@ def _certificate_from_assignment(assignment, regions, variables, target) -> Hull
 def hull_membership(point, regions, mode="open"):
     """Membership of `point` in the hull of the union of the regions.
 
-    Returns (True, HullCertificate) or (False, None).  One LP maximises the
-    margin t such that point - t*1 lies in the closed Balas hull: the point
-    is a closed member iff t >= 0 and an open member iff t > 0.  In open
-    mode every certificate point has slack >= t * (coefficient sum) > 0 on
-    each constraint of its region.
+    Returns (True, HullCertificate) or (False, None).  The line
+    point + s * 1 enters the closed hull at s* (one gauge LP, _line_entry),
+    so the margin is t* = -s*: the point is a closed member iff s* <= 0 and
+    an open member iff s* < 0 (the open hull is the interior of the closed
+    one).  In open mode every certificate point has slack
+    >= t* * (coefficient sum) > 0 on each constraint of its region.
     """
     if mode not in ("open", "closed"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -543,15 +460,11 @@ def hull_membership(point, regions, mode="open"):
         return False, None
     variables = _common_variables(regions)
     pt = _as_point(point, variables)
-    # always feasible (the all-large point lies in every region) and bounded
-    # (every variable has a pure lower bound)
-    result = lp_solve(_balas_problem(regions, variables, pt))
-    if result.status != "optimal":
-        raise ValidationError(f"membership LP is {result.status}; regions are malformed")
-    margin = result.assignment["t"]
-    if margin < 0 or (mode == "open" and margin == 0):
+    s, mu, assignment = _line_entry("membership", regions, variables, pt,
+                                    dict.fromkeys(variables, 1))
+    if s > 0 or (mode == "open" and s == 0):
         return False, None
-    return True, _certificate_from_assignment(result.assignment, regions, variables, pt)
+    return True, _certificate_from_assignment(assignment, mu, -s, regions, variables, pt)
 
 
 def verify_certificate(cert: HullCertificate, regions, point) -> bool:
@@ -580,11 +493,8 @@ def line_threshold(wt, regions) -> Fraction:
     """Infimum s with (wt(tau) * s) in the closed hull of the union.
 
     The open region of validity of the specialization is s > threshold.
-    One gauge LP (_gauge_problem) around the integer
-    m = floor(max_v min_j lb_j(v) / wt_v) - 1 gives it as m + 1 / mu*.
-    Every hull point y has y_v >= min_j lb_j(v), so the threshold is at
-    least m + 1 and mu* = 1 / (threshold - m) is at most 1; it is positive
-    because the all-large point lies in the hull.
+    It is where the line s * wt from the origin enters the closed hull:
+    one gauge LP (_line_entry).
     """
     if not regions:
         raise ValidationError("no regions given")
@@ -592,12 +502,7 @@ def line_threshold(wt, regions) -> Fraction:
     weights = _as_point({v: wt(v) for v in variables} if callable(wt) else wt, variables)
     if any(weights[v] <= 0 for v in variables):
         raise ValidationError("line thresholds need positive weights on all variables")
-    m = math.floor(max(min(r.pure_lower_bound(v) for r in regions) / weights[v]
-                       for v in variables)) - 1
-    result = lp_solve(_gauge_problem(regions, variables, weights, m))
-    if result.status != "optimal":
-        raise ValidationError(f"threshold LP is {result.status}; regions are malformed")
-    return m - 1 / result.value
+    return _line_entry("threshold", regions, variables, dict.fromkeys(variables, 0), weights)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@ acceptance suite (dual-route oracles and exhaustive group checks)."""
 import json
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import tamecount.hull_lp as hull_lp
-from tamecount import LPProblem, hull_membership, lp_solve, verify_certificate
+from tamecount import hull_membership, verify_certificate
 from tamecount.perm import (PermutationGroup, _class_union, _close, compose, conjugation_step,
                             normal_subgroups, orbit, prime_factors, product_representation,
                             quotient, subgroup_as_group, subgroup_generated, subgroup_key,
@@ -237,15 +238,28 @@ def run_oracle_case(dimension, region_count, max_mixed, instances, seed):
     return instances, disagreements
 
 
+@dataclass
+class GeneralLP:
+    """An LP in the general form that `lp_solve` does not take: ">=" and
+    "==" rows with bounds of either sign, and variables that are free
+    unless flagged nonnegative.  Rows and the objective are dicts
+    {variable index: coefficient}.  `dense_lp_solve` solves it."""
+    variables: tuple
+    constraints: list  # ({index: coefficient}, ">=" | "==", bound)
+    objective: dict
+    nonneg: tuple
+
+
 def ref_balas_problem(regions, variables, *, point=None, wt=None):
     """The Balas LP with one z_{j,v} per region and coordinate and equality
     coupling rows, each lam coefficient recomputed from the region's rows
-    (test oracle for `hull_lp.line_threshold` and `hull_lp._balas_problem`:
-    same optimal value).
+    (test oracle for `hull_lp.line_threshold` and the margin of
+    `hull_lp.hull_membership`: same optimal value).
 
-    Variables: lam_j, z_{j,v}, then one scalar.  With a weight line:
-    minimise s subject to sum_j y_j = s * wt.  With a point: maximise the
-    margin t subject to sum_j y_j + t * 1 = point.
+    Variables: lam_j, z_{j,v}, then one free scalar.  With a weight line:
+    minimise s subject to sum_j lam_j = 1 and sum_j y_j = s * wt.  With a
+    point: maximise the margin t subject to sum_j lam_j = 1 and
+    sum_j y_j + t * 1 = point.
     """
     lower = [{v: region.pure_lower_bound(v) for v in variables} for region in regions]
     names = [f"lam{j}" for j in range(len(regions))]
@@ -273,23 +287,25 @@ def ref_balas_problem(regions, variables, *, point=None, wt=None):
         else:
             r[scalar] = 1
             constraints.append((r, "==", point[v]))
-    return LPProblem(variables=tuple(names), constraints=constraints,
+    return GeneralLP(variables=tuple(names), constraints=constraints,
                      objective={scalar: 1 if wt is not None else -1},
                      nonneg=(True,) * scalar + (False,))
 
 
 def balas_optima(regions, **target):
-    """The answers of hull_lp and of the reference formulation to one
-    threshold (wt=, from `hull_lp.line_threshold`) or margin (point=, from
-    the optimum of `hull_lp._balas_problem`) question."""
+    """The answers of hull_lp and of the reference formulation, solved by
+    `dense_lp_solve`, to one threshold (wt=, from `hull_lp.line_threshold`)
+    or margin (point=) question.  hull_lp's margin is t* = -s*, where the
+    line point + s * 1 enters the hull at s* (the gauge LP that
+    `hull_lp.hull_membership` solves)."""
     variables = regions[0].variables
-    ref = lp_solve(ref_balas_problem(regions, variables, **target))
-    assert ref.status == "optimal"
+    status, ref, _ = dense_lp_solve(ref_balas_problem(regions, variables, **target))
+    assert status == "optimal"
     if "wt" in target:
-        return hull_lp.line_threshold(target["wt"], regions), ref.value
-    new = lp_solve(hull_lp._balas_problem(regions, variables, target["point"]))
-    assert new.status == "optimal"
-    return new.value, ref.value
+        return hull_lp.line_threshold(target["wt"], regions), ref
+    entry, _, _ = hull_lp._line_entry("membership", regions, variables, target["point"],
+                                      dict.fromkeys(variables, 1))
+    return -entry, -ref
 
 
 def run_balas_reference_case(dimension, region_count, max_mixed, instances, seed):
@@ -339,6 +355,180 @@ def run_conditional_hull_draws(count, seed=99):
         if not member:
             failures += 1
     return count, failures
+
+
+# ---------------------------------------------------------------------------
+# dense reference solver: the original two-phase Fraction simplex, which
+# updates every tableau entry on each pivot and takes general rows.  On an
+# LPProblem (origin feasible, every variable nonnegative) its phase 1 makes
+# no pivot, and lp_solve must take the same pivots as its phase 2.
+# ---------------------------------------------------------------------------
+
+dense_pivots = []  # (row, column) of every dense pivot since the list was last cleared
+
+
+def dense_lp_solve(problem):
+    """The dense solution of an LPProblem or a GeneralLP; returns (status,
+    value, assignment) and records each pivot in dense_pivots."""
+    n = len(problem.variables)
+    nonneg = problem.nonneg if isinstance(problem, GeneralLP) else (True,) * n
+    # column layout: for each variable either one column (nonneg) or a +/- pair
+    col_of_var = []  # (plus_col, minus_col | None)
+    ncols = 0
+    for flag in nonneg:
+        if flag:
+            col_of_var.append((ncols, None))
+            ncols += 1
+        else:
+            col_of_var.append((ncols, ncols + 1))
+            ncols += 2
+    # surplus columns follow the structural ones; a ">=" row with bound <= 0
+    # is negated so that its surplus (+1) starts basic, and only the other
+    # rows get an artificial
+    art0 = ncols + sum(1 for _, rel, _ in problem.constraints if rel == ">=")
+    surplus = ncols
+    rows = []
+    rhs = []
+    basis = []
+    for row, rel, bound in problem.constraints:
+        expanded = [Fraction(0)] * art0
+        for i, coef in dict(row).items():  # a dict or LPProblem's (index, coefficient) pairs
+            plus, minus = col_of_var[i]
+            expanded[plus] += coef
+            if minus is not None:
+                expanded[minus] -= coef
+        bound = Fraction(bound)
+        start = None
+        if rel == ">=":
+            expanded[surplus] = Fraction(-1)
+            if bound <= 0:
+                start = surplus
+            surplus += 1
+        if bound < 0 or start is not None:
+            expanded = [-v for v in expanded]
+            bound = -bound
+        rows.append(expanded)
+        rhs.append(bound)
+        basis.append(start)
+    m = len(rows)
+    artificial_rows = [i for i in range(m) if basis[i] is None]
+    total = art0 + len(artificial_rows)
+    for i in range(m):
+        rows[i].extend(Fraction(0) for _ in artificial_rows)
+    for k, i in enumerate(artificial_rows):
+        rows[i][art0 + k] = Fraction(1)
+        basis[i] = art0 + k
+    tableau = [rows[i] + [rhs[i]] for i in range(m)]
+    cost1 = [Fraction(0)] * (total + 1)
+    for j in range(art0, total):
+        cost1[j] = Fraction(1)
+    _reduce_cost_row(cost1, tableau, basis)
+    status = _dense_pivot_until_optimal(tableau, cost1, basis, total)
+    if status == "unbounded":  # impossible in phase 1 (costs bounded below by 0)
+        raise AssertionError("phase 1 cannot be unbounded")
+    if -cost1[-1] > 0:
+        return "infeasible", None, None
+    _drive_out_artificials(tableau, basis, art0)
+    keep = []
+    for i, b in enumerate(basis):
+        if b >= art0:
+            # redundant row: all structural coefficients zero
+            if any(tableau[i][j] != 0 for j in range(art0)):
+                raise AssertionError("artificial not driven out of a non-redundant row")
+            continue
+        keep.append(i)
+    tableau = [tableau[i] for i in keep]
+    basis = [basis[i] for i in keep]
+    # phase 2
+    objective = [Fraction(0)] * n
+    for i, coef in dict(problem.objective or ()).items():
+        objective[i] = Fraction(coef)
+    cost2 = [Fraction(0)] * (total + 1)
+    for i, coef in enumerate(objective):
+        plus, minus = col_of_var[i]
+        cost2[plus] += coef
+        if minus is not None:
+            cost2[minus] -= coef
+    forbidden = set(range(art0, total))
+    _reduce_cost_row(cost2, tableau, basis)
+    status = _dense_pivot_until_optimal(tableau, cost2, basis, total, forbidden=forbidden)
+    if status == "unbounded":
+        return "unbounded", None, None
+    values = [Fraction(0)] * total
+    for i, b in enumerate(basis):
+        values[b] = tableau[i][-1]
+    assignment = {}
+    for i, var in enumerate(problem.variables):
+        plus, minus = col_of_var[i]
+        assignment[var] = values[plus] - (values[minus] if minus is not None else 0)
+    value = sum((objective[i] * assignment[v] for i, v in enumerate(problem.variables)),
+                Fraction(0))
+    return "optimal", value, assignment
+
+
+def _reduce_cost_row(cost, tableau, basis):
+    for i, b in enumerate(basis):
+        coef = cost[b]
+        if coef:
+            row = tableau[i]
+            for j in range(len(cost)):
+                cost[j] -= coef * row[j]
+
+
+def _dense_pivot_until_optimal(tableau, cost, basis, total, forbidden=frozenset()):
+    while True:
+        entering = None
+        for j in range(total):
+            if j in forbidden or j in basis:
+                continue
+            if cost[j] < 0:
+                entering = j
+                break
+        if entering is None:
+            return "optimal"
+        leaving = None
+        best = None
+        for i, row in enumerate(tableau):
+            a = row[entering]
+            if a > 0:
+                ratio = row[-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        if leaving is None:
+            return "unbounded"
+        _dense_pivot(tableau, cost, basis, leaving, entering)
+
+
+def _dense_pivot(tableau, cost, basis, i, j):
+    dense_pivots.append((i, j))
+    row = tableau[i]
+    piv = row[j]
+    tableau[i] = [v / piv for v in row]
+    row = tableau[i]
+    for k, other in enumerate(tableau):
+        if k != i and other[j]:
+            coef = other[j]
+            tableau[k] = [ov - coef * rv for ov, rv in zip(other, row)]
+    if cost[j]:
+        coef = cost[j]
+        for idx in range(len(cost)):
+            cost[idx] -= coef * row[idx]
+    basis[i] = j
+
+
+def _drive_out_artificials(tableau, basis, art0):
+    for i, b in enumerate(basis):
+        if b < art0:
+            continue
+        row = tableau[i]
+        pivot_col = None
+        for j in range(art0):
+            if row[j] != 0:
+                pivot_col = j
+                break
+        if pivot_col is not None:
+            _dense_pivot(tableau, [Fraction(0)] * len(row), basis, i, pivot_col)
 
 
 # ---------------------------------------------------------------------------

@@ -167,14 +167,15 @@ class TestCliClassify:
 
 class TestCliAnalyze:
     def test_order_1536_report_byte_identical(self, capsys, recorded_lps):
-        # the only tier-1 analysis above order 16: 12 witnesses, a gauge
-        # threshold LP of 410 rows x 424 variables and a membership LP of
-        # 411 x 425; their pivot counts pin Bland's rule on large cost
-        # rows.  CI compares the slower wreath(C2,C10) report the same way
+        # the only tier-1 analysis above order 16: 12 witnesses, and a
+        # gauge LP of 410 rows x 424 variables for the threshold and
+        # another for the membership of the pole point; their pivot counts
+        # pin Bland's rule on large cost rows.  CI compares the slower
+        # wreath(C2,C10) report the same way
         assert cli_main(["analyze", "wreath(4T3,C3)", "--weight", "disc"]) == 0
         expected = (REFERENCE / "analyze_wreath_4T3_C3_disc.txt").read_bytes()
         assert capsys.readouterr().out.encode("utf-8") == expected
-        assert [r.pivots for _, r in recorded_lps] == [10, 9]
+        assert [r.pivots for _, r in recorded_lps] == [10, 8]
 
     def test_hull_too_small_report_byte_identical(self, capsys):
         # the one verdict no other reference pins: threshold = sigma_a = 1/16

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import _suites
 from tamecount import (LPProblem, conditional_hull_point_check, hull_membership,
                        line_threshold, lp_solve, make_profile, shortcut_2d,
                        verify_certificate, weight_conductor_d4, weight_discriminant)
@@ -28,42 +29,26 @@ from tamecount.regions import TubularRegion, build_region, constraint
 
 class TestLpSolve:
     def test_minimize_lower_bound(self):
-        p = LPProblem(variables=("x",), constraints=[({0: Fraction(1)}, ">=", Fraction(3))],
-                      objective={0: Fraction(1)})
+        # min -x  s.t. -x >= -3: the least objective, -3, at the bound x = 3
+        p = LPProblem(variables=("x",), constraints=[({0: Fraction(-1)}, ">=", Fraction(-3))],
+                      objective={0: Fraction(-1)})
         r = lp_solve(p)
-        assert r.status == "optimal" and r.value == 3
+        assert r.status == "optimal" and r.value == -3
         assert verify_lp_assignment(p, r.assignment)
-
-    def test_infeasible(self):
-        p = LPProblem(variables=("x",),
-                      constraints=[({0: Fraction(1)}, ">=", Fraction(1)),
-                                   ({0: Fraction(-1)}, ">=", Fraction(0))])
-        assert lp_solve(p).status == "infeasible"
 
     def test_unbounded(self):
         p = LPProblem(variables=("x",), constraints=[({0: Fraction(1)}, ">=", Fraction(0))],
                       objective={0: Fraction(-1)})
         assert lp_solve(p).status == "unbounded"
 
-    def test_equality_and_free_variables(self):
-        # min x + y  s.t. x - y == 2 and x >= 0, y free: optimum at (0, -2)
-        p = LPProblem(variables=("x", "y"),
-                      constraints=[({0: Fraction(1), 1: Fraction(-1)}, "==", Fraction(2)),
-                                   ({0: Fraction(1)}, ">=", Fraction(0))],
-                      objective={0: Fraction(1), 1: Fraction(1)})
-        r = lp_solve(p)
-        assert r.status == "optimal" and r.value == -2
-        assert r.assignment == {"x": Fraction(0), "y": Fraction(-2)}
-        assert verify_lp_assignment(p, r.assignment)
-
     def test_exact_rational_optimum(self):
-        # min s s.t. 3s >= 19/16 and 2s >= 27/32: optimum 27/64
+        # min -s s.t. -3s >= -19/16 and -2s >= -27/32: optimum -27/64
         p = LPProblem(variables=("s",),
-                      constraints=[({0: Fraction(3)}, ">=", Fraction(19, 16)),
-                                   ({0: Fraction(2)}, ">=", Fraction(27, 32))],
-                      objective={0: Fraction(1)}, nonneg=(True,))
+                      constraints=[({0: Fraction(-3)}, ">=", Fraction(-19, 16)),
+                                   ({0: Fraction(-2)}, ">=", Fraction(-27, 32))],
+                      objective={0: Fraction(-1)})
         r = lp_solve(p)
-        assert r.value == max(Fraction(19, 48), Fraction(27, 64))
+        assert r.value == -min(Fraction(19, 48), Fraction(27, 64))
 
     @pytest.mark.parametrize("row,objective", [
         ({0: Fraction(1), 1: Fraction(2)}, None),
@@ -89,145 +74,77 @@ class TestLpSolve:
         with pytest.raises(ValidationError, match="not an int or a Fraction"):
             LPProblem(variables=("x",), constraints=[(row, ">=", bound)], objective=objective)
 
+    @pytest.mark.parametrize("rel,bound", [("==", 0), ("<=", 0), (">=", 1), (">=", Fraction(1, 9))],
+                             ids=["equality", "less_equal", "bound_1", "bound_1/9"])
+    def test_row_without_the_origin_rejected(self, rel, bound):
+        # row 1 is named; row 0 is a valid ">=" row with bound <= 0
+        with pytest.raises(ValidationError, match=r"LP row 1 reads .*'>=' with a bound <= 0"):
+            LPProblem(variables=("x",), constraints=[({0: 1}, ">=", -1), ({0: 1}, rel, bound)])
+
     def test_degenerate_cycling_terminates(self):
-        # classic Beale-style degenerate instance; Bland must terminate
+        # Beale's instance, on which the textbook largest-coefficient rule
+        # cycles: min -3/4 a + 150 b - 1/50 c + 6 d  s.t. 1/4 a - 60 b -
+        # 1/25 c + 9 d <= 0, 1/2 a - 90 b - 1/50 c + 3 d <= 0 and c <= 1;
+        # Bland's rule reaches the optimum -1/20
         rows = [
-            ({0: Fraction(1, 4), 1: Fraction(-8), 2: Fraction(-1), 3: Fraction(9)}, "==",
+            ({0: Fraction(-1, 4), 1: Fraction(60), 2: Fraction(1, 25), 3: Fraction(-9)}, ">=",
              Fraction(0)),
-            ({0: Fraction(1, 2), 1: Fraction(-12), 2: Fraction(-1, 2), 3: Fraction(3)}, "==",
+            ({0: Fraction(-1, 2), 1: Fraction(90), 2: Fraction(1, 50), 3: Fraction(-3)}, ">=",
              Fraction(0)),
-            ({2: Fraction(1)}, ">=", Fraction(-1)),
+            ({2: Fraction(-1)}, ">=", Fraction(-1)),
         ]
         p = LPProblem(variables=("a", "b", "c", "d"), constraints=rows,
                       objective={0: Fraction(-3, 4), 1: Fraction(150), 2: Fraction(-1, 50),
-                                 3: Fraction(6)},
-                      nonneg=(True, True, True, True))
+                                 3: Fraction(6)})
         r = lp_solve(p)
-        assert r.status in ("optimal", "unbounded")
+        assert (r.status, r.value) == ("optimal", Fraction(-1, 20))
+        assert verify_lp_assignment(p, r.assignment)
 
     def test_pivot_cap_counts_every_pivot(self, monkeypatch):
-        # min x + y  s.t. x + 2y >= 3 and 2x + y >= 3, x, y >= 0
+        # min -x - y  s.t. x + 2y <= 3 and 2x + y <= 3, x, y >= 0
         p = LPProblem(variables=("x", "y"),
-                      constraints=[({0: Fraction(1), 1: Fraction(2)}, ">=", Fraction(3)),
-                                   ({0: Fraction(2), 1: Fraction(1)}, ">=", Fraction(3))],
-                      objective={0: Fraction(1), 1: Fraction(1)}, nonneg=(True, True))
+                      constraints=[({0: Fraction(-1), 1: Fraction(-2)}, ">=", Fraction(-3)),
+                                   ({0: Fraction(-2), 1: Fraction(-1)}, ">=", Fraction(-3))],
+                      objective={0: Fraction(-1), 1: Fraction(-1)})
         pivots = lp_solve(p).pivots
         assert pivots > 1
         monkeypatch.setattr(hull_lp, "DEFAULT_PIVOT_CAP", pivots)
-        assert lp_solve(p).value == 2
+        assert lp_solve(p).value == -2
         monkeypatch.setattr(hull_lp, "DEFAULT_PIVOT_CAP", pivots - 1)
-        with pytest.raises(ResourceCapError, match=r"LP phase \d \(2 rows x 2 variables\) exceeds the pivot cap of"):
+        with pytest.raises(ResourceCapError, match=r"LP \(2 rows x 2 variables\) exceeds the pivot cap of"):
             lp_solve(p)
 
     def test_pivot_cap_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(hull_lp, "DEFAULT_PIVOT_CAP", 3)
         assert cli_main(["analyze", "4T3", "--weight", "disc"]) == 3
-        assert "LP phase 2 (" in capsys.readouterr().err
-
-    def test_redundant_row_dropped(self, monkeypatch):
-        # min x + 2y  s.t. x + y == 2, 2x + 2y == 4 (twice the first) and
-        # x - y >= 0, x, y >= 0: the second row's artificial cannot leave
-        # the basis, so phase 2 runs on the other two rows
-        phase_rows = []
-        pivot_until_optimal = hull_lp._pivot_until_optimal
-
-        def recording(tableau, *args, **kwargs):
-            phase_rows.append(len(tableau))
-            return pivot_until_optimal(tableau, *args, **kwargs)
-
-        monkeypatch.setattr(hull_lp, "_pivot_until_optimal", recording)
-        p = LPProblem(variables=("x", "y"),
-                      constraints=[({0: Fraction(1), 1: Fraction(1)}, "==", Fraction(2)),
-                                   ({0: Fraction(2), 1: Fraction(2)}, "==", Fraction(4)),
-                                   ({0: Fraction(1), 1: Fraction(-1)}, ">=", Fraction(0))],
-                      objective={0: Fraction(1), 1: Fraction(2)}, nonneg=(True, True))
-        r = lp_solve(p)
-        assert phase_rows == [3, 2]
-        assert r.status == "optimal" and r.value == 2
-        assert r.assignment == {"x": Fraction(2), "y": Fraction(0)}
-        _dense_pivots.clear()
-        assert _dense_lp_solve(p) == ("optimal", r.value, r.assignment)
-        assert r.pivots == len(_dense_pivots)
-
-    def test_artificial_driven_out(self, monkeypatch):
-        # min z  s.t. x + z == 0 and x == 0, x free, z >= 0: phase 1 ends
-        # with the second row's artificial basic at zero in a row holding z,
-        # so one drive-out pivot replaces it by z
-        driven = []
-        drive_out = hull_lp._drive_out_artificials
-
-        def recording(*args):
-            driven.append(drive_out(*args))
-            return driven[-1]
-
-        monkeypatch.setattr(hull_lp, "_drive_out_artificials", recording)
-        p = LPProblem(variables=("x", "z"),
-                      constraints=[({0: Fraction(1), 1: Fraction(1)}, "==", Fraction(0)),
-                                   ({0: Fraction(1)}, "==", Fraction(0))],
-                      objective={1: Fraction(1)}, nonneg=(False, True))
-        r = lp_solve(p)
-        assert driven == [1]
-        assert (r.status, r.value, r.pivots) == ("optimal", 0, 2)
-        assert r.assignment == {"x": 0, "z": 0}
-        _dense_pivots.clear()
-        assert _dense_lp_solve(p) == ("optimal", r.value, r.assignment)
-        assert _dense_pivots == [(0, 0), (1, 2)]
+        assert "LP (" in capsys.readouterr().err
 
     def test_16t11_pivot_counts(self, recorded_lps):
-        # the threshold LP, then the max-margin membership LP of the pole
-        # point; any change of pivot rule, tie-break or starting basis
+        # the threshold LP, then the membership LP of the pole point (both
+        # gauge LPs); any change of pivot rule, tie-break or starting basis
         # moves these counts
         run_analysis_request("16T11", "disc", "paper-16t11", "Q")
-        assert [r.pivots for _, r in recorded_lps] == [16, 17]
+        assert [r.pivots for _, r in recorded_lps] == [16, 16]
         assert [r.status for _, r in recorded_lps] == ["optimal", "optimal"]
-
-    def test_negative_drive_out_entries(self, monkeypatch):
-        # min 2x + y + z  s.t. -x - y + 2z == 1, 2x - 2y == 0 and
-        # -2x + y - 2z >= -1, x, y >= 0: phase 1 leaves both artificials
-        # basic at zero, and each drive-out pivots on a negative entry, so
-        # the integer pivot negates its row first
-        entries = []
-        pivot = hull_lp._pivot
-
-        def recording(tableau, basis, i, j):
-            entries.append(tableau[i][j])
-            return pivot(tableau, basis, i, j)
-
-        monkeypatch.setattr(hull_lp, "_pivot", recording)
-        p = LPProblem(variables=("x", "y", "z"),
-                      constraints=[({0: Fraction(-1), 1: Fraction(-1), 2: Fraction(2)}, "==",
-                                    Fraction(1)),
-                                   ({0: Fraction(2), 1: Fraction(-2)}, "==", Fraction(0)),
-                                   ({0: Fraction(-2), 1: Fraction(1), 2: Fraction(-2)}, ">=",
-                                    Fraction(-1))],
-                      objective={0: Fraction(2), 1: Fraction(1), 2: Fraction(1)},
-                      nonneg=(True, True, False))
-        r = lp_solve(p)
-        assert sum(1 for e in entries if e < 0) == 2
-        assert (r.status, r.value) == ("optimal", Fraction(1, 2))
-        assert r.assignment == {"x": 0, "y": 0, "z": Fraction(1, 2)}
-        _dense_pivots.clear()
-        assert _dense_lp_solve(p) == ("optimal", r.value, r.assignment)
-        assert r.pivots == len(_dense_pivots)
 
     def test_16t11_lps_match_dense_reference(self, recorded_lps):
         run_analysis_request("16T11", "disc", "paper-16t11", "Q")
         assert len(recorded_lps) == 2
         for problem, result in recorded_lps:
-            _dense_pivots.clear()
-            assert (_dense_lp_solve(problem)
+            _suites.dense_pivots.clear()
+            assert (_suites.dense_lp_solve(problem)
                     == (result.status, result.value, result.assignment))
-            assert result.pivots == len(_dense_pivots)
+            assert result.pivots == len(_suites.dense_pivots)
 
     def test_16t11_balas_shape(self, recorded_lps):
         # 8 regions over 8 variables: the 64 pure rows are shifted out,
         # leaving 24 mixed rows and 8 coupling rows; the columns are 8 lam
         # and the 30 z_{j,v} whose v a mixed row of region j reads (not
-        # all 64).  The membership LP adds sum(lam) = 1 and the margin t;
-        # the gauge threshold LP needs neither
+        # all 64).  The threshold and the membership LP are both gauge
+        # LPs: neither has a convexity row or a scalar column
         run_analysis_request("16T11", "disc", "paper-16t11", "Q")
         shapes = [(len(p.constraints), len(p.variables)) for p, _ in recorded_lps]
-        assert shapes == [(32, 38), (33, 39)]
+        assert shapes == [(32, 38), (32, 38)]
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +178,7 @@ def d4_disc_regions(d4_quartic, d4_types, cyc_q):
                                    1 + Fraction(1, 2 ** 22)],
                          ids=["1/2", "999/1000", "1001/1000", "1+2^-22"])
 def test_margin_lps_match_dense_reference(d4_disc_regions, recorded_lps, scale):
-    """The Balas LPs of an open-membership probe at scale * threshold along
+    """The gauge LPs of an open-membership probe at scale * threshold along
     the disc weights: large denominators, unlike the property test's."""
     regions, weights = d4_disc_regions
     threshold = line_threshold(weights, regions)
@@ -270,9 +187,9 @@ def test_margin_lps_match_dense_reference(d4_disc_regions, recorded_lps, scale):
     assert member == (scale > 1)
     assert len(recorded_lps) == 2
     for problem, result in recorded_lps:
-        _dense_pivots.clear()
-        assert _dense_lp_solve(problem) == (result.status, result.value, result.assignment)
-        assert result.pivots == len(_dense_pivots)
+        _suites.dense_pivots.clear()
+        assert _suites.dense_lp_solve(problem) == (result.status, result.value, result.assignment)
+        assert result.pivots == len(_suites.dense_pivots)
 
 
 def d4_point(a2, b2, c2, a4):
@@ -399,6 +316,47 @@ class TestVerifyCertificateRejects:
             data[field] = value
         with pytest.raises(ValidationError, match="a certificate needs a list of lambdas"):
             hull_lp.certificate_from_json(data)
+
+
+    @pytest.mark.parametrize("data", [
+        {"lambdas": [1.0], "points": [{"x": "1"}], "epsilon": "0"},
+        {"lambdas": ["1"], "points": [{"x": 0.1}], "epsilon": "0"},
+        {"lambdas": ["1"], "points": [{"x": "1"}], "epsilon": 0},
+    ], ids=["float lambda", "float coordinate", "int epsilon"])
+    def test_non_string_rational_rejected(self, data):
+        # 0.1 would load as 3602879701896397/36028797018963968
+        with pytest.raises(ValidationError, match="bad rational literal .*not a string"):
+            hull_lp.certificate_from_json(data)
+
+
+class TestExactPoints:
+    """A coordinate or weight is an int or a Fraction: a float would enter
+    as its binary value, a bool as 0 or 1 and a string as a parsed literal."""
+
+    region = TubularRegion(("x", "y"), [constraint({"x": 1}, 1), constraint({"y": 1}, 1)])
+    values = pytest.mark.parametrize("value", [0.1, True, "3/2"], ids=["float", "bool", "str"])
+
+    @values
+    def test_line_threshold(self, value):
+        assert line_threshold({"x": Fraction(1, 10), "y": 1}, [self.region]) == 10
+        with pytest.raises(ValidationError, match="not an int or a Fraction"):
+            line_threshold({"x": value, "y": 1}, [self.region])
+        with pytest.raises(ValidationError, match="not an int or a Fraction"):
+            line_threshold(lambda v: value, [self.region])
+
+    @values
+    def test_hull_membership(self, value):
+        assert hull_membership({"x": 2, "y": Fraction(3, 2)}, [self.region])[0]
+        with pytest.raises(ValidationError, match="not an int or a Fraction"):
+            hull_membership({"x": 2, "y": value}, [self.region])
+
+    @values
+    def test_verify_certificate(self, value):
+        point = {"x": 2, "y": Fraction(3, 2)}
+        _, cert = hull_membership(point, [self.region])
+        assert verify_certificate(cert, [self.region], point)
+        with pytest.raises(ValidationError, match="not an int or a Fraction"):
+            verify_certificate(cert, [self.region], {"x": 2, "y": value})
 
 
 class TestMarginWithoutFloor:
@@ -542,8 +500,6 @@ class TestConditionalHull:
 # dual-route oracles (smoke subsets; the acceptance suite runs them in full)
 # ---------------------------------------------------------------------------
 
-import _suites
-
 
 @pytest.mark.parametrize("dimension,region_count,max_mixed,instances,seed", [
     (2, 2, 2, 40, 101),
@@ -597,8 +553,8 @@ def test_lower_bound_shift_cases_agree_with_caratheodory(names):
 
 
 # ---------------------------------------------------------------------------
-# the Balas LP against the reference formulation (one z per region and
-# coordinate, equality coupling rows): the same optimal value
+# the gauge LP against the reference formulation (one z per region and
+# coordinate, equality coupling rows, a free scalar): the same optimal value
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("dimension,region_count,max_mixed,instances,seed", _suites.ORACLE_CASES)
@@ -616,8 +572,9 @@ def test_balas_matches_reference_on_shift_regions(names):
     for wt in ({"x": Fraction(1), "y": Fraction(1)}, {"x": Fraction(1, 3), "y": Fraction(2)}):
         new, ref = _suites.balas_optima(regions, wt=wt)
         assert new == ref, wt
-    # a grid point with a negative coordinate gives its coupling row an
-    # artificial, which no golden or oracle point (all nonnegative) does
+    # a grid point with a negative coordinate puts the gauge corner
+    # point + m * 1 on both sides of a pure lower bound, which no golden
+    # or oracle point (all nonnegative) does
     assert min(SHIFT_GRID) < 0
     for x in SHIFT_GRID:
         for y in SHIFT_GRID:
@@ -626,16 +583,23 @@ def test_balas_matches_reference_on_shift_regions(names):
 
 
 def _golden_builds(monkeypatch):
-    """(build name, regions, target, LPProblem) of every Balas LP that the
-    golden manifest's analyses build: the gauge LP of each threshold and
-    the membership LP of each pole point."""
+    """(question, regions, base, direction, LPProblem) of every gauge LP
+    that the golden manifest's analyses build: the threshold along each
+    weight line and the membership of each pole point."""
     built = []
-    for name in ("_gauge_problem", "_balas_problem"):
-        def recording(regions, variables, target, *rest, name=name, build=getattr(hull_lp, name)):
-            built.append((name, regions, target, build(regions, variables, target, *rest)))
-            return built[-1][-1]
+    line_entry, gauge_problem = hull_lp._line_entry, hull_lp._gauge_problem
 
-        monkeypatch.setattr(hull_lp, name, recording)
+    def entering(question, regions, variables, base, direction):
+        built.append((question, regions, base, direction))
+        return line_entry(question, regions, variables, base, direction)
+
+    def recording(*args):
+        problem = gauge_problem(*args)
+        built[-1] += (problem,)
+        return problem
+
+    monkeypatch.setattr(hull_lp, "_line_entry", entering)
+    monkeypatch.setattr(hull_lp, "_gauge_problem", recording)
     manifest = Path(__file__).parent / "golden" / "golden_manifest.txt"
     for _, parts in _parse_manifest(manifest):
         run_analysis_request(*parts)
@@ -645,36 +609,26 @@ def _golden_builds(monkeypatch):
 
 def test_balas_matches_reference_on_golden_regions(monkeypatch):
     built = _golden_builds(monkeypatch)
-    assert sorted(name for name, *_ in built) == ["_balas_problem"] * 6 + ["_gauge_problem"] * 6
-    for name, regions, target, _ in built:
-        key = "wt" if name == "_gauge_problem" else "point"
-        new, ref = _suites.balas_optima(regions, **{key: target})
-        assert new == ref, target
+    assert sorted(question for question, *_ in built) == ["membership"] * 6 + ["threshold"] * 6
+    for question, regions, base, direction, _ in built:
+        if question == "threshold":
+            new, ref = _suites.balas_optima(regions, wt=direction)
+        else:
+            new, ref = _suites.balas_optima(regions, point=base)
+        assert new == ref, (question, base, direction)
 
 
 def test_golden_threshold_lps_make_no_phase_1_pivot(monkeypatch):
-    # every gauge row is homogeneous or has rhs wt_v > 0, so each starts
-    # from its surplus: no equality row, no artificial, nothing for phase 1
-    gauges = [problem for name, _, _, problem in _golden_builds(monkeypatch)
-              if name == "_gauge_problem"]
-    assert len(gauges) == 6
-    phases = []
-    pivot_until_optimal = hull_lp._pivot_until_optimal
-
-    def recording(tableau, cost, basis, limit, total, pivots, stage):
-        status, after, cost = pivot_until_optimal(tableau, cost, basis, limit, total, pivots,
-                                                   stage)
-        phases.append((stage.split(" (")[0], after - pivots))
-        return status, after, cost
-
-    monkeypatch.setattr(hull_lp, "_pivot_until_optimal", recording)
-    for problem in gauges:
+    # lp_solve has no phase 1: every golden gauge LP, threshold and
+    # membership alike, has only ">=" rows with bound <= 0, so each row
+    # starts from its surplus and every pivot improves the objective
+    builds = _golden_builds(monkeypatch)
+    assert len(builds) == 12
+    for _, _, _, _, problem in builds:
         assert all(rel == ">=" and bound <= 0 for _, rel, bound in problem.constraints)
-        phases.clear()
         result = lp_solve(problem)
         assert result.status == "optimal" and -1 <= result.value < 0
-        assert phases[0] == ("LP phase 1", 0) and phases[1][0] == "LP phase 2"
-        assert result.pivots == phases[1][1] > 0
+        assert result.pivots > 0
 
 
 @pytest.mark.parametrize("pure,wt,expected", [
@@ -756,180 +710,29 @@ def test_open_member_certificates_have_positive_margin(d4_regions, coords):
         assert cert is None
 
 
+@settings(deadline=None, max_examples=30)
+@given(coords=st.tuples(positive_fraction, positive_fraction,
+                        positive_fraction, positive_fraction))
+def test_membership_is_a_threshold_of_at_most_one(d4_regions, coords):
+    """For p > 0 the hull holds s * p from the threshold of the line s * p
+    on (the recession cone is the orthant), so p is a closed member iff the
+    threshold is <= 1 and an open member iff it is < 1; threshold * p lies
+    on the boundary."""
+    regions = list(d4_regions)
+    point = dict(zip(regions[0].variables, coords))
+    threshold = line_threshold(point, regions)
+    assert hull_membership(point, regions, mode="closed")[0] == (threshold <= 1)
+    assert hull_membership(point, regions, mode="open")[0] == (threshold < 1)
+    boundary = {v: threshold * x for v, x in point.items()}
+    assert line_threshold(boundary, regions) == 1
+    assert hull_membership(boundary, regions, mode="closed")[0]
+    assert not hull_membership(boundary, regions, mode="open")[0]
+
+
 # ---------------------------------------------------------------------------
-# dense reference solver: the original simplex, which updates every tableau
-# entry on each pivot.  The sparse pivot must take the same pivots.
+# the sparse simplex against the dense reference solver (_suites): the same
+# pivots on every origin-feasible LP
 # ---------------------------------------------------------------------------
-
-_dense_pivots = []
-
-
-def _pivot(tableau, cost, basis, i, j):
-    _dense_pivots.append((i, j))
-    _dense_pivot(tableau, cost, basis, i, j)
-
-
-def _dense_lp_solve(problem):
-    """The dense lp_solve; returns (status, value, assignment) and records
-    each pivot in _dense_pivots."""
-    n = len(problem.variables)
-    # column layout: for each variable either one column (nonneg) or a +/- pair
-    col_of_var = []  # (plus_col, minus_col | None)
-    ncols = 0
-    for flag in problem.nonneg:
-        if flag:
-            col_of_var.append((ncols, None))
-            ncols += 1
-        else:
-            col_of_var.append((ncols, ncols + 1))
-            ncols += 2
-    # surplus columns follow the structural ones; a ">=" row with bound <= 0
-    # is negated so that its surplus (+1) starts basic, and only the other
-    # rows get an artificial
-    art0 = ncols + sum(1 for _, rel, _ in problem.constraints if rel == ">=")
-    surplus = ncols
-    rows = []
-    rhs = []
-    basis = []
-    for row, rel, bound in problem.constraints:
-        expanded = [Fraction(0)] * art0
-        for i, coef in row:
-            plus, minus = col_of_var[i]
-            expanded[plus] += coef
-            if minus is not None:
-                expanded[minus] -= coef
-        bound = Fraction(bound)
-        start = None
-        if rel == ">=":
-            expanded[surplus] = Fraction(-1)
-            if bound <= 0:
-                start = surplus
-            surplus += 1
-        if bound < 0 or start is not None:
-            expanded = [-v for v in expanded]
-            bound = -bound
-        rows.append(expanded)
-        rhs.append(bound)
-        basis.append(start)
-    m = len(rows)
-    artificial_rows = [i for i in range(m) if basis[i] is None]
-    total = art0 + len(artificial_rows)
-    for i in range(m):
-        rows[i].extend(Fraction(0) for _ in artificial_rows)
-    for k, i in enumerate(artificial_rows):
-        rows[i][art0 + k] = Fraction(1)
-        basis[i] = art0 + k
-    tableau = [rows[i] + [rhs[i]] for i in range(m)]
-    cost1 = [Fraction(0)] * (total + 1)
-    for j in range(art0, total):
-        cost1[j] = Fraction(1)
-    _reduce_cost_row(cost1, tableau, basis)
-    status = _pivot_until_optimal(tableau, cost1, basis, total)
-    if status == "unbounded":  # impossible in phase 1 (costs bounded below by 0)
-        raise AssertionError("phase 1 cannot be unbounded")
-    if -cost1[-1] > 0:
-        return "infeasible", None, None
-    _drive_out_artificials(tableau, basis, art0)
-    keep = []
-    for i, b in enumerate(basis):
-        if b >= art0:
-            # redundant row: all structural coefficients zero
-            if any(tableau[i][j] != 0 for j in range(art0)):
-                raise AssertionError("artificial not driven out of a non-redundant row")
-            continue
-        keep.append(i)
-    tableau = [tableau[i] for i in keep]
-    basis = [basis[i] for i in keep]
-    # phase 2
-    objective = [Fraction(0)] * n
-    for i, coef in problem.objective or ():
-        objective[i] = Fraction(coef)
-    cost2 = [Fraction(0)] * (total + 1)
-    for i, coef in enumerate(objective):
-        plus, minus = col_of_var[i]
-        cost2[plus] += coef
-        if minus is not None:
-            cost2[minus] -= coef
-    forbidden = set(range(art0, total))
-    _reduce_cost_row(cost2, tableau, basis)
-    status = _pivot_until_optimal(tableau, cost2, basis, total, forbidden=forbidden)
-    if status == "unbounded":
-        return "unbounded", None, None
-    values = [Fraction(0)] * total
-    for i, b in enumerate(basis):
-        values[b] = tableau[i][-1]
-    assignment = {}
-    for i, var in enumerate(problem.variables):
-        plus, minus = col_of_var[i]
-        assignment[var] = values[plus] - (values[minus] if minus is not None else 0)
-    value = sum((objective[i] * assignment[v] for i, v in enumerate(problem.variables)),
-                Fraction(0)) if problem.objective is not None else Fraction(0)
-    return "optimal", value, assignment
-
-
-def _reduce_cost_row(cost, tableau, basis):
-    for i, b in enumerate(basis):
-        coef = cost[b]
-        if coef:
-            row = tableau[i]
-            for j in range(len(cost)):
-                cost[j] -= coef * row[j]
-
-
-def _pivot_until_optimal(tableau, cost, basis, total, forbidden=frozenset()):
-    while True:
-        entering = None
-        for j in range(total):
-            if j in forbidden or j in basis:
-                continue
-            if cost[j] < 0:
-                entering = j
-                break
-        if entering is None:
-            return "optimal"
-        leaving = None
-        best = None
-        for i, row in enumerate(tableau):
-            a = row[entering]
-            if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
-        if leaving is None:
-            return "unbounded"
-        _pivot(tableau, cost, basis, leaving, entering)
-
-
-def _dense_pivot(tableau, cost, basis, i, j):
-    row = tableau[i]
-    piv = row[j]
-    tableau[i] = [v / piv for v in row]
-    row = tableau[i]
-    for k, other in enumerate(tableau):
-        if k != i and other[j]:
-            coef = other[j]
-            tableau[k] = [ov - coef * rv for ov, rv in zip(other, row)]
-    if cost[j]:
-        coef = cost[j]
-        for idx in range(len(cost)):
-            cost[idx] -= coef * row[idx]
-    basis[i] = j
-
-
-def _drive_out_artificials(tableau, basis, art0):
-    for i, b in enumerate(basis):
-        if b < art0:
-            continue
-        row = tableau[i]
-        pivot_col = None
-        for j in range(art0):
-            if row[j] != 0:
-                pivot_col = j
-                break
-        if pivot_col is not None:
-            _pivot(tableau, [Fraction(0)] * len(row), basis, i, pivot_col)
-
 
 @st.composite
 def fractions_over_3(draw, low, high):
@@ -945,38 +748,28 @@ small_fraction = fractions_over_3(-3, 3)
 
 @st.composite
 def small_lps(draw):
+    """An LPProblem: ">=" rows with bounds in [-3, 0], so the origin is
+    feasible, sometimes an all-zero row, and an optional objective."""
     n = draw(st.integers(1, 6))
-    rows = draw(st.lists(
-        st.tuples(st.tuples(*[small_fraction] * n), st.sampled_from([">=", "=="]),
-                  small_fraction),
-        min_size=1, max_size=6))
-    # a positive multiple of an "==" row and an all-zero row leave an
-    # artificial basic at zero after phase 1: the drive-out and the
-    # redundant-row drop then run
-    equalities = [row for row in rows if row[1] == "=="]
-    if equalities and draw(st.booleans()):
-        coeffs, _, bound = draw(st.sampled_from(equalities))
-        k = draw(fractions_over_3(Fraction(1, 3), 3))
-        rows.append((tuple(k * c for c in coeffs), "==", k * bound))
+    rows = draw(st.lists(st.tuples(st.tuples(*[small_fraction] * n), fractions_over_3(-3, 0)),
+                         min_size=1, max_size=6))
     if draw(st.booleans()):
-        rows.append(((Fraction(0),) * n, draw(st.sampled_from([">=", "=="])), Fraction(0)))
+        rows.append(((Fraction(0),) * n, Fraction(0)))
     objective = draw(st.none() | st.tuples(*[small_fraction] * n))
-    nonneg = draw(st.tuples(*[st.booleans()] * n))
     return LPProblem(variables=tuple(f"x{i}" for i in range(n)),
-                     constraints=[(dict(enumerate(coeffs)), rel, bound)
-                                  for coeffs, rel, bound in rows],
-                     objective=None if objective is None else dict(enumerate(objective)),
-                     nonneg=nonneg)
+                     constraints=[(dict(enumerate(coeffs)), ">=", bound)
+                                  for coeffs, bound in rows],
+                     objective=None if objective is None else dict(enumerate(objective)))
 
 
 @settings(deadline=None, max_examples=300)
 @given(problem=small_lps())
 def test_sparse_pivot_matches_dense_reference(problem):
-    _dense_pivots.clear()
-    status, value, assignment = _dense_lp_solve(problem)
+    _suites.dense_pivots.clear()
+    status, value, assignment = _suites.dense_lp_solve(problem)
     result = lp_solve(problem)
     assert (result.status, result.value, result.assignment) == (status, value, assignment)
-    assert result.pivots == len(_dense_pivots)
+    assert result.pivots == len(_suites.dense_pivots)
     if result.status == "optimal":
         assert verify_lp_assignment(problem, result.assignment)
 
@@ -1008,12 +801,10 @@ def test_explicit_zeros_and_key_order_change_nothing(problem, data):
 
     clean = LPProblem(problem.variables,
                       [(dict(row), rel, bound) for row, rel, bound in problem.constraints],
-                      None if problem.objective is None else dict(problem.objective),
-                      problem.nonneg)
+                      None if problem.objective is None else dict(problem.objective))
     shuffled = LPProblem(problem.variables,
                          [(noisy(row), rel, bound) for row, rel, bound in problem.constraints],
-                         None if problem.objective is None else noisy(problem.objective),
-                         problem.nonneg)
+                         None if problem.objective is None else noisy(problem.objective))
     assert shuffled == clean
     result = lp_solve(shuffled)
     assert result == lp_solve(clean)
