@@ -5,17 +5,19 @@ rule: exact and deterministic.  Every LP here has only ">=" rows with
 bound <= 0 over nonnegative variables, so the origin is feasible: each
 row is negated so that its surplus starts basic, and the simplex runs
 one phase from that basis.  Each tableau row is a sparse dict of nonzero
-integers, primitive (the gcd of its entries is 1) and a positive
-multiple of the row a Fraction tableau would hold, so its basic column
-holds a positive integer instead of 1; the cost row is one more such row
-(Chvatal 1983, ch. 8).  A pivot on entry p of row r replaces each other
-row k holding a in the pivot column by p*row_k - a*row_r made primitive
-(Bareiss 1968 and Edmonds 1967 on fraction-free elimination).  Positive
-row scaling changes no ratio rhs/a, no reduced-cost sign and no basic
-index, so the pivots are those of the Fraction simplex; the ratio test
-compares integer cross products.  Fractions are built only from the
-LPProblem and for the LPResult.  lp_solve stops with ResourceCapError
-after DEFAULT_PIVOT_CAP pivots.
+integers, a positive multiple of the row a Fraction tableau would hold,
+so its basic column holds a positive integer, the multiple, instead of
+1; the cost row is one more such row (Chvatal 1983, ch. 8).  An integer
+LP row enters the tableau as it is.  A pivot on entry p of row r first
+makes row r primitive (the gcd of its entries 1), then replaces each
+other row k holding a in the pivot column by p*row_k - a*row_r
+(Bareiss 1968 and Edmonds 1967 on fraction-free elimination); between
+its own pivots a row is made primitive only once its multiple passes
+_ROW_SCALE_BITS bits.  Positive row scaling changes no ratio rhs/a, no
+reduced-cost sign and no basic index, so the pivots are those of the
+Fraction simplex; the ratio test compares integer cross products.
+Fractions are built only from a Fraction LPProblem and for the LPResult.
+lp_solve stops with ResourceCapError after DEFAULT_PIVOT_CAP pivots.
 
 Both hull questions are where a line enters the closed hull of a union
 of regions with a common recession cone, answered by one gauge LP of
@@ -26,10 +28,11 @@ rows, all with bound 0, as TubularRegion stores them: primitive integer
 rows.  A region gets a z column only for a coordinate that one of its
 mixed rows reads; every other recession slack is shared, one per
 coordinate, as the surplus of that coordinate's coupling row, an
-inequality scaled to integers (the recession cone is the same for every
-region).  Around a corner below the entry it maximises mu = sum lam, and
-the entry is 1/mu* past the corner; it has no convexity row and no
-scalar column.  The threshold is the entry of the weight line s * wt.
+inequality over one integer scale per coordinate (the recession cone is
+the same for every region).  Around a corner below the entry it
+maximises mu = sum lam, and the entry is 1/mu* past the corner; it has
+no convexity row and no scalar column.  The corner and the coupling rows
+are computed in integers, so the LP is built without a Fraction.  The threshold is the entry of the weight line s * wt.
 The membership of a point p is the entry s* of the line p + s * 1: the
 point is a closed member iff s* <= 0 and an open member iff s* < 0 (the
 open hull is the interior of the closed one), and the certificate reads
@@ -49,6 +52,11 @@ from functools import reduce
 from .errors import ResourceCapError, ValidationError
 
 DEFAULT_PIVOT_CAP = 100_000
+# A tableau row that does not pivot is made primitive once its multiple of
+# the Fraction row passes this many bits; without it such a row's entries
+# grow with each pivot (283 bits on analyze wreath(C2,C10) against 67).
+# Positive row scaling moves no pivot and no result.
+_ROW_SCALE_BITS = 64
 
 
 def rational_str(x: Fraction) -> str:
@@ -113,7 +121,8 @@ def _sparse_row(row, n):
     for i, coef in row.items():
         if not (isinstance(i, int) and 0 <= i < n):
             raise ValidationError(f"LP variable index {i!r} outside range({n})")
-        _rational(coef)
+        if type(coef) is not int:
+            _rational(coef)
     return tuple(sorted((i, coef) for i, coef in row.items() if coef))
 
 
@@ -130,14 +139,18 @@ def lp_solve(problem: LPProblem) -> LPResult:
 
     Every row a.x >= b has b <= 0, so it is negated to -a.x + s = -b >= 0
     and its surplus s starts basic: the surplus basis is feasible and there
-    is no phase 1.  Each tableau row is a primitive integer dict {column:
-    nonzero int} with the rhs under column `total`; it is a positive
-    multiple of the row that the Fraction simplex would hold, so its basic
-    column holds a positive integer instead of 1.  The cost row is a dict
-    row of the same kind, a positive multiple of the reduced costs, and
-    _combine updates it like any other row; only the signs of its entries
-    are read.  Fractions appear only where the problem is read and the
-    result written.  Raises ResourceCapError after DEFAULT_PIVOT_CAP pivots.
+    is no phase 1.  Each tableau row is an integer dict {column: nonzero
+    int} with the rhs under column `total`; it is a positive multiple of
+    the row that the Fraction simplex would hold, so its basic column
+    holds that multiple instead of 1.  A row of ints enters as it is, a row
+    with a Fraction times the lcm of its denominators.  The cost row is a
+    dict row of the same kind, a positive multiple of the reduced costs,
+    with its multiple under column total + 1 (where the Fraction simplex
+    would hold the 1 of the objective value's basic column); _combine
+    updates it like any other row, and only the signs of its entries are
+    read.  Fractions appear only where a Fraction row is read and where the
+    result is written.  Raises ResourceCapError after DEFAULT_PIVOT_CAP
+    pivots.
     """
     n = len(problem.variables)
     # column layout: one column per variable, then one surplus per row, then the rhs
@@ -151,7 +164,8 @@ def lp_solve(problem: LPProblem) -> LPResult:
         tableau.append(_integer_row(entries))
     basis = list(range(n, total))
     objective = problem.objective or ()
-    status, pivots = _pivot_until_optimal(tableau, _integer_row(dict(objective)), basis, total,
+    cost = _integer_row({**dict(objective), total + 1: 1})
+    status, pivots = _pivot_until_optimal(tableau, cost, basis, total,
                                           f"LP ({len(tableau)} rows x {n} variables)")
     if status == "unbounded":
         return LPResult(status="unbounded", pivots=pivots)
@@ -171,10 +185,13 @@ def lp_solve(problem: LPProblem) -> LPResult:
 # rare.  Over 480 golden passes that held ~1.8 MB of extra peak RSS.
 
 def _integer_row(entries):
-    """The primitive integer dict row that is a positive multiple of a dict
-    of rationals (ints or Fractions); a zero entry stays 0."""
+    """A positive integer multiple of a dict of rationals (ints or
+    Fractions): the dict itself when every entry is an int, else the dict
+    times the lcm of its denominators."""
+    if all(type(v) is int for v in entries.values()):
+        return entries
     scale = reduce(math.lcm, (v.denominator for v in entries.values()), 1)
-    return _primitive({k: v.numerator * (scale // v.denominator) for k, v in entries.items()})
+    return {k: v.numerator * (scale // v.denominator) for k, v in entries.items()}
 
 
 def _primitive(row):
@@ -185,10 +202,12 @@ def _primitive(row):
     return {k: v // g for k, v in row.items()}
 
 
-def _combine(row, p, a, pivot_row):
-    """The primitive dict row that is a positive multiple of p*row -
-    a*pivot_row (p > 0): an entry that appears is created, an entry that
-    cancels is deleted."""
+def _combine(row, p, a, pivot_row, scale_col):
+    """p*row - a*pivot_row (p > 0) as a dict row, both factors first
+    divided by their gcd: an entry that appears is created, an entry that
+    cancels is deleted.  pivot_row is 0 in column scale_col, which holds
+    the row's positive multiple of its Fraction row; the result is made
+    primitive only once that multiple passes _ROW_SCALE_BITS bits."""
     g = math.gcd(p, a)
     if g != 1:
         p //= g
@@ -201,12 +220,15 @@ def _combine(row, p, a, pivot_row):
             new[k] = w
         else:
             del new[k]
-    return _primitive(new)
+    if new[scale_col].bit_length() > _ROW_SCALE_BITS:
+        return _primitive(new)
+    return new
 
 
 def _pivot_until_optimal(tableau, cost, basis, total, stage):
-    """Price out the basis from the integer dict row `cost`, then pivot by
-    Bland's rule; returns the status and the pivot count.
+    """Price out the basis from the integer dict row `cost` (its multiple
+    under column total + 1), then pivot by Bland's rule; returns the status
+    and the pivot count.
 
     A basic column has no cost entry, so the entering column is the
     smallest column below `total` (the rhs) with a negative cost.  The
@@ -217,7 +239,7 @@ def _pivot_until_optimal(tableau, cost, basis, total, stage):
     """
     for row, b in zip(tableau, basis):
         if b in cost:
-            cost = _combine(cost, row[b], cost[b], row)
+            cost = _combine(cost, row[b], cost[b], row, total + 1)
     pivots = 0
     while True:
         entering = min((j for j, v in cost.items() if v < 0 and j < total), default=None)
@@ -242,21 +264,23 @@ def _pivot_until_optimal(tableau, cost, basis, total, stage):
                 f"{stage} exceeds the pivot cap of {DEFAULT_PIVOT_CAP}")
         _pivot(tableau, basis, leaving, entering)
         row = tableau[leaving]
-        cost = _combine(cost, row[entering], cost[entering], row)
+        cost = _combine(cost, row[entering], cost[entering], row, total + 1)
         pivots += 1
 
 
 def _pivot(tableau, basis, i, j):
-    """Pivot on the positive entry p = (i, j) of the integer rows: every
-    other row k with a nonzero entry a in column j becomes p*row_k -
-    a*row_i, made primitive."""
-    row = tableau[i]
+    """Pivot on the positive entry (i, j) of the integer rows: row i is
+    made primitive, with p its entry in column j, and every other row k
+    with a nonzero entry a in column j becomes p*row_k - a*row_i, a
+    positive multiple of its Fraction row with that multiple in its basic
+    column (row i is 0 there)."""
+    row = tableau[i] = _primitive(tableau[i])
     p = row[j]
     for k, other in enumerate(tableau):
         if k != i:
             a = other.get(j)
             if a is not None:
-                tableau[k] = _combine(other, p, a, row)
+                tableau[k] = _combine(other, p, a, row, basis[k])
     basis[i] = j
 
 
@@ -357,28 +381,38 @@ def _region_columns(regions, variables):
     return names, z, rows
 
 
-def _gauge_problem(regions, variables, direction, corner):
-    """The gauge LP of the line corner + r * direction (direction > 0):
-    variables lam_j and the z_{j,v} of _region_columns.
+def _scaled_line(regions, v, b, d):
+    """Coordinate v of the line b + s * d and of the regions' pure lower
+    bounds lb_j(v) as integers over their one lcm S: (S, [S * lb_j(v)],
+    S * b, S * d)."""
+    lows = [r.pure_lower_bound(v) for r in regions]
+    scale = reduce(math.lcm, (x.denominator for x in lows), math.lcm(b.denominator, d.denominator))
+    return (scale, [x.numerator * (scale // x.denominator) for x in lows],
+            b.numerator * (scale // b.denominator), d.numerator * (scale // d.denominator))
+
+
+def _gauge_problem(regions, variables, lines, m):
+    """The gauge LP of the line corner + r * direction (direction > 0) with
+    corner = base + m * direction: variables lam_j and the z_{j,v} of
+    _region_columns; `lines` holds each coordinate's _scaled_line.
 
     Maximise mu = sum_j lam_j subject to the mixed rows and, for each
     coordinate v, -sum_j ((lb_j(v) - corner_v) * lam_j + z_{j,v}) >=
-    -direction_v, scaled to integers (Charnes and Cooper 1962).  Dividing
-    the lam and z of a hull point y <= corner + r * direction (sum lam = 1)
-    by r > 0 gives a feasible point with mu = 1 / r, and back, so the line
-    enters the closed hull at r = 1 / mu*.  The origin is feasible: every
-    row is homogeneous or has bound -direction_v < 0.
+    -direction_v, times the line's integer scale S (Charnes and Cooper
+    1962): lam_j has the integer coefficient S * corner_v - S * lb_j(v).
+    Dividing the lam and z of a hull point y <= corner + r * direction
+    (sum lam = 1) by r > 0 gives a feasible point with mu = 1 / r, and
+    back, so the line enters the closed hull at r = 1 / mu*.  The origin is
+    feasible: every row is homogeneous or has bound -S * direction_v < 0.
     """
     names, z, constraints = _region_columns(regions, variables)
-    for v in variables:
-        lam_coefs = [r.pure_lower_bound(v) - corner[v] for r in regions]
-        bound = -direction[v]
-        scale = reduce(math.lcm, (x.denominator for x in lam_coefs), bound.denominator)
-        row = {j: -x.numerator * (scale // x.denominator) for j, x in enumerate(lam_coefs)}
+    for v, (scale, lows, b, d) in zip(variables, lines):
+        corner = b + m * d
+        row = {j: corner - low for j, low in enumerate(lows)}
         for j in range(len(regions)):
             if (j, v) in z:
                 row[z[j, v]] = -scale
-        constraints.append((row, ">=", bound.numerator * (scale // bound.denominator)))
+        constraints.append((row, ">=", -d))
     return LPProblem(variables=tuple(names), constraints=constraints,
                      objective=dict.fromkeys(range(len(regions)), -1))
 
@@ -391,14 +425,15 @@ def _line_entry(question, regions, variables, base, direction):
     max_v (min_j lb_j(v) - base_v) / direction_v.  The integer m is the
     floor of that bound less one, so the corner base + m * direction lies
     at least one step below the entry, mu* = 1 / (s - m) is at most 1 and
-    s = m + 1 / mu*.  mu* is positive because the all-large point lies in
-    the hull; the LP is bounded because every variable has a pure lower
-    bound.  `question` names the LP in the error of a malformed region set.
+    s = m + 1 / mu*.  Each coordinate's floor is an integer floor division
+    over the line's scale (_scaled_line).  mu* is positive because the
+    all-large point lies in the hull; the LP is bounded because every
+    variable has a pure lower bound.  `question` names the LP in the error
+    of a malformed region set.
     """
-    m = math.floor(max((min(r.pure_lower_bound(v) for r in regions) - base[v]) / direction[v]
-                       for v in variables)) - 1
-    corner = {v: base[v] + m * direction[v] for v in variables}
-    result = lp_solve(_gauge_problem(regions, variables, direction, corner))
+    lines = [_scaled_line(regions, v, base[v], direction[v]) for v in variables]
+    m = max((min(lows) - b) // d for _, lows, b, d in lines) - 1
+    result = lp_solve(_gauge_problem(regions, variables, lines, m))
     if result.status != "optimal":
         raise ValidationError(f"{question} LP is {result.status}; regions are malformed")
     mu = -result.value
@@ -512,8 +547,12 @@ def line_threshold(wt, regions) -> Fraction:
 def conditional_hull_point_check(point, witness_type_sets, gamma) -> bool:
     """Lindelof-preset hull test: the hull of the one-relaxed-orthant family
     contains every point exceeding 1 - (1-gamma)/n on covered coordinates
-    (n = number of covered types) and exceeding 1 on uncovered ones."""
-    gamma = Fraction(gamma)
+    (n = number of covered types) and exceeding 1 on uncovered ones.
+    gamma and every value must be an int (not a bool) or a Fraction, so a
+    float never enters as its binary value."""
+    gamma = _rational(gamma, "gamma")
+    for value in point.values():
+        _rational(value, "coordinate")
     if not (0 <= gamma < 1):
         raise ValidationError("gamma must lie in [0, 1)")
     covered = set()
@@ -527,7 +566,6 @@ def conditional_hull_point_check(point, witness_type_sets, gamma) -> bool:
     n = len(covered)
     bound = 1 - Fraction(1 - gamma, n)
     for label, value in point.items():
-        value = Fraction(value)
         if label in covered:
             if not value > bound:
                 return False

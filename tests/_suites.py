@@ -16,6 +16,15 @@ from tamecount.perm import (PermutationGroup, _class_union, _close, compose, con
 from tamecount.regions import TubularRegion, constraint
 
 
+# the golden requests, plus a wreath product and a direct product with many
+# more types than witness columns; each with its auto witnesses
+RECIPE_CASES = [("4T3", "disc", "paper-d4"), ("8T4", "disc", "paper-d4"),
+                ("4T3", "cond-d4", "paper-d4"), ("8T11", "disc", "paper-16t11"),
+                ("16T11", "disc", "paper-16t11"), ("4T3", "inv-gamma:1/5", "paper-d4"),
+                ("wreath(4T3,C3)", "disc", "burgess-yang"),
+                ("product(4T3,8T11)", "disc", "burgess-yang")]
+
+
 # ---------------------------------------------------------------------------
 # region and certificate views for comparisons
 # ---------------------------------------------------------------------------
@@ -290,6 +299,32 @@ def ref_balas_problem(regions, variables, *, point=None, wt=None):
     return GeneralLP(variables=tuple(names), constraints=constraints,
                      objective={scalar: 1 if wt is not None else -1},
                      nonneg=(True,) * scalar + (False,))
+
+
+def ref_gauge_problem(regions, variables, base, direction):
+    """The gauge LP of the line base + s * direction as `hull_lp` built it
+    in Fractions (test oracle for the integer build of `hull_lp._line_entry`):
+    m = floor(max_v (min_j lb_j(v) - base_v) / direction_v) - 1 in
+    Fractions, the corner base + m * direction, and each coupling row
+    -sum_j ((lb_j(v) - corner_v) * lam_j + z_{j,v}) >= -direction_v times
+    the lcm of the denominators of its lam coefficients and its bound.
+    Returns (m, LPProblem); the mixed rows are those of
+    `hull_lp._region_columns`."""
+    m = math.floor(max((min(r.pure_lower_bound(v) for r in regions) - base[v]) / direction[v]
+                       for v in variables)) - 1
+    corner = {v: base[v] + m * direction[v] for v in variables}
+    names, z, constraints = hull_lp._region_columns(regions, variables)
+    for v in variables:
+        lam_coefs = [r.pure_lower_bound(v) - corner[v] for r in regions]
+        bound = -Fraction(direction[v])
+        scale = math.lcm(*(x.denominator for x in lam_coefs), bound.denominator)
+        row = {j: -x * scale for j, x in enumerate(lam_coefs)}
+        for j in range(len(regions)):
+            if (j, v) in z:
+                row[z[j, v]] = -scale
+        constraints.append(({i: int(x) for i, x in row.items()}, ">=", int(bound * scale)))
+    return m, hull_lp.LPProblem(variables=tuple(names), constraints=constraints,
+                                objective=dict.fromkeys(range(len(regions)), -1))
 
 
 def balas_optima(regions, **target):

@@ -146,6 +146,49 @@ class TestLpSolve:
         shapes = [(len(p.constraints), len(p.variables)) for p, _ in recorded_lps]
         assert shapes == [(32, 38), (32, 38)]
 
+    @pytest.mark.parametrize("request_args,shape,pivots,bits", [
+        (("product(4T3,8T11)", "disc", "burgess-yang", "Q"), (1016, 1061), [123, 49], [45, 14]),
+        (("product(C2,16T11)", "disc", "burgess-yang", "Q"), (137, 158), [140, 140], [69, 69]),
+    ], ids=["largest_lp", "most_pivots"])
+    def test_entry_growth(self, monkeypatch, request_args, shape, pivots, bits):
+        # a row is made primitive when it pivots, or once its multiple of
+        # the Fraction row passes _ROW_SCALE_BITS (64) bits.  Pinned: the
+        # bit length of the largest entry of the LP rows and of every row
+        # _combine returns, per LP.  product(4T3,8T11) has the largest LPs
+        # of this suite and stays below the rule; on product(C2,16T11) the
+        # rule holds 159 and 155 bits to 69 (16 and 28 with every row made
+        # primitive after each pivot)
+        largest, solved = [], []
+        combine, solve = hull_lp._combine, hull_lp.lp_solve
+
+        def combining(*args):
+            row = combine(*args)
+            largest[-1] = max(largest[-1], *(abs(v).bit_length() for v in row.values()))
+            return row
+
+        def solving(problem):
+            largest.append(max(abs(c).bit_length() for row, _, bound in problem.constraints
+                               for c in (bound, *(c for _, c in row))))
+            solved.append((problem, solve(problem)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(hull_lp, "_combine", combining)
+        monkeypatch.setattr(hull_lp, "lp_solve", solving)
+        run_analysis_request(*request_args)
+        assert [(len(p.constraints), len(p.variables)) for p, _ in solved] == [shape] * 2
+        assert [r.pivots for _, r in solved] == pivots
+        assert largest == bits
+
+    @pytest.mark.parametrize("scale_bits", [0, 10 ** 6], ids=["every_update", "never"])
+    def test_primitive_rule_moves_nothing(self, monkeypatch, recorded_lps, scale_bits):
+        # the gauge LPs of product(C2,16T11), where the rule makes rows
+        # primitive between pivots: making every updated row primitive, or
+        # none until it pivots, gives the same pivots and the same optimum
+        run_analysis_request("product(C2,16T11)", "disc", "burgess-yang", "Q")
+        monkeypatch.setattr(hull_lp, "_ROW_SCALE_BITS", scale_bits)
+        for problem, result in recorded_lps:
+            assert lp_solve(problem) == result
+
 
 # ---------------------------------------------------------------------------
 # D4 regions for hull tests
@@ -495,6 +538,23 @@ class TestConditionalHull:
             with pytest.raises(ValidationError, match="2C"):
                 conditional_hull_point_check(point, [{"2A"}, {"2C"}], 0)
 
+    @pytest.mark.parametrize("point,gamma", [
+        ({"a": 0.76, "b": Fraction(4, 5)}, Fraction(1, 2)),
+        ({"a": Fraction(4, 5), "b": 0.76}, Fraction(1, 2)),
+        ({"a": Fraction(0), "b": 0.76}, Fraction(1, 2)),
+        ({"a": True, "b": Fraction(4, 5)}, Fraction(1, 2)),
+        ({"a": Fraction(4, 5), "b": Fraction(4, 5)}, "1/2"),
+        ({"a": Fraction(4, 5), "b": Fraction(4, 5)}, 0.5),
+        ({"a": Fraction(4, 5), "b": Fraction(4, 5)}, False),
+    ], ids=["float_value", "float_second_value", "float_after_a_failing_value", "bool_value",
+            "str_gamma", "float_gamma", "bool_gamma"])
+    def test_inexact_input_rejected(self, point, gamma):
+        # 0.76 > 3/4 as a binary float; True is 1; '1/2' is a string: each
+        # must be refused rather than read as a Fraction, whatever the
+        # other values decide
+        with pytest.raises(ValidationError, match="not an int or a Fraction"):
+            conditional_hull_point_check(point, [{"a"}, {"b"}], gamma)
+
 
 # ---------------------------------------------------------------------------
 # dual-route oracles (smoke subsets; the acceptance suite runs them in full)
@@ -582,10 +642,11 @@ def test_balas_matches_reference_on_shift_regions(names):
             assert new == ref, (x, y)
 
 
-def _golden_builds(monkeypatch):
+def _gauge_builds(monkeypatch, requests):
     """(question, regions, base, direction, LPProblem) of every gauge LP
-    that the golden manifest's analyses build: the threshold along each
-    weight line and the membership of each pole point."""
+    that the analyses of `requests` (run_analysis_request arguments) build:
+    the threshold along each weight line and the membership of each pole
+    point."""
     built = []
     line_entry, gauge_problem = hull_lp._line_entry, hull_lp._gauge_problem
 
@@ -600,11 +661,52 @@ def _golden_builds(monkeypatch):
 
     monkeypatch.setattr(hull_lp, "_line_entry", entering)
     monkeypatch.setattr(hull_lp, "_gauge_problem", recording)
-    manifest = Path(__file__).parent / "golden" / "golden_manifest.txt"
-    for _, parts in _parse_manifest(manifest):
-        run_analysis_request(*parts)
+    for request in requests:
+        run_analysis_request(*request)
     monkeypatch.undo()
     return built
+
+
+def _golden_builds(monkeypatch):
+    """The gauge LPs of the golden manifest's analyses (_gauge_builds)."""
+    manifest = Path(__file__).parent / "golden" / "golden_manifest.txt"
+    return _gauge_builds(monkeypatch, [parts for _, parts in _parse_manifest(manifest)])
+
+
+def _is_positive_multiple(row, bound, ref_row, ref_bound):
+    """Whether (row, bound) = r * (ref_row, ref_bound) for some r > 0, both
+    rows sparse (index, coefficient) tuples."""
+    if [i for i, _ in row] != [i for i, _ in ref_row]:
+        return False
+    pairs = [(c, r) for (_, c), (_, r) in zip(row, ref_row)] + [(bound, ref_bound)]
+    ratio = next(Fraction(c, r) for c, r in pairs if r)
+    return ratio > 0 and all(c == ratio * r for c, r in pairs)
+
+
+@pytest.mark.parametrize("source", ["golden", "recipe"])
+def test_integer_gauge_rows_are_multiples_of_the_fraction_build(monkeypatch, source):
+    # _line_entry builds the corner and the coupling rows in integers, one
+    # lcm per coordinate; each row is a positive multiple of the row the
+    # Fraction formula builds around the same corner, bound sign included,
+    # so the simplex takes the same pivots to the same optimum
+    if source == "golden":
+        builds = _golden_builds(monkeypatch)
+        assert len(builds) == 12
+    else:
+        builds = _gauge_builds(monkeypatch, [(*case, "Q") for case in _suites.RECIPE_CASES])
+        assert len(builds) == 2 * len(_suites.RECIPE_CASES)
+    for question, regions, base, direction, problem in builds:
+        m, ref = _suites.ref_gauge_problem(regions, regions[0].variables, base, direction)
+        assert (problem.variables, problem.objective) == (ref.variables, ref.objective)
+        assert len(problem.constraints) == len(ref.constraints)
+        for (row, _, bound), (ref_row, _, ref_bound) in zip(problem.constraints,
+                                                            ref.constraints):
+            assert _is_positive_multiple(row, bound, ref_row, ref_bound), question
+            assert (bound < 0) == (ref_bound < 0)
+        # the entry is m + 1/mu*, so the integer corner is the Fraction one
+        entry = hull_lp._line_entry(question, regions, regions[0].variables, base, direction)
+        result = lp_solve(ref)
+        assert entry[:2] == (m - 1 / result.value, -result.value)
 
 
 def test_balas_matches_reference_on_golden_regions(monkeypatch):
@@ -749,13 +851,20 @@ small_fraction = fractions_over_3(-3, 3)
 @st.composite
 def small_lps(draw):
     """An LPProblem: ">=" rows with bounds in [-3, 0], so the origin is
-    feasible, sometimes an all-zero row, and an optional objective."""
+    feasible, sometimes an all-zero row, and an optional objective; in
+    half of the draws every integral entry is an int."""
     n = draw(st.integers(1, 6))
     rows = draw(st.lists(st.tuples(st.tuples(*[small_fraction] * n), fractions_over_3(-3, 0)),
                          min_size=1, max_size=6))
     if draw(st.booleans()):
         rows.append(((Fraction(0),) * n, Fraction(0)))
     objective = draw(st.none() | st.tuples(*[small_fraction] * n))
+    if draw(st.booleans()):
+        # integral entries as ints: an all-int row enters the tableau as it is
+        def exact(x):
+            return int(x) if x.denominator == 1 else x
+        rows = [(tuple(map(exact, coeffs)), exact(bound)) for coeffs, bound in rows]
+        objective = None if objective is None else tuple(map(exact, objective))
     return LPProblem(variables=tuple(f"x{i}" for i in range(n)),
                      constraints=[(dict(enumerate(coeffs)), ">=", bound)
                                   for coeffs, bound in rows],

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from _suites import canonical, canonical_constraints, mixed_constraints, ref_build_region
+from _suites import (RECIPE_CASES, canonical, canonical_constraints, mixed_constraints,
+                     ref_build_region)
 from tamecount import (absolute_convergence_orthant, analyze, build_region, make_profile,
                        subconvexity_matrix)
 from tamecount.errors import ContractViolationError, ParseError, ValidationError
@@ -185,15 +186,6 @@ class TestBuildRegion:
             point = {t.label: Fraction(rng.randint(1, 10), 4) for t in types}
             member, _ = hull_membership(point, [region], mode="open")
             assert member == (region.slack(point) > 0)
-
-
-# the golden requests, plus a wreath product and a direct product with many
-# more types than witness columns; each with its auto witnesses
-RECIPE_CASES = [("4T3", "disc", "paper-d4"), ("8T4", "disc", "paper-d4"),
-                ("4T3", "cond-d4", "paper-d4"), ("8T11", "disc", "paper-16t11"),
-                ("16T11", "disc", "paper-16t11"), ("4T3", "inv-gamma:1/5", "paper-d4"),
-                ("wreath(4T3,C3)", "disc", "burgess-yang"),
-                ("product(4T3,8T11)", "disc", "burgess-yang")]
 
 
 @pytest.fixture(scope="module", params=RECIPE_CASES, ids=" ".join)
