@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .hull_lp import (HullCertificate, hull_membership, line_threshold, rational_str)
+from .hull_lp import HullCertificate, exact, hull_membership, line_threshold, rational_str
 from .perm import PermutationGroup
 from .ramtypes import CyclotomicProfile, min_weight, pole_order_bound
 from .regions import (SubconvexityProfile, build_region, subconvexity_matrix,
@@ -113,7 +113,7 @@ def xi_exponent(regions, witness_type_sets, beta, wt, s_star: Fraction) -> Fract
         regional.append(total)
     xi = max(regional)
     for v in pointwise:
-        xi += beta[v] * max(1 - Fraction(wt[v]) * s_star, Fraction(0))
+        xi += beta[v] * max(1 - wt[v] * s_star, Fraction(0))
     return xi
 
 
@@ -124,14 +124,10 @@ def b_bounds(wt, types, witness_type_sets, pole_orders):
     types inside that witness; b_high sums over the union.  The degree of
     the main-term polynomial lies in [b_low - 1, b_high - 1].
     """
-    a, argmin = min_weight(wt, types)
-    del a
-    min_labels = [t.label for t in argmin]
+    min_labels = [t.label for t in min_weight(wt, types)[1]]
     per_witness = [sum(pole_orders[lab] for lab in min_labels if lab in labels)
                    for labels in witness_type_sets]
-    union = set()
-    for labels in witness_type_sets:
-        union |= set(labels)
+    union = set().union(*witness_type_sets)
     b_low = max(per_witness) if per_witness else 0
     b_high = sum(pole_orders[lab] for lab in min_labels if lab in union)
     return b_low, b_high
@@ -150,8 +146,7 @@ def analyze(G: PermutationGroup, types, wt, witnesses, profile: SubconvexityProf
     regions = [build_region(G, T, types, profile, cyc, matrix=matrix) for T in witnesses]
     witness_gens = [sorted(g.cycle_string() for g in T if not g.is_identity())
                     for T in witnesses]
-    a_inv, argmin = min_weight(wt, types)
-    del argmin
+    a_inv = min_weight(wt, types)[0]
     sigma_a = 1 / a_inv
     wt_map = {t.label: wt(t) for t in types}
     threshold = line_threshold(lambda v: wt_map[v], regions)
@@ -223,7 +218,7 @@ def d4_gamma_family(gamma) -> GammaFamilyResult:
     Visibility of the potential X^{1/(1+gamma)} term is the sign condition
     6*gamma^2 + 23*gamma - 5 < 0 (the exponent dips below 1/(1+gamma)).
     """
-    gamma = Fraction(gamma)
+    gamma = Fraction(exact(gamma, "gamma"))
     if gamma < 0:
         raise ValidationError("gamma must be nonnegative")
     if gamma > Fraction(11, 8):

@@ -8,10 +8,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations, islice
 from operator import or_
 
-from .errors import ContractViolationError, UnsupportedHypothesisError, ValidationError
+from .errors import (ContractViolationError, ResourceCapError, UnsupportedHypothesisError,
+                     ValidationError)
+from .hull_lp import exact
 from .perm import (Permutation, PermutationGroup, abelian_normal_subgroups, closure, compose,
                    fitting_subgroup, index_of, is_abelian_normal, normal_closure,
                    normal_subgroup_mask, prime_factors, subgroup_as_group, upper_central_series)
@@ -24,6 +26,8 @@ STATUS_NOT = "not-semiconcentrated"
 FITTING_NILPOTENT = "nilpotent"
 FITTING_CONCENTRATED = "concentrated-in-fitting"
 FITTING_NEITHER = "neither"
+# _least_cover tests at most this many families: C2^5 as a product needs 8.6 M
+_COVER_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -39,16 +43,19 @@ def _least_cover(candidates, targets):
     """The first family of `candidates` covering `targets`, smallest first,
     searched over the first candidate per nonzero mask of targets held: a
     smallest cover never holds two of one mask, and the first in place of
-    a later one gives an earlier family of the same size."""
+    a later one gives an earlier family of the same size.  Raises
+    ResourceCapError once _COVER_CAP families were tested in vain."""
     first = {}  # mask of the targets held -> the first candidate holding them
     for c in candidates:
         first.setdefault(sum(1 << k for k, x in enumerate(targets) if x in c), c)
     first.pop(0, None)
     full = (1 << len(targets)) - 1
-    for size in range(1, len(first) + 1):
-        for combo in combinations(first, size):
-            if reduce(or_, combo) == full:
-                return [first[mask] for mask in combo]
+    families = chain.from_iterable(combinations(first, k) for k in range(1, len(first) + 1))
+    for combo in islice(families, _COVER_CAP):
+        if reduce(or_, combo) == full:
+            return [first[mask] for mask in combo]
+    if next(families, None) is not None:
+        raise ResourceCapError(f"witness cover search exceeds the family cap of {_COVER_CAP}")
     return None
 
 
@@ -186,7 +193,7 @@ def _log2_exact(n: int) -> int:
 
 def wreath_theta_from_params(n: int, a, t_order: int, m: int, k_degree: int) -> Fraction:
     """n/a - log2|T|/2 + log2|T|/(2 m [k:Q]) for one witness size."""
-    a = Fraction(a)
+    a = exact(a, "the least index")
     if m < 1 or k_degree < 1:
         raise ValidationError("block count and field degree must be positive")
     if a <= 0:
@@ -209,7 +216,7 @@ def wreath_theta_bound(N: PermutationGroup, witnesses, m: int, k_degree: int) ->
         raise ValidationError("N must be nontrivial")
     if not witnesses:
         raise ValidationError("at least one witness is required")
-    a = min(Fraction(index_of(c.representative)) for c in N.conjugacy_classes()[1:])
+    a = min(index_of(c.representative) for c in N.conjugacy_classes()[1:])
     thetas = []
     for T in witnesses:
         T = frozenset(T)
@@ -228,7 +235,7 @@ class DirectProductCondition:
 def direct_product_condition(n: int, m: int, a_N, a_B) -> DirectProductCondition:
     """Sufficient condition a(B)/m > a(N)/n for nilpotent tops, plus the
     general cap exponent n/(m a(N)) on the top-group count."""
-    a_N, a_B = Fraction(a_N), Fraction(a_B)
+    a_N, a_B = exact(a_N, "a(N)"), exact(a_B, "a(B)")
     if n < 1 or m < 1 or a_N <= 0 or a_B <= 0:
         raise ValidationError("degrees and minimal weights must be positive")
     return DirectProductCondition(passes=Fraction(a_B, m) > Fraction(a_N, n),

@@ -32,7 +32,8 @@ inequality over one integer scale per coordinate (the recession cone is
 the same for every region).  Around a corner below the entry it
 maximises mu = sum lam, and the entry is 1/mu* past the corner; it has
 no convexity row and no scalar column.  The corner and the coupling rows
-are computed in integers, so the LP is built without a Fraction.  The threshold is the entry of the weight line s * wt.
+are computed in integers, so the LP is built without a Fraction.  The
+threshold is the entry of the weight line s * wt.
 The membership of a point p is the entry s* of the line p + s * 1: the
 point is a closed member iff s* <= 0 and an open member iff s* < 0 (the
 open hull is the interior of the closed one), and the certificate reads
@@ -74,6 +75,30 @@ def parse_rational(s: str) -> Fraction:
         raise ValidationError(f"bad rational literal {s!r}") from None
 
 
+def exact(x, what):
+    """x itself when it is an int or a Fraction; any other type (a bool, a
+    float, a string) is refused, so a float never enters as its binary value."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise ValidationError(f"{what} {x!r} is not an int or a Fraction")
+    return x
+
+
+# The lcm here and the row gcd of _primitive fold with reduce rather than
+# unpack a list into math.lcm(*...): each such call builds an argument tuple,
+# and the freed tuples pile up in the interpreter's tuple free list until a
+# full collection, which integer pivoting (no GC-tracked Fractions) makes
+# rare.  Over 480 golden passes that held ~1.8 MB of extra peak RSS.
+
+def over_lcm(values):
+    """The ints and Fractions `values` as integers over one scale: (S,
+    [S * x]), with S the lcm of their denominators."""
+    dens = [x.denominator for x in values]
+    scale = reduce(math.lcm, dens, 1)
+    if scale == 1:
+        return 1, [x.numerator for x in values]
+    return scale, [x.numerator * (scale // q) for x, q in zip(values, dens)]
+
+
 # ---------------------------------------------------------------------------
 # LP problems and the exact simplex
 # ---------------------------------------------------------------------------
@@ -101,17 +126,11 @@ class LPProblem:
         constraints = []
         for k, (row, rel, bound) in enumerate(self.constraints):
             row = _sparse_row(row, n)
-            if rel != ">=" or _rational(bound) > 0:
+            if rel != ">=" or exact(bound, "LP bound") > 0:
                 raise ValidationError(f"LP row {k} reads {rel!r} {bound}: every row must be "
                                       f"'>=' with a bound <= 0")
             constraints.append((row, rel, bound))
         self.constraints = constraints
-
-
-def _rational(x, what="LP coefficient or bound"):
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-        raise ValidationError(f"{what} {x!r} is not an int or a Fraction")
-    return x
 
 
 def _sparse_row(row, n):
@@ -122,7 +141,7 @@ def _sparse_row(row, n):
         if not (isinstance(i, int) and 0 <= i < n):
             raise ValidationError(f"LP variable index {i!r} outside range({n})")
         if type(coef) is not int:
-            _rational(coef)
+            exact(coef, "LP coefficient")
     return tuple(sorted((i, coef) for i, coef in row.items() if coef))
 
 
@@ -178,20 +197,13 @@ def lp_solve(problem: LPProblem) -> LPResult:
                     assignment=dict(zip(problem.variables, values)), pivots=pivots)
 
 
-# The row gcd and lcm fold with reduce rather than unpack a dict view or a
-# generator into math.gcd(*...): each such call builds an argument tuple,
-# and the freed tuples pile up in the interpreter's tuple free list until a
-# full collection, which integer pivoting (no GC-tracked Fractions) makes
-# rare.  Over 480 golden passes that held ~1.8 MB of extra peak RSS.
-
 def _integer_row(entries):
     """A positive integer multiple of a dict of rationals (ints or
     Fractions): the dict itself when every entry is an int, else the dict
-    times the lcm of its denominators."""
+    times the lcm of its denominators (over_lcm)."""
     if all(type(v) is int for v in entries.values()):
         return entries
-    scale = reduce(math.lcm, (v.denominator for v in entries.values()), 1)
-    return {k: v.numerator * (scale // v.denominator) for k, v in entries.items()}
+    return dict(zip(entries, over_lcm(list(entries.values()))[1]))
 
 
 def _primitive(row):
@@ -346,7 +358,7 @@ def _as_point(point, variables) -> dict:
         values = list(point)
         if len(values) != len(variables):
             raise ValidationError("value count does not match the variable index")
-    return {v: Fraction(_rational(x, "coordinate or weight")) for v, x in zip(variables, values)}
+    return {v: exact(x, "coordinate or weight") for v, x in zip(variables, values)}
 
 
 def _region_columns(regions, variables):
@@ -381,20 +393,12 @@ def _region_columns(regions, variables):
     return names, z, rows
 
 
-def _scaled_line(regions, v, b, d):
-    """Coordinate v of the line b + s * d and of the regions' pure lower
-    bounds lb_j(v) as integers over their one lcm S: (S, [S * lb_j(v)],
-    S * b, S * d)."""
-    lows = [r.pure_lower_bound(v) for r in regions]
-    scale = reduce(math.lcm, (x.denominator for x in lows), math.lcm(b.denominator, d.denominator))
-    return (scale, [x.numerator * (scale // x.denominator) for x in lows],
-            b.numerator * (scale // b.denominator), d.numerator * (scale // d.denominator))
-
-
 def _gauge_problem(regions, variables, lines, m):
     """The gauge LP of the line corner + r * direction (direction > 0) with
     corner = base + m * direction: variables lam_j and the z_{j,v} of
-    _region_columns; `lines` holds each coordinate's _scaled_line.
+    _region_columns.  `lines` holds each coordinate v of base, direction
+    and the pure lower bounds lb_j(v) over their one lcm S (over_lcm): (S,
+    [S * base_v, S * direction_v, S * lb_0(v), S * lb_1(v), ...]).
 
     Maximise mu = sum_j lam_j subject to the mixed rows and, for each
     coordinate v, -sum_j ((lb_j(v) - corner_v) * lam_j + z_{j,v}) >=
@@ -406,7 +410,7 @@ def _gauge_problem(regions, variables, lines, m):
     feasible: every row is homogeneous or has bound -S * direction_v < 0.
     """
     names, z, constraints = _region_columns(regions, variables)
-    for v, (scale, lows, b, d) in zip(variables, lines):
+    for v, (scale, (b, d, *lows)) in zip(variables, lines):
         corner = b + m * d
         row = {j: corner - low for j, low in enumerate(lows)}
         for j in range(len(regions)):
@@ -426,13 +430,14 @@ def _line_entry(question, regions, variables, base, direction):
     floor of that bound less one, so the corner base + m * direction lies
     at least one step below the entry, mu* = 1 / (s - m) is at most 1 and
     s = m + 1 / mu*.  Each coordinate's floor is an integer floor division
-    over the line's scale (_scaled_line).  mu* is positive because the
+    over the line's scale (over_lcm).  mu* is positive because the
     all-large point lies in the hull; the LP is bounded because every
     variable has a pure lower bound.  `question` names the LP in the error
     of a malformed region set.
     """
-    lines = [_scaled_line(regions, v, base[v], direction[v]) for v in variables]
-    m = max((min(lows) - b) // d for _, lows, b, d in lines) - 1
+    lines = [over_lcm([base[v], direction[v]] + [r.pure_lower_bound(v) for r in regions])
+             for v in variables]
+    m = max((min(lows) - b) // d for _, (b, d, *lows) in lines) - 1
     result = lp_solve(_gauge_problem(regions, variables, lines, m))
     if result.status != "optimal":
         raise ValidationError(f"{question} LP is {result.status}; regions are malformed")
@@ -550,14 +555,12 @@ def conditional_hull_point_check(point, witness_type_sets, gamma) -> bool:
     (n = number of covered types) and exceeding 1 on uncovered ones.
     gamma and every value must be an int (not a bool) or a Fraction, so a
     float never enters as its binary value."""
-    gamma = _rational(gamma, "gamma")
+    gamma = exact(gamma, "gamma")
     for value in point.values():
-        _rational(value, "coordinate")
+        exact(value, "coordinate")
     if not (0 <= gamma < 1):
         raise ValidationError("gamma must lie in [0, 1)")
-    covered = set()
-    for s in witness_type_sets:
-        covered |= set(s)
+    covered = set().union(*witness_type_sets)
     if not covered:
         raise ValidationError("no covered coordinates")
     missing = covered - point.keys()

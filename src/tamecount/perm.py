@@ -54,6 +54,8 @@ from .errors import ContractViolationError, ParseError, ResourceCapError, Valida
 DEFAULT_ELEMENT_CAP = 100_000
 # a closure stores elements x degree points; C5000 stores 25 M of them
 DEFAULT_POINT_CAP = 2 ** 25
+# product(8T11,8T11) has 2,931 normal subgroups, C2^7 as a product 29,212
+_LATTICE_CAP = 10_000
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -684,7 +686,9 @@ def _normal_subgroup_lattice(G: PermutationGroup):
         in_n = list(_bits(N))
         return [reduce(or_, map(rows.__getitem__, in_n)) for S, rows in joins if S & ~N]
 
-    known = orbit(1, step)
+    known = orbit(1, step, _LATTICE_CAP)
+    if len(known) > _LATTICE_CAP:
+        raise ResourceCapError(f"normal-subgroup lattice exceeds the member cap of {_LATTICE_CAP}")
     members = sorted(((_class_union(G, mask), mask) for mask in known),
                      key=lambda member: subgroup_key(member[0]))
     return tuple(mask for _, mask in members), tuple(N for N, _ in members)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError, ResourceCapError, ValidationError
+from .hull_lp import exact
 from .perm import (DEFAULT_ELEMENT_CAP, Permutation, PermutationGroup, QuotientGroup,
                    content_lines, index_of, is_nilpotent, orbit, prime_factors)
 
@@ -215,9 +216,15 @@ def type_of(types, g: Permutation) -> TameType:
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Positive rational weights on the nontrivial tame types."""
+    """Positive rational weights on the nontrivial tame types, each given
+    as an int or a Fraction (hull_lp.exact) and stored as a Fraction."""
     name: str
     weights: dict  # label -> Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", {
+            lab: w if type(w) is Fraction else Fraction(exact(w, f"weight of {lab}"))
+            for lab, w in self.weights.items()})
 
     def __call__(self, tau) -> Fraction:
         label = tau.label if isinstance(tau, TameType) else tau
@@ -238,46 +245,44 @@ def weight_discriminant(types, degree: int) -> WeightFunction:
     for t in types:
         if t.representative.degree != degree:
             raise ValidationError("types and degree disagree")
-        weights[t.label] = Fraction(index_of(t.representative))
+        weights[t.label] = index_of(t.representative)
     wt = WeightFunction(name=f"disc{degree}", weights=weights)
     wt.validate_total(types)
     return wt
 
 
-_D4_CONDUCTOR = {"2A": Fraction(2), "2B": Fraction(1), "2C": Fraction(1), "4A": Fraction(2)}
+_D4_CONDUCTOR = {"2A": 2, "2B": 1, "2C": 1, "4A": 2}
 
 
 def weight_conductor_d4(types) -> WeightFunction:
     labels = {t.label for t in types}
     if labels != set(_D4_CONDUCTOR):
         raise ValidationError("the conductor table is defined for the D4 type family only")
-    wt = WeightFunction(name="cond-d4", weights=dict(_D4_CONDUCTOR))
+    wt = WeightFunction(name="cond-d4", weights=_D4_CONDUCTOR)
     wt.validate_total(types)
     return wt
 
 
 def weight_product_ramified(types) -> WeightFunction:
-    wt = WeightFunction(name="prodram", weights={t.label: Fraction(1) for t in types})
-    return wt
+    return WeightFunction(name="prodram", weights=dict.fromkeys((t.label for t in types), 1))
 
 
 def weight_inv_gamma(types, gamma: Fraction) -> WeightFunction:
     """The D4 family interpolating conductor and quartic discriminant."""
-    gamma = Fraction(gamma)
+    gamma = exact(gamma, "gamma")
     if gamma <= 0:
         raise ValidationError("gamma must be positive")
     labels = {t.label for t in types}
     if labels != set(_D4_CONDUCTOR):
         raise ValidationError("inv-gamma weights are defined for the D4 type family only")
-    weights = {"2A": Fraction(2), "2B": 1 + gamma, "2C": Fraction(1), "4A": 2 + gamma}
+    weights = {"2A": 2, "2B": 1 + gamma, "2C": 1, "4A": 2 + gamma}
     wt = WeightFunction(name=f"inv-gamma:{gamma}", weights=weights)
     wt.validate_total(types)
     return wt
 
 
 def weight_custom(table, types, name="custom") -> WeightFunction:
-    weights = {lab: Fraction(v) for lab, v in table.items()}
-    wt = WeightFunction(name=name, weights=weights)
+    wt = WeightFunction(name=name, weights=table)
     wt.validate_total(types)
     return wt
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import ContractViolationError, ParseError, ValidationError
+from .hull_lp import exact, over_lcm
 from .perm import (PermutationGroup, content_lines, conjugation_step, cycle_count,
                    is_abelian_normal)
 from .ramtypes import CyclotomicProfile, min_weight
@@ -29,6 +30,7 @@ class SubconvexityProfile:
     alpha: conductor-aspect exponents per type label;
     beta: t-aspect exponents per type label, or None when only
     conductor-aspect bounds are assumed (no power saving available).
+    Each number is an int or a Fraction (hull_lp.exact), stored as a Fraction.
     """
     name: str
     gamma: Fraction
@@ -36,12 +38,15 @@ class SubconvexityProfile:
     beta: dict | None
 
     def __post_init__(self):
+        object.__setattr__(self, "gamma", Fraction(exact(self.gamma, "gamma")))
         if not (0 <= self.gamma < 1):
             raise ValidationError("gamma must lie in [0, 1)")
-        if any(a < 0 for a in self.alpha.values()):
-            raise ValidationError("alpha exponents must be nonnegative")
-        if self.beta is not None and any(b < 0 for b in self.beta.values()):
-            raise ValidationError("beta exponents must be nonnegative")
+        for what in ("alpha", "beta") if self.beta is not None else ("alpha",):
+            table = {lab: x if type(x) is Fraction else Fraction(exact(x, f"{what} of {lab}"))
+                     for lab, x in getattr(self, what).items()}
+            if any(x < 0 for x in table.values()):
+                raise ValidationError(f"{what} exponents must be nonnegative")
+            object.__setattr__(self, what, table)
 
     def alpha_of(self, label: str) -> Fraction:
         if label not in self.alpha:
@@ -77,7 +82,7 @@ def make_profile(preset: str, types, cyc: CyclotomicProfile, *,
         return SubconvexityProfile(name=preset, gamma=Fraction(1, 2), alpha=alpha,
                                    beta=default_beta(types, alpha, cyc))
     if preset == "lindelof":
-        g = Fraction(1, 2) if gamma is None else Fraction(gamma)
+        g = Fraction(1, 2) if gamma is None else Fraction(exact(gamma, "gamma"))
         alpha = {lab: Fraction(0) for lab in labels}
         beta = {lab: Fraction(0) for lab in labels}
         return SubconvexityProfile(name=f"lindelof({g})", gamma=g, alpha=alpha, beta=beta)
@@ -139,10 +144,11 @@ class LinearConstraint:
 
 
 def constraint(coeffs: dict, bound) -> LinearConstraint:
-    items = tuple(sorted((lab, Fraction(c)) for lab, c in coeffs.items() if c != 0))
+    items = tuple(sorted((lab, Fraction(exact(c, "region coefficient")))
+                         for lab, c in coeffs.items() if c != 0))
     if not items:
         raise ValidationError("a constraint needs at least one nonzero coefficient")
-    return LinearConstraint(coefficients=items, bound=Fraction(bound))
+    return LinearConstraint(coefficients=items, bound=Fraction(exact(bound, "region bound")))
 
 
 class TubularRegion:
@@ -172,22 +178,15 @@ class TubularRegion:
         self._rows = tuple(rows)
         self._constraints = None
         lb = self._pure_lower = _region_contract(self.variables, self._rows)
+        # each mixed row times den, the corner's lcm, has the value
+        # den * (sum a*lb - b); then the row over the gcd of its entries
+        den, corner = over_lcm(list(lb.values()))
+        corner = dict(zip(lb, corner))
         shifted = []
         for coefs, b, _ in self._rows:
             if len(coefs) > 1:
-                # value = den * (sum a*lb - b), with den the lcm of the corner
-                # denominators so far; then the row over the gcd of its entries
-                den, value, ga = 1, -b, 0
-                for lab, a in coefs:
-                    x = lb[lab]
-                    q = x.denominator
-                    if den % q:
-                        m = math.lcm(den, q)
-                        value *= m // den
-                        den = m
-                    value += a * x.numerator * (den // q)
-                    ga = math.gcd(ga, a)
-                g = math.gcd(value, den * ga)
+                value = sum([a * corner[lab] for lab, a in coefs], -b * den)
+                g = math.gcd(value, den * reduce(math.gcd, [a for _, a in coefs]))
                 shifted.append((tuple((lab, a * den // g) for lab, a in coefs), value // g))
         self.shifted_rows = tuple(shifted)
 
@@ -213,9 +212,8 @@ class TubularRegion:
         region iff it is positive and in the closure iff it is >= 0.  Over
         one common denominator den of the point, row (coefs, b, s) has
         slack (sum a*den*p_v - b*den) / (s*den)."""
-        values = [point[v] for v in self.variables]
-        den = reduce(math.lcm, (x.denominator for x in values), 1)
-        nums = {v: x.numerator * (den // x.denominator) for v, x in zip(self.variables, values)}
+        den, nums = over_lcm([point[v] for v in self.variables])
+        nums = dict(zip(self.variables, nums))
         return min(Fraction(sum((a * nums[lab] for lab, a in coefs), -b * den), s * den)
                    for coefs, b, s in self._rows)
 
@@ -223,23 +221,12 @@ class TubularRegion:
         return f"TubularRegion({self.name or '?'}, {len(self._rows)} constraints)"
 
 
-def _exact(x):
-    """x itself when it is an int or a Fraction (never a bool)."""
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-        raise ValidationError(
-            f"region coefficients and bounds must be int or Fraction, not {type(x).__name__}")
-    return x
-
-
 def _integer_constraint(c: LinearConstraint):
     """c as the integer row ((label, int), ...), int bound, int scale: c
     times its scale, the lcm of its denominators."""
-    values = [_exact(coef) for _, coef in c.coefficients]
-    bound = _exact(c.bound)
-    scale = reduce(math.lcm, (x.denominator for x in values), bound.denominator)
-    coefs = tuple((lab, x.numerator * (scale // x.denominator))
-                  for (lab, _), x in zip(c.coefficients, values))
-    return coefs, bound.numerator * (scale // bound.denominator), scale
+    scale, nums = over_lcm([exact(x, "region coefficient") for _, x in c.coefficients]
+                           + [exact(c.bound, "region bound")])
+    return tuple(zip([lab for lab, _ in c.coefficients], nums)), nums[-1], scale
 
 
 def _region_contract(variables, rows):
@@ -296,7 +283,7 @@ def subconvexity_matrix(G: PermutationGroup, types, profile: SubconvexityProfile
     independent of the representative of tau (class invariance; enforced
     by the representative-sweep test).  Every type label must have an alpha.
     """
-    alphas = [Fraction(profile.alpha_of(t.label)) for t in types]
+    alphas = [profile.alpha_of(t.label) for t in types]
     step = conjugation_step([tau.representative.images for tau in types])
     matrix = {}
     for kappa, alpha in zip(types, alphas):
@@ -348,8 +335,7 @@ def build_region(G: PermutationGroup, T, types, profile: SubconvexityProfile,
     t_labels = witness_type_labels(T, types)
     if matrix is None:
         matrix = subconvexity_matrix(G, types, profile, cyc, columns=t_labels)
-    gamma = Fraction(profile.gamma)
-    gp, gq = gamma.numerator, gamma.denominator
+    gp, gq = profile.gamma.numerator, profile.gamma.denominator
     in_t = set(t_labels)
     rows = [(((t.label, gq),), gp, gq) if t.label in in_t else (((t.label, 1),), 1, 1)
             for t in types]
@@ -359,10 +345,10 @@ def build_region(G: PermutationGroup, T, types, profile: SubconvexityProfile,
         entries = [(k, m) for k in t_labels if (m := matrix[(t.label, k)])]
         if not entries:
             continue
-        lcd = reduce(math.lcm, (m.denominator for _, m in entries), 1)
-        row = [(t.label, lcd)] + [(k, m.numerator * (lcd // m.denominator)) for k, m in entries]
+        lcd, nums = over_lcm([m for _, m in entries])
+        row = [(t.label, lcd)] + [(k, a) for (k, _), a in zip(entries, nums)]
         # the bound 1 + sum_k M[tau,k], times lcd, is the coefficient sum
-        rows.append((tuple(sorted(row)), sum(a for _, a in row), lcd))
+        rows.append((tuple(sorted(row)), sum(nums, lcd), lcd))
     region = TubularRegion.__new__(TubularRegion)
     region._init([t.label for t in types], rows, name)
     return region

@@ -13,8 +13,10 @@ from tamecount.concentration import (FITTING_CONCENTRATED, FITTING_NILPOTENT,
                                      STATUS_CONCENTRATED, STATUS_NOT, STATUS_PROPER,
                                      abelian_invariants, analysis_witnesses,
                                      minimal_abelian_cover)
-from tamecount.errors import (ContractViolationError, UnsupportedHypothesisError,
-                              ValidationError)
+import tamecount.concentration as concentration
+import tamecount.perm as perm
+from tamecount.errors import (ContractViolationError, ResourceCapError,
+                              UnsupportedHypothesisError, ValidationError)
 from tamecount.catalog import resolve_entry
 from tamecount.cli import main as cli_main
 from tamecount.perm import (Permutation, PermutationGroup, direct_product, is_abelian_normal,
@@ -25,6 +27,8 @@ from tamecount.regions import build_region, make_profile
 from _suites import ref_abelian_invariants, ref_h1ur_layers
 
 REFERENCE = Path(__file__).parent / "reference"
+RANK_5 = "product(product(product(product(C2,C2),C2),C2),C2)"  # C2^5
+RANK_6 = f"product({RANK_5},C2)"
 
 
 def cyclic(n):
@@ -75,6 +79,39 @@ class TestMinimalAbelianCover:
         for t in types:  # a normal subgroup holds a type when it holds its representative
             assert (minimal_abelian_cover(G, {t.representative})
                     == minimal_abelian_cover(G, t.members))
+
+
+    @pytest.mark.parametrize("cap, found", [(25, True), (24, False)])
+    def test_cover_search_stops_at_the_family_cap(self, monkeypatch, cap, found):
+        # five candidates with distinct masks over four targets: 5 singletons
+        # and 10 pairs cover nothing, and the only covering triple, the last
+        # candidates, is the 10th triple, so the 25th family tested
+        monkeypatch.setattr(concentration, "_COVER_CAP", cap)
+        candidates = [{0}, {1}, {2}, {3}, {0, 1}]
+        if found:
+            assert concentration._least_cover(candidates, [0, 1, 2, 3]) == candidates[2:]
+        else:
+            with pytest.raises(ResourceCapError, match=f"family cap of {cap}"):
+                concentration._least_cover(candidates, [0, 1, 2, 3])
+
+    def test_search_that_ends_at_the_cap_finds_no_cover(self, monkeypatch):
+        monkeypatch.setattr(concentration, "_COVER_CAP", 3)  # {0}, {1}, then ({0}, {1})
+        assert concentration._least_cover([{0}, {1}], [0, 1, 2]) is None
+
+    def test_rank_6_cover_search_exits_3(self, capsys):
+        # C2^6: 2,823 abelian candidates with distinct masks over its 63
+        # targets and a least cover of 3, so up to C(2823, 3) ~ 3.7e9 triples
+        assert cli_main(["classify", RANK_6, "--weight", "disc"]) == 3
+        err = capsys.readouterr().err
+        assert f"family cap of {concentration._COVER_CAP}" in err
+        assert "Traceback" not in err
+
+    def test_lattice_member_cap_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(perm, "_LATTICE_CAP", 300)  # C2^5 has 374 subgroups
+        assert cli_main(["classify", RANK_5, "--weight", "disc"]) == 3
+        err = capsys.readouterr().err
+        assert "normal-subgroup lattice exceeds the member cap of 300" in err
+        assert "Traceback" not in err
 
 
 class TestClassify:

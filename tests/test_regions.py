@@ -315,7 +315,7 @@ class TestRegionInvariants:
     def test_inexact_input_rejected(self, bad, where):
         from tamecount.regions import TubularRegion, LinearConstraint
         coef, bound = (bad, 1) if where == "coefficient" else (1, bad)
-        with pytest.raises(ValidationError, match="must be int or Fraction"):
+        with pytest.raises(ValidationError, match="not an int or a Fraction"):
             TubularRegion(["x"], [LinearConstraint((("x", coef),), bound)])
 
     def test_zero_or_no_coefficient_rejected(self):
