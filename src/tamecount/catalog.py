@@ -1,12 +1,14 @@
 """Built-in group catalog and request resolution.
 
-Only constructions pinned by published class data ship here: the two D4
-representations (presentation a^4 = b^2 = 1, bab^-1 = a^-1 with b a
-transposition), the two Q8xC2 representations (published degree-8 class
-representatives and the left-regular degree-16 action), S3, cyclic
-groups, and product / wreath / file combinators.  Bare nTd labels
-outside this list must come from user files; no guess is made about
-which permutation representation a label denotes.
+Only constructions pinned by published class data ship here.  PINNED
+holds each published class table under its base label, D4 as 4T3
+(a^4 = b^2 = 1, bab^-1 = a^-1, b a transposition) and Q8xC2 as 8T11
+(generated by its degree-8 class representatives), with the label of
+its left-regular action (8T4, 16T11).  An entry builds only the
+representation it names; its `sibling` is the other one's label.  S3,
+cyclic groups and product / wreath / file combinators complete the
+catalog.  Bare nTd labels outside this list must come from user files;
+no guess is made about which permutation representation a label denotes.
 """
 from __future__ import annotations
 
@@ -45,13 +47,24 @@ D4_CLASS_REPS = {
 }
 
 
+# base label -> (degree, base generators (None: the class representatives),
+# class representatives in the base degree, label of the left-regular
+# action, conductor_family, gamma_family); cond-d4 weights hold on both
+# labels of a conductor_family row, inv-gamma weights on its base alone
+PINNED = {
+    "4T3": (4, ("(1,2,3,4)", "(1,3)"), D4_CLASS_REPS, "8T4", True, True),
+    "8T11": (8, None, Q8XC2_CLASS_REPS, "16T11", False, False),
+}
+_BASE_OF_REGULAR = {row[3]: base for base, row in PINNED.items()}
+ALIASES = {"D4": "4T3", "Q8sC2": "16T11"}
+
+
 @dataclass
 class CatalogEntry:
     label: str
     group: PermutationGroup
-    provenance: str
     label_pins: dict = field(default_factory=dict)  # Permutation -> label
-    sibling: tuple | None = None  # (group, pins) of the other published representation
+    sibling: str | None = None  # label of the other published representation
     conductor_family: bool = False
     gamma_family: bool = False
 
@@ -59,43 +72,21 @@ class CatalogEntry:
         return tame_types(self.group, cyc, label_pins=self.label_pins)
 
 
-def _pinned_entry(base: PermutationGroup, pins: dict, regular_name: str, regular: bool,
-                  provenance: str, **families) -> CatalogEntry:
-    """The pinned group `base` or, if `regular`, its left-regular action;
-    the other representation is the entry's sibling.  The regular action
-    carries each pin to the image of its element."""
-    embedding = regular_embedding(base, name=regular_name)
-    reg, reg_pins = embedding.carrier, {embedding.push(p): lab for p, lab in pins.items()}
-    if regular:
-        group, label_pins, sibling = reg, reg_pins, (base, pins)
-    else:
-        group, label_pins, sibling = base, pins, (reg, reg_pins)
-    return CatalogEntry(label=group.name, group=group, provenance=provenance,
-                        label_pins=label_pins, sibling=sibling, **families)
-
-
-def _d4_entry(octic: bool) -> CatalogEntry:
-    a = parse_permutation("(1,2,3,4)", 4)
-    b = parse_permutation("(1,3)", 4)
-    quartic = PermutationGroup(4, [a, b], name="4T3")
-    pins = {parse_permutation(rep, 4): lab for lab, rep in D4_CLASS_REPS.items()}
-    provenance = ("left-regular action of the 4T3 presentation" if octic
-                  else "presentation a^4=b^2=1, bab^-1=a^-1, b a transposition")
-    return _pinned_entry(quartic, pins, "8T4", octic, provenance,
-                         conductor_family=True, gamma_family=not octic)
-
-
-def _q8xc2_entry(deg16: bool) -> CatalogEntry:
-    pins = {parse_permutation(rep, 8): lab for lab, rep in Q8XC2_CLASS_REPS.items()}
-    octal = PermutationGroup(8, sorted(pins), name="8T11")
-    provenance = ("left-regular action of the published degree-8 classes" if deg16
-                  else "published degree-8 class representatives")
-    return _pinned_entry(octal, pins, "16T11", deg16, provenance)
-
-
-def _s3_entry() -> CatalogEntry:
-    G = PermutationGroup(3, ["(1,2,3)", "(1,2)"], name="S3")
-    return CatalogEntry(label="S3", group=G, provenance="symmetric group, natural action")
+def _pinned_entry(label: str) -> CatalogEntry:
+    """The table row's base group under its base label; under its regular
+    label, the left-regular action of that group, which carries each pin
+    to the image of its element."""
+    base = _BASE_OF_REGULAR.get(label, label)
+    degree, generators, class_reps, regular, conductor, gamma = PINNED[base]
+    pins = {parse_permutation(rep, degree): lab for lab, rep in class_reps.items()}
+    group = PermutationGroup(degree, generators or sorted(pins), name=base)
+    if label == base:
+        return CatalogEntry(label=base, group=group, label_pins=pins, sibling=regular,
+                            conductor_family=conductor, gamma_family=gamma)
+    embedding = regular_embedding(group, name=label)
+    return CatalogEntry(label=label, group=embedding.carrier,
+                        label_pins={embedding.push(p): lab for p, lab in pins.items()},
+                        sibling=base, conductor_family=conductor)
 
 
 def _cyclic_entry(n: int) -> CatalogEntry:
@@ -104,7 +95,7 @@ def _cyclic_entry(n: int) -> CatalogEntry:
     check_transitive_degree(n)
     images = tuple(range(2, n + 1)) + (1,)
     G = PermutationGroup(n, [images], name=f"C{n}")
-    return CatalogEntry(label=f"C{n}", group=G, provenance="cyclic group, regular action")
+    return CatalogEntry(label=f"C{n}", group=G)
 
 
 def _split_args(body: str):
@@ -122,16 +113,12 @@ def _split_args(body: str):
 def resolve_entry(spec: str) -> CatalogEntry:
     """Resolve a catalog label, combinator expression, or group file path."""
     spec = spec.strip()
-    if spec in ("4T3", "D4"):
-        return _d4_entry(octic=False)
-    if spec == "8T4":
-        return _d4_entry(octic=True)
-    if spec == "8T11":
-        return _q8xc2_entry(deg16=False)
-    if spec in ("16T11", "Q8sC2"):
-        return _q8xc2_entry(deg16=True)
+    spec = ALIASES.get(spec, spec)
+    if spec in PINNED or spec in _BASE_OF_REGULAR:
+        return _pinned_entry(spec)
     if spec == "S3":
-        return _s3_entry()
+        return CatalogEntry(label="S3",
+                            group=PermutationGroup(3, ["(1,2,3)", "(1,2)"], name="S3"))
     m = re.fullmatch(r"C(\d+)", spec)
     if m:
         return _cyclic_entry(int(m.group(1)))
@@ -147,8 +134,7 @@ def resolve_entry(spec: str) -> CatalogEntry:
             G = wreath_product(A.group, B.group)
             name = f"wreath({A.label},{B.label})"
         G.name = name
-        return CatalogEntry(label=name, group=G,
-                            provenance=f"{m.group(1)} of {A.provenance} and {B.provenance}")
+        return CatalogEntry(label=name, group=G)
     if spec.startswith("file:"):
         spec = spec[5:]
     path = Path(spec)
@@ -156,7 +142,7 @@ def resolve_entry(spec: str) -> CatalogEntry:
         if not path.exists():
             raise ValidationError(f"group file {path} does not exist")
         G = parse_group_file(read_input_file(path))
-        return CatalogEntry(label=G.name, group=G, provenance=f"user file {path}")
+        return CatalogEntry(label=G.name, group=G)
     raise ValidationError(
         f"unknown group spec {spec!r}: not a catalog label, combinator, or existing file")
 

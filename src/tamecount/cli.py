@@ -20,8 +20,8 @@ from .errors import ParseError, ResourceCapError, TamecountError, ValidationErro
 from .hull_lp import parse_rational
 from .perm import (content_lines, index_of, parse_permutation, read_input_file,
                    subgroup_generated)
-from .ramtypes import tame_types, weight_conductor_d4
-from .regions import make_profile, parse_subconvexity_file
+from .ramtypes import weight_conductor_d4
+from .regions import PRESET_ALPHA, make_profile, parse_subconvexity_file
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,7 +39,7 @@ def _resolve_profile(spec: str, types, cyc):
         literal = lindelof.group(1) or lindelof.group(2)
         gamma = parse_rational(literal) if literal else None
         return make_profile("lindelof", types, cyc, gamma=gamma)
-    if spec in ("burgess-yang", "convexity", "paper-d4", "paper-16t11"):
+    if spec in PRESET_ALPHA:
         return make_profile(spec, types, cyc)
     path = Path(spec)
     if path.exists():
@@ -93,8 +93,8 @@ def cmd_classes(args) -> int:
     types = entry.types(cyc)
     by_degree = {entry.group.degree: types}
     if entry.sibling:
-        group, pins = entry.sibling
-        by_degree[group.degree] = tame_types(group, cyc, label_pins=pins)
+        sibling = resolve_entry(entry.sibling)
+        by_degree[sibling.group.degree] = sibling.types(cyc)
     degrees = sorted(by_degree)
     representatives = {deg: {t.label: t.representative for t in by_degree[deg]}
                        for deg in degrees}

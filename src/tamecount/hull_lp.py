@@ -238,20 +238,18 @@ def _combine(row, p, a, pivot_row, scale_col):
 
 
 def _pivot_until_optimal(tableau, cost, basis, total, stage):
-    """Price out the basis from the integer dict row `cost` (its multiple
-    under column total + 1), then pivot by Bland's rule; returns the status
-    and the pivot count.
+    """Pivot by Bland's rule from the integer dict row `cost` (its multiple
+    under column total + 1); returns the status and the pivot count.
 
-    A basic column has no cost entry, so the entering column is the
-    smallest column below `total` (the rhs) with a negative cost.  The
+    The cost row starts on the objective columns alone, below the surplus
+    basis, and each pivot prices its entering column out, so a basic
+    column never has a cost entry: the entering column is the smallest
+    column below `total` (the rhs) with a negative cost.  The
     ratio test compares rhs/a as integer cross products; ties go to the
     row with the smallest basic index.  Positive row scaling changes
     neither a ratio nor a reduced-cost sign, so the pivots are those of
     the Fraction simplex.
     """
-    for row, b in zip(tableau, basis):
-        if b in cost:
-            cost = _combine(cost, row[b], cost[b], row, total + 1)
     pivots = 0
     while True:
         entering = min((j for j, v in cost.items() if v < 0 and j < total), default=None)
@@ -346,19 +344,15 @@ def _common_variables(regions):
 
 
 def _as_point(point, variables) -> dict:
-    """The coordinates of a point or weight map, a dict or a sequence in
-    variable order; each must be an int (not a bool) or a Fraction, so a
-    float never enters as its binary value."""
-    if isinstance(point, dict):
-        missing = [v for v in variables if v not in point]
-        if missing:
-            raise ValidationError(f"no value for the variables {missing}")
-        values = [point[v] for v in variables]
-    else:
-        values = list(point)
-        if len(values) != len(variables):
-            raise ValidationError("value count does not match the variable index")
-    return {v: exact(x, "coordinate or weight") for v, x in zip(variables, values)}
+    """The coordinates of a point or weight map, a dict {variable: value};
+    each value must be an int (not a bool) or a Fraction, so a float never
+    enters as its binary value."""
+    if not isinstance(point, dict):
+        raise ValidationError("a point or weight map is a dict {variable: value}")
+    missing = [v for v in variables if v not in point]
+    if missing:
+        raise ValidationError(f"no value for the variables {missing}")
+    return {v: exact(point[v], "coordinate or weight") for v in variables}
 
 
 def _region_columns(regions, variables):
@@ -530,7 +524,8 @@ def verify_certificate(cert: HullCertificate, regions, point) -> bool:
 
 
 def line_threshold(wt, regions) -> Fraction:
-    """Infimum s with (wt(tau) * s) in the closed hull of the union.
+    """Infimum s with (wt(tau) * s) in the closed hull of the union; `wt`
+    is a dict {variable: weight} or a callable on the variables.
 
     The open region of validity of the specialization is s > threshold.
     It is where the line s * wt from the origin enters the closed hull:

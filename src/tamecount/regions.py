@@ -69,16 +69,17 @@ def default_beta(types, alpha, cyc: CyclotomicProfile):
     return beta
 
 
+# preset -> the alpha of every type; each has gamma 1/2 and default_beta
+PRESET_ALPHA = {"burgess-yang": Fraction(3, 8), "paper-d4": Fraction(3, 8),
+                "paper-16t11": Fraction(3, 8), "convexity": Fraction(1, 2)}
+
+
 def make_profile(preset: str, types, cyc: CyclotomicProfile, *,
                  gamma: Fraction | None = None) -> SubconvexityProfile:
-    """Build a named preset over the given type list."""
+    """Build a named preset (PRESET_ALPHA or lindelof) over the given type list."""
     labels = [t.label for t in types]
-    if preset in ("burgess-yang", "paper-d4", "paper-16t11"):
-        alpha = {lab: Fraction(3, 8) for lab in labels}
-        return SubconvexityProfile(name=preset, gamma=Fraction(1, 2), alpha=alpha,
-                                   beta=default_beta(types, alpha, cyc))
-    if preset == "convexity":
-        alpha = {lab: Fraction(1, 2) for lab in labels}
+    if preset in PRESET_ALPHA:
+        alpha = dict.fromkeys(labels, PRESET_ALPHA[preset])
         return SubconvexityProfile(name=preset, gamma=Fraction(1, 2), alpha=alpha,
                                    beta=default_beta(types, alpha, cyc))
     if preset == "lindelof":

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tamecount.catalog as catalog
-import tamecount.cli as cli
 import tamecount.hull_lp as hull_lp
 import tamecount.perm as perm
 from tamecount import (build_region, export_group_file, make_profile, parse_group_file,
@@ -69,7 +68,7 @@ class TestCatalog:
         path = tmp_path / "demo.group"
         path.write_text("name demo\ndegree 4\n(1,2,3,4)\n(1,3)\n", encoding="utf-8")
         e = resolve_entry(str(path))
-        assert e.group.order == 8 and e.provenance.startswith("user file")
+        assert e.group.order == 8 and e.label == "demo"
 
     def test_weight_resolution_errors(self, d4_quartic, cyc_q):
         types = d4_quartic.types(cyc_q)
@@ -142,9 +141,59 @@ class TestCliClasses:
             seen.append(G.degree)
             return real(G, *args, **kwargs)
         monkeypatch.setattr(catalog, "tame_types", counting)
-        monkeypatch.setattr(cli, "tame_types", counting)
         assert cli_main(["classes", spec]) == 0
         assert seen == degrees
+
+    @pytest.mark.parametrize("spec, reference", [
+        ("4T3", "4T3"), ("8T4", "8T4"), ("8T11", "8T11"), ("16T11", "16T11"),
+        ("D4", "4T3"), ("Q8sC2", "16T11"),
+    ])
+    def test_pinned_tables_byte_identical(self, capsys, spec, reference):
+        # D4 and Q8sC2 are aliases: they print their table label's bytes
+        expected = (REFERENCE / f"classes_{reference}.tsv").read_bytes()
+        assert cli_main(["classes", spec, "--format", "tsv"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == expected
+        assert cli_main(["classes", spec, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["classes"]
+        header, *lines = expected.decode("utf-8").splitlines()
+        assert [[str(r[c]) for c in header.split("\t")] for r in rows] == \
+            [line.split("\t") for line in lines]
+
+
+class TestPinnedCatalog:
+    @pytest.mark.parametrize("spec, embeddings", [
+        ("4T3", 0), ("D4", 0), ("8T11", 0), ("S3", 0), ("product(4T3,C3)", 0),
+        ("8T4", 1), ("16T11", 1), ("Q8sC2", 1),
+    ])
+    def test_entry_builds_only_its_representation(self, monkeypatch, spec, embeddings):
+        calls = []
+        real = catalog.regular_embedding
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(catalog, "regular_embedding", counting)
+        resolve_entry(spec)
+        assert len(calls) == embeddings
+
+    @pytest.mark.parametrize("spec, sibling", [
+        ("4T3", "8T4"), ("D4", "8T4"), ("8T4", "4T3"), ("8T11", "16T11"),
+        ("16T11", "8T11"), ("Q8sC2", "8T11"), ("S3", None), ("C4", None),
+    ])
+    def test_sibling_is_a_label(self, spec, sibling):
+        e = resolve_entry(spec)
+        assert e.sibling == sibling
+        if sibling:
+            other = resolve_entry(sibling)
+            assert other.sibling == e.label and other.group.order == e.group.order
+
+    def test_weight_families(self):
+        flags = {}
+        for spec in ("4T3", "8T4", "8T11", "16T11"):
+            e = resolve_entry(spec)
+            flags[spec] = (e.conductor_family, e.gamma_family)
+        assert flags == {"4T3": (True, True), "8T4": (True, False),
+                         "8T11": (False, False), "16T11": (False, False)}
 
 
 class TestCliClassify:
@@ -163,6 +212,20 @@ class TestCliClassify:
         res = run_cli("classify", "C5", "--weight", "disc")
         data = json.loads(res.stdout)
         assert data["status"] == "not-semiconcentrated"
+
+    @pytest.mark.parametrize("spec", ["4T3", "product(C2,C2)"])
+    def test_tsv_fields_match_json(self, capsys, spec):
+        args = ["classify", spec, "--weight", "disc"]
+        assert cli_main(args) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert cli_main(args + ["--format", "tsv"]) == 0
+        fields = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
+        expected = {k: data[k] for k in ("group", "weight", "status", "fitting_status",
+                                         "min_weight")}
+        expected["min_types"] = ",".join(data["min_types"])
+        for i, W in enumerate(data["witnesses"], start=1):
+            expected[f"witness{i}"] = " ".join(W)
+        assert data["witnesses"] and fields == expected
 
 
 class TestCliAnalyze:
@@ -183,6 +246,18 @@ class TestCliAnalyze:
         assert cli_main(args) == 0
         expected = (REFERENCE / "analyze_product_C2_16T11_disc_burgess-yang.txt").read_bytes()
         assert capsys.readouterr().out.encode("utf-8") == expected
+
+    def test_tsv_fields_match_json(self, capsys):
+        args = ["analyze", "4T3", "--weight", "disc"]
+        assert cli_main(args) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert cli_main(args + ["--format", "tsv"]) == 0
+        header, values = capsys.readouterr().out.splitlines()
+        keys = ["group", "degree", "weight", "profile", "cyclotomic", "a_inv", "sigma_a",
+                "threshold", "delta", "b_low", "b_high", "xi", "power_saving_exponent",
+                "verdict", "published_check"]
+        assert header.split("\t") == keys
+        assert values.split("\t") == [str(data[k]) for k in keys]
 
     def test_8t4_disc(self):
         res = run_cli("analyze", "8T4", "--weight", "disc", "--profile", "paper-d4")

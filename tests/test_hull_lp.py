@@ -402,6 +402,18 @@ class TestExactPoints:
             verify_certificate(cert, [self.region], {"x": 2, "y": value})
 
 
+    def test_a_sequence_is_no_point(self):
+        # a point or weight map names its variables: a list in variable order is refused
+        point = {"x": 2, "y": Fraction(3, 2)}
+        _, cert = hull_membership(point, [self.region])
+        with pytest.raises(ValidationError, match="dict"):
+            hull_membership([1, 1], [self.region])
+        with pytest.raises(ValidationError, match="dict"):
+            verify_certificate(cert, [self.region], [1, 1])
+        with pytest.raises(ValidationError, match="dict"):
+            line_threshold([1, 1], [self.region])
+
+
 class TestMarginWithoutFloor:
     """The region x > 1: membership is exact at any margin, however small."""
 
