@@ -6,17 +6,19 @@ holds each published class table under its base label, D4 as 4T3
 (generated by its degree-8 class representatives), with the label of
 its left-regular action (8T4, 16T11).  An entry builds only the
 representation it names; its `sibling` is the other one's label.  S3,
-cyclic groups and product / wreath / file combinators complete the
-catalog.  Bare nTd labels outside this list must come from user files;
-no guess is made about which permutation representation a label denotes.
+cyclic groups, product / wreath combinators and group files complete
+the catalog.  Bare nTd labels outside this list must come from user
+files; no guess is made about which permutation representation a label
+denotes.  Combinators nested deeper than _NESTING_CAP are refused.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ResourceCapError, ValidationError
 from .perm import (PermutationGroup, check_transitive_degree, parse_group_file,
                    parse_permutation, product_representation, read_input_file,
                    regular_embedding, wreath_product)
@@ -57,6 +59,9 @@ PINNED = {
 }
 _BASE_OF_REGULAR = {row[3]: base for base, row in PINNED.items()}
 ALIASES = {"D4": "4T3", "Q8sC2": "16T11"}
+# combinators nested deeper than this are refused before resolve_entry
+# recurses; 25 levels of factors of degree >= 2 already pass the point cap
+_NESTING_CAP = 32
 
 
 @dataclass
@@ -124,6 +129,10 @@ def resolve_entry(spec: str) -> CatalogEntry:
         return _cyclic_entry(int(m.group(1)))
     m = re.fullmatch(r"(product|wreath)\((.+)\)", spec)
     if m:
+        depth = max(accumulate({"(": 1, ")": -1}.get(ch, 0) for ch in spec))
+        if depth > _NESTING_CAP:
+            raise ResourceCapError(f"combinators nested {depth} deep exceed the nesting cap "
+                                   f"of {_NESTING_CAP}")
         left, right = _split_args(m.group(2))
         A = resolve_entry(left)
         B = resolve_entry(right)
@@ -135,8 +144,6 @@ def resolve_entry(spec: str) -> CatalogEntry:
             name = f"wreath({A.label},{B.label})"
         G.name = name
         return CatalogEntry(label=name, group=G)
-    if spec.startswith("file:"):
-        spec = spec[5:]
     path = Path(spec)
     if spec and (path.suffix == ".group" or path.exists()):  # Path("") is "."
         if not path.exists():
@@ -172,7 +179,7 @@ def resolve_weight(spec: str, entry: CatalogEntry, types) -> WeightFunction:
 
 
 def resolve_cyclotomic(spec: str) -> CyclotomicProfile:
-    if spec in ("Q", "full", "full-Q"):
+    if spec == "Q":
         return CyclotomicProfile.full_q()
     path = Path(spec)
     if path.exists():

@@ -36,11 +36,13 @@ are computed in integers, so the LP is built without a Fraction.  The
 threshold is the entry of the weight line s * wt.
 The membership of a point p is the entry s* of the line p + s * 1: the
 point is a closed member iff s* <= 0 and an open member iff s* < 0 (the
-open hull is the interior of the closed one), and the certificate reads
-the same optimum.  Both rely on the region contract, which regions
-checks in one place on every region's integer form: a pure lower bound
-on every variable and only positive coefficients (an orthant recession
-cone).  A region is read only through its variables, pure_lower_bound,
+open hull is the interior of the closed one).  The certificate reads the
+same optimum: each active point is its region's LP point plus t* * 1
+(t* = -s*), and the first active point also takes up what the combination
+still lacks of p.  Both rely on the region contract, which regions checks
+in one place on every region's integer form: a pure lower bound on every
+variable and only positive coefficients (an orthant recession cone).  A
+region is read only through its variables, pure_lower_bound,
 shifted_rows and slack; this module imports no region module.
 """
 from __future__ import annotations
@@ -444,36 +446,23 @@ def _certificate_from_assignment(assignment, mu, t, regions, variables,
     """The certificate of a closed member `target` from the gauge optimum
     of its line along 1: mu* and the margin t = -s*."""
     lambdas = tuple(assignment[f"lam{j}"] / mu for j in range(len(regions)))
-    # undo the gauge scaling and the lower-bound shift on the active
-    # regions: region j's point is (lb_j * lam'_j + z'_j) / lam'_j (mu*
-    # cancels), with z'_{j,v} = 0 where the LP has no such column.  What
-    # lam_j times these points leave of target - t * 1 is the coupling
-    # rows' surpluses and the recession-ray mass of inactive regions
-    # (A y >= 0 with lam = 0), all nonnegative; fold it into an active
-    # point, which stays feasible because the recession cone is the
-    # nonnegative orthant
-    corners = {}
-    stray = {v: target[v] - t for v in variables}
-    for j, (region, lam) in enumerate(zip(regions, lambdas)):
-        if lam:
-            scaled = assignment[f"lam{j}"]
-            corners[j] = {v: region.pure_lower_bound(v) + assignment.get(f"z{j}.{v}", 0) / scaled
-                          for v in variables}
-            for v in variables:
-                stray[v] -= lam * corners[j][v]
-    # shifting every active point by t * 1 moves the combination from
-    # target - t * 1 onto the target itself, since the lambdas sum to 1
+    # undo the gauge scaling and the lower-bound shift: active region j's
+    # point is (lb_j * lam'_j + z'_j) / lam'_j + t * 1 (mu* cancels), with
+    # z'_{j,v} = 0 where the LP has no such column
     points = []
-    absorbed = False
-    for j, lam in enumerate(lambdas):
-        if lam == 0:
-            points.append(None)
-            continue
-        point = {v: corners[j][v] + t for v in variables}
-        if not absorbed and any(stray[v] for v in variables):
-            point = {v: point[v] + stray[v] / lam for v in variables}
-            absorbed = True
-        points.append(point)
+    for j, (region, lam) in enumerate(zip(regions, lambdas)):
+        scaled = assignment[f"lam{j}"]
+        points.append({v: region.pure_lower_bound(v) + assignment.get(f"z{j}.{v}", 0) / scaled + t
+                       for v in variables} if lam else None)
+    # the lambdas sum to 1, so what the combination lacks of the target is
+    # the coupling rows' surpluses and the recession-ray mass of inactive
+    # regions (A y >= 0 with lam = 0), all nonnegative; the first active
+    # point takes it up and stays in its region, because the recession cone
+    # is the nonnegative orthant
+    active = [(lam, p) for lam, p in zip(lambdas, points) if p is not None]
+    first_lam, first = active[0]
+    for v in variables:
+        first[v] += (target[v] - sum(lam * p[v] for lam, p in active)) / first_lam
     epsilon = min(region.slack(p) for p, region in zip(points, regions) if p is not None)
     return HullCertificate(lambdas=lambdas, points=tuple(points), epsilon=epsilon)
 

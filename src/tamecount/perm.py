@@ -341,8 +341,6 @@ def parse_permutation(text: str, degree: int) -> Permutation:
                 raise ParseError(f"point {p} repeated in {text!r}")
             used.add(p)
             pts.append(p)
-        if not pts:
-            raise ParseError(f"empty cycle in {text!r}")
         for i, p in enumerate(pts):
             images[p - 1] = pts[(i + 1) % len(pts)]
     return Permutation(images)
@@ -866,8 +864,6 @@ def parse_group_file(text: str) -> PermutationGroup:
             if not line.startswith("name "):
                 raise ParseError(f"line {lineno}: expected 'name <label>', got {line!r}")
             name = line[5:].strip()
-            if not name:
-                raise ParseError(f"line {lineno}: empty group name")
             continue
         if degree is None:
             if not line.startswith("degree "):

@@ -18,10 +18,12 @@ from tamecount import (build_region, export_group_file, make_profile, parse_grou
 from tamecount.catalog import resolve_cyclotomic, resolve_weight
 from tamecount.cli import _parse_manifest, main as cli_main
 from tamecount.concentration import analysis_witnesses
-from tamecount.errors import ValidationError
+from tamecount.errors import ResourceCapError, ValidationError
 
 GOLDEN = Path(__file__).parent / "golden"
 REFERENCE = Path(__file__).parent / "reference"
+# nesting alone used to exhaust Python's recursion limit in resolve_entry
+DEEP_TOWER = "product(C1," * 1000 + "C1" + ")" * 1000
 
 
 def run_cli(*args, cwd=None):
@@ -56,6 +58,13 @@ class TestCatalog:
     def test_unknown_label_rejected(self):
         with pytest.raises(ValidationError, match="unknown group spec"):
             resolve_entry("16T777")
+
+    def test_tower_at_the_nesting_cap_resolves(self):
+        depth = catalog._NESTING_CAP
+        entry = resolve_entry("wreath(C1," * depth + "C1" + ")" * depth)
+        assert entry.group.degree == 1 and entry.label.count("wreath(") == depth
+        with pytest.raises(ResourceCapError, match=f"the nesting cap of {depth}"):
+            resolve_entry("product(" * (depth + 1) + "C1" + ",C1)" * (depth + 1))
 
     def test_group_file_roundtrip_all_builtins(self, tmp_path):
         for label in ("4T3", "8T4", "8T11", "16T11", "S3", "C6", "wreath(C2,C3)"):
@@ -120,6 +129,13 @@ class TestCliClasses:
         res = run_cli("classes", "C2", "--format", "json")
         data = json.loads(res.stdout)
         assert len(data["classes"]) == 1
+
+    @pytest.mark.parametrize("spec", [DEEP_TOWER, "wreath(" * 1000 + "C2" + ",C2)" * 1000],
+                             ids=["right", "left"])
+    def test_deep_tower_exits_3_without_traceback(self, spec):
+        res = run_cli("classes", spec)
+        assert res.returncode == 3 and "Traceback" not in res.stderr
+        assert f"exceed the nesting cap of {catalog._NESTING_CAP}" in res.stderr
 
     def test_empty_table_tsv_is_the_header_alone(self):
         res = run_cli("classes", "C1", "--format", "tsv")
@@ -447,6 +463,17 @@ class TestBatch:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["requests"][0]["status"] == "error"
         assert summary["requests"][0]["detail"].startswith("ResourceCapError: ")
+
+    def test_deep_tower_line_spares_the_good_line(self, tmp_path):
+        manifest = tmp_path / "two.manifest"
+        manifest.write_text(f"4T3 disc paper-d4 Q\n{DEEP_TOWER} disc paper-d4 Q\n",
+                            encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_main(["batch", str(manifest), "--out", str(out)]) == 3
+        assert (out / "report_0001.json").read_bytes() == (GOLDEN / "report_0002.json").read_bytes()
+        summary = json.loads((out / "summary.json").read_text())
+        assert [r["status"] for r in summary["requests"]] == ["ok", "error"]
+        assert summary["requests"][1]["detail"].startswith("ResourceCapError: ")
 
     def test_hull_too_small_is_not_an_error(self, tmp_path):
         wits = tmp_path / "wits.txt"

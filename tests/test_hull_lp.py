@@ -312,6 +312,48 @@ class TestHullMembership:
 class TestVerifyCertificateRejects:
     """Certificates that prove nothing about the point."""
 
+    @staticmethod
+    def _two_active(regions, weights):
+        """A valid open-mode certificate with two active regions, its point
+        (11/10 of the threshold along the weights) and the active indices."""
+        threshold = line_threshold(weights, regions)
+        point = {v: Fraction(11, 10) * threshold * w for v, w in weights.items()}
+        _, cert = hull_membership(point, regions, mode="open")
+        active = [j for j, lam in enumerate(cert.lambdas) if lam]
+        assert len(active) == 2 and verify_certificate(cert, regions, point)
+        return cert, point, active
+
+    def test_negative_lambda(self, d4_disc_regions):
+        # lambdas 21/20 and -1/20 (sum 1) on a second point 10 higher in each
+        # coordinate, the first point solved for: the combination is the point
+        regions, weights = d4_disc_regions
+        cert, point, (i, j) = self._two_active(regions, weights)
+        lambdas, points = list(cert.lambdas), list(cert.points)
+        lambdas[i], lambdas[j] = Fraction(21, 20), Fraction(-1, 20)
+        points[j] = {v: x + 10 for v, x in points[j].items()}
+        points[i] = {v: (point[v] - lambdas[j] * points[j][v]) / lambdas[i] for v in point}
+        forged = HullCertificate(tuple(lambdas), tuple(points), cert.epsilon)
+        assert not verify_certificate(forged, regions, point)
+
+    def test_lambdas_not_summing_to_one(self, d4_disc_regions):
+        # halved lambdas on doubled points: the combination is the point
+        regions, weights = d4_disc_regions
+        cert, point, _ = self._two_active(regions, weights)
+        forged = HullCertificate(
+            tuple(lam / 2 for lam in cert.lambdas),
+            tuple(None if p is None else {v: 2 * x for v, x in p.items()} for p in cert.points),
+            cert.epsilon)
+        assert not verify_certificate(forged, regions, point)
+
+    def test_points_not_combining_to_the_point(self, d4_disc_regions):
+        # a raised coordinate keeps the point's slack >= epsilon
+        regions, weights = d4_disc_regions
+        cert, point, (i, _) = self._two_active(regions, weights)
+        points = list(cert.points)
+        points[i] = {**points[i], "2A": points[i]["2A"] + Fraction(1, 1000)}
+        forged = HullCertificate(cert.lambdas, tuple(points), cert.epsilon)
+        assert not verify_certificate(forged, regions, point)
+
     def test_fewer_points_than_lambdas(self, d4_disc_regions):
         # zip would pair 1/2 with 2 * pt and drop the second active region
         regions, _ = d4_disc_regions
