@@ -1,13 +1,16 @@
 """Exact finite permutation-group engine.
 
 Everything is computed by explicit enumeration: element sets are
-materialized by breadth-first closure over the generators (no
+materialized by Dimino's coset closure over the generators (no
 Schreier--Sims), which keeps every downstream result certifiable at
 desk scale (orders up to ~10^5).  The closure keeps an irredundant
 subset of the generators, skipping each one that already lies in the
-closure of those kept before it; the group stores that subset as
-`kept`, and the class BFS and the upper central series conjugate by it
-alone, since any generating set gives the same conjugation orbits.
+closure of those kept before it, and grows the group by whole cosets of
+that closure; the group stores that subset as `kept`, and the class BFS
+and the upper central series conjugate by it alone, since any
+generating set gives the same conjugation orbits.  Element orders come
+from walks of powers (`powers`), one walk ordering every class of a
+cyclic subgroup.
 
 Each group caches its conjugacy classes, an element -> class index and
 a class-product table; normal subgroups, normal closures and the
@@ -21,9 +24,9 @@ commutation test of its generating classes.  The lattice caches its masks
 beside its element sets, so `abelian_normal_subgroups` and the Fitting
 subgroup never rebuild them.  Membership reads the class index.
 
-Every breadth-first search here is one `orbit`: the element closure,
-the conjugation orbits that make the classes, the point orbit behind
-`is_transitive` and the join search of the normal-subgroup lattice.
+Every breadth-first search here is one `orbit`: the conjugation orbits
+that make the classes, the point orbit behind `is_transitive` and the
+join search of the normal-subgroup lattice.
 Every coset action is one `QuotientGroup`, G acting on the cosets of N
 by left multiplication: `quotient` builds it, and `regular_embedding`
 on the singleton cosets.  Its carrier is built from the generators'
@@ -36,7 +39,9 @@ work on bare image tuples (p maps point i to p[i-1]); they are the hot
 inner loops of closure and conjugation.  Composition and conjugation
 are `operator.itemgetter` calls, so their per-point loop runs in C:
 p*q is `itemgetter(*q)((0,) + p)`, and a loop with one fixed factor
-builds its getter once (`right_multiplier`, `conjugation_step`).  Permutations
+builds its getter once (`right_multiplier`, `conjugation_step`): a
+whole coset is one `map` of its representative's right multiplier, and
+a power walk one right multiplier applied again and again.  Permutations
 the kernel builds from valid ones are wrapped without the bijection
 check (`Permutation._of`); user data is always checked.
 """
@@ -122,6 +127,19 @@ def _cycle_lengths(p):
     return lengths
 
 
+def powers(p):
+    """p^0, p^1, ..., p^(e-1) for p of order e: one walk, p's right
+    multiplier built once."""
+    identity = tuple(range(1, len(p) + 1))
+    times_p = right_multiplier(p)
+    power = identity
+    while True:
+        yield power
+        power = times_p(power)
+        if power == identity:
+            return
+
+
 def cycle_count(p):
     """Number of cycles of p, fixed points included."""
     return len(_cycle_lengths(p))
@@ -153,42 +171,61 @@ def _moved_first(p):
 
 
 def closure(generators):
-    """Orbit closure of the nonempty list `generators` under composition.
+    """The group generated by the nonempty list `generators`: Dimino's coset
+    closure (Butler, Fundamental Algorithms for Permutation Groups, LNCS
+    559, 1991).
 
-    Returns (elements, kept): the full element list in discovery order and
-    an irredundant generating subset of `generators`.  The distinct
-    generators are taken in `_moved_first` order; one that lies in the
-    closure of those kept so far is skipped, any other is kept and the
-    orbit of the identity under the kept multipliers is searched again.
-    So each kept generator lies outside the closure of the earlier ones.
-    Any generating set gives the same closure and the same conjugation
-    orbits, so every later search can run over `kept` alone.  Raises
-    ResourceCapError once there would be more than DEFAULT_ELEMENT_CAP
-    elements, or once the elements would hold more than DEFAULT_POINT_CAP
-    points (elements x degree), which bounds the work of a high-degree
-    closure.  Inverses come for free: powers of each generator reach them.
+    Returns (elements, kept): the full element list and an irredundant
+    generating subset of `generators`.  The distinct generators are taken
+    in `_moved_first` order; one that lies in the closure H of those kept
+    so far is skipped, so each kept generator lies outside the closure of
+    the earlier ones.  A kept one grows H by whole right cosets: coset
+    representatives are walked from the identity, and for each one r and
+    each kept generator h, a product g = r*h that is not yet an element
+    adds the coset H*g, one `right_multiplier(g)` pass over H, and becomes
+    a representative itself.  The elements stay a union of right cosets
+    of H, so g outside them means all of H*g is new; they come H first,
+    then coset by coset.  Any generating set gives the same closure and
+    the same conjugation orbits, so every later search can run over `kept`
+    alone.  Inverses come for free: powers of each generator reach them.
+
+    Before each coset is built, raises ResourceCapError if the closure
+    would then hold more than DEFAULT_ELEMENT_CAP elements or more than
+    DEFAULT_POINT_CAP points (elements x degree), which bounds the work of
+    a high-degree closure; the count it names is the size the closure
+    would reach, a lower bound on the group order.
     """
     n = len(generators[0])
     limit = min(DEFAULT_ELEMENT_CAP, DEFAULT_POINT_CAP // n)
     identity = tuple(range(1, n + 1))
-    elements, kept = [identity], []
-    candidates = sorted(set(generators), key=_moved_first)
-    while True:
-        members = set(elements)
-        candidates = [h for h in candidates if h not in members]
-        if not candidates:
-            return elements, kept
-        kept.append(candidates[0])
-        multipliers = [right_multiplier(h) for h in kept]
-        members = elements = None  # free the smaller closure before the search
-        elements = orbit(identity, lambda g: [mul(g) for mul in multipliers], limit)
-        if len(elements) > limit:
-            if len(elements) > DEFAULT_ELEMENT_CAP:
-                raise ResourceCapError(
-                    f"group closure exceeds the element cap of {DEFAULT_ELEMENT_CAP}")
-            raise ResourceCapError(
-                f"group closure exceeds the point cap of {DEFAULT_POINT_CAP}: "
-                f"{len(elements)} elements x degree {n} = {len(elements) * n} points")
+    elements, kept, multipliers = [identity], [], []
+    members = {identity}
+    for generator in sorted(set(generators), key=_moved_first):
+        if generator in members:
+            continue
+        kept.append(generator)
+        multipliers.append(right_multiplier(generator))
+        subgroup = elements.copy()  # H, the closure of the generators kept before
+        representatives = [identity]
+        for r in representatives:
+            for times_h in multipliers:
+                g = times_h(r)
+                if g in members:
+                    continue
+                size = len(elements) + len(subgroup)
+                if size > limit:
+                    if size > DEFAULT_ELEMENT_CAP:
+                        raise ResourceCapError(
+                            f"group closure exceeds the element cap of {DEFAULT_ELEMENT_CAP}")
+                    raise ResourceCapError(
+                        f"group closure exceeds the point cap of {DEFAULT_POINT_CAP}: "
+                        f"{size} elements x degree {n} = {size * n} points")
+                # H trivial: g alone, with no getter built for a one-element coset
+                coset = list(map(right_multiplier(g), subgroup)) if len(subgroup) > 1 else [g]
+                elements.extend(coset)
+                members.update(coset)
+                representatives.append(g)
+    return elements, kept
 
 
 def check_degree(n: int):
@@ -198,18 +235,22 @@ def check_degree(n: int):
         raise ResourceCapError(f"degree {n} exceeds the point cap of {DEFAULT_POINT_CAP}")
 
 
-def check_transitive_degree(n: int, *factors: PermutationGroup):
-    """`check_degree(n)` for a group of degree n that is transitive when
-    every one of `factors` is, and more: a product or wreath product of
-    transitive factors is transitive, as is a regular cyclic group (no
-    factors), and a transitive group of degree n has at least n elements.
-    Closure would refuse it once n x n exceeds DEFAULT_POINT_CAP, so it is
-    refused before any of its generators is built."""
+def check_transitive_degree(n: int, *factors: PermutationGroup, least: int | None = None):
+    """`check_degree(n)` for a group of degree n built from `factors`, and
+    more when every factor is transitive.  Then a product or wreath product
+    is transitive, as is a regular cyclic group (no factors), and a
+    transitive group of degree n has at least n elements; a direct product
+    of transitive groups of degrees a and b is not transitive, but holds at
+    least `least` = a*b elements.  Closure would refuse the group once that
+    many elements x degree n exceed DEFAULT_POINT_CAP, so it is refused
+    before any of its generators is built."""
     check_degree(n)
-    if n * n > DEFAULT_POINT_CAP and all(F.is_transitive() for F in factors):
+    elements = n if least is None else least
+    if elements * n > DEFAULT_POINT_CAP and all(F.is_transitive() for F in factors):
         raise ResourceCapError(
-            f"transitive degree {n} exceeds the point cap of {DEFAULT_POINT_CAP}: "
-            f"at least {n} elements x degree {n} = {n * n} points")
+            f"{'transitive ' if least is None else ''}degree {n} exceeds the point cap of "
+            f"{DEFAULT_POINT_CAP}: at least {elements} elements x degree {n} = "
+            f"{elements * n} points")
 
 
 class Permutation:
@@ -422,27 +463,39 @@ class PermutationGroup:
 
         One conjugation-orbit BFS over the kept generators per class,
         O(|G|*kept) conjugations in all; the identity class comes first.
+        Element orders come from power walks: a class with no order yet
+        walks its representative's powers once (`powers`), and if the
+        representative has order e, the class of rep^k gets order
+        e/gcd(k, e).  On an abelian group one walk orders every class of
+        a cyclic subgroup.
         """
         if self._classes is None:
             step = conjugation_step([h.images for h in self.kept])
-            by_images = {g.images: g for g in self.elements}
-            seen = set()
-            parts = []
+            orbit_of = {}  # image tuple -> position of its orbit in `orbits`
+            orbits = []
             for g in self.elements:  # canonical order: each orbit starts at its minimum
-                if g.images in seen:
-                    continue
-                found = orbit(g.images, step)
-                seen.update(found)
-                members = [by_images[t] for t in found]
-                parts.append((g.order(), len(members), g.images, members))
-            parts.sort(key=lambda part: part[:3])
+                if g.images not in orbit_of:
+                    found = orbit(g.images, step)
+                    orbit_of.update(dict.fromkeys(found, len(orbits)))
+                    orbits.append(found)
+            orders = [0] * len(orbits)
+            for i, found in enumerate(orbits):
+                if not orders[i]:
+                    walk = [orbit_of[x] for x in powers(found[0])]
+                    e = len(walk)
+                    for k, j in enumerate(walk):
+                        if not orders[j]:
+                            orders[j] = e // math.gcd(k, e)
+            orbit_of = None  # free the orbit lookup before the class index is built
+            parts = sorted(zip(orders, orbits), key=lambda c: (c[0], len(c[1]), c[1][0]))
+            by_images = {g.images: g for g in self.elements}
             index = {}
             classes = []
-            for i, (order, size, _, members) in enumerate(parts):
-                for x in members:
-                    index[x.images] = i
+            for i, (order, found) in enumerate(parts):
+                index.update(dict.fromkeys(found, i))
+                members = [by_images[t] for t in found]
                 classes.append(ConjugacyClass(representative=members[0],
-                                              members=frozenset(members), size=size,
+                                              members=frozenset(members), size=len(members),
                                               order=order))
             self._class_index = index
             self._classes = tuple(classes)
@@ -762,7 +815,7 @@ def fitting_subgroup(G: PermutationGroup) -> frozenset:
 def direct_product(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
     """G x H acting on n+m disjoint points (intransitive carrier)."""
     n, m = G.degree, H.degree
-    check_degree(n + m)
+    check_transitive_degree(n + m, G, H, least=n * m)
     gens = []
     for g in G.generators:
         gens.append(Permutation(tuple(g.images) + tuple(range(n + 1, n + m + 1))))

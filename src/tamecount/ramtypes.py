@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .errors import ParseError, ResourceCapError, ValidationError
 from .hull_lp import exact
 from .perm import (DEFAULT_ELEMENT_CAP, Permutation, PermutationGroup, QuotientGroup,
-                   content_lines, index_of, is_nilpotent, orbit, prime_factors)
+                   content_lines, index_of, is_nilpotent, orbit, powers, prime_factors)
 
 
 def _units(e: int):
@@ -152,6 +153,14 @@ def _merged_label(labels):
 def tame_types(G: PermutationGroup, profile: CyclotomicProfile, label_pins=None):
     """All nontrivial tame types of G under the given cyclotomic profile.
 
+    Each type is the union of the classes of rep^u over the units u in
+    U_e, rep a class representative of order e.  Those powers cost either
+    one walk of rep's powers (`perm.powers`) up to the largest unit u mod
+    e, or a square-and-multiply of about log2(e) compositions per unit;
+    the cheaper of the two is taken, so a full unit group reads all its
+    powers off one walk and a small restricted U_e (such as {1, -1})
+    costs a few compositions.
+
     Deterministic labels: within each element order, letters A, B, ... in
     canonical order (size, then minimal member).  `label_pins` maps chosen
     representative permutations to published labels; pins landing in one
@@ -166,10 +175,17 @@ def tame_types(G: PermutationGroup, profile: CyclotomicProfile, label_pins=None)
     for i, cls in enumerate(classes):
         if i in placed:
             continue
-        rep = cls.representative
-        # conjugation commutes with powering, so the type is the union of
-        # the classes of rep^u over the units u of the profile
-        merged = {G.class_index(rep ** u) for u in profile.units_for(cls.order)}
+        rep, e = cls.representative, cls.order
+        # conjugation commutes with powering, so the classes of rep^u
+        # make up the whole type
+        units = {u % e for u in profile.units_for(e)}
+        top = max(units)
+        if top < len(units) * e.bit_length():  # the walk is the cheaper way
+            merged = {G.class_index(Permutation._of(power))
+                      for u, power in enumerate(islice(powers(rep.images), top + 1))
+                      if u in units}
+        else:
+            merged = {G.class_index(rep ** u) for u in units}
         placed.update(merged)
         members = frozenset().union(*(classes[j].members for j in merged))
         raw.append((cls.order, len(members), rep, members, cls.size))

@@ -175,6 +175,15 @@ class TestCliClasses:
         assert [[str(r[c]) for c in header.split("\t")] for r in rows] == \
             [line.split("\t") for line in lines]
 
+    @pytest.mark.parametrize("spec, reference", [("C2000", "C2000"),
+                                                 ("wreath(C2,C12)", "wreath_C2_C12")])
+    def test_large_tables_byte_identical(self, capsys, spec, reference):
+        # 2000 classes, most ordered by another class's power walk; and a
+        # closure of order 2^12 * 12 over several cosets
+        expected = (REFERENCE / f"classes_{reference}.tsv").read_bytes()
+        assert cli_main(["classes", spec, "--format", "tsv"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == expected
+
 
 class TestPinnedCatalog:
     @pytest.mark.parametrize("spec, embeddings", [

@@ -260,6 +260,21 @@ def test_tame_types(spec, profile):
         assert normal_closure(e.group, t.members) == subgroup_generated(e.group, t.members)
 
 
+@pytest.mark.parametrize("spec", ["C60", "C210", "product(C4,C6)"])
+def test_orders_and_types_read_from_other_classes_walks(spec):
+    # abelian: every element is its own class, and most classes take their
+    # order and their type from the power walk of another class
+    G = entry(spec).group
+    classes = G.conjugacy_classes()
+    assert len(classes) == G.order
+    assert classes == ref_conjugacy_classes(G)
+    assert all(c.order == c.representative.order() for c in classes)
+    got = tame_types(G, PROFILES["Q"])
+    want = ref_tame_types(G, PROFILES["Q"])
+    assert got == want
+    assert [t.representative for t in got] == [t.representative for t in want]
+
+
 def test_restricted_profile_splits_types():
     e = entry("16T11")
     assert len(tame_types(e.group, PROFILES["Q"])) == 8

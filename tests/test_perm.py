@@ -2,9 +2,10 @@
 import itertools
 import math
 import time
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import _suites
@@ -162,13 +163,17 @@ class TestOrbit:
     def test_closure_is_the_orbit_of_the_identity(self):
         # closure returns (elements, kept): the orbit of the identity under
         # the kept generators, taken more moved points first; the identity,
-        # a repeat and the square of the 4-cycle add nothing and are skipped
+        # a repeat and the square of the 4-cycle add nothing and are skipped.
+        # The elements come coset by coset: first the cyclic group of the
+        # kept 4-cycle c, then its cosets under the transposition
         gens = [(2, 1, 3, 4), (3, 4, 1, 2), (1, 2, 3, 4), (2, 3, 4, 1), (2, 1, 3, 4)]
         elements, kept = perm.closure(gens)
         assert kept == [(2, 3, 4, 1), (2, 1, 3, 4)]
         assert elements[0] == (1, 2, 3, 4)
-        assert elements[1:3] == kept
+        c = kept[0]
+        assert elements[:4] == [(1, 2, 3, 4), c, compose(c, c), compose(compose(c, c), c)]
         assert len(elements) == len(set(elements)) == 24
+        assert set(elements) == ref_closure(gens, 4)
         assert perm.closure([(1, 2, 3)]) == ([(1, 2, 3)], [])
 
 
@@ -180,6 +185,49 @@ def ref_closure(gens, n):
         frontier = {ref_compose(g, h) for g in frontier for h in gens} - found
         found |= frontier
     return found
+
+
+def _generator_lists(degree):
+    return st.lists(st.permutations(range(1, degree + 1)).map(tuple), min_size=1, max_size=4)
+
+
+# random generators of S5 and S6: the cyclic group of the first kept one is
+# usually not normal, so its left and right cosets differ
+_SMALL_SYMMETRIC_GENERATORS = st.sampled_from([5, 6]).flatmap(_generator_lists)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=_SMALL_SYMMETRIC_GENERATORS)
+def test_coset_closure_matches_the_reference(gens):
+    n = len(gens[0])
+    elements, kept = perm.closure(gens)
+    group = ref_closure(gens, n)
+    assert len(elements) == len(set(elements))
+    assert set(elements) == group
+    # kept is an irredundant generating subset of gens
+    assert set(kept) <= set(gens)
+    assert ref_closure(kept, n) == group
+    for i, g in enumerate(kept):
+        assert g not in ref_closure(kept[:i], n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(gens=_SMALL_SYMMETRIC_GENERATORS)
+def test_coset_closure_cap_boundary(gens):
+    n = len(gens[0])
+    order = len(ref_closure(gens, n))
+    assume(order > 1)
+    with mock.patch.object(perm, "DEFAULT_ELEMENT_CAP", order - 1):
+        with pytest.raises(ResourceCapError, match=f"element cap of {order - 1}$"):
+            perm.closure(gens)
+    with mock.patch.object(perm, "DEFAULT_ELEMENT_CAP", order):
+        assert len(perm.closure(gens)[0]) == order
+    # the caps are checked before each coset is built, and the refusal names
+    # the size the closure would reach: here the last coset completes G
+    with mock.patch.object(perm, "DEFAULT_POINT_CAP", order * n - 1):
+        with pytest.raises(ResourceCapError,
+                           match=f": {order} elements x degree {n} = {order * n} points$"):
+            perm.closure(gens)
 
 
 _GENERATING_SET_GROUPS = [s4(), resolve_entry("4T3").group, resolve_entry("8T11").group,
@@ -606,14 +654,41 @@ class TestProducts:
         with pytest.raises(ResourceCapError, match=f"degree {degree} exceeds the point cap"):
             construct(d4_octic.group, cyclic(3))
         # both factors are transitive, so product and wreath product are too
-        # and need degree x degree points: that many pass, the degree alone not
-        admitted = degree if construct is direct_product else degree * degree
+        # and need degree x degree points: that many pass, the degree alone
+        # not; their direct product has at least 8 x 3 elements on 11 points
+        admitted = 8 * 3 * degree if construct is direct_product else degree * degree
         monkeypatch.setattr(perm, "DEFAULT_POINT_CAP", admitted)
         assert construct(d4_octic.group, cyclic(3)).degree == degree
         if construct is not direct_product:
             monkeypatch.setattr(perm, "DEFAULT_POINT_CAP", admitted - 1)
             with pytest.raises(ResourceCapError, match=f"transitive degree {degree} exceeds"):
                 construct(d4_octic.group, cyclic(3))
+
+    def test_transitive_direct_product_refused_before_any_generator(self, d4_octic,
+                                                                    monkeypatch):
+        # transitive factors of degrees 8 and 3 have at least 8 and 3
+        # elements: G x H holds at least 24 elements x 11 points
+        monkeypatch.setattr(perm, "DEFAULT_POINT_CAP", 8 * 3 * 11 - 1)
+        with pytest.raises(ResourceCapError, match=(
+                r"^degree 11 exceeds the point cap of 263: "
+                r"at least 24 elements x degree 11 = 264 points")):
+            direct_product(d4_octic.group, cyclic(3))
+        monkeypatch.setattr(perm, "DEFAULT_POINT_CAP", 8 * 3 * 11)
+        assert direct_product(d4_octic.group, cyclic(3)).order == 24
+        # at the default cap, C5000 x C5000 is refused before a generator of
+        # degree 10,000 is built
+        monkeypatch.undo()
+        C5000 = cyclic(5000)
+        built = []
+        monkeypatch.setattr(perm, "Permutation", lambda images: built.append(images))
+        with pytest.raises(ResourceCapError, match="at least 25000000 elements x degree 10000"):
+            direct_product(C5000, C5000)
+        assert built == []
+
+    def test_intransitive_direct_product_escapes_the_transitive_rule(self, monkeypatch):
+        monkeypatch.setattr(perm, "DEFAULT_POINT_CAP", 100)
+        P = direct_product(PermutationGroup(5, ["()"]), cyclic(7))
+        assert P.degree == 12 and P.order == 7
 
     @pytest.mark.parametrize("construct", [product_representation, wreath_product])
     def test_intransitive_factor_escapes_the_transitive_rule(self, monkeypatch, construct):

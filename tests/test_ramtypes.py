@@ -1,4 +1,5 @@
 """Tame types, cyclotomic profiles, weights, pushforwards, pole bounds."""
+import json
 import math
 import time
 from fractions import Fraction
@@ -184,6 +185,17 @@ class TestProfiles:
         assert cli_main(["classes", "4T3", "--cyc", str(path)]) == 0
         assert time.perf_counter() - start < 1.0
         assert '"label": "4A"' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("line, types", [("2000 1", 818), ("2000 1999", 418)])
+    def test_small_restricted_unit_group_is_fast(self, tmp_path, capsys, line, types):
+        # U_2000 = {1} or {1, -1}: a walk of all 2000 powers of each of the
+        # 800 generators would make 1.6e6 compositions at degree 2000
+        path = tmp_path / "small.cyc"
+        path.write_text(line + "\n", encoding="utf-8")
+        start = time.perf_counter()
+        assert cli_main(["classes", "C2000", "--cyc", str(path)]) == 0
+        assert time.perf_counter() - start < 5.0
+        assert len(json.loads(capsys.readouterr().out)["classes"]) == types
 
     def test_modulus_above_element_cap_refused(self, tmp_path, capsys):
         # no group within the caps has an element of order above the element
