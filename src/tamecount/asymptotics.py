@@ -95,7 +95,7 @@ def xi_exponent(regions, witness_type_sets, beta, wt, s_star: Fraction) -> Fract
         raise ValidationError("xi needs exactly one witness type set per region")
     variables = regions[0].variables
     lower = {v: [r.pure_lower_bound(v) for r in regions] for v in variables}
-    in_mixed = {lab for r in regions for coefs, _ in r.shifted_rows for lab, _ in coefs}
+    in_mixed = {lab for r in regions for lab in r.mixed_labels}
     pointwise = []
     hulled = []
     for v in variables:

@@ -15,9 +15,11 @@ other row k holding a in the pivot column by p*row_k - a*row_r
 its own pivots a row is made primitive only once its multiple passes
 _ROW_SCALE_BITS bits.  Positive row scaling changes no ratio rhs/a, no
 reduced-cost sign and no basic index, so the pivots are those of the
-Fraction simplex; the ratio test compares integer cross products.
-Fractions are built only from a Fraction LPProblem and for the LPResult.
-lp_solve stops with ResourceCapError after DEFAULT_PIVOT_CAP pivots.
+Fraction simplex; the ratio test compares integer cross products.  The
+objective value is read off the final cost row: its rhs entry over its
+multiple, negated.  Fractions are built only from a Fraction LPProblem
+and for the LPResult.  lp_solve stops with ResourceCapError after
+DEFAULT_PIVOT_CAP pivots.
 
 Both hull questions are where a line enters the closed hull of a union
 of regions with a common recession cone, answered by one gauge LP of
@@ -32,8 +34,10 @@ inequality over one integer scale per coordinate (the recession cone is
 the same for every region).  Around a corner below the entry it
 maximises mu = sum lam, and the entry is 1/mu* past the corner; it has
 no convexity row and no scalar column.  The corner and the coupling rows
-are computed in integers, so the LP is built without a Fraction.  The
-threshold is the entry of the weight line s * wt.
+are computed in integers, so the LP is built without a Fraction, and
+every row is written as LPProblem stores it, so the problem skips the
+checks of the public constructor.  The threshold is the entry of the
+weight line s * wt.
 The membership of a point p is the entry s* of the line p + s * 1: the
 point is a closed member iff s* <= 0 and an open member iff s* < 0 (the
 open hull is the interior of the closed one).  The certificate reads the
@@ -43,7 +47,8 @@ still lacks of p.  Both rely on the region contract, which regions checks
 in one place on every region's integer form: a pure lower bound on every
 variable and only positive coefficients (an orthant recession cone).  A
 region is read only through its variables, pure_lower_bound,
-shifted_rows and slack; this module imports no region module.
+shifted_rows, mixed_labels and slack; this module imports no region
+module.
 """
 from __future__ import annotations
 
@@ -126,7 +131,10 @@ class LPProblem:
         if self.objective is not None:
             self.objective = _sparse_row(self.objective, n)
         constraints = []
-        for k, (row, rel, bound) in enumerate(self.constraints):
+        for k, constraint in enumerate(self.constraints):
+            if not (isinstance(constraint, (tuple, list)) and len(constraint) == 3):
+                raise ValidationError(f"LP row {k} is not a (row, rel, bound) triple")
+            row, rel, bound = constraint
             row = _sparse_row(row, n)
             if rel != ">=" or exact(bound, "LP bound") > 0:
                 raise ValidationError(f"LP row {k} reads {rel!r} {bound}: every row must be "
@@ -134,13 +142,23 @@ class LPProblem:
             constraints.append((row, rel, bound))
         self.constraints = constraints
 
+    @classmethod
+    def _stored(cls, variables, constraints, objective):
+        """The problem whose rows and objective are already in stored form
+        ((index, int) pairs in index order, zeros dropped; every row ">="
+        with an int bound <= 0), taken as they are: no check, no copy."""
+        problem = cls.__new__(cls)
+        problem.variables, problem.constraints, problem.objective = (
+            variables, constraints, objective)
+        return problem
+
 
 def _sparse_row(row, n):
     """The (index, coefficient) pairs of a dict row, in index order, zeros dropped."""
     if not isinstance(row, dict):
         raise ValidationError("an LP row is a dict {variable index: coefficient}")
     for i, coef in row.items():
-        if not (isinstance(i, int) and 0 <= i < n):
+        if not (type(i) is int and 0 <= i < n):
             raise ValidationError(f"LP variable index {i!r} outside range({n})")
         if type(coef) is not int:
             exact(coef, "LP coefficient")
@@ -168,10 +186,11 @@ def lp_solve(problem: LPProblem) -> LPResult:
     dict row of the same kind, a positive multiple of the reduced costs,
     with its multiple under column total + 1 (where the Fraction simplex
     would hold the 1 of the objective value's basic column); _combine
-    updates it like any other row, and only the signs of its entries are
-    read.  Fractions appear only where a Fraction row is read and where the
-    result is written.  Raises ResourceCapError after DEFAULT_PIVOT_CAP
-    pivots.
+    updates it like any other row.  The simplex reads only the signs of its
+    entries; at the optimum its rhs entry is -(objective value) times that
+    multiple, so the value is read off it with no sum over the objective.
+    Fractions appear only where a Fraction row is read and where the result
+    is written.  Raises ResourceCapError after DEFAULT_PIVOT_CAP pivots.
     """
     n = len(problem.variables)
     # column layout: one column per variable, then one surplus per row, then the rhs
@@ -184,18 +203,17 @@ def lp_solve(problem: LPProblem) -> LPResult:
             entries[total] = -bound
         tableau.append(_integer_row(entries))
     basis = list(range(n, total))
-    objective = problem.objective or ()
-    cost = _integer_row({**dict(objective), total + 1: 1})
-    status, pivots = _pivot_until_optimal(tableau, cost, basis, total,
-                                          f"LP ({len(tableau)} rows x {n} variables)")
+    cost = _integer_row({**dict(problem.objective or ()), total + 1: 1})
+    status, pivots, cost = _pivot_until_optimal(tableau, cost, basis, total,
+                                                f"LP ({len(tableau)} rows x {n} variables)")
     if status == "unbounded":
         return LPResult(status="unbounded", pivots=pivots)
     values = [Fraction(0)] * n
     for row, b in zip(tableau, basis):
         if b < n:
             values[b] = Fraction(row.get(total, 0), row[b])
-    value = sum((coef * values[i] for i, coef in objective), Fraction(0))
-    return LPResult(status="optimal", value=value,
+    # the cost row's rhs is -(objective value) times its multiple
+    return LPResult(status="optimal", value=Fraction(-cost.get(total, 0), cost[total + 1]),
                     assignment=dict(zip(problem.variables, values)), pivots=pivots)
 
 
@@ -241,7 +259,8 @@ def _combine(row, p, a, pivot_row, scale_col):
 
 def _pivot_until_optimal(tableau, cost, basis, total, stage):
     """Pivot by Bland's rule from the integer dict row `cost` (its multiple
-    under column total + 1); returns the status and the pivot count.
+    under column total + 1); returns the status, the pivot count and the
+    final cost row.
 
     The cost row starts on the objective columns alone, below the surplus
     basis, and each pivot prices its entering column out, so a basic
@@ -256,7 +275,7 @@ def _pivot_until_optimal(tableau, cost, basis, total, stage):
     while True:
         entering = min((j for j, v in cost.items() if v < 0 and j < total), default=None)
         if entering is None:
-            return "optimal", pivots
+            return "optimal", pivots, cost
         leaving = None
         for i, row in enumerate(tableau):
             a = row.get(entering)
@@ -270,7 +289,7 @@ def _pivot_until_optimal(tableau, cost, basis, total, stage):
                     continue
             leaving, best_b, best_a = i, b, a
         if leaving is None:
-            return "unbounded", pivots
+            return "unbounded", pivots, cost
         if pivots >= DEFAULT_PIVOT_CAP:
             raise ResourceCapError(
                 f"{stage} exceeds the pivot cap of {DEFAULT_PIVOT_CAP}")
@@ -327,10 +346,13 @@ class HullCertificate:
 
 def certificate_from_json(data) -> HullCertificate:
     try:
+        lambdas, points = data["lambdas"], data["points"]
+        if not (isinstance(lambdas, list) and isinstance(points, list)):
+            raise TypeError
         return HullCertificate(
-            lambdas=tuple(parse_rational(s) for s in data["lambdas"]),
+            lambdas=tuple(parse_rational(s) for s in lambdas),
             points=tuple(None if p is None else {v: parse_rational(s) for v, s in p.items()}
-                         for p in data["points"]),
+                         for p in points),
             epsilon=parse_rational(data["epsilon"]))
     except (KeyError, TypeError, AttributeError):
         raise ValidationError("a certificate needs a list of lambdas, a list of points "
@@ -357,7 +379,7 @@ def _as_point(point, variables) -> dict:
     return {v: exact(point[v], "coordinate or weight") for v in variables}
 
 
-def _region_columns(regions, variables):
+def _region_columns(regions):
     """The columns lam_j and the z_{j,v} that a mixed row reads, and every
     region's mixed rows over them; every gauge LP starts from these.
 
@@ -366,27 +388,26 @@ def _region_columns(regions, variables):
     has b/c <= lb, so z >= 0 and lam >= 0 imply it and it is dropped; a
     mixed row sum coef*y >= bound*lam becomes sum coef*z + value * lam >= 0,
     the primitive integer row that TubularRegion stores in shifted_rows.  A
-    coordinate v that no mixed row of region j reads needs no z_{j,v}: the
-    recession cone is the nonnegative orthant, so one slack per coordinate
-    serves every region, and it is the surplus of that coordinate's
-    coupling row.  Returns the column names, {(j, v): index of z_{j,v}} and
-    the mixed rows.
+    coordinate v that no mixed row of region j reads (not in its
+    mixed_labels) needs no z_{j,v}: the recession cone is the nonnegative
+    orthant, so one slack per coordinate serves every region, and it is the
+    surplus of that coordinate's coupling row.  Returns the column names,
+    one {v: index of z_{j,v}} per region and the mixed rows, each in
+    LPProblem's stored form: lam_j comes before region j's z columns, which
+    follow its mixed_labels, the order of a shifted row's coefficients.
     """
     names = [f"lam{j}" for j in range(len(regions))]
-    z = {}  # (j, v) -> index of z_{j,v}
+    columns = []
     for j, region in enumerate(regions):
-        read = {lab for coefs, _ in region.shifted_rows for lab, _ in coefs}
-        for v in variables:
-            if v in read:
-                z[j, v] = len(names)
-                names.append(f"z{j}.{v}")
+        first = len(names)
+        names += [f"z{j}.{v}" for v in region.mixed_labels]
+        columns.append(dict(zip(region.mixed_labels, range(first, len(names)))))
     rows = []
-    for j, region in enumerate(regions):
+    for j, (region, z) in enumerate(zip(regions, columns)):
         for coefs, value in region.shifted_rows:
-            r = {z[j, lab]: coef for lab, coef in coefs}
-            r[j] = value
-            rows.append((r, ">=", 0))
-    return names, z, rows
+            row = tuple([(z[lab], coef) for lab, coef in coefs])
+            rows.append((((j, value),) + row if value else row, ">=", 0))
+    return names, columns, rows
 
 
 def _gauge_problem(regions, variables, lines, m):
@@ -404,17 +425,17 @@ def _gauge_problem(regions, variables, lines, m):
     (sum lam = 1) by r > 0 gives a feasible point with mu = 1 / r, and
     back, so the line enters the closed hull at r = 1 / mu*.  The origin is
     feasible: every row is homogeneous or has bound -S * direction_v < 0.
+    Every row is written in LPProblem's stored form, so the problem is
+    built without its checks.
     """
-    names, z, constraints = _region_columns(regions, variables)
+    names, columns, constraints = _region_columns(regions)
     for v, (scale, (b, d, *lows)) in zip(variables, lines):
         corner = b + m * d
-        row = {j: corner - low for j, low in enumerate(lows)}
-        for j in range(len(regions)):
-            if (j, v) in z:
-                row[z[j, v]] = -scale
-        constraints.append((row, ">=", -d))
-    return LPProblem(variables=tuple(names), constraints=constraints,
-                     objective=dict.fromkeys(range(len(regions)), -1))
+        row = [(j, corner - low) for j, low in enumerate(lows) if corner != low]
+        row += [(z[v], -scale) for z in columns if v in z]
+        constraints.append((tuple(row), ">=", -d))
+    return LPProblem._stored(tuple(names), constraints,
+                             tuple([(j, -1) for j in range(len(regions))]))
 
 
 def _line_entry(question, regions, variables, base, direction):
@@ -447,13 +468,20 @@ def _certificate_from_assignment(assignment, mu, t, regions, variables,
     of its line along 1: mu* and the margin t = -s*."""
     lambdas = tuple(assignment[f"lam{j}"] / mu for j in range(len(regions)))
     # undo the gauge scaling and the lower-bound shift: active region j's
-    # point is (lb_j * lam'_j + z'_j) / lam'_j + t * 1 (mu* cancels), with
-    # z'_{j,v} = 0 where the LP has no such column
+    # point is (lb_j * lam'_j + z'_j) / lam'_j + t * 1 (mu* cancels), where
+    # only the z'_{j,v} of its mixed_labels are LP columns
     points = []
     for j, (region, lam) in enumerate(zip(regions, lambdas)):
+        if not lam:
+            points.append(None)
+            continue
+        point = {v: region.pure_lower_bound(v) + t for v in variables}
         scaled = assignment[f"lam{j}"]
-        points.append({v: region.pure_lower_bound(v) + assignment.get(f"z{j}.{v}", 0) / scaled + t
-                       for v in variables} if lam else None)
+        for v in region.mixed_labels:
+            z = assignment[f"z{j}.{v}"]
+            if z:
+                point[v] += z / scaled
+        points.append(point)
     # the lambdas sum to 1, so what the combination lacks of the target is
     # the coupling rows' surpluses and the recession-ray mass of inactive
     # regions (A y >= 0 with lam = 0), all nonnegative; the first active
@@ -494,19 +522,29 @@ def verify_certificate(cert: HullCertificate, regions, point) -> bool:
     """Independent check: one lambda and one point entry per region, lambdas
     a convex combination, epsilon >= 0, every active point a value for each
     variable, the combination equal to `point`, and every active point with
-    region slack >= epsilon.  A certificate over no regions proves nothing."""
+    region slack >= epsilon.  A certificate over no regions proves nothing.
+    Each lambda, the epsilon and every coordinate of an active point must be
+    an int (not a bool) or a Fraction, and each point a dict or None; any
+    other value is a ValidationError."""
     if not regions:
         return False
     variables = _common_variables(regions)
     pt = _as_point(point, variables)
-    if not len(cert.lambdas) == len(cert.points) == len(regions) or cert.epsilon < 0:
+    lambdas = [exact(lam, "certificate lambda") for lam in cert.lambdas]
+    if exact(cert.epsilon, "certificate epsilon") < 0:
         return False
-    if any(l < 0 for l in cert.lambdas) or sum(cert.lambdas) != 1:
+    if any(p is not None and not isinstance(p, dict) for p in cert.points):
+        raise ValidationError("a certificate point is a dict {variable: value} or None")
+    if not len(lambdas) == len(cert.points) == len(regions):
         return False
-    active = [(lam, p, region)
-              for lam, p, region in zip(cert.lambdas, cert.points, regions) if lam]
+    if any(lam < 0 for lam in lambdas) or sum(lambdas) != 1:
+        return False
+    active = [(lam, p, region) for lam, p, region in zip(lambdas, cert.points, regions) if lam]
     if any(p is None or any(v not in p for v in variables) for _, p, _ in active):
         return False
+    for _, p, _ in active:
+        for v in variables:
+            exact(p[v], "certificate coordinate")
     if any(sum((lam * p[v] for lam, p, _ in active), Fraction(0)) != pt[v] for v in variables):
         return False
     return all(region.slack(p) >= cert.epsilon for _, p, region in active)

@@ -164,9 +164,11 @@ class TubularRegion:
     shifted to the corner lb, the point of pure lower bounds: with y = lb + z
     it reads c*z + c.slack(lb) > 0, and every pure row holds for all z >= 0.
     `shifted_rows` holds c*z + c.slack(lb) as its primitive positive integer
-    multiple, ((label, int coefficient), ...) and the int value.  The
-    public constructor and `build_region` both hand their integer rows to
-    `_init`; `constraints` is the rows' LinearConstraint view.
+    multiple, ((label, int coefficient), ...) in variable order and the int
+    value; `mixed_labels` names, in variable order, each variable that a
+    shifted row reads.  The public constructor and `build_region` both hand
+    their integer rows to `_init`; `constraints` is the rows'
+    LinearConstraint view.
     """
 
     def __init__(self, variables, constraints, name=None):
@@ -178,18 +180,24 @@ class TubularRegion:
         self.name = name
         self._rows = tuple(rows)
         self._constraints = None
-        lb = self._pure_lower = _region_contract(self.variables, self._rows)
-        # each mixed row times den, the corner's lcm, has the value
-        # den * (sum a*lb - b); then the row over the gcd of its entries
-        den, corner = over_lcm(list(lb.values()))
-        corner = dict(zip(lb, corner))
+        pure = _region_contract(self.variables, self._rows)
+        self._pure_lower = {lab: Fraction(b, a) for lab, (b, a) in pure.items()}
+        # the corner lb over den, the lcm of the pure rows' a: each mixed
+        # row times den has the value den * (sum a*lb - b); then the row
+        # over the gcd of its entries, its coefficients in variable order
+        den = reduce(math.lcm, [a for _, a in pure.values()], 1)
+        corner = {lab: b * (den // a) for lab, (b, a) in pure.items()}
+        position = {v: i for i, v in enumerate(self.variables)}
         shifted = []
         for coefs, b, _ in self._rows:
             if len(coefs) > 1:
                 value = sum([a * corner[lab] for lab, a in coefs], -b * den)
                 g = math.gcd(value, den * reduce(math.gcd, [a for _, a in coefs]))
-                shifted.append((tuple((lab, a * den // g) for lab, a in coefs), value // g))
+                coefs = sorted(coefs, key=lambda c: position[c[0]])
+                shifted.append((tuple([(lab, a * den // g) for lab, a in coefs]), value // g))
         self.shifted_rows = tuple(shifted)
+        read = {lab for coefs, _ in shifted for lab, _ in coefs}
+        self.mixed_labels = tuple([v for v in self.variables if v in read])
 
     @property
     def constraints(self):
@@ -237,8 +245,9 @@ def _region_contract(variables, rows):
     every coefficient is positive; and every variable has a pure lower
     bound.  So the all-coordinates-large point satisfies every row: the
     region is never empty, and its recession cone is the orthant.  Returns
-    {label: the largest b/a over the one-coefficient rows a*sigma_label > b};
-    b is read from those alone."""
+    {label: (b, a)} with b/a the largest over the one-coefficient rows
+    a*sigma_label > b, compared as integer cross products; b is read from
+    those alone."""
     if not variables:
         raise ValidationError("a region needs at least one variable")
     index = set(variables)
@@ -259,9 +268,8 @@ def _region_contract(variables, rows):
                 raise ValidationError("region coefficients must be nonzero")
         if len(coefs) == 1:
             (lab, a), = coefs
-            val = Fraction(b, a)
-            if lab not in pure or val > pure[lab]:
-                pure[lab] = val
+            if lab not in pure or b * pure[lab][1] > pure[lab][0] * a:
+                pure[lab] = b, a
     missing = [v for v in variables if v not in pure]
     if missing:
         raise ValidationError(f"variables without a pure lower bound: {missing}")

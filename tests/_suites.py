@@ -303,17 +303,34 @@ def ref_balas_problem(regions, variables, *, point=None, wt=None):
 
 def ref_gauge_problem(regions, variables, base, direction):
     """The gauge LP of the line base + s * direction as `hull_lp` built it
-    in Fractions (test oracle for the integer build of `hull_lp._line_entry`):
+    in Fractions, from each region's LinearConstraint view and pure lower
+    bounds (test oracle for the integer build of `hull_lp._line_entry`):
     m = floor(max_v (min_j lb_j(v) - base_v) / direction_v) - 1 in
-    Fractions, the corner base + m * direction, and each coupling row
+    Fractions and the corner base + m * direction.  Columns: every lam_j,
+    then region by region a z_{j,v} for each v that one of its mixed rows
+    reads, in variable order.  Rows: each mixed row c*y > bound of region j
+    as c*z + c.slack(lb_j) * lam_j >= 0, then each coupling row
     -sum_j ((lb_j(v) - corner_v) * lam_j + z_{j,v}) >= -direction_v times
     the lcm of the denominators of its lam coefficients and its bound.
-    Returns (m, LPProblem); the mixed rows are those of
-    `hull_lp._region_columns`."""
+    Returns (m, LPProblem)."""
     m = math.floor(max((min(r.pure_lower_bound(v) for r in regions) - base[v]) / direction[v]
                        for v in variables)) - 1
     corner = {v: base[v] + m * direction[v] for v in variables}
-    names, z, constraints = hull_lp._region_columns(regions, variables)
+    names = [f"lam{j}" for j in range(len(regions))]
+    z = {}  # (j, v) -> index of z_{j,v}
+    for j, region in enumerate(regions):
+        read = {lab for c in mixed_constraints(region) for lab, _ in c.coefficients}
+        for v in variables:
+            if v in read:
+                z[j, v] = len(names)
+                names.append(f"z{j}.{v}")
+    constraints = []
+    for j, region in enumerate(regions):
+        lower = {v: region.pure_lower_bound(v) for v in variables}
+        for c in mixed_constraints(region):
+            row = {z[j, lab]: coef for lab, coef in c.coefficients}
+            row[j] = c.slack(lower)
+            constraints.append((row, ">=", 0))
     for v in variables:
         lam_coefs = [r.pure_lower_bound(v) - corner[v] for r in regions]
         bound = -Fraction(direction[v])

@@ -10,7 +10,8 @@ from tamecount import (CyclotomicProfile, analyze, d4_gamma_family, direct_produ
                        wreath_theta_from_params)
 from tamecount.concentration import analysis_witnesses
 from tamecount.errors import ValidationError
-from tamecount.hull_lp import LPProblem, conditional_hull_point_check
+from tamecount.hull_lp import (HullCertificate, LPProblem, conditional_hull_point_check,
+                               verify_certificate)
 from tamecount.ramtypes import WeightFunction
 from tamecount.regions import LinearConstraint, SubconvexityProfile, TubularRegion, constraint
 
@@ -20,6 +21,13 @@ D4_TYPES = resolve_entry("4T3").types(Q)
 
 def _above_one():
     return [TubularRegion(["x"], [constraint({"x": 1}, 1)])]
+
+
+def _verify_one(lam=1, coordinate=2, epsilon=0):
+    """verify_certificate on the point x = 2 of the region x > 1 (slack 1),
+    certified by one point with the given lambda, coordinate and epsilon."""
+    cert = HullCertificate(lambdas=(lam,), points=({"x": coordinate},), epsilon=epsilon)
+    return verify_certificate(cert, _above_one(), {"x": 2})
 
 
 def _d4_weights(w):
@@ -47,6 +55,12 @@ ENTRIES = {
                    [(1, False), (Fraction(4, 3), True)]),
     "threshold weight": (lambda x: line_threshold({"x": x}, _above_one()),
                          [(2, Fraction(1, 2)), (Fraction(1, 3), 3)]),
+    "certificate lambda": (lambda x: _verify_one(lam=x),
+                           [(1, True), (Fraction(1, 3), False)]),
+    "certificate coordinate": (lambda x: _verify_one(coordinate=x),
+                               [(2, True), (Fraction(3, 2), False)]),
+    "certificate epsilon": (lambda x: _verify_one(epsilon=x),
+                            [(2, False), (Fraction(1, 3), True)]),
     "conditional gamma": (
         lambda x: conditional_hull_point_check({"a": Fraction(1, 3)}, [{"a"}], x),
         [(0, True), (Fraction(1, 3), False)]),

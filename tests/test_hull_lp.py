@@ -60,6 +60,20 @@ class TestLpSolve:
         with pytest.raises(ValidationError, match="outside range"):
             LPProblem(variables=("x",), constraints=[(row, ">=", 0)], objective=objective)
 
+    @pytest.mark.parametrize("row,objective", [({True: 1}, None), ({1: 1}, {False: 1})],
+                             ids=["row_index_True", "objective_index_False"])
+    def test_bool_index_rejected(self, row, objective):
+        # True == 1 would put the entry in column 1, y
+        with pytest.raises(ValidationError, match="outside range"):
+            LPProblem(variables=("x", "y"), constraints=[(row, ">=", 0)], objective=objective)
+
+    @pytest.mark.parametrize("row", [({0: 1}, ">="), ({0: 1}, ">=", 0, 0), {0: 1}, None],
+                             ids=["pair", "quadruple", "bare_dict", "none"])
+    def test_row_not_a_triple_rejected(self, row):
+        # row 1 is named; row 0 is a valid triple
+        with pytest.raises(ValidationError, match=r"LP row 1 is not a \(row, rel, bound\) triple"):
+            LPProblem(variables=("x",), constraints=[({0: 1}, ">=", -1), row])
+
     def test_dense_row_rejected(self):
         with pytest.raises(ValidationError, match="dict"):
             LPProblem(variables=("x",), constraints=[((Fraction(1),), ">=", 0)])
@@ -386,11 +400,21 @@ class TestVerifyCertificateRejects:
         del active["4A"]
         assert not verify_certificate(hull_lp.certificate_from_json(data), regions, point)
 
+    def test_point_not_a_dict(self, d4_disc_regions):
+        regions, _ = d4_disc_regions
+        pt = d4_point(2, 2, 2, 2)
+        for points in [(5, None, None, None), (pt, 5, None, None)]:
+            cert = HullCertificate(lambdas=(Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
+                                   points=points, epsilon=Fraction(0))
+            with pytest.raises(ValidationError, match="a certificate point is a dict"):
+                verify_certificate(cert, regions, pt)
+
     @pytest.mark.parametrize("field, value", [("lambdas", None), ("points", None),
                                               ("epsilon", None), ("lambdas", 1),
-                                              ("points", [["2", "2", "2", "2"]])],
+                                              ("points", [["2", "2", "2", "2"]]),
+                                              ("lambdas", "12"), ("points", "")],
                              ids=["no lambdas", "no points", "no epsilon", "int lambdas",
-                                  "list point"])
+                                  "list point", "string lambdas", "string points"])
     def test_malformed_json(self, d4_disc_regions, field, value):
         regions, _ = d4_disc_regions
         _, cert = hull_membership(d4_point(2, 2, 2, 2), regions, mode="open")
@@ -742,7 +766,10 @@ def test_integer_gauge_rows_are_multiples_of_the_fraction_build(monkeypatch, sou
     # _line_entry builds the corner and the coupling rows in integers, one
     # lcm per coordinate; each row is a positive multiple of the row the
     # Fraction formula builds around the same corner, bound sign included,
-    # so the simplex takes the same pivots to the same optimum
+    # so the simplex takes the same pivots to the same optimum.  The rows
+    # are written in stored form, skipping LPProblem's checks: given the
+    # same rows as dicts, the public constructor stores the same problem,
+    # every coefficient and bound an int
     if source == "golden":
         builds = _golden_builds(monkeypatch)
         assert len(builds) == 12
@@ -750,6 +777,12 @@ def test_integer_gauge_rows_are_multiples_of_the_fraction_build(monkeypatch, sou
         builds = _gauge_builds(monkeypatch, [(*case, "Q") for case in _suites.RECIPE_CASES])
         assert len(builds) == 2 * len(_suites.RECIPE_CASES)
     for question, regions, base, direction, problem in builds:
+        public = LPProblem(problem.variables,
+                           [(dict(row), rel, bound) for row, rel, bound in problem.constraints],
+                           dict(problem.objective))
+        assert public == problem, question
+        assert all(type(x) is int for row, _, bound in problem.constraints
+                   for x in (bound, *(c for _, c in row)))
         m, ref = _suites.ref_gauge_problem(regions, regions[0].variables, base, direction)
         assert (problem.variables, problem.objective) == (ref.variables, ref.objective)
         assert len(problem.constraints) == len(ref.constraints)
@@ -785,6 +818,9 @@ def test_golden_threshold_lps_make_no_phase_1_pivot(monkeypatch):
         result = lp_solve(problem)
         assert result.status == "optimal" and -1 <= result.value < 0
         assert result.pivots > 0
+        # the value read off the final cost row is the objective at the optimum
+        assert result.value == sum(c * result.assignment[problem.variables[i]]
+                                   for i, c in problem.objective)
 
 
 @pytest.mark.parametrize("pure,wt,expected", [
@@ -935,6 +971,9 @@ def test_sparse_pivot_matches_dense_reference(problem):
     assert result.pivots == len(_suites.dense_pivots)
     if result.status == "optimal":
         assert verify_lp_assignment(problem, result.assignment)
+        # the value read off the final cost row is the objective at the optimum
+        assert result.value == sum((c * result.assignment[problem.variables[i]]
+                                    for i, c in problem.objective or ()), Fraction(0))
 
 
 def _load_benchmark_lp_shape():

@@ -371,6 +371,20 @@ class TestRegionInvariants:
         assert region.shifted_rows == (((("x", 3), ("y", 3)), -13),
                                        ((("x", 3), ("y", 6)), -1))
 
+    def test_mixed_labels_and_shifted_rows_follow_the_variables(self):
+        # variables out of label order: a shifted row lists its coefficients
+        # in variable order, and mixed_labels names each variable a mixed
+        # row reads once, in that order; w is read by no mixed row
+        from tamecount.regions import TubularRegion
+        rows = [constraint({v: 1}, 1) for v in ("y", "w", "x")] + [
+            constraint({"x": 1, "y": 2}, 4), constraint({"y": 1}, 2)]
+        region = TubularRegion(("y", "w", "x"), rows)
+        assert region.constraints[3].coefficients == (("x", 1), ("y", 2))
+        # at the corner (y, w, x) = (2, 1, 1): x + 2y - 4 = 1
+        assert region.shifted_rows == (((("y", 2), ("x", 1)), 1),)
+        assert region.mixed_labels == ("y", "x")
+        assert TubularRegion(("x",), [constraint({"x": 1}, 1)]).mixed_labels == ()
+
     def test_beta_defaults(self, d4_types, cyc_q):
         alpha = {t.label: Fraction(3, 8) for t in d4_types}
         beta = default_beta(d4_types, alpha, cyc_q)
