@@ -8,9 +8,9 @@ subset of the generators, skipping each one that already lies in the
 closure of those kept before it, and grows the group by whole cosets of
 that closure; the group stores that subset as `kept`, and the class BFS
 and the upper central series conjugate by it alone, since any
-generating set gives the same conjugation orbits.  Element orders come
-from walks of powers (`powers`), one walk ordering every class of a
-cyclic subgroup.
+generating set gives the same conjugation orbits.  Element orders and
+all powers of class representatives come from walks of powers (`powers`):
+one walk places every class of a cyclic subgroup (`power_class`).
 
 Each group caches its conjugacy classes, an element -> class index and
 a class-product table; normal subgroups, normal closures and the
@@ -337,10 +337,7 @@ class Permutation:
         return out
 
     def cycle_string(self) -> str:
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + ",".join(str(p) for p in c) + ")" for c in cycs)
+        return "".join("(" + ",".join(map(str, c)) + ")" for c in self.cycles()) or "()"
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -412,6 +409,7 @@ class PermutationGroup:
         self._elements = None
         self._kept = None
         self._classes = None
+        self._places = None
         self._class_index = None
         self._class_products = None
         self._normal_subgroups = None
@@ -463,11 +461,10 @@ class PermutationGroup:
 
         One conjugation-orbit BFS over the kept generators per class,
         O(|G|*kept) conjugations in all; the identity class comes first.
-        Element orders come from power walks: a class with no order yet
-        walks its representative's powers once (`powers`), and if the
-        representative has order e, the class of rep^k gets order
-        e/gcd(k, e).  On an abelian group one walk orders every class of
-        a cyclic subgroup.
+        A class not yet reached walks its representative r's powers once
+        (`powers`): each class first reached at step k, the class of r^k,
+        gets the place (walk, k) and, r of order e, the order e/gcd(k, e).
+        One walk places every class of a cyclic subgroup (`power_class`).
         """
         if self._classes is None:
             step = conjugation_step([h.images for h in self.kept])
@@ -478,28 +475,42 @@ class PermutationGroup:
                     found = orbit(g.images, step)
                     orbit_of.update(dict.fromkeys(found, len(orbits)))
                     orbits.append(found)
-            orders = [0] * len(orbits)
+            places = [None] * len(orbits)
+            walks = []
             for i, found in enumerate(orbits):
-                if not orders[i]:
+                if places[i] is None:
                     walk = [orbit_of[x] for x in powers(found[0])]
-                    e = len(walk)
+                    walks.append(walk)
                     for k, j in enumerate(walk):
-                        if not orders[j]:
-                            orders[j] = e // math.gcd(k, e)
+                        if places[j] is None:
+                            places[j] = (walk, k)
             orbit_of = None  # free the orbit lookup before the class index is built
-            parts = sorted(zip(orders, orbits), key=lambda c: (c[0], len(c[1]), c[1][0]))
+            orders = [len(walk) // math.gcd(k, len(walk)) for walk, k in places]
+            ranked = sorted(range(len(orbits)),
+                            key=lambda i: (orders[i], len(orbits[i]), orbits[i][0]))
+            position = sorted(range(len(ranked)), key=ranked.__getitem__)  # inverse of `ranked`
+            for walk in walks:  # the places now point at class positions
+                walk[:] = map(position.__getitem__, walk)
             by_images = {g.images: g for g in self.elements}
             index = {}
             classes = []
-            for i, (order, found) in enumerate(parts):
-                index.update(dict.fromkeys(found, i))
-                members = [by_images[t] for t in found]
+            for i, j in enumerate(ranked):
+                index.update(dict.fromkeys(orbits[j], i))
+                members = [by_images[t] for t in orbits[j]]
                 classes.append(ConjugacyClass(representative=members[0],
                                               members=frozenset(members), size=len(members),
-                                              order=order))
+                                              order=orders[j]))
+            self._places = [places[j] for j in ranked]  # before `_classes`: readers see both
             self._class_index = index
             self._classes = tuple(classes)
         return self._classes
+
+    def power_class(self, i: int, u: int) -> int:
+        """Position of the class of rep_i^u, with no composition: class i is the
+        class of r^k at its place (walk, k), so rep_i^u is r^(k*u) up to conjugacy."""
+        self.conjugacy_classes()
+        walk, k = self._places[i]
+        return walk[k * u % len(walk)]
 
     def class_index(self, g: Permutation) -> int:
         """Position of g's class in `conjugacy_classes()`."""

@@ -9,14 +9,14 @@ arithmetic exists anywhere in the artifact.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 
 from .errors import ParseError, ResourceCapError, ValidationError
 from .hull_lp import exact
 from .perm import (DEFAULT_ELEMENT_CAP, Permutation, PermutationGroup, QuotientGroup,
-                   content_lines, index_of, is_nilpotent, orbit, powers, prime_factors)
+                   content_lines, index_of, is_nilpotent, orbit, prime_factors)
 
 
 def _units(e: int):
@@ -59,9 +59,13 @@ class CyclotomicProfile:
     def __init__(self, restrictions=None, name=None):
         self.restrictions = {}
         for e, units in (restrictions or {}).items():
+            if type(e) is not int:  # a bool is not an int here
+                raise ValidationError(f"modulus {e!r} is not an int")
+            if not isinstance(units, Collection) or any(type(u) is not int for u in units):
+                raise ValidationError(f"U_{e} must be a collection of ints, not {units!r}")
             if e < 1:
                 raise ValidationError("moduli must be positive")
-            units = frozenset(int(u) % e if int(u) % e else e for u in units)
+            units = frozenset(u % e or e for u in units)
             if not units or any(math.gcd(u, e) != 1 for u in units):
                 raise ValidationError(f"U_{e} must consist of units mod {e}")
             if 1 not in units and e > 1:
@@ -154,12 +158,9 @@ def tame_types(G: PermutationGroup, profile: CyclotomicProfile, label_pins=None)
     """All nontrivial tame types of G under the given cyclotomic profile.
 
     Each type is the union of the classes of rep^u over the units u in
-    U_e, rep a class representative of order e.  Those powers cost either
-    one walk of rep's powers (`perm.powers`) up to the largest unit u mod
-    e, or a square-and-multiply of about log2(e) compositions per unit;
-    the cheaper of the two is taken, so a full unit group reads all its
-    powers off one walk and a small restricted U_e (such as {1, -1})
-    costs a few compositions.
+    U_e, rep a class representative of order e.  Each such class is read
+    off the power walk that placed rep's class (`G.power_class`), so the
+    types cost no composition beyond the walks of `conjugacy_classes`.
 
     Deterministic labels: within each element order, letters A, B, ... in
     canonical order (size, then minimal member).  `label_pins` maps chosen
@@ -175,20 +176,12 @@ def tame_types(G: PermutationGroup, profile: CyclotomicProfile, label_pins=None)
     for i, cls in enumerate(classes):
         if i in placed:
             continue
-        rep, e = cls.representative, cls.order
         # conjugation commutes with powering, so the classes of rep^u
         # make up the whole type
-        units = {u % e for u in profile.units_for(e)}
-        top = max(units)
-        if top < len(units) * e.bit_length():  # the walk is the cheaper way
-            merged = {G.class_index(Permutation._of(power))
-                      for u, power in enumerate(islice(powers(rep.images), top + 1))
-                      if u in units}
-        else:
-            merged = {G.class_index(rep ** u) for u in units}
+        merged = {G.power_class(i, u) for u in profile.units_for(cls.order)}
         placed.update(merged)
         members = frozenset().union(*(classes[j].members for j in merged))
-        raw.append((cls.order, len(members), rep, members, cls.size))
+        raw.append((cls.order, len(members), cls.representative, members, cls.size))
     raw.sort(key=lambda r: (r[0], r[1], r[2].images))
 
     pins = label_pins or {}
@@ -201,15 +194,11 @@ def tame_types(G: PermutationGroup, profile: CyclotomicProfile, label_pins=None)
         elif len(pinned) > 1:
             label = _merged_label(pinned)
         else:
-            idx = counters.get(order, 0)
-            counters[order] = idx + 1
+            i = counters[order] = counters.get(order, -1) + 1
             letters = ""
-            i = idx
-            while True:
+            while i >= 0:  # A..Z, then AA, AB, ...
                 letters = chr(ord("A") + i % 26) + letters
                 i = i // 26 - 1
-                if i < 0:
-                    break
             label = f"{order}{letters}"
         types.append(TameType(label=label, members=members, order=order, size=size,
                               conj_orbit_size=conj, zeta_degree=size // conj,

@@ -175,13 +175,19 @@ class TestCliClasses:
         assert [[str(r[c]) for c in header.split("\t")] for r in rows] == \
             [line.split("\t") for line in lines]
 
-    @pytest.mark.parametrize("spec, reference", [("C2000", "C2000"),
-                                                 ("wreath(C2,C12)", "wreath_C2_C12")])
+    @pytest.mark.parametrize("spec, reference", [
+        ("C2000", "C2000"), ("wreath(C2,C12)", "wreath_C2_C12"),
+        ("C2000", "C2000_restricted"), ("wreath(C2,C12)", "wreath_C2_C12_restricted"),
+        ("wreath(4T3,C3)", "wreath_4T3_C3_restricted"), ("16T11", "16T11_restricted")])
     def test_large_tables_byte_identical(self, capsys, spec, reference):
         # 2000 classes, most ordered by another class's power walk; and a
-        # closure of order 2^12 * 12 over several cosets
+        # closure of order 2^12 * 12 over several cosets.  A restricted
+        # table reads its cyclotomic profile from the .cyc file of the same
+        # name; C2000, wreath(C2,C12) and 16T11 split types under it
+        cyc = REFERENCE / f"classes_{reference}.cyc"
+        options = ["--cyc", str(cyc)] if reference.endswith("_restricted") else []
         expected = (REFERENCE / f"classes_{reference}.tsv").read_bytes()
-        assert cli_main(["classes", spec, "--format", "tsv"]) == 0
+        assert cli_main(["classes", spec, "--format", "tsv", *options]) == 0
         assert capsys.readouterr().out.encode("utf-8") == expected
 
 

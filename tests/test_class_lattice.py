@@ -26,6 +26,9 @@ from tamecount.errors import ValidationError
 
 SPECS = ["C1", "C5", "C12", "S3", "4T3", "8T4", "8T11", "16T11",
          "product(4T3,C3)", "product(4T3,S3)", "wreath(C2,C4)", "wreath(4T3,C2)"]
+# abelian: every element is its own class, and most classes are placed by
+# the power walk of another class
+ABELIAN = ["C60", "C210", "product(C4,C6)"]
 
 PROFILES = {
     "Q": CyclotomicProfile.full_q(),
@@ -212,14 +215,18 @@ def ref_tame_types(G: PermutationGroup, profile: CyclotomicProfile, label_pins=N
 # engine vs reference
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("spec", SPECS + ABELIAN)
 def test_classes_and_class_index(spec):
     G = entry(spec).group
-    assert G.order <= 128
+    assert G.order <= 210
     classes = G.conjugacy_classes()
     assert classes == ref_conjugacy_classes(G)
     for i, cls in enumerate(classes):
         assert all(G.class_index(x) == i and G.class_of(x) is cls for x in cls.members)
+        # the walk places against square-and-multiply
+        rep, exponents = cls.representative, range(1, cls.order + 1)
+        assert [G.power_class(i, u) for u in exponents] == \
+            [G.class_index(rep ** u) for u in exponents]
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -260,17 +267,28 @@ def test_tame_types(spec, profile):
         assert normal_closure(e.group, t.members) == subgroup_generated(e.group, t.members)
 
 
-@pytest.mark.parametrize("spec", ["C60", "C210", "product(C4,C6)"])
-def test_orders_and_types_read_from_other_classes_walks(spec):
+@pytest.mark.parametrize("spec, restrictions", [
+    *((spec, None) for spec in ABELIAN),
+    ("C60", {60: {1, 59}}), ("product(C4,C6)", {12: {1, 5}, 4: {1}})],
+    ids=[*ABELIAN, "C60-restricted", "product(C4,C6)-restricted"])
+def test_orders_and_types_read_from_other_classes_walks(monkeypatch, spec, restrictions):
     # abelian: every element is its own class, and most classes take their
     # order and their type from the power walk of another class
     G = entry(spec).group
+    profile = CyclotomicProfile(restrictions) if restrictions else PROFILES["Q"]
     classes = G.conjugacy_classes()
     assert len(classes) == G.order
     assert classes == ref_conjugacy_classes(G)
     assert all(c.order == c.representative.order() for c in classes)
-    got = tame_types(G, PROFILES["Q"])
-    want = ref_tame_types(G, PROFILES["Q"])
+    compositions = []
+    real_powers, real_pow = perm.powers, Permutation.__pow__
+    monkeypatch.setattr(perm, "powers", lambda p: compositions.append(p) or real_powers(p))
+    monkeypatch.setattr(Permutation, "__pow__",
+                        lambda p, u: compositions.append(p) or real_pow(p, u))
+    got = tame_types(G, profile)
+    assert compositions == []  # every type is read off the class walks
+    monkeypatch.undo()
+    want = ref_tame_types(G, profile)
     assert got == want
     assert [t.representative for t in got] == [t.representative for t in want]
 

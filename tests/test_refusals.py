@@ -65,6 +65,20 @@ ENTRIES = {
                           ValidationError, "centralizer of an empty set"),
     "units without 1": (lambda: CyclotomicProfile({4: [3]}),
                         ValidationError, "U_4 must contain 1"),
+    "float unit": (lambda: CyclotomicProfile({4: [1.5, 3]}),
+                   ValidationError, r"U_4 must be a collection of ints, not \[1.5, 3\]"),
+    "bool unit": (lambda: CyclotomicProfile({4: [True, 3]}),
+                  ValidationError, r"U_4 must be a collection of ints, not \[True, 3\]"),
+    "string unit": (lambda: CyclotomicProfile({4: ["3", 1]}),
+                    ValidationError, r"U_4 must be a collection of ints, not \['3', 1\]"),
+    "letter unit": (lambda: CyclotomicProfile({4: ["x"]}),
+                    ValidationError, r"U_4 must be a collection of ints, not \['x'\]"),
+    "units not a collection": (lambda: CyclotomicProfile({4: 3}),
+                               ValidationError, "U_4 must be a collection of ints, not 3"),
+    "bool modulus": (lambda: CyclotomicProfile({True: [1]}),
+                     ValidationError, "modulus True is not an int"),
+    "float modulus": (lambda: CyclotomicProfile({4.0: [1, 3]}),
+                      ValidationError, r"modulus 4\.0 is not an int"),
     "type of identity": (lambda: type_of(D4_TYPES, D4.identity),
                          ValidationError, "lies in no tame type"),
     "disc degree": (lambda: weight_discriminant(D4_TYPES, 8),
