@@ -6,7 +6,7 @@ Schreier--Sims), which keeps every downstream result certifiable at
 desk scale (orders up to ~10^5).  The closure keeps an irredundant
 subset of the generators, skipping each one that already lies in the
 closure of those kept before it, and grows the group by whole cosets of
-that closure; the group stores that subset as `kept`, and the class BFS
+that closure; the group stores that subset as `kept`, and the classes
 and the upper central series conjugate by it alone, since any
 generating set gives the same conjugation orbits.  Element orders and
 all powers of class representatives come from walks of powers (`powers`):
@@ -20,13 +20,16 @@ methods of Hulpke, "Computing normal subgroups", ISSAC 1998).  `_close`
 is the one rule: a class union holding the identity is a normal
 subgroup exactly when `_close` from it adds nothing
 (`normal_subgroup_mask`), and `is_abelian_normal` adds a
-commutation test of its generating classes.  The lattice caches its masks
-beside its element sets, so `abelian_normal_subgroups` and the Fitting
-subgroup never rebuild them.  Membership reads the class index.
+commutation test of its generating classes, run once per group and
+mask.  The lattice caches its masks beside its element sets, so
+`abelian_normal_subgroups` and the Fitting subgroup never rebuild them.
+Membership reads the class index.
 
 Every breadth-first search here is one `orbit`: the conjugation orbits
-that make the classes, the point orbit behind `is_transitive` and the
-join search of the normal-subgroup lattice.
+that make the classes, walked over element positions along one
+conjugation table per non-central kept generator, the point orbit
+behind `is_transitive` and the join search of the normal-subgroup
+lattice.
 Every coset action is one `QuotientGroup`, G acting on the cosets of N
 by left multiplication: `quotient` builds it, and `regular_embedding`
 on the singleton cosets.  Its carrier is built from the generators'
@@ -40,8 +43,9 @@ inner loops of closure and conjugation.  Composition and conjugation
 are `operator.itemgetter` calls, so their per-point loop runs in C:
 p*q is `itemgetter(*q)((0,) + p)`, and a loop with one fixed factor
 builds its getter once (`right_multiplier`, `conjugation_step`): a
-whole coset is one `map` of its representative's right multiplier, and
-a power walk one right multiplier applied again and again.  Permutations
+whole coset is one `map` of its representative's right multiplier, a
+power walk one right multiplier applied again and again, and a
+conjugation table one `map` over the elements.  Permutations
 the kernel builds from valid ones are wrapped without the bijection
 check (`Permutation._of`); user data is always checked.
 """
@@ -414,6 +418,7 @@ class PermutationGroup:
         self._class_products = None
         self._normal_subgroups = None
         self._normal_masks = None
+        self._abelian_masks = {}  # class mask -> `_abelian_mask`, each mask tested once
         self._fitting = None
 
     @property
@@ -432,7 +437,7 @@ class PermutationGroup:
     @property
     def kept(self):
         """The irredundant generating subset of `generators` that `closure`
-        keeps; the class BFS and the upper central series conjugate by it."""
+        keeps; the classes and the upper central series conjugate by it."""
         _ = self.elements
         return self._kept
 
@@ -459,49 +464,65 @@ class PermutationGroup:
     def conjugacy_classes(self):
         """Classes in deterministic order: (element order, size, minimal member).
 
-        One conjugation-orbit BFS over the kept generators per class,
-        O(|G|*kept) conjugations in all; the identity class comes first.
+        Each kept generator h that fails to commute with another kept
+        generator gets one conjugation table, the position of h x h^-1 for
+        every element x in canonical order, built in one C-level pass; a
+        central one would give the identity table and gets none.  The
+        conjugation orbits are then walked over element positions, each
+        step one row of the tables, so an abelian group walks one-element
+        orbits and conjugates nothing; the identity class comes first.
         A class not yet reached walks its representative r's powers once
         (`powers`): each class first reached at step k, the class of r^k,
         gets the place (walk, k) and, r of order e, the order e/gcd(k, e).
         One walk places every class of a cyclic subgroup (`power_class`).
         """
         if self._classes is None:
-            step = conjugation_step([h.images for h in self.kept])
-            orbit_of = {}  # image tuple -> position of its orbit in `orbits`
+            elements = self.elements
+            images = [g.images for g in elements]
+            position = dict(zip(images, range(len(images))))
+            kept = [h.images for h in self.kept]
+            tables = []
+            for h in kept:
+                times_h = right_multiplier(h)
+                if any(times_h(x) != right_multiplier(x)(h) for x in kept):
+                    padded_h = (0,) + h
+                    times_h_inverse = right_multiplier(inverse(h))
+                    # one getter alive at a time: x's own, applied to h
+                    tables.append(list(map(position.__getitem__, map(
+                        times_h_inverse, (_padded_multiplier(x)(padded_h) for x in images)))))
+            step = (list(zip(*tables)) if tables else [()] * len(images)).__getitem__
+            orbit_of = [None] * len(images)  # element position -> its orbit in `orbits`
             orbits = []
-            for g in self.elements:  # canonical order: each orbit starts at its minimum
-                if g.images not in orbit_of:
-                    found = orbit(g.images, step)
-                    orbit_of.update(dict.fromkeys(found, len(orbits)))
+            for i in range(len(images)):  # canonical order: each orbit starts at its minimum
+                if orbit_of[i] is None:
+                    found = orbit(i, step)
+                    for j in found:
+                        orbit_of[j] = len(orbits)
                     orbits.append(found)
             places = [None] * len(orbits)
             walks = []
             for i, found in enumerate(orbits):
                 if places[i] is None:
-                    walk = [orbit_of[x] for x in powers(found[0])]
+                    walk = [orbit_of[position[x]] for x in powers(images[found[0]])]
                     walks.append(walk)
                     for k, j in enumerate(walk):
                         if places[j] is None:
                             places[j] = (walk, k)
-            orbit_of = None  # free the orbit lookup before the class index is built
+            position = step = tables = None  # freed before the class index is built
             orders = [len(walk) // math.gcd(k, len(walk)) for walk, k in places]
             ranked = sorted(range(len(orbits)),
                             key=lambda i: (orders[i], len(orbits[i]), orbits[i][0]))
-            position = sorted(range(len(ranked)), key=ranked.__getitem__)  # inverse of `ranked`
+            rank = sorted(range(len(ranked)), key=ranked.__getitem__)  # inverse of `ranked`
             for walk in walks:  # the places now point at class positions
-                walk[:] = map(position.__getitem__, walk)
-            by_images = {g.images: g for g in self.elements}
-            index = {}
+                walk[:] = map(rank.__getitem__, walk)
             classes = []
-            for i, j in enumerate(ranked):
-                index.update(dict.fromkeys(orbits[j], i))
-                members = [by_images[t] for t in orbits[j]]
+            for j in ranked:
+                members = list(map(elements.__getitem__, orbits[j]))
                 classes.append(ConjugacyClass(representative=members[0],
                                               members=frozenset(members), size=len(members),
                                               order=orders[j]))
             self._places = [places[j] for j in ranked]  # before `_classes`: readers see both
-            self._class_index = index
+            self._class_index = dict(zip(images, map(rank.__getitem__, orbit_of)))
             self._classes = tuple(classes)
         return self._classes
 
@@ -712,10 +733,18 @@ def _abelian_mask(G: PermutationGroup, mask: int) -> bool:
                for k, r in enumerate(reps) for j in gens[k:] for x in classes[j].members)
 
 
+def _is_abelian(G: PermutationGroup, mask: int) -> bool:
+    """`_abelian_mask(G, mask)`, run once per group and mask."""
+    abelian = G._abelian_masks.get(mask)
+    if abelian is None:
+        abelian = G._abelian_masks[mask] = _abelian_mask(G, mask)
+    return abelian
+
+
 def is_abelian_normal(G: PermutationGroup, S) -> bool:
     """Whether S is an abelian normal subgroup of G."""
     mask = normal_subgroup_mask(G, S)
-    return mask is not None and _abelian_mask(G, mask)
+    return mask is not None and _is_abelian(G, mask)
 
 
 def normal_subgroups(G: PermutationGroup):
@@ -759,7 +788,7 @@ def _normal_subgroup_lattice(G: PermutationGroup):
 def abelian_normal_subgroups(G: PermutationGroup):
     """Proper nontrivial normal subgroups with abelian carrier, in key order."""
     return [N for N, mask in zip(normal_subgroups(G), G._normal_masks)
-            if 1 < len(N) < G.order and _abelian_mask(G, mask)]
+            if 1 < len(N) < G.order and _is_abelian(G, mask)]
 
 
 def quotient(G: PermutationGroup, N) -> QuotientGroup:

@@ -93,13 +93,23 @@ class CyclotomicProfile:
         return len(self.units_for(e))
 
     def validate_for_exponent(self, exponent: int):
+        """Raise unless reduction mod d maps U_e into U_d for every pair of
+        divisors d | e of `exponent`, the pairs taken in order of (e, d).
+
+        Only a restricted U_d can fail: every unit mod e is a unit mod d.
+        So each e with a restricted proper divisor builds U_e once, and a
+        full-Q profile builds none.
+        """
         divisors = [d for d in range(1, exponent + 1) if exponent % d == 0]
+        restricted = [d for d in divisors if d in self.restrictions]
         for e in divisors:
-            for d in divisors:
-                if d == e or e % d != 0:
-                    continue
-                reduced = {u % d if u % d else d for u in self.units_for(e)}
-                if not reduced <= set(self.units_for(d)):
+            below = [d for d in restricted if d != e and e % d == 0]
+            if not below:
+                continue
+            units = self.units_for(e)
+            for d in below:
+                reduced = {u % d if u % d else d for u in units}
+                if not reduced <= self.restrictions[d]:
                     raise ValidationError(
                         f"profile incompatible: U_{e} reduces outside U_{d}")
 

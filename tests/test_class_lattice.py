@@ -14,8 +14,10 @@ import functools
 import pytest
 
 import tamecount.perm as perm
-from tamecount.catalog import resolve_entry
+from tamecount.catalog import resolve_entry, resolve_weight
 from tamecount.cli import run_analysis_request
+from tamecount.concentration import analysis_witnesses, classify
+from tamecount.regions import build_region, make_profile
 from _suites import ref_is_abelian_set, ref_normal_subgroup_lattice
 from tamecount.perm import (ConjugacyClass, Permutation, PermutationGroup, conjugate,
                             fitting_subgroup, is_abelian_normal, is_nilpotent,
@@ -215,10 +217,14 @@ def ref_tame_types(G: PermutationGroup, profile: CyclotomicProfile, label_pins=N
 # engine vs reference
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("spec", SPECS + ABELIAN)
+# orders 2,048 and 1,536: the conjugation tables over several kept generators
+LARGE = {"wreath(C2,C8)": 2048, "wreath(4T3,C3)": 1536}
+
+
+@pytest.mark.parametrize("spec", SPECS + ABELIAN + list(LARGE))
 def test_classes_and_class_index(spec):
     G = entry(spec).group
-    assert G.order <= 210
+    assert G.order == LARGE[spec] if spec in LARGE else G.order <= 210
     classes = G.conjugacy_classes()
     assert classes == ref_conjugacy_classes(G)
     for i, cls in enumerate(classes):
@@ -227,6 +233,43 @@ def test_classes_and_class_index(spec):
         rep, exponents = cls.representative, range(1, cls.order + 1)
         assert [G.power_class(i, u) for u in exponents] == \
             [G.class_index(rep ** u) for u in exponents]
+
+
+@pytest.mark.parametrize("spec, kept, tables", [
+    ("C60", 1, 0), ("C210", 1, 0), ("product(C4,C6)", 2, 0), ("16T11", 3, 2)])
+def test_one_conjugation_table_per_noncentral_kept_generator(monkeypatch, spec, kept, tables):
+    # a table is one getter per element; a central kept generator (one of
+    # 16T11's three, every one of an abelian group's) would give the
+    # identity table and gets none
+    G = entry(spec).group
+    fresh = PermutationGroup(G.degree, G.generators)
+    assert len(fresh.kept) == kept
+    built = []
+    real = perm._padded_multiplier
+    monkeypatch.setattr(perm, "_padded_multiplier", lambda q: built.append(q) or real(q))
+    classes = fresh.conjugacy_classes()
+    monkeypatch.undo()
+    assert len(built) == tables * fresh.order
+    assert classes == G.conjugacy_classes()
+
+
+def test_abelian_test_runs_once_per_mask(monkeypatch):
+    # classify and analysis_witnesses each list the abelian lattice members,
+    # and build_region checks each witness again
+    calls = []
+    real = perm._abelian_mask
+    monkeypatch.setattr(perm, "_abelian_mask", lambda G, mask: calls.append(mask) or real(G, mask))
+    e = resolve_entry("wreath(4T3,C2)")
+    cyc = PROFILES["Q"]
+    types = e.types(cyc)
+    wt = resolve_weight("disc", e, types)
+    verdict = classify(e.group, wt, types)
+    witnesses = analysis_witnesses(e.group, types, wt)
+    profile = make_profile("burgess-yang", types, cyc)
+    for T in [*verdict.witnesses, *witnesses]:
+        build_region(e.group, T, types, profile, cyc)
+    assert verdict.witnesses and witnesses
+    assert calls and len(calls) == len(set(calls))
 
 
 @pytest.mark.parametrize("spec", SPECS)

@@ -79,6 +79,10 @@ ENTRIES = {
                      ValidationError, "modulus True is not an int"),
     "float modulus": (lambda: CyclotomicProfile({4.0: [1, 3]}),
                       ValidationError, r"modulus 4\.0 is not an int"),
+    # U_6, U_12 and U_12 fail against U_3, U_3 and U_4: the first pair is named
+    "profile incompatible": (
+        lambda: CyclotomicProfile({3: [1], 4: [1]}).validate_for_exponent(12),
+        ValidationError, r"^profile incompatible: U_6 reduces outside U_3$"),
     "type of identity": (lambda: type_of(D4_TYPES, D4.identity),
                          ValidationError, "lies in no tame type"),
     "disc degree": (lambda: weight_discriminant(D4_TYPES, 8),
