@@ -37,7 +37,10 @@ images only; `push` computes any other element's image when asked for.
 
 Points are labeled 1..degree.  The canonical ordering used by every
 "deterministic" contract is lexicographic on the image tuple, and
-subgroups are ordered by `subgroup_key`.  The module-level kernels below
+subgroups are ordered by `subgroup_key`.  The elements fixing 1..i come
+first in that order, so `lex_base` reads a base off the sorted elements
+by bisection, and the class internals key an element by its images of
+that base.  The module-level kernels below
 work on bare image tuples (p maps point i to p[i-1]); they are the hot
 inner loops of closure and conjugation.  Composition and conjugation
 are `operator.itemgetter` calls, so their per-point loop runs in C:
@@ -45,7 +48,8 @@ p*q is `itemgetter(*q)((0,) + p)`, and a loop with one fixed factor
 builds its getter once (`right_multiplier`, `conjugation_step`): a
 whole coset is one `map` of its representative's right multiplier, a
 power walk one right multiplier applied again and again, and a
-conjugation table one `map` over the elements.  Permutations
+conjugation table a few column slices of the elements' images at a base,
+each sent through the conjugating generator whole.  Permutations
 the kernel builds from valid ones are wrapped without the bijection
 check (`Permutation._of`); user data is always checked.
 """
@@ -53,10 +57,13 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from operator import itemgetter, or_
 from pathlib import Path
+from struct import Struct
 
 from .errors import ContractViolationError, ParseError, ResourceCapError, ValidationError
 
@@ -113,6 +120,73 @@ def conjugation_step(generators):
 def conjugate(h, g):
     """h g h^-1 as image tuples."""
     return conjugation_step([h])(g)[0]
+
+
+def lex_base(images):
+    """The lexicographically first base of the group whose elements, as image
+    tuples, are the canonically sorted list `images`: point b is a base point
+    when the elements fixing 1..b-1 do not all fix b.
+
+    The elements fixing 1..b-1 are a prefix of `images`, sorted there by
+    their image of b, which is b or a larger point; so the last of them
+    tells whether b is a base point, and one bisection on the image of b
+    finds the smaller prefix that fixes it too.  The walk stops once that
+    prefix is the identity alone, with no pass over the elements.  The
+    elements fixing the base are the ones fixing 1..b for the last base
+    point b: the identity alone, so an element is determined by its images
+    of the base (Sims 1970; Seress, Permutation Group Algorithms, 2003,
+    ch. 4).  A trivial group has an empty base.
+    """
+    base, size = [], len(images)
+    for b in range(1, len(images[0]) + 1):
+        if size == 1:
+            break
+        if images[size - 1][b - 1] != b:
+            base.append(b)
+            size = bisect_left(images, b + 1, 0, size, key=itemgetter(b - 1))
+    return base
+
+
+def _conjugation_tables(generators, base, images):
+    """For each image tuple h in `generators`, the position of h x h^-1 in
+    `images` for every x there; `images` is a group's canonically sorted
+    element list and `base` its `lex_base`.
+
+    An element is keyed by its images of the base, packed into bytes.  The
+    image of h x h^-1 at a base point b is h(x(h^-1(b))), so the tables read
+    the elements at the base and at the points h^-1(base) only: one getter
+    per element takes those images out, in one pass, and a column of them
+    is one slice.  A table sends each column it needs through h whole, with
+    no per-element getter and no full image tuple built or hashed: by
+    `bytes.translate` when a point fits in a byte (degree below 256), else
+    by one getter over the column.  With no generator there is no table and
+    no key.
+    """
+    if not generators:
+        return []
+    narrow = len(images[0]) < 256
+    key = Struct(f"{len(base)}{'B' if narrow else 'I'}").pack
+    inverses = [inverse(h) for h in generators]
+    # two points at least, so the getters return tuples: a non-central h
+    # moves a base point, since only the identity fixes the whole base
+    needed = sorted({b - 1 for b in base}.union(
+        *({h_inverse[b - 1] - 1 for b in base} for h_inverse in inverses)))
+    stride, at = len(needed), {j: k for k, j in enumerate(needed)}
+    values = chain.from_iterable(map(itemgetter(*needed), images))
+    flat = bytes(values) if narrow else list(values)  # element by element
+    # the positions outlive the keys: made first, they share no memory
+    # block with the keys, which are all freed together on return
+    positions = list(range(len(images)))
+    position = dict(zip(map(key, *[flat[at[b - 1]::stride] for b in base]), positions))
+    tables = []
+    for h, h_inverse in zip(generators, inverses):
+        padded = (0,) + h
+        table = bytes(padded).ljust(256, b"\0") if narrow else None
+        columns = [flat[at[h_inverse[b - 1] - 1]::stride] for b in base]
+        tables.append(list(map(position.__getitem__, map(key, *[
+            column.translate(table) if narrow else itemgetter(*column)(padded)
+            for column in columns]))))
+    return tables
 
 
 def _cycle_lengths(p):
@@ -464,32 +538,30 @@ class PermutationGroup:
     def conjugacy_classes(self):
         """Classes in deterministic order: (element order, size, minimal member).
 
-        Each kept generator h that fails to commute with another kept
-        generator gets one conjugation table, the position of h x h^-1 for
-        every element x in canonical order, built in one C-level pass; a
-        central one would give the identity table and gets none.  The
-        conjugation orbits are then walked over element positions, each
-        step one row of the tables, so an abelian group walks one-element
-        orbits and conjugates nothing; the identity class comes first.
-        A class not yet reached walks its representative r's powers once
-        (`powers`): each class first reached at step k, the class of r^k,
-        gets the place (walk, k) and, r of order e, the order e/gcd(k, e).
-        One walk places every class of a cyclic subgroup (`power_class`).
+        The base comes off the sorted elements by bisection (`lex_base`),
+        and the internals key an element by its images of it.  Each kept
+        generator h that fails to commute with another kept generator gets
+        one conjugation table, the position of h x h^-1 for every element x
+        in canonical order, read from the elements' images at the base and
+        at h^-1(base) (`_conjugation_tables`); a central one would give the
+        identity table and gets none.  The conjugation orbits are then
+        walked over element positions, each step one row of the tables, so
+        an abelian group walks one-element orbits and conjugates nothing;
+        the identity class comes first.  A class not yet reached walks its
+        representative r's powers once (`powers`), each power found by one
+        bisection on its images up to the last base point: each class first
+        reached at step k, the class of r^k, gets the place (walk, k) and,
+        r of order e, the order e/gcd(k, e).  One walk places every class
+        of a cyclic subgroup (`power_class`).
         """
         if self._classes is None:
             elements = self.elements
             images = [g.images for g in elements]
-            position = dict(zip(images, range(len(images))))
+            base = lex_base(images)
             kept = [h.images for h in self.kept]
-            tables = []
-            for h in kept:
-                times_h = right_multiplier(h)
-                if any(times_h(x) != right_multiplier(x)(h) for x in kept):
-                    padded_h = (0,) + h
-                    times_h_inverse = right_multiplier(inverse(h))
-                    # one getter alive at a time: x's own, applied to h
-                    tables.append(list(map(position.__getitem__, map(
-                        times_h_inverse, (_padded_multiplier(x)(padded_h) for x in images)))))
+            tables = _conjugation_tables(
+                [h for h in kept if any(compose(h, x) != compose(x, h) for x in kept)],
+                base, images)
             step = (list(zip(*tables)) if tables else [()] * len(images)).__getitem__
             orbit_of = [None] * len(images)  # element position -> its orbit in `orbits`
             orbits = []
@@ -499,16 +571,20 @@ class PermutationGroup:
                     for j in found:
                         orbit_of[j] = len(orbits)
                     orbits.append(found)
+            # an element is the only one with its images of 1..prefix, the
+            # last base point, so one bisection finds each power's position
+            prefix = max(base, default=0)
             places = [None] * len(orbits)
             walks = []
             for i, found in enumerate(orbits):
                 if places[i] is None:
-                    walk = [orbit_of[position[x]] for x in powers(images[found[0]])]
+                    walk = [orbit_of[bisect_left(images, x[:prefix])]
+                            for x in powers(images[found[0]])]
                     walks.append(walk)
                     for k, j in enumerate(walk):
                         if places[j] is None:
                             places[j] = (walk, k)
-            position = step = tables = None  # freed before the class index is built
+            step = tables = None  # freed before the class index is built
             orders = [len(walk) // math.gcd(k, len(walk)) for walk, k in places]
             ranked = sorted(range(len(orbits)),
                             key=lambda i: (orders[i], len(orbits[i]), orbits[i][0]))

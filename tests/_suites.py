@@ -25,6 +25,15 @@ RECIPE_CASES = [("4T3", "disc", "paper-d4"), ("8T4", "disc", "paper-d4"),
                 ("product(4T3,8T11)", "disc", "burgess-yang")]
 
 
+# groups for the relabelling oracle (`test_invariance.py`): the golden
+# groups, the groups benchmark and two products of unequal factors.  The
+# verdict is compared on all but the last two (orders 2,048 and 1,536, with
+# bases of 8 and 6 points), whose normal-subgroup lattice takes minutes
+INVARIANCE_SPECS = ["S3", "C12", "4T3", "8T4", "8T11", "16T11", "product(4T3,C3)",
+                    "product(4T3,S3)", "wreath(C2,C4)", "wreath(4T3,C2)",
+                    "product(C2,16T11)", "product(4T3,8T11)", "wreath(C2,C8)", "wreath(4T3,C3)"]
+
+
 # ---------------------------------------------------------------------------
 # region and certificate views for comparisons
 # ---------------------------------------------------------------------------

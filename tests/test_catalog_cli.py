@@ -179,11 +179,13 @@ class TestCliClasses:
         ("C2000", "C2000"), ("wreath(C2,C12)", "wreath_C2_C12"),
         ("C2000", "C2000_restricted"), ("wreath(C2,C12)", "wreath_C2_C12_restricted"),
         ("wreath(4T3,C3)", "wreath_4T3_C3_restricted"), ("16T11", "16T11_restricted"),
-        ("product(C4,C6)", "product_C4_C6")])
+        ("product(C4,C6)", "product_C4_C6"), ("C5000", "C5000")])
     def test_large_tables_byte_identical(self, capsys, spec, reference):
         # 2000 classes, most ordered by another class's power walk; a
-        # closure of order 2^12 * 12 over several cosets; and an abelian
-        # group of two kept generators, which conjugates nothing.  A restricted
+        # closure of order 2^12 * 12 over several cosets; an abelian group
+        # of two kept generators, which conjugates nothing; and 5000 classes
+        # at degree 5000, whose walks find each power by its image of 1,
+        # a base of one point.  A restricted
         # table reads its cyclotomic profile from the .cyc file of the same
         # name; C2000, wreath(C2,C12) and 16T11 split types under it
         cyc = REFERENCE / f"classes_{reference}.cyc"

@@ -236,21 +236,53 @@ def test_classes_and_class_index(spec):
 
 
 @pytest.mark.parametrize("spec, kept, tables", [
-    ("C60", 1, 0), ("C210", 1, 0), ("product(C4,C6)", 2, 0), ("16T11", 3, 2)])
+    ("C60", 1, 0), ("C210", 1, 0), ("product(C4,C6)", 2, 0), ("16T11", 3, 2),
+    ("wreath(C2,C8)", 2, 2), ("product(S3,C100)", 3, 2)])
 def test_one_conjugation_table_per_noncentral_kept_generator(monkeypatch, spec, kept, tables):
-    # a table is one getter per element; a central kept generator (one of
-    # 16T11's three, every one of an abelian group's) would give the
-    # identity table and gets none
+    # a central kept generator (one of 16T11's three, every one of an
+    # abelian group's, C100's in the product) would give the identity table
+    # and gets none; at degree 300 a table sends its columns through h by a
+    # getter, below 256 by bytes.translate
     G = entry(spec).group
     fresh = PermutationGroup(G.degree, G.generators)
     assert len(fresh.kept) == kept
     built = []
-    real = perm._padded_multiplier
-    monkeypatch.setattr(perm, "_padded_multiplier", lambda q: built.append(q) or real(q))
+    real = perm._conjugation_tables
+
+    def recording(generators, base, images):
+        made = real(generators, base, images)
+        built.extend(zip(generators, made))
+        return made
+
+    monkeypatch.setattr(perm, "_conjugation_tables", recording)
     classes = fresh.conjugacy_classes()
     monkeypatch.undo()
-    assert len(built) == tables * fresh.order
+    assert len(built) == tables
+    images = [g.images for g in fresh.elements]
+    position = {x: i for i, x in enumerate(images)}
+    for h, table in built:  # the position of h x h^-1 for each x in canonical order
+        assert table == [position[conjugate(h, x)] for x in images]
     assert classes == G.conjugacy_classes()
+
+
+def greedy_base(images):
+    """The lexicographically first base by brute force: each point that some
+    element fixing every earlier base point moves."""
+    base, fixing = [], images
+    for b in range(1, len(images[0]) + 1):
+        if any(x[b - 1] != b for x in fixing):
+            base.append(b)
+            fixing = [x for x in fixing if x[b - 1] == b]
+    return base
+
+
+@pytest.mark.parametrize("spec", SPECS + ABELIAN + list(LARGE))
+def test_bisected_base_is_the_greedy_base(spec):
+    # C1 has an empty base, C60 and C210 a base of one point
+    images = [g.images for g in entry(spec).group.elements]
+    base = perm.lex_base(images)
+    assert base == greedy_base(images)
+    assert len({tuple(x[b - 1] for b in base) for x in images}) == len(images)
 
 
 def test_abelian_test_runs_once_per_mask(monkeypatch):
