@@ -48,10 +48,10 @@ p*q is `itemgetter(*q)((0,) + p)`, and a loop with one fixed factor
 builds its getter once (`right_multiplier`, `conjugation_step`): a
 whole coset is one `map` of its representative's right multiplier, a
 power walk one right multiplier applied again and again, and a
-conjugation table a few column slices of the elements' images at a base,
-each sent through the conjugating generator whole.  Permutations
-the kernel builds from valid ones are wrapped without the bijection
-check (`Permutation._of`); user data is always checked.
+conjugation table, block by block, one column of the elements' images
+per base point, each sent through the conjugating generator whole.
+Permutations the kernel builds from valid ones are wrapped without the
+bijection check (`Permutation._of`); user data is always checked.
 """
 from __future__ import annotations
 
@@ -60,7 +60,6 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
 from operator import itemgetter, or_
 from pathlib import Path
 from struct import Struct
@@ -72,6 +71,8 @@ DEFAULT_ELEMENT_CAP = 100_000
 DEFAULT_POINT_CAP = 2 ** 25
 # product(8T11,8T11) has 2,931 normal subgroups, C2^7 as a product 29,212
 _LATTICE_CAP = 10_000
+# elements per block of a conjugation table's columns (`_conjugation_tables`)
+_TABLE_BLOCK = 1024
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -152,40 +153,38 @@ def _conjugation_tables(generators, base, images):
     `images` for every x there; `images` is a group's canonically sorted
     element list and `base` its `lex_base`.
 
-    An element is keyed by its images of the base, packed into bytes.  The
-    image of h x h^-1 at a base point b is h(x(h^-1(b))), so the tables read
-    the elements at the base and at the points h^-1(base) only: one getter
-    per element takes those images out, in one pass, and a column of them
-    is one slice.  A table sends each column it needs through h whole, with
-    no per-element getter and no full image tuple built or hashed: by
-    `bytes.translate` when a point fits in a byte (degree below 256), else
-    by one getter over the column.  With no generator there is no table and
-    no key.
+    An element is keyed by its images of the base packed into bytes ("I"
+    holds every point under the point cap), smaller than a tuple and not
+    tracked by the garbage collector.  The image of h x h^-1 at a base
+    point b is h(x(h^-1(b))), so a table reads the elements at the points
+    h^-1(base) only: block by block, one column per base point is taken
+    out in one pass and sent through h whole by one getter, with no
+    per-element getter and no full image tuple built or hashed.  A block
+    holds `_TABLE_BLOCK` to twice that many elements (all of them in a
+    smaller group), so the columns stay small.  With no generator there is
+    no table and no key.
     """
     if not generators:
         return []
-    narrow = len(images[0]) < 256
-    key = Struct(f"{len(base)}{'B' if narrow else 'I'}").pack
-    inverses = [inverse(h) for h in generators]
-    # two points at least, so the getters return tuples: a non-central h
-    # moves a base point, since only the identity fixes the whole base
-    needed = sorted({b - 1 for b in base}.union(
-        *({h_inverse[b - 1] - 1 for b in base} for h_inverse in inverses)))
-    stride, at = len(needed), {j: k for k, j in enumerate(needed)}
-    values = chain.from_iterable(map(itemgetter(*needed), images))
-    flat = bytes(values) if narrow else list(values)  # element by element
-    # the positions outlive the keys: made first, they share no memory
-    # block with the keys, which are all freed together on return
+    # a non-central h makes the group non-abelian: the base is not empty,
+    # and a block has min(order, _TABLE_BLOCK) > 1 elements, so each
+    # getter over a column returns a tuple
+    key = Struct(f"{len(base)}I").pack
+    # the positions outlive the keys in the tables: made first, they share
+    # no memory block with the keys, which are all freed together on return
     positions = list(range(len(images)))
-    position = dict(zip(map(key, *[flat[at[b - 1]::stride] for b in base]), positions))
+    position = dict(zip(map(key, *[map(itemgetter(b - 1), images) for b in base]), positions))
+    bounds = [0, *range(_TABLE_BLOCK, len(images) - _TABLE_BLOCK, _TABLE_BLOCK), len(images)]
     tables = []
-    for h, h_inverse in zip(generators, inverses):
-        padded = (0,) + h
-        table = bytes(padded).ljust(256, b"\0") if narrow else None
-        columns = [flat[at[h_inverse[b - 1] - 1]::stride] for b in base]
-        tables.append(list(map(position.__getitem__, map(key, *[
-            column.translate(table) if narrow else itemgetter(*column)(padded)
-            for column in columns]))))
+    for h in generators:
+        padded, h_inverse = (0,) + h, inverse(h)
+        columns = [itemgetter(h_inverse[b - 1] - 1) for b in base]
+        table = []
+        for start, stop in zip(bounds, bounds[1:]):
+            block = images[start:stop]
+            table += map(position.__getitem__, map(key, *[
+                itemgetter(*map(column, block))(padded) for column in columns]))
+        tables.append(table)
     return tables
 
 
@@ -539,20 +538,21 @@ class PermutationGroup:
         """Classes in deterministic order: (element order, size, minimal member).
 
         The base comes off the sorted elements by bisection (`lex_base`),
-        and the internals key an element by its images of it.  Each kept
-        generator h that fails to commute with another kept generator gets
-        one conjugation table, the position of h x h^-1 for every element x
-        in canonical order, read from the elements' images at the base and
-        at h^-1(base) (`_conjugation_tables`); a central one would give the
-        identity table and gets none.  The conjugation orbits are then
-        walked over element positions, each step one row of the tables, so
-        an abelian group walks one-element orbits and conjugates nothing;
-        the identity class comes first.  A class not yet reached walks its
-        representative r's powers once (`powers`), each power found by one
-        bisection on its images up to the last base point: each class first
-        reached at step k, the class of r^k, gets the place (walk, k) and,
-        r of order e, the order e/gcd(k, e).  One walk places every class
-        of a cyclic subgroup (`power_class`).
+        and an element is found by its images of it, never by hashing its
+        whole image tuple.  Each kept generator h that fails to commute
+        with another kept generator gets one conjugation table, the
+        position of h x h^-1 for every element x in canonical order, read
+        from the elements' images at h^-1(base) (`_conjugation_tables`); a
+        central one would give the identity table and gets none.  The
+        conjugation orbits are then walked over element positions, each
+        step one row of the tables, so an abelian group walks one-element
+        orbits and conjugates nothing; the identity class comes first.  A
+        class not yet reached walks its representative r's powers once
+        (`powers`), each power found by one bisection on its images up to
+        the last base point: each class first reached at step k, the class
+        of r^k, gets the place (walk, k) and, r of order e, the order
+        e/gcd(k, e).  One walk places every class of a cyclic subgroup
+        (`power_class`).
         """
         if self._classes is None:
             elements = self.elements

@@ -235,34 +235,48 @@ def test_classes_and_class_index(spec):
             [G.class_index(rep ** u) for u in exponents]
 
 
-@pytest.mark.parametrize("spec, kept, tables", [
-    ("C60", 1, 0), ("C210", 1, 0), ("product(C4,C6)", 2, 0), ("16T11", 3, 2),
-    ("wreath(C2,C8)", 2, 2), ("product(S3,C100)", 3, 2)])
-def test_one_conjugation_table_per_noncentral_kept_generator(monkeypatch, spec, kept, tables):
-    # a central kept generator (one of 16T11's three, every one of an
-    # abelian group's, C100's in the product) would give the identity table
-    # and gets none; at degree 300 a table sends its columns through h by a
-    # getter, below 256 by bytes.translate
-    G = entry(spec).group
+def check_conjugation_tables(monkeypatch, G):
+    """The tables a fresh copy of G builds, each checked entry by entry
+    against direct conjugation, and its classes against G's."""
     fresh = PermutationGroup(G.degree, G.generators)
-    assert len(fresh.kept) == kept
     built = []
     real = perm._conjugation_tables
 
-    def recording(generators, base, images):
-        made = real(generators, base, images)
+    def recording(generators, *rest):
+        made = real(generators, *rest)
         built.extend(zip(generators, made))
         return made
 
     monkeypatch.setattr(perm, "_conjugation_tables", recording)
     classes = fresh.conjugacy_classes()
     monkeypatch.undo()
-    assert len(built) == tables
     images = [g.images for g in fresh.elements]
     position = {x: i for i, x in enumerate(images)}
     for h, table in built:  # the position of h x h^-1 for each x in canonical order
         assert table == [position[conjugate(h, x)] for x in images]
     assert classes == G.conjugacy_classes()
+    return fresh, built
+
+
+@pytest.mark.parametrize("spec, kept, tables", [
+    ("C60", 1, 0), ("C210", 1, 0), ("product(C4,C6)", 2, 0), ("16T11", 3, 2),
+    ("wreath(C2,C8)", 2, 2), ("product(S3,C100)", 3, 2)])
+def test_one_conjugation_table_per_noncentral_kept_generator(monkeypatch, spec, kept, tables):
+    # a central kept generator (one of 16T11's three, every one of an
+    # abelian group's, C100's in the product) would give the identity table
+    # and gets none; product(S3,C100) has degree 300
+    fresh, built = check_conjugation_tables(monkeypatch, entry(spec).group)
+    assert len(fresh.kept) == kept
+    assert len(built) == tables
+
+
+@pytest.mark.parametrize("spec, block", [("8T4", 2), ("16T11", 5), ("wreath(C2,C8)", 7)])
+def test_conjugation_tables_read_in_blocks(monkeypatch, spec, block):
+    # blocks of block..2*block elements: 8T4 reads 2, 2 and 4, 16T11
+    # 5, 5 and 6; 8T4 and 16T11 have a base of one point
+    monkeypatch.setattr(perm, "_TABLE_BLOCK", block)
+    _, built = check_conjugation_tables(monkeypatch, entry(spec).group)
+    assert built
 
 
 def greedy_base(images):
