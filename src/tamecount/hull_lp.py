@@ -8,16 +8,18 @@ one phase from that basis.  Each tableau row is a sparse dict of nonzero
 integers, a positive multiple of the row a Fraction tableau would hold,
 so its basic column holds a positive integer, the multiple, instead of
 1; the cost row is one more such row (Chvatal 1983, ch. 8).  An integer
-LP row enters the tableau as it is.  A pivot on entry p of row r first
+LP row enters the tableau as it is, and a problem built in stored form
+is not even scanned for a Fraction.  A pivot on entry p of row r first
 makes row r primitive (the gcd of its entries 1), then replaces each
 other row k holding a in the pivot column by p*row_k - a*row_r
-(Bareiss 1968 and Edmonds 1967 on fraction-free elimination); between
-its own pivots a row is made primitive only once its multiple passes
-_ROW_SCALE_BITS bits.  Positive row scaling changes no ratio rhs/a, no
-reduced-cost sign and no basic index, so the pivots are those of the
-Fraction simplex; the ratio test compares integer cross products.  The
-objective value is read off the final cost row: its rhs entry over its
-multiple, negated.  Fractions are built only from a Fraction LPProblem
+(Bareiss 1968 and Edmonds 1967 on fraction-free elimination), in place:
+every row is a dict that lp_solve built itself, so no row is copied.
+Between its own pivots a row is made primitive only once its multiple
+passes _ROW_SCALE_BITS bits.  Positive row scaling changes no ratio
+rhs/a, no reduced-cost sign and no basic index, so the pivots are those
+of the Fraction simplex; the ratio test compares integer cross products.
+The objective value is read off the final cost row: its rhs entry over
+its multiple, negated.  Fractions are built only from a Fraction LPProblem
 and for the LPResult.  lp_solve stops with ResourceCapError after
 DEFAULT_PIVOT_CAP pivots.
 
@@ -34,21 +36,23 @@ inequality over one integer scale per coordinate (the recession cone is
 the same for every region).  Around a corner below the entry it
 maximises mu = sum lam, and the entry is 1/mu* past the corner; it has
 no convexity row and no scalar column.  The corner and the coupling rows
-are computed in integers, so the LP is built without a Fraction, and
-every row is written as LPProblem stores it, so the problem skips the
-checks of the public constructor.  The threshold is the entry of the
+are computed in integers, from each region's pure lower bounds as
+integer pairs, so the LP is built without a Fraction, and every row is
+written as LPProblem stores it, so the problem skips the checks of the
+public constructor.  The threshold is the entry of the
 weight line s * wt.
 The membership of a point p is the entry s* of the line p + s * 1: the
 point is a closed member iff s* <= 0 and an open member iff s* < 0 (the
 open hull is the interior of the closed one).  The certificate reads the
-same optimum: each active point is its region's LP point plus t* * 1
-(t* = -s*), and the first active point also takes up what the combination
-still lacks of p.  Both rely on the region contract, which regions checks
-in one place on every region's integer form: a pure lower bound on every
-variable and only positive coefficients (an orthant recession cone).  A
-region is read only through its variables, pure_lower_bound,
-shifted_rows, mixed_labels and slack; this module imports no region
-module.
+same optimum, each value by its column position: each active point is
+its region's LP point plus t* * 1 (t* = -s*), and the first active point
+also takes up what the combination still lacks of p.  It is worked in
+integer pairs, and a Fraction is built only for a number it reports.
+Both rely on the region contract, which regions checks in one place on
+every region's integer form: a pure lower bound on every variable and
+only positive coefficients (an orthant recession cone).  A region is
+read only through its variables, pure_lower_pairs, shifted_rows,
+mixed_labels and slack; this module imports no region module.
 """
 from __future__ import annotations
 
@@ -99,11 +103,14 @@ def exact(x, what):
 def over_lcm(values):
     """The ints and Fractions `values` as integers over one scale: (S,
     [S * x]), with S the lcm of their denominators."""
-    dens = [x.denominator for x in values]
-    scale = reduce(math.lcm, dens, 1)
-    if scale == 1:
-        return 1, [x.numerator for x in values]
-    return scale, [x.numerator * (scale // q) for x, q in zip(values, dens)]
+    return _pairs_over_lcm([(x.numerator, x.denominator) for x in values])
+
+
+def _pairs_over_lcm(pairs):
+    """over_lcm of the rationals given as integer pairs (numerator,
+    denominator > 0) in lowest terms."""
+    scale = reduce(math.lcm, [q for _, q in pairs], 1)
+    return scale, [p * (scale // q) for p, q in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +132,7 @@ class LPProblem:
     variables: tuple
     constraints: list  # ({index: int | Fraction}, ">=", int | Fraction <= 0)
     objective: dict | None = None
+    _integral = False  # not a field: set by _stored, whose rows are all ints
 
     def __post_init__(self):
         n = len(self.variables)
@@ -150,6 +158,7 @@ class LPProblem:
         problem = cls.__new__(cls)
         problem.variables, problem.constraints, problem.objective = (
             variables, constraints, objective)
+        problem._integral = True
         return problem
 
 
@@ -182,11 +191,14 @@ def lp_solve(problem: LPProblem) -> LPResult:
     int} with the rhs under column `total`; it is a positive multiple of
     the row that the Fraction simplex would hold, so its basic column
     holds that multiple instead of 1.  A row of ints enters as it is, a row
-    with a Fraction times the lcm of its denominators.  The cost row is a
-    dict row of the same kind, a positive multiple of the reduced costs,
-    with its multiple under column total + 1 (where the Fraction simplex
-    would hold the 1 of the objective value's basic column); _combine
-    updates it like any other row.  The simplex reads only the signs of its
+    with a Fraction times the lcm of its denominators; the rows of a
+    problem built by LPProblem._stored are ints by construction and are
+    not scanned.  Every row is a dict built here, which _combine and
+    _primitive update in place.  The cost row is a dict row of the same
+    kind, a positive multiple of the reduced costs, with its multiple
+    under column total + 1 (where the Fraction simplex would hold the 1 of
+    the objective value's basic column); _combine updates it like any
+    other row.  The simplex reads only the signs of its
     entries; at the optimum its rhs entry is -(objective value) times that
     multiple, so the value is read off it with no sum over the objective.
     Fractions appear only where a Fraction row is read and where the result
@@ -201,9 +213,13 @@ def lp_solve(problem: LPProblem) -> LPResult:
         entries[n + k] = 1
         if bound:
             entries[total] = -bound
-        tableau.append(_integer_row(entries))
+        tableau.append(entries)
+    cost = dict(problem.objective or ())
+    cost[total + 1] = 1
+    if not problem._integral:  # a stored problem's rows are ints by construction
+        tableau = [_integer_row(row) for row in tableau]
+        cost = _integer_row(cost)
     basis = list(range(n, total))
-    cost = _integer_row({**dict(problem.objective or ()), total + 1: 1})
     status, pivots, cost = _pivot_until_optimal(tableau, cost, basis, total,
                                                 f"LP ({len(tableau)} rows x {n} variables)")
     if status == "unbounded":
@@ -227,34 +243,39 @@ def _integer_row(entries):
 
 
 def _primitive(row):
-    """row divided by the gcd of its entries; row is a dict of ints."""
+    """row divided by the gcd of its entries, in place; row is a dict of ints."""
     g = reduce(math.gcd, row.values(), 0)
-    if g <= 1:  # 0 only for an empty row
-        return row
-    return {k: v // g for k, v in row.items()}
+    if g > 1:  # 0 only for an empty row
+        for k, v in row.items():
+            row[k] = v // g
+    return row
 
 
 def _combine(row, p, a, pivot_row, scale_col):
-    """p*row - a*pivot_row (p > 0) as a dict row, both factors first
+    """row <- p*row - a*pivot_row (p > 0), in place, both factors first
     divided by their gcd: an entry that appears is created, an entry that
-    cancels is deleted.  pivot_row is 0 in column scale_col, which holds
-    the row's positive multiple of its Fraction row; the result is made
+    cancels is deleted; returns row.  Every row is a dict that lp_solve
+    built itself, and nothing reads a row's old entries after its update,
+    so no copy is made.  pivot_row is 0 in column scale_col, which holds
+    the row's positive multiple of its Fraction row; the row is made
     primitive only once that multiple passes _ROW_SCALE_BITS bits."""
     g = math.gcd(p, a)
     if g != 1:
         p //= g
         a //= g
-    new = row.copy() if p == 1 else {k: p * v for k, v in row.items()}
-    get = new.get
+    if p != 1:
+        for k, v in row.items():
+            row[k] = p * v
+    get = row.get
     for k, v in pivot_row.items():
         w = get(k, 0) - a * v
         if w:
-            new[k] = w
+            row[k] = w
         else:
-            del new[k]
-    if new[scale_col].bit_length() > _ROW_SCALE_BITS:
-        return _primitive(new)
-    return new
+            del row[k]
+    if row[scale_col].bit_length() > _ROW_SCALE_BITS:
+        return _primitive(row)
+    return row
 
 
 def _pivot_until_optimal(tableau, cost, basis, total, stage):
@@ -304,8 +325,8 @@ def _pivot(tableau, basis, i, j):
     made primitive, with p its entry in column j, and every other row k
     with a nonzero entry a in column j becomes p*row_k - a*row_i, a
     positive multiple of its Fraction row with that multiple in its basic
-    column (row i is 0 there)."""
-    row = tableau[i] = _primitive(tableau[i])
+    column (row i is 0 there); every row is updated in place."""
+    row = _primitive(tableau[i])
     p = row[j]
     for k, other in enumerate(tableau):
         if k != i:
@@ -379,7 +400,7 @@ def _as_point(point, variables) -> dict:
     return {v: exact(point[v], "coordinate or weight") for v in variables}
 
 
-def _region_columns(regions):
+def _region_columns(regions, variables):
     """The columns lam_j and the z_{j,v} that a mixed row reads, and every
     region's mixed rows over them; every gauge LP starts from these.
 
@@ -392,29 +413,31 @@ def _region_columns(regions):
     mixed_labels) needs no z_{j,v}: the recession cone is the nonnegative
     orthant, so one slack per coordinate serves every region, and it is the
     surplus of that coordinate's coupling row.  Returns the column names,
-    one {v: index of z_{j,v}} per region and the mixed rows, each in
-    LPProblem's stored form: lam_j comes before region j's z columns, which
-    follow its mixed_labels, the order of a shifted row's coefficients.
+    the z columns of each coordinate {v: [index of z_{j,v}, ...]} in region
+    order, and the mixed rows in LPProblem's stored form: lam_j comes
+    before region j's z columns, which follow its mixed_labels, the order
+    of a shifted row's coefficients.
     """
     names = [f"lam{j}" for j in range(len(regions))]
-    columns = []
+    coupled = {v: [] for v in variables}
+    rows = []
     for j, region in enumerate(regions):
         first = len(names)
         names += [f"z{j}.{v}" for v in region.mixed_labels]
-        columns.append(dict(zip(region.mixed_labels, range(first, len(names)))))
-    rows = []
-    for j, (region, z) in enumerate(zip(regions, columns)):
+        z = dict(zip(region.mixed_labels, range(first, len(names))))
+        for v, column in z.items():
+            coupled[v].append(column)
         for coefs, value in region.shifted_rows:
             row = tuple([(z[lab], coef) for lab, coef in coefs])
             rows.append((((j, value),) + row if value else row, ">=", 0))
-    return names, columns, rows
+    return names, coupled, rows
 
 
 def _gauge_problem(regions, variables, lines, m):
     """The gauge LP of the line corner + r * direction (direction > 0) with
     corner = base + m * direction: variables lam_j and the z_{j,v} of
     _region_columns.  `lines` holds each coordinate v of base, direction
-    and the pure lower bounds lb_j(v) over their one lcm S (over_lcm): (S,
+    and the pure lower bounds lb_j(v) over their one lcm S: (S,
     [S * base_v, S * direction_v, S * lb_0(v), S * lb_1(v), ...]).
 
     Maximise mu = sum_j lam_j subject to the mixed rows and, for each
@@ -428,11 +451,11 @@ def _gauge_problem(regions, variables, lines, m):
     Every row is written in LPProblem's stored form, so the problem is
     built without its checks.
     """
-    names, columns, constraints = _region_columns(regions)
+    names, coupled, constraints = _region_columns(regions, variables)
     for v, (scale, (b, d, *lows)) in zip(variables, lines):
         corner = b + m * d
         row = [(j, corner - low) for j, low in enumerate(lows) if corner != low]
-        row += [(z[v], -scale) for z in columns if v in z]
+        row += [(column, -scale) for column in coupled[v]]
         constraints.append((tuple(row), ">=", -d))
     return LPProblem._stored(tuple(names), constraints,
                              tuple([(j, -1) for j in range(len(regions))]))
@@ -440,59 +463,90 @@ def _gauge_problem(regions, variables, lines, m):
 
 def _line_entry(question, regions, variables, base, direction):
     """The least s with base + s * direction in the closed hull
-    (direction > 0), with mu* and the optimal assignment of its gauge LP.
+    (direction > 0), with mu* and the values of its gauge LP's optimum,
+    one per column in _region_columns order.
 
     Every hull point y has y_v >= min_j lb_j(v), so s is at least
     max_v (min_j lb_j(v) - base_v) / direction_v.  The integer m is the
     floor of that bound less one, so the corner base + m * direction lies
     at least one step below the entry, mu* = 1 / (s - m) is at most 1 and
-    s = m + 1 / mu*.  Each coordinate's floor is an integer floor division
-    over the line's scale (over_lcm).  mu* is positive because the
-    all-large point lies in the hull; the LP is bounded because every
-    variable has a pure lower bound.  `question` names the LP in the error
-    of a malformed region set.
+    s = m + 1 / mu*.  Each coordinate's line is built from integer pairs
+    (numerator, denominator) in lowest terms, the regions' from
+    pure_lower_pairs, over the lcm S of their denominators, and its floor
+    is an integer floor division.  mu* is positive because the all-large
+    point lies in the hull; the LP is bounded because every variable has a
+    pure lower bound.  `question` names the LP in the error of a malformed
+    region set.
     """
-    lines = [over_lcm([base[v], direction[v]] + [r.pure_lower_bound(v) for r in regions])
-             for v in variables]
+    lines = []
+    for v, lows in zip(variables, zip(*[r.pure_lower_pairs for r in regions])):
+        b, d = base[v], direction[v]
+        lines.append(_pairs_over_lcm(
+            [(b.numerator, b.denominator), (d.numerator, d.denominator), *lows]))
     m = max((min(lows) - b) // d for _, (b, d, *lows) in lines) - 1
     result = lp_solve(_gauge_problem(regions, variables, lines, m))
     if result.status != "optimal":
         raise ValidationError(f"{question} LP is {result.status}; regions are malformed")
     mu = -result.value
-    return m + 1 / mu, mu, result.assignment
+    return m + 1 / mu, mu, list(result.assignment.values())
 
 
-def _certificate_from_assignment(assignment, mu, t, regions, variables,
+def _certificate_from_assignment(values, mu, t, regions, variables,
                                  target) -> HullCertificate:
     """The certificate of a closed member `target` from the gauge optimum
-    of its line along 1: mu* and the margin t = -s*."""
-    lambdas = tuple(assignment[f"lam{j}"] / mu for j in range(len(regions)))
-    # undo the gauge scaling and the lower-bound shift: active region j's
-    # point is (lb_j * lam'_j + z'_j) / lam'_j + t * 1 (mu* cancels), where
-    # only the z'_{j,v} of its mixed_labels are LP columns
-    points = []
-    for j, (region, lam) in enumerate(zip(regions, lambdas)):
+    of its line along 1 (`values`, one per column in _region_columns
+    order): mu* and the margin t = -s*.
+
+    Each number is worked as an integer pair (numerator, denominator > 0),
+    not in lowest terms; a Fraction is built only for a lambda, a
+    coordinate or the epsilon that the certificate reports."""
+    mn, md = mu.numerator, mu.denominator
+    tn, td = t.numerator, t.denominator
+    lambdas, points, active = [], [], []
+    # undo the gauge scaling and the lower-bound shift: active region j has
+    # lambda_j = lam'_j / mu* and the point (lb_j * lam'_j + z'_j) / lam'_j
+    # + t * 1 (mu* cancels), where only the z'_{j,v} of its mixed_labels
+    # are LP columns; they follow the lam columns, region by region
+    first = len(regions)
+    for j, region in enumerate(regions):
+        labels = region.mixed_labels
+        zs = values[first:first + len(labels)]
+        first += len(labels)
+        lam = values[j]
         if not lam:
+            lambdas.append(lam)
             points.append(None)
             continue
-        point = {v: region.pure_lower_bound(v) + t for v in variables}
-        scaled = assignment[f"lam{j}"]
-        for v in region.mixed_labels:
-            z = assignment[f"z{j}.{v}"]
-            if z:
-                point[v] += z / scaled
+        ln, ld = lam.numerator, lam.denominator
+        weight = ln * md, ld * mn
+        lambdas.append(Fraction(*weight))
+        point = {v: (p * td + tn * q, q * td)
+                 for v, (p, q) in zip(variables, region.pure_lower_pairs)}
+        for v, z in zip(labels, zs):
+            if z:  # plus z'_{j,v} / lam'_j
+                n, d = point[v]
+                zn, zd = z.numerator * ld, z.denominator * ln
+                point[v] = n * zd + zn * d, d * zd
         points.append(point)
+        active.append((weight, point))
     # the lambdas sum to 1, so what the combination lacks of the target is
     # the coupling rows' surpluses and the recession-ray mass of inactive
     # regions (A y >= 0 with lam = 0), all nonnegative; the first active
     # point takes it up and stays in its region, because the recession cone
     # is the nonnegative orthant
-    active = [(lam, p) for lam, p in zip(lambdas, points) if p is not None]
-    first_lam, first = active[0]
+    (fn, fd), taker = active[0]
     for v in variables:
-        first[v] += (target[v] - sum(lam * p[v] for lam, p in active)) / first_lam
+        n, d = target[v].numerator, target[v].denominator
+        for (wn, wd), point in active:
+            pn, pd = point[v]
+            n, d = n * wd * pd - wn * pn * d, d * wd * pd
+        if n:  # plus lack / lambda of the first active point
+            pn, pd = taker[v]
+            taker[v] = pn * d * fn + n * fd * pd, pd * d * fn
+    points = tuple([None if point is None else {v: Fraction(*point[v]) for v in variables}
+                    for point in points])
     epsilon = min(region.slack(p) for p, region in zip(points, regions) if p is not None)
-    return HullCertificate(lambdas=lambdas, points=tuple(points), epsilon=epsilon)
+    return HullCertificate(lambdas=tuple(lambdas), points=points, epsilon=epsilon)
 
 
 def hull_membership(point, regions, mode="open"):
@@ -511,11 +565,11 @@ def hull_membership(point, regions, mode="open"):
         return False, None
     variables = _common_variables(regions)
     pt = _as_point(point, variables)
-    s, mu, assignment = _line_entry("membership", regions, variables, pt,
-                                    dict.fromkeys(variables, 1))
+    s, mu, values = _line_entry("membership", regions, variables, pt,
+                                dict.fromkeys(variables, 1))
     if s > 0 or (mode == "open" and s == 0):
         return False, None
-    return True, _certificate_from_assignment(assignment, mu, -s, regions, variables, pt)
+    return True, _certificate_from_assignment(values, mu, -s, regions, variables, pt)
 
 
 def verify_certificate(cert: HullCertificate, regions, point) -> bool:

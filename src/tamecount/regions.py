@@ -166,7 +166,10 @@ class TubularRegion:
     `shifted_rows` holds c*z + c.slack(lb) as its primitive positive integer
     multiple, ((label, int coefficient), ...) in variable order and the int
     value; `mixed_labels` names, in variable order, each variable that a
-    shifted row reads.  The public constructor and `build_region` both hand
+    shifted row reads.  `pure_lower_pairs` holds each pure lower bound as
+    an integer pair (numerator, denominator > 0) in lowest terms, in
+    variable order; hull_lp reads them, and `pure_lower_bound` gives them
+    as Fractions.  The public constructor and `build_region` both hand
     their integer rows to `_init`; `constraints` is the rows'
     LinearConstraint view.
     """
@@ -181,7 +184,13 @@ class TubularRegion:
         self._rows = tuple(rows)
         self._constraints = None
         pure = _region_contract(self.variables, self._rows)
-        self._pure_lower = {lab: Fraction(b, a) for lab, (b, a) in pure.items()}
+        lower = []
+        for v in self.variables:
+            b, a = pure[v]
+            g = math.gcd(b, a)
+            lower.append((b // g, a // g))
+        self.pure_lower_pairs = tuple(lower)
+        self._pure_lower = {v: Fraction(b, a) for v, (b, a) in zip(self.variables, lower)}
         # the corner lb over den, the lcm of the pure rows' a: each mixed
         # row times den has the value den * (sum a*lb - b); then the row
         # over the gcd of its entries, its coefficients in variable order
@@ -220,11 +229,17 @@ class TubularRegion:
         """The least constraint slack at `point`: the point lies in the open
         region iff it is positive and in the closure iff it is >= 0.  Over
         one common denominator den of the point, row (coefs, b, s) has
-        slack (sum a*den*p_v - b*den) / (s*den)."""
+        slack (sum a*den*p_v - b*den) / (s*den); the least row is found by
+        integer cross products, and only its slack is made a Fraction."""
         den, nums = over_lcm([point[v] for v in self.variables])
         nums = dict(zip(self.variables, nums))
-        return min(Fraction(sum((a * nums[lab] for lab, a in coefs), -b * den), s * den)
-                   for coefs, b, s in self._rows)
+        least, least_s = None, 1
+        for coefs, b, s in self._rows:
+            value = sum([a * nums[lab] for lab, a in coefs], -b * den)
+            # value / s against least / least_s, both scales positive
+            if least is None or value * least_s < least * s:
+                least, least_s = value, s
+        return Fraction(least, least_s * den)
 
     def __repr__(self):
         return f"TubularRegion({self.name or '?'}, {len(self._rows)} constraints)"

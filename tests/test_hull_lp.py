@@ -1,5 +1,6 @@
 """Exact simplex, Balas hull membership, thresholds, and the
 LP-vs-Caratheodory dual-route checks."""
+import copy
 import importlib.util
 import math
 import random
@@ -26,6 +27,23 @@ from tamecount.regions import TubularRegion, build_region, constraint
 # ---------------------------------------------------------------------------
 # plain LP
 # ---------------------------------------------------------------------------
+
+def beale_problem():
+    """Beale's instance, on which the textbook largest-coefficient rule
+    cycles: min -3/4 a + 150 b - 1/50 c + 6 d  s.t. 1/4 a - 60 b - 1/25 c +
+    9 d <= 0, 1/2 a - 90 b - 1/50 c + 3 d <= 0 and c <= 1; Bland's rule
+    reaches the optimum -1/20."""
+    rows = [
+        ({0: Fraction(-1, 4), 1: Fraction(60), 2: Fraction(1, 25), 3: Fraction(-9)}, ">=",
+         Fraction(0)),
+        ({0: Fraction(-1, 2), 1: Fraction(90), 2: Fraction(1, 50), 3: Fraction(-3)}, ">=",
+         Fraction(0)),
+        ({2: Fraction(-1)}, ">=", Fraction(-1)),
+    ]
+    return LPProblem(variables=("a", "b", "c", "d"), constraints=rows,
+                     objective={0: Fraction(-3, 4), 1: Fraction(150), 2: Fraction(-1, 50),
+                                3: Fraction(6)})
+
 
 class TestLpSolve:
     def test_minimize_lower_bound(self):
@@ -96,20 +114,7 @@ class TestLpSolve:
             LPProblem(variables=("x",), constraints=[({0: 1}, ">=", -1), ({0: 1}, rel, bound)])
 
     def test_degenerate_cycling_terminates(self):
-        # Beale's instance, on which the textbook largest-coefficient rule
-        # cycles: min -3/4 a + 150 b - 1/50 c + 6 d  s.t. 1/4 a - 60 b -
-        # 1/25 c + 9 d <= 0, 1/2 a - 90 b - 1/50 c + 3 d <= 0 and c <= 1;
-        # Bland's rule reaches the optimum -1/20
-        rows = [
-            ({0: Fraction(-1, 4), 1: Fraction(60), 2: Fraction(1, 25), 3: Fraction(-9)}, ">=",
-             Fraction(0)),
-            ({0: Fraction(-1, 2), 1: Fraction(90), 2: Fraction(1, 50), 3: Fraction(-3)}, ">=",
-             Fraction(0)),
-            ({2: Fraction(-1)}, ">=", Fraction(-1)),
-        ]
-        p = LPProblem(variables=("a", "b", "c", "d"), constraints=rows,
-                      objective={0: Fraction(-3, 4), 1: Fraction(150), 2: Fraction(-1, 50),
-                                 3: Fraction(6)})
+        p = beale_problem()
         r = lp_solve(p)
         assert (r.status, r.value) == ("optimal", Fraction(-1, 20))
         assert verify_lp_assignment(p, r.assignment)
@@ -821,6 +826,40 @@ def test_golden_threshold_lps_make_no_phase_1_pivot(monkeypatch):
         # the value read off the final cost row is the objective at the optimum
         assert result.value == sum(c * result.assignment[problem.variables[i]]
                                    for i, c in problem.objective)
+
+
+@pytest.mark.parametrize("source", ["cycling", "golden", "oracle"])
+def test_lp_solve_leaves_its_problem_unchanged(monkeypatch, source):
+    # lp_solve updates its tableau rows in place, so each must be a dict
+    # the solve built itself: a solve leaves its problem equal to a deep
+    # copy taken before it, and a second solve gives an equal LPResult.
+    # The sources: the public constructor over Fractions, every golden
+    # gauge LP and every gauge LP of the random-region oracle suite
+    recorded = []
+    solve = hull_lp.lp_solve
+
+    def recording(problem):
+        before = copy.deepcopy(problem)
+        recorded.append((before, problem, solve(problem)))
+        return recorded[-1][2]
+
+    monkeypatch.setattr(hull_lp, "lp_solve", recording)
+    if source == "cycling":
+        hull_lp.lp_solve(beale_problem())
+        count = 1
+    elif source == "golden":
+        _golden_builds(monkeypatch)
+        count = 12
+    else:
+        for case in _suites.ORACLE_CASES:
+            _suites.run_balas_reference_case(*case)
+        count = 2 * sum(case[3] for case in _suites.ORACLE_CASES)
+    monkeypatch.undo()
+    assert len(recorded) == count
+    for before, problem, result in recorded:
+        assert problem == before
+        assert lp_solve(problem) == result
+        assert problem == before
 
 
 @pytest.mark.parametrize("pure,wt,expected", [
